@@ -450,19 +450,6 @@ class Poly:
             total += term
         return total
 
-    def eval_exact(self, point: Sequence["GaussianRational | int | Fraction"]) -> GaussianRational:
-        if len(point) != len(self.vars):
-            raise StructuralError("point dimension mismatch")
-        pt = [GaussianRational.of(v) for v in point]
-        total = GR_ZERO
-        for e, c in self.terms.items():
-            term = c
-            for x, k in zip(pt, e):
-                if k:
-                    term = term * x ** k
-            total = total + term
-        return total
-
     def divide_monomial(self, exps: Exponents) -> "Poly":
         """Exact division by the monomial with exponent vector ``exps``."""
         out = {}
@@ -678,9 +665,6 @@ class ChartFunction:
             return ChartFunction.zero(self.vars)
         return ChartFunction(self.numerator.scale(c), self.monomial_exponents)
 
-    def mul_poly(self, p: Poly) -> "ChartFunction":
-        return self * ChartFunction.of_poly(p)
-
     def shift_exponents(self, delta: Sequence[int]) -> "ChartFunction":
         """Multiply by the (Laurent) monomial with exponent vector ``delta``."""
         if self.is_zero():
@@ -718,29 +702,3 @@ class ChartFunction:
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.render()
-
-
-# ---------------------------------------------------------------------------
-# Module-level operation aliases (the public operation surface)
-# ---------------------------------------------------------------------------
-
-def partial_derivative(p: Poly, var: str) -> Poly:
-    return p.partial(var)
-
-
-def monomial_substitute(p: Poly, assignment) -> Poly:
-    return p.substitute_monomials(assignment)
-
-
-def jet_truncate(p: Poly, n: int) -> Poly:
-    return p.jet_truncate(n)
-
-
-def homogeneous_component(p: Poly, d: int) -> Poly:
-    return p.homogeneous_component(d)
-
-
-def eval_complex(f: "ChartFunction | Poly", point: Sequence[complex]) -> complex:
-    if isinstance(f, Poly):
-        return f.eval_complex(point)
-    return f.eval_complex(point)

@@ -361,14 +361,18 @@ def _hull_contains_origin(pts) -> bool:
 # Full classification
 # ---------------------------------------------------------------------------
 
+def second_jet_check(x: VectorField) -> bool:
+    """True iff the order-2 jet of the field at the origin is nonzero."""
+    return any(not p.jet_truncate(2).is_zero() for p in x.polys())
+
+
 def classify_singularity(x: VectorField) -> SingularityReport:
     """Classify the germ of a holomorphic field at the chart origin.
 
     A non-vanishing field is reported as regular (not an error).  The
     second-jet flag records whether the order-2 jet at the origin is nonzero.
     """
-    polys = x.polys()
-    second_jet = any(not p.jet_truncate(2).is_zero() for p in polys)
+    second_jet = second_jet_check(x)
     if not x.vanishes_at_origin():
         return SingularityReport(CLASS_REGULAR, None, None, UNDECIDED,
                                  POSITION_UNDECIDED, second_jet)

@@ -4,8 +4,8 @@ The builders construct, with exact coefficients, the example vector fields
 and forms this toolkit is validated against: the Jouanolou forms and their
 homogeneous companions, the commuting pair with an invariant axis, the
 three-dimensional field carrying two independent holomorphic first
-integrals together with its topologically equivalent partner, the
-saddle-node family with formal but non-convergent first integrals, the
+integrals (its topologically equivalent partner ships only as the fixture
+``suzuki_type.field``), the saddle-node family with formal but non-convergent first integrals, the
 Sancho-Sanz persistent-nilpotent family, cuspidal Hamiltonian fields, and
 assorted linear saddles.
 
@@ -32,6 +32,7 @@ from .classify import (
     POSITION_SIEGEL,
     classify_singularity,
     resonance_rank,
+    second_jet_check,
     siegel_test,
 )
 from .dynamics import (
@@ -43,7 +44,6 @@ from .dynamics import (
     lift_path,
     loop_lift_ratio,
     omega1_integral,
-    second_jet_check,
     semicomplete_order_test,
     separating_direction,
     spiral_path,
@@ -136,19 +136,6 @@ def two_integrals_field() -> VectorField:
         _poly(V3, {(1, 1, 0): 2}),
         _poly(V3, {(3, 0, 0): 1, (0, 2, 0): 2}),
         _poly(V3, {(0, 1, 1): -2}),
-    ])
-
-
-def suzuki_type_field() -> VectorField:
-    """x(x-2y^2-y) d/dx + y(x-y^2-y) d/dy - z(x-y^2-y) d/dz.
-
-    Topologically equivalent partner of :func:`two_integrals_field` without
-    two independent holomorphic first integrals; kept as a fixture.
-    """
-    return VectorField.make(chart3(), [
-        _poly(V3, {(2, 0, 0): 1, (1, 2, 0): -2, (1, 1, 0): -1}),
-        _poly(V3, {(1, 1, 0): 1, (0, 3, 0): -1, (0, 2, 0): -1}),
-        _poly(V3, {(1, 0, 1): -1, (0, 2, 1): 1, (0, 1, 1): 1}),
     ])
 
 

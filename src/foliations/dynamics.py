@@ -569,13 +569,8 @@ def trace_descent(
 
 
 # ---------------------------------------------------------------------------
-# Second jet and separating directions
+# Separating directions
 # ---------------------------------------------------------------------------
-
-def second_jet_check(x: VectorField) -> bool:
-    """True iff the order-2 jet of the field at the origin is nonzero."""
-    return any(not p.jet_truncate(2).is_zero() for p in x.polys())
-
 
 def separating_direction(eigenvalues: Sequence[complex], distinguished: int = 0) -> complex:
     """A unit vector v with Re(l_d / v) > 0 and Re(l_j / v) < 0 for j != d.

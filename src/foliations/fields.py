@@ -16,13 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .algebra import (
-    GR_ZERO,
-    ChartFunction,
-    GaussianRational,
-    Poly,
-    monomial_content,
-)
+from .algebra import GR_ZERO, ChartFunction, GaussianRational, Poly
 from .errors import (
     ChartMismatchError,
     NotApplicableError,
@@ -132,14 +126,6 @@ class VectorField:
     def vanishes_at_origin(self) -> bool:
         return all(c.is_holomorphic() and c.expand().constant_term().is_zero()
                    for c in self.components)
-
-    def singular_set_codim2(self) -> bool:
-        """True when the components share no monomial factor (checked, not assumed)."""
-        polys = self.polys()
-        if all(p.is_zero() for p in polys):
-            return False
-        content, _ = monomial_content(polys)
-        return all(e == 0 for e in content)
 
     def scale(self, c) -> "VectorField":
         return VectorField(self.chart, tuple(f.scale(c) for f in self.components))

@@ -1,22 +1,40 @@
-"""Resolution drivers.
+"""Resolution of foliation germs in dimensions 2 and 3.
 
-Dimension 2: the classical iteration -- blow up every non-elementary
-singular point, breadth first, recording an annotated tree: divisor
-components with self-intersection weights, exact (or certified) singular
-points with their classification, and transverse/tangent eigenvalue ratios
-feeding the index-sum cross-check on compact invariant components.
+One breadth-first skeleton, :func:`_resolve`, drives both dimensions.  It
+prepares the input and classifies the origin, then repeatedly takes the
+oldest pending singular point, spends one budget step and one divisor label
+``E{n}`` on it, blows it up and classifies the singular points on each new
+chart's divisor.  The result is an annotated tree: divisor components with
+self-intersection weights, exact (or certified) singular points with their
+classification, and transverse/tangent eigenvalue ratios feeding the
+index-sum cross-check on compact invariant components.  Point selection is
+deterministic (breadth-first over nodes, canonical coordinate order within
+a node), so identical inputs and budgets yield byte-identical serialized
+trees.
 
-Dimension 3: a best-effort driver that blows up points and coordinate-axis
-curves contained in the singular set, detects the persistent-nilpotent
-normal form
+The dimensions differ in three places, which they pass to the skeleton:
 
-    (y + f(x,y,z)) d/dx + g(x,y,z) d/dy + z^n d/dz,
-    ord f >= 2, ord g >= 2, n >= 2,
+* **The blow-up.**  Dimension 2 always blows up the point with weights
+  (1, 1).  Dimension 3 blows up a coordinate-axis curve contained in the
+  singular set, or else the point; a nilpotent point matching the
+  persistent-nilpotent normal form
 
-and escapes a detected point with a single blow-up of weight 2 centered on
-the distinguished invariant axis.  Point selection is deterministic
-(breadth-first over nodes, canonical coordinate order within a node), so
-identical inputs and budgets yield byte-identical serialized trees.
+      (y + f(x,y,z)) d/dx + g(x,y,z) d/dy + z^n d/dz,
+      ord f >= 2, ord g >= 2, n >= 2,
+
+  is instead escaped with a single blow-up of weight 2 centered on the
+  distinguished invariant axis.
+* **The divisor points of a new chart, and whether that list is
+  complete.**  Dimension 2 enumerates the whole divisor in the first chart
+  and only the origin in the second.  Dimension 3 solves the restricted
+  system where it can; non-rational roots and bivariate systems leave gaps,
+  and then the tree does not claim a full resolution.
+* **An exhausted budget.**  Dimension 3 names the nilpotent points left
+  pending, and reports ``persistent_nilpotent_pending`` when all of them
+  match the normal form.
+
+Self-intersection weights are tracked in dimension 2 only: its components
+start at -1, those of dimension 3 carry ``None``.
 """
 
 from __future__ import annotations
@@ -26,9 +44,10 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 from .algebra import GR_ONE, GR_ZERO, ChartFunction, GaussianRational, Poly, monomial_content
-from .blowup import POINT, BlowupSpec, TransformResult, curve_center, weighted_blowup
+from .blowup import POINT, BlowupSpec, all_charts, curve_center, weighted_blowup
 from .classify import (
     CLASS_NILPOTENT,
     SingularityReport,
@@ -195,32 +214,15 @@ class ResolutionTree:
 # Root finding on the divisor
 # ---------------------------------------------------------------------------
 
-def _univariate_coeffs(p: Poly, var: str) -> list[GaussianRational]:
-    return p.univariate_coeffs(var)
-
-
-def _poly_gcd_univariate(a: Poly, b: Poly, var: str) -> list[GaussianRational]:
-    return iv.poly_gcd(_univariate_coeffs(a, var), _univariate_coeffs(b, var))
-
-
-def _roots_of(coeffs: list[GaussianRational]):
-    """(exact roots, certified interval roots) of a dense univariate poly."""
+def _common_roots(polys: list[Poly], var: str):
+    """(exact roots, certified interval roots) shared by univariates in ``var``."""
+    coeffs = polys[0].univariate_coeffs(var)
+    for p in polys[1:]:
+        coeffs = iv.poly_gcd(coeffs, p.univariate_coeffs(var))
     if iv.poly_degree(coeffs) <= 0:
         return [], []
     exact, certified = iv.certified_roots(coeffs)
     return [r for r, _m in exact], certified
-
-
-def divisor_restriction_system(rep: VectorField, divisor_var: str, along: str):
-    """Restrict all components to the divisor, as univariates in ``along``."""
-    out = []
-    for comp in rep.components:
-        p = comp.expand()
-        for v in rep.chart.var_names:
-            if v not in (along,):
-                p = p.restrict(v, 0)
-        out.append(p)
-    return out
 
 
 def singular_points_on_divisor(rep: VectorField, divisor_var: str):
@@ -237,11 +239,7 @@ def singular_points_on_divisor(rep: VectorField, divisor_var: str):
     nonzero = [p for p in restricted if not p.is_zero()]
     if not nonzero:
         return [], [], True
-    if len(nonzero) == 1:
-        coeffs = _univariate_coeffs(nonzero[0], other)
-    else:
-        coeffs = _poly_gcd_univariate(nonzero[0], nonzero[1], other)
-    exact, certified = _roots_of(coeffs)
+    exact, certified = _common_roots(nonzero, other)
     return exact, certified, False
 
 
@@ -375,7 +373,7 @@ def _interval_excludes_zero(p: Poly, var: str, root: iv.CertifiedRoot) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Dimension 2: Seidenberg iteration
+# The breadth-first skeleton shared by both dimensions
 # ---------------------------------------------------------------------------
 
 def _prepare_input(x: VectorField, tree: ResolutionTree) -> VectorField:
@@ -389,6 +387,95 @@ def _prepare_input(x: VectorField, tree: ResolutionTree) -> VectorField:
     return VectorField(x.chart, tuple(ChartFunction.of_poly(p) for p in reduced))
 
 
+def _resolve(x: VectorField, max_steps: int, blow_up, divisor_points,
+             on_budget=None, new_weight: int | None = None) -> ResolutionTree:
+    """Blow up pending points breadth first until none is left.
+
+    Every popped point costs one label ``E{n}`` and one new divisor
+    component of self-intersection ``new_weight`` (``None`` when weights are
+    not tracked).  The dimension supplies:
+
+    * ``blow_up(tree, point, germ, label, center_coords)``: blows up the
+      point's recentered ``germ``, adds the blow-ups it made to
+      ``tree.steps`` / ``tree.weighted_steps``, sets the point's status and
+      returns ``(chart results, center kind, weights)``;
+    * ``divisor_points(tree, child, first)``: the singular points on the
+      divisor of a new chart (``first`` for the first chart of a blow-up),
+      and whether that list is complete;
+    * ``on_budget(tree)``: what to add when ``max_steps`` runs out.
+    """
+    tree = ResolutionTree(dim=x.chart.dim)
+    rep = _prepare_input(x, tree)
+    root = TreeNode(0, None, rep.chart, rep, None, None, None, None, None,
+                    False, 0, 0)
+    tree.nodes.append(root)
+    p0 = _classify_point(root, tuple([GR_ZERO] * tree.dim))
+    root.singular_points.append(p0)
+    queue: deque[tuple[TreeNode, SingularPoint]] = deque()
+    if p0.status == POINT_PENDING:
+        queue.append((root, p0))
+    label_counter = 0
+    complete = True
+
+    while queue:
+        if tree.steps + tree.weighted_steps >= max_steps:
+            tree.status = STATUS_BUDGET
+            if on_budget is not None:
+                on_budget(tree)
+            tree.diagnostics.append("blow-up budget exhausted")
+            return tree
+        node, point = queue.popleft()
+        label_counter += 1
+        label = f"E{label_counter}"
+        if new_weight is not None:
+            # components through the center drop by one
+            for comp_label in point.on_components:
+                tree.components[comp_label].weight -= 1
+        tree.components[label] = DivisorComponent(label, new_weight, node.id)
+        germ = germ_at(node.rep, point.coords)
+        center_coords = tuple(c.text() for c in point.coords)
+        results, center_kind, weights = blow_up(tree, point, germ, label, center_coords)
+        for idx, result in enumerate(results):
+            child = TreeNode(
+                id=len(tree.nodes), parent=node.id, chart=result.chart,
+                rep=result.representative, center_coords=center_coords,
+                center_kind=center_kind, weights=weights,
+                divisor_var=result.divisor_var, divisor_label=label,
+                dicritical=result.dicritical,
+                multiplicity=result.divisor_multiplicity,
+                pole_order=result.pole_order)
+            tree.nodes.append(child)
+            if result.pole_order > 0:
+                tree.diagnostics.append(
+                    f"node {child.id}: strictly meromorphic vector-field transform "
+                    f"(pole order {result.pole_order}); foliation representative used")
+            points, listed_all = divisor_points(tree, child, idx == 0)
+            complete = complete and listed_all
+            for p in points:
+                child.singular_points.append(p)
+                if p.status == POINT_PENDING:
+                    queue.append((child, p))
+                elif p.status == POINT_NONRATIONAL:
+                    tree.diagnostics.append(
+                        f"node {child.id}: unprocessed non-rational point")
+
+    if any(not p.is_final_ok() for _, p in tree.all_points()):
+        tree.status = STATUS_BUDGET
+        tree.diagnostics.append("stuck on points that cannot be recentered exactly")
+    elif not complete:
+        tree.status = STATUS_BUDGET
+        tree.diagnostics.append(
+            "all enumerated points are elementary, but the divisor enumeration "
+            "had gaps; refusing to claim a full resolution")
+    else:
+        tree.status = STATUS_RESOLVED
+    return tree
+
+
+# ---------------------------------------------------------------------------
+# Dimension 2: Seidenberg iteration
+# ---------------------------------------------------------------------------
+
 def seidenberg_resolve(x: VectorField, max_steps: int = 40) -> ResolutionTree:
     """Iterated point blow-ups in dimension 2 until every point is elementary.
 
@@ -399,94 +486,34 @@ def seidenberg_resolve(x: VectorField, max_steps: int = 40) -> ResolutionTree:
         raise NotApplicableError("use resolve3 for three-dimensional germs")
     if max_steps < 1:
         raise StructuralError("max_steps must be at least 1")
-    tree = ResolutionTree(dim=2)
-    rep = _prepare_input(x, tree)
-    root = TreeNode(0, None, rep.chart, rep, None, None, None, None, None,
-                    False, 0, 0)
-    tree.nodes.append(root)
-    origin = tuple([GR_ZERO] * 2)
-    p0 = _classify_point(root, origin)
-    root.singular_points.append(p0)
-    queue: deque[tuple[int, SingularPoint]] = deque()
-    if p0.status == POINT_PENDING:
-        queue.append((0, p0))
-    label_counter = 0
-
-    while queue:
-        if tree.steps >= max_steps:
-            tree.status = STATUS_BUDGET
-            tree.diagnostics.append("blow-up budget exhausted")
-            return tree
-        node_id, point = queue.popleft()
-        node = tree.nodes[node_id]
-        tree.steps += 1
-        label_counter += 1
-        label = f"E{label_counter}"
-        germ = germ_at(node.rep, point.coords)
-        # weight bookkeeping: components through the center drop by one
-        for comp_label in point.on_components:
-            comp = tree.components[comp_label]
-            if comp.weight is not None:
-                comp.weight -= 1
-        tree.components[label] = DivisorComponent(label, -1, node.id)
-        point.status = POINT_BLOWN_UP
-        center_coords = tuple(c.text() for c in point.coords)
-
-        charts: list[TransformResult] = []
-        for idx in range(2):
-            charts.append(weighted_blowup(
-                germ, BlowupSpec(POINT, (1, 1), idx), label, center_coords))
-        for idx, result in enumerate(charts):
-            child = TreeNode(
-                id=len(tree.nodes), parent=node.id, chart=result.chart,
-                rep=result.representative, center_coords=center_coords,
-                center_kind=POINT, weights=(1, 1),
-                divisor_var=result.divisor_var, divisor_label=label,
-                dicritical=result.dicritical,
-                multiplicity=result.divisor_multiplicity,
-                pole_order=result.pole_order)
-            tree.nodes.append(child)
-            names = child.chart.var_names
-            other = names[1] if names[0] == result.divisor_var else names[0]
-            if idx == 0:
-                exact, certified, whole = singular_points_on_divisor(
-                    result.representative, result.divisor_var)
-                if whole:
-                    tree.diagnostics.append(
-                        f"node {child.id}: divisor entirely singular (unexpected)")
-                    continue
-                new_points = [
-                    _classify_point(child, _lift_coords(child.chart, result.divisor_var, r))
-                    for r in sorted(exact, key=lambda g: g.sort_key())]
-                for c in certified:
-                    new_points.append(_interval_point(child, result.divisor_var, other, c))
-            else:
-                # second chart only contributes the point at infinity of the
-                # first chart, i.e. its own origin
-                new_points = []
-                if germ_vanishes(result.representative):
-                    new_points.append(_classify_point(
-                        child, tuple([GR_ZERO] * 2)))
-            for p in new_points:
-                child.singular_points.append(p)
-                if p.status == POINT_PENDING:
-                    queue.append((child.id, p))
-                elif p.status == POINT_NONRATIONAL:
-                    tree.diagnostics.append(
-                        f"node {child.id}: unprocessed non-rational point")
-
-    # final status
-    bad = [p for _, p in tree.all_points() if not p.is_final_ok()]
-    if bad:
-        tree.status = STATUS_BUDGET
-        tree.diagnostics.append("stuck on points that cannot be recentered exactly")
-    else:
-        tree.status = STATUS_RESOLVED
-    return tree
+    return _resolve(x, max_steps, _blow_up_2d, _divisor_points_2d, new_weight=-1)
 
 
-def germ_vanishes(rep: VectorField) -> bool:
-    return rep.vanishes_at_origin()
+def _blow_up_2d(tree: ResolutionTree, point: SingularPoint, germ: VectorField,
+                label: str, center_coords: tuple[str, ...]):
+    tree.steps += 1
+    point.status = POINT_BLOWN_UP
+    return all_charts(germ, POINT, (1, 1), label, center_coords), POINT, (1, 1)
+
+
+def _divisor_points_2d(tree: ResolutionTree, child: TreeNode, first: bool):
+    if not first:
+        # the second chart only contributes the point at infinity of the
+        # first chart, i.e. its own origin
+        if child.rep.vanishes_at_origin():
+            return [_classify_point(child, (GR_ZERO, GR_ZERO))], True
+        return [], True
+    exact, certified, whole = singular_points_on_divisor(child.rep, child.divisor_var)
+    if whole:
+        tree.diagnostics.append(
+            f"node {child.id}: divisor entirely singular (unexpected)")
+        return [], True
+    names = child.chart.var_names
+    other = names[1] if names[0] == child.divisor_var else names[0]
+    points = [_classify_point(child, _lift_coords(child.chart, child.divisor_var, r))
+              for r in sorted(exact, key=lambda g: g.sort_key())]
+    points += [_interval_point(child, child.divisor_var, other, c) for c in certified]
+    return points, True
 
 
 def _lift_coords(chart: Chart, divisor_var: str, root: GaussianRational):
@@ -616,10 +643,7 @@ def _divisor_candidates_3d(rep: VectorField, divisor_var: str):
     def solve_with_pivot(pivot_var: str, other_var: str):
         nonlocal nonrational
         pivot_comps = [p for p in nonzero if _uses_only(p, pivot_var)]
-        coeffs = pivot_comps[0].univariate_coeffs(pivot_var)
-        for p in pivot_comps[1:]:
-            coeffs = iv.poly_gcd(coeffs, p.univariate_coeffs(pivot_var))
-        exact, certified = _roots_of(coeffs)
+        exact, certified = _common_roots(pivot_comps, pivot_var)
         nonrational += len(certified)
         for r in exact:
             sliced = [p.restrict(pivot_var, r) for p in restricted]
@@ -631,10 +655,7 @@ def _divisor_candidates_3d(rep: VectorField, divisor_var: str):
                 continue
             if any(p.degree() == 0 for p in sliced_nonzero):
                 continue
-            sub_coeffs = sliced_nonzero[0].univariate_coeffs(other_var)
-            for p in sliced_nonzero[1:]:
-                sub_coeffs = iv.poly_gcd(sub_coeffs, p.univariate_coeffs(other_var))
-            sub_exact, sub_certified = _roots_of(sub_coeffs)
+            sub_exact, sub_certified = _common_roots(sliced_nonzero, other_var)
             nonrational += len(sub_certified)
             for s in sub_exact:
                 points.append((r, s) if pivot_var == u1 else (s, r))
@@ -684,9 +705,9 @@ def detect_persistent_nilpotent(
         raise NotApplicableError("field does not have a nilpotent linear part")
 
     examined = 0
-    stack: list[tuple[VectorField, list, int]] = [(x, [], 0)]
-    while stack:
-        germ, chain, depth = stack.pop(0)
+    queue: deque[tuple[VectorField, list, int]] = deque([(x, [], 0)])
+    while queue:
+        germ, chain, depth = queue.popleft()
         examined += 1
         if examined > 200:
             break  # combinatorial safety valve; result stays a non-verdict
@@ -713,7 +734,7 @@ def detect_persistent_nilpotent(
                 if _is_nilpotent_germ(sub):
                     expansions.append(
                         (sub, chain + [(result.divisor_var, coords)], depth + 1))
-        stack.extend(expansions)
+        queue.extend(expansions)
     return PersistentNilpotentReport(False)
 
 
@@ -744,17 +765,12 @@ def _escape_blowup(germ: VectorField, witness: dict, label: str,
     names = germ.chart.var_names
     if _singular_axis_center(germ) == axis:
         blown = [v for v in names if v != axis]
-        weights = tuple(2 if v == roles["z"] else 1 for v in blown)
         center = curve_center(axis)
     else:
         blown = list(names)
-        weights = tuple(2 if v == roles["z"] else 1 for v in blown)
         center = POINT
-    out = []
-    for idx in range(len(blown)):
-        out.append(weighted_blowup(germ, BlowupSpec(center, weights, idx),
-                                   label, center_coords))
-    return out, center, weights
+    weights = tuple(2 if v == roles["z"] else 1 for v in blown)
+    return all_charts(germ, center, weights, label, center_coords), center, weights
 
 
 def resolve3(
@@ -773,144 +789,81 @@ def resolve3(
     """
     if x.chart.dim != 3:
         raise NotApplicableError("resolve3 expects a three-dimensional germ")
-    tree = ResolutionTree(dim=3)
-    rep = _prepare_input(x, tree)
-    root = TreeNode(0, None, rep.chart, rep, None, None, None, None, None,
-                    False, 0, 0)
-    tree.nodes.append(root)
-    origin = tuple([GR_ZERO] * 3)
-    p0 = _classify_point(root, origin)
-    root.singular_points.append(p0)
-    queue: deque[tuple[int, SingularPoint]] = deque()
-    if p0.status == POINT_PENDING:
-        queue.append((0, p0))
-    label_counter = 0
+    return _resolve(
+        x, max_steps,
+        partial(_blow_up_3d, probe_budget=probe_budget, allow_weighted=allow_weighted),
+        _divisor_points_3d,
+        on_budget=partial(_budget_3d, allow_weighted=allow_weighted))
 
-    gaps = {"incomplete": 0, "nonrational": 0}
 
-    def expand(node: TreeNode, results, center_kind, weights, center_coords, label):
-        first = True
-        for result in results:
-            child = TreeNode(
-                id=len(tree.nodes), parent=node.id, chart=result.chart,
-                rep=result.representative, center_coords=center_coords,
-                center_kind=center_kind, weights=weights,
-                divisor_var=result.divisor_var, divisor_label=label,
-                dicritical=result.dicritical,
-                multiplicity=result.divisor_multiplicity,
-                pole_order=result.pole_order)
-            tree.nodes.append(child)
-            if result.pole_order > 0:
-                tree.diagnostics.append(
-                    f"node {child.id}: strictly meromorphic vector-field transform "
-                    f"(pole order {result.pole_order}); foliation representative used")
-            candidates, lines, nonrational, complete = _divisor_candidates_3d(
-                child.rep, result.divisor_var)
-            if not first:
-                # avoid double-counting: later charts only contribute points
-                # invisible in earlier charts (their origin region)
-                candidates = [c for c in candidates
-                              if _invisible_in_earlier_charts(child.chart, result.divisor_var, c)]
-            first = False
-            for line in lines:
-                tree.diagnostics.append(
-                    f"node {child.id}: singular curve on the divisor ({line})")
-            if nonrational:
-                gaps["nonrational"] += nonrational
-                tree.diagnostics.append(
-                    f"node {child.id}: {nonrational} non-rational divisor point(s) "
-                    "left unprocessed")
-            if not complete:
-                gaps["incomplete"] += 1
-                tree.diagnostics.append(
-                    f"node {child.id}: divisor singular locus not fully "
-                    "enumerable (bivariate system); resolution status capped")
-            for coords in candidates:
-                point = _classify_point(child, coords)
-                child.singular_points.append(point)
-                if point.status == POINT_PENDING:
-                    queue.append((child.id, point))
-
-    while queue:
-        if tree.steps + tree.weighted_steps >= max_steps:
-            tree.status = STATUS_BUDGET
-            pending = [point for _, point in tree.all_points()
-                       if point.status == POINT_PENDING]
-            matched_pending = 0
-            for point in pending:
-                if point.report and point.report.klass == CLASS_NILPOTENT:
-                    tree.diagnostics.append(
-                        f"budget exhausted at a nilpotent point (node {point.node_id})")
-                    if allow_weighted:
-                        germ = germ_at(tree.nodes[point.node_id].rep, point.coords)
-                        if match_persistent_normal_form(germ) is not None:
-                            matched_pending += 1
-            if allow_weighted and matched_pending and matched_pending == len(pending):
-                # everything left is detected persistent-nilpotent work that
-                # the budget prevented the weight-2 escape from finishing
-                tree.status = STATUS_PERSISTENT_PENDING
-            tree.diagnostics.append("blow-up budget exhausted")
-            return tree
-        node_id, point = queue.popleft()
-        node = tree.nodes[node_id]
-        germ = germ_at(node.rep, point.coords)
-        center_coords = tuple(c.text() for c in point.coords)
-        label_counter += 1
-        label = f"E{label_counter}"
-
-        if (allow_weighted and point.report is not None
-                and point.report.klass == CLASS_NILPOTENT):
-            probe = detect_persistent_nilpotent(germ, probe_budget)
-            if probe.matched:
-                current = germ
-                for chart_var, coords in (probe.chain_exact or []):
-                    idx = list(current.chart.var_names).index(chart_var)
-                    result = weighted_blowup(
-                        current, BlowupSpec(POINT, (1, 1, 1), idx),
-                        f"{label}pre")
-                    current = germ_at(result.representative, coords)
-                    tree.steps += 1
-                escape, center_kind, weights = _escape_blowup(
-                    current, probe.witness, label, center_coords)
-                tree.weighted_steps += 1
-                tree.components[label] = DivisorComponent(label, None, node.id)
-                point.status = POINT_ESCAPED
-                point.note = f"persistent nilpotent (n={probe.n}); weight-2 escape"
-                expand(node, escape, center_kind, weights, center_coords, label)
-                continue
-
-        # standard step
-        tree.steps += 1
-        tree.components[label] = DivisorComponent(label, None, node.id)
-        point.status = POINT_BLOWN_UP
-        axis = _singular_axis_center(germ)
-        if axis is not None:
-            results = []
-            blown = [v for v in germ.chart.var_names if v != axis]
-            for idx in range(len(blown)):
-                results.append(weighted_blowup(
-                    germ, BlowupSpec(curve_center(axis), (1, 1), idx),
-                    label, center_coords))
-            expand(node, results, curve_center(axis), (1, 1), center_coords, label)
-        else:
-            results = []
-            for idx in range(3):
-                results.append(weighted_blowup(
-                    germ, BlowupSpec(POINT, (1, 1, 1), idx), label, center_coords))
-            expand(node, results, POINT, (1, 1, 1), center_coords, label)
-
-    bad = [p for _, p in tree.all_points() if not p.is_final_ok()]
-    if bad:
-        tree.status = STATUS_BUDGET
-        tree.diagnostics.append("stuck on points that cannot be recentered exactly")
-    elif gaps["incomplete"] or gaps["nonrational"]:
-        tree.status = STATUS_BUDGET
-        tree.diagnostics.append(
-            "all enumerated points are elementary, but the divisor enumeration "
-            "had gaps; refusing to claim a full resolution")
+def _blow_up_3d(tree: ResolutionTree, point: SingularPoint, germ: VectorField,
+                label: str, center_coords: tuple[str, ...], *,
+                probe_budget: int, allow_weighted: bool):
+    if (allow_weighted and point.report is not None
+            and point.report.klass == CLASS_NILPOTENT):
+        probe = detect_persistent_nilpotent(germ, probe_budget)
+        if probe.matched:
+            # replay the probe's chain of point blow-ups, then escape
+            current = germ
+            for chart_var, coords in (probe.chain_exact or []):
+                idx = list(current.chart.var_names).index(chart_var)
+                result = weighted_blowup(
+                    current, BlowupSpec(POINT, (1, 1, 1), idx), f"{label}pre")
+                current = germ_at(result.representative, coords)
+                tree.steps += 1
+            tree.weighted_steps += 1
+            point.status = POINT_ESCAPED
+            point.note = f"persistent nilpotent (n={probe.n}); weight-2 escape"
+            return _escape_blowup(current, probe.witness, label, center_coords)
+    tree.steps += 1
+    point.status = POINT_BLOWN_UP
+    axis = _singular_axis_center(germ)
+    if axis is not None:
+        center, weights = curve_center(axis), (1, 1)
     else:
-        tree.status = STATUS_RESOLVED
-    return tree
+        center, weights = POINT, (1, 1, 1)
+    return all_charts(germ, center, weights, label, center_coords), center, weights
+
+
+def _divisor_points_3d(tree: ResolutionTree, child: TreeNode, first: bool):
+    candidates, lines, nonrational, complete = _divisor_candidates_3d(
+        child.rep, child.divisor_var)
+    if not first:
+        # avoid double-counting: later charts only contribute points
+        # invisible in earlier charts (their origin region)
+        candidates = [c for c in candidates
+                      if _invisible_in_earlier_charts(child.chart, child.divisor_var, c)]
+    for line in lines:
+        tree.diagnostics.append(
+            f"node {child.id}: singular curve on the divisor ({line})")
+    if nonrational:
+        tree.diagnostics.append(
+            f"node {child.id}: {nonrational} non-rational divisor point(s) "
+            "left unprocessed")
+    if not complete:
+        tree.diagnostics.append(
+            f"node {child.id}: divisor singular locus not fully "
+            "enumerable (bivariate system); resolution status capped")
+    points = [_classify_point(child, coords) for coords in candidates]
+    return points, complete and not nonrational
+
+
+def _budget_3d(tree: ResolutionTree, *, allow_weighted: bool) -> None:
+    pending = [point for _, point in tree.all_points()
+               if point.status == POINT_PENDING]
+    matched_pending = 0
+    for point in pending:
+        if point.report and point.report.klass == CLASS_NILPOTENT:
+            tree.diagnostics.append(
+                f"budget exhausted at a nilpotent point (node {point.node_id})")
+            if allow_weighted:
+                germ = germ_at(tree.nodes[point.node_id].rep, point.coords)
+                if match_persistent_normal_form(germ) is not None:
+                    matched_pending += 1
+    if allow_weighted and matched_pending and matched_pending == len(pending):
+        # everything left is detected persistent-nilpotent work that
+        # the budget prevented the weight-2 escape from finishing
+        tree.status = STATUS_PERSISTENT_PENDING
 
 
 def _invisible_in_earlier_charts(chart: Chart, divisor_var: str, coords) -> bool:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from foliations.algebra import Poly, gr
+from foliations.classify import second_jet_check
 from foliations.corpus import linear_saddle, strict_siegel_diagonal
 from foliations.dynamics import (
     NOT_SEMICOMPLETE,
@@ -23,7 +24,6 @@ from foliations.dynamics import (
     lift_path,
     loop_lift_ratio,
     omega1_integral,
-    second_jet_check,
     semicomplete_order_test,
     separating_direction,
     spiral_path,

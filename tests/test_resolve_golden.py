@@ -1,11 +1,12 @@
-"""Byte-identity of the resolution drivers' output.
+"""Byte-identity of the resolution trees.
 
 Every case resolves one germ and records the sha256 digest of
-``emit_tree(tree) + emit_tree(tree, "dot")``; a case whose driver raises
+``emit_tree(tree) + emit_tree(tree, "dot")``; a case whose resolution raises
 records ``"ErrorClass: message"`` instead.  The committed digests pin
 statuses, diagnostics, weights, point order and labels on the fixtures,
-seeded random planar and 3-D germs and the budget edge cases, so any change
-to the drivers that alters a single byte of their output fails here.
+seeded random planar and 3-D germs and the budget edge cases, so a change
+to ``seidenberg_resolve`` or ``resolve3`` that alters one byte of their
+output fails here.
 
 Regenerate the digests only when an output change is intended:
 
