@@ -284,12 +284,18 @@ class _Escape(Exception):
     pass
 
 
+# iterations (accepted or rejected steps) one integration may take
+_RK45_MAX_ITER = 200000
+
+
 def _rk45(rhs, t0: float, t1: float, y0: np.ndarray,
           rtol: float, atol: float, max_step: float,
           escape_radius: float | None = None):
     """Adaptive Dormand-Prince integration of a complex system.
 
-    Returns ``(samples, escaped)`` with samples at every accepted step.
+    Returns ``(samples, escaped)`` with samples at every accepted step;
+    raises SingularLiftError if ``_RK45_MAX_ITER`` iterations end before
+    ``t1`` without an escape.
     """
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
@@ -300,8 +306,7 @@ def _rk45(rhs, t0: float, t1: float, y0: np.ndarray,
     y = y0.astype(complex)
     samples = [(t, y.copy())]
     escaped = False
-    max_iter = 200000
-    for _ in range(max_iter):
+    for _ in range(_RK45_MAX_ITER):
         remaining = t1 - t
         if remaining * direction <= 1e-14 * span:
             break
@@ -332,6 +337,11 @@ def _rk45(rhs, t0: float, t1: float, y0: np.ndarray,
             h = direction * max_step
         if err > 1.0 and abs(h) < 1e-15 * max(1.0, abs(t)):
             raise SingularLiftError("step size underflow (singular right-hand side?)")
+    else:
+        if (t1 - t) * direction > 1e-14 * span:
+            raise SingularLiftError(
+                f"RK45 stopped at t = {t:.6g} before t1 = {t1:.6g}: "
+                f"{_RK45_MAX_ITER} iterations reached")
     return samples, escaped
 
 

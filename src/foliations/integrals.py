@@ -6,6 +6,13 @@ term), functional independence via ``dF ^ dG``, and the meromorphic
 quotient of two first integrals sharing an irreducible factor, restricted
 to that factor's zero set when the factor is a coordinate.
 
+Formal solving uses the structure of the jet system: since X(0) = 0, the
+image ``X . m`` of a degree-k monomial has order at least k, so the system
+is block lower-triangular by degree.  Degree d eliminates only the block
+whose rows are the degree-d monomials and whose columns are the degree-d
+images of the order-(d-1) solutions followed by those of the new degree-d
+monomials, instead of the whole order-d system.
+
 Factorizations are caller-supplied: multivariate polynomial factorization
 is deliberately out of scope, and the quotient construction only needs the
 factored shape.
@@ -53,9 +60,13 @@ class JetSolutionSpace:
     """Solutions of ``jet(X . F, N) == 0`` with ``1 <= deg F <= N``.
 
     ``basis`` is in reduced echelon form with respect to the canonical
-    (graded lexicographic) monomial order, so the output is deterministic.
+    (graded lexicographic) monomial order, so the output is deterministic:
+    each element is 1 at its lowest monomial, which no other element
+    contains, and elements come highest lowest-monomial first.
     ``dims_by_degree[d-1]`` is the dimension of the order-d problem for
-    d = 1..N; the listed prefix is independent of N.
+    d = 1..N; the listed prefix is independent of N.  The solver extends
+    the order-(d-1) basis by degree-d terms with one block elimination per
+    degree and brings only the order-N basis to canonical form.
     """
 
     degree: int
@@ -75,94 +86,81 @@ class JetSolutionSpace:
         }
 
 
-def _monomials_up_to(names, n: int):
-    """Exponent tuples of total degree 1..n in canonical descending order."""
-    k = len(names)
-    out = []
-    for exps in itertools.product(range(n + 1), repeat=k):
-        d = sum(exps)
-        if 1 <= d <= n:
-            out.append(exps)
-    out.sort(key=lambda e: (sum(e), e), reverse=True)
-    return out
+def _monomials(k: int, d: int) -> list[tuple[int, ...]]:
+    """Exponent tuples in ``k`` variables of total degree ``d``, ascending."""
+    if k == 1:
+        return [(d,)]
+    return [(a,) + rest for a in range(d + 1) for rest in _monomials(k - 1, d - a)]
 
 
-def _nullspace_echelon(matrix, ncols):
-    """Reduced echelon basis of the nullspace of an exact matrix.
+def _reduced_echelon(rows):
+    """Reduced row echelon form of an exact matrix with sparse rows.
 
-    ``matrix`` is a list of rows (lists of GaussianRational).  Returns a
-    list of coefficient vectors in reduced echelon form with respect to the
-    column order.
+    ``rows`` are dicts from column index to nonzero GaussianRational.
+    Returns the nonzero rows of the reduced form as ``(pivot column, row)``
+    pairs in ascending pivot order: each row is 1 at its pivot and 0 in
+    every other row's pivot column, so the result depends only on the row
+    space and the column order.
     """
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    pivots: dict[int, int] = {}
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for rr in range(r, nrows):
-            if not rows[rr][c].is_zero():
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for rr in range(nrows):
-            if rr != r and not rows[rr][c].is_zero():
-                f = rows[rr][c]
-                rows[rr] = [a - f * b for a, b in zip(rows[rr], rows[r])]
-        pivots[c] = r
-        r += 1
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    pending = [dict(r) for r in rows if r]
+    done = []
+    while pending:
+        c = min(min(r) for r in pending)
+        k = next(i for i, r in enumerate(pending) if c in r)
+        inv = GR_ONE / pending[k][c]
+        row = {j: v * inv for j, v in pending.pop(k).items()}
+        for other in itertools.chain(pending, (r for _, r in done)):
+            f = other.get(c)
+            if f is None:
+                continue
+            for j, v in row.items():
+                s = other.get(j, GR_ZERO) - f * v
+                if s.is_zero():
+                    other.pop(j, None)
+                else:
+                    other[j] = s
+        done.append((c, row))
+        pending = [r for r in pending if r]
+    return done
+
+
+def _nullspace(rows, ncols):
+    """Nullspace basis of an exact sparse matrix, one vector (a dict from
+    column index to coefficient) per non-pivot column."""
+    reduced = _reduced_echelon(rows)
+    pivots = {c for c, _ in reduced}
     basis = []
-    for fc in free_cols:
-        vec = [GR_ZERO] * ncols
-        vec[fc] = GR_ONE
-        for pc, pr in pivots.items():
-            coeff = rows[pr][fc]
-            if not coeff.is_zero():
-                vec[pc] = -coeff
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = {free: GR_ONE}
+        for c, row in reduced:
+            if free in row:
+                vec[c] = -row[free]
         basis.append(vec)
     return basis
 
 
-def _solve_jet_problem(x: VectorField, n: int, monomials):
-    names = x.chart.var_names
-    columns = []
-    row_index: dict[tuple, int] = {}
-    rows_of_cols = []
-    for exps in monomials:
-        image = directional_derivative(x, Poly.make(names, {exps: GR_ONE}))
-        image = image.jet_truncate(n)
-        col = {}
-        for e, c in image.terms.items():
-            if e not in row_index:
-                row_index[e] = len(row_index)
-            col[row_index[e]] = c
-        rows_of_cols.append(col)
-    nrows = len(row_index)
-    ncols = len(monomials)
-    matrix = [[GR_ZERO] * ncols for _ in range(nrows)]
-    for j, col in enumerate(rows_of_cols):
-        for i, c in col.items():
-            matrix[i][j] = c
-    null = _nullspace_echelon(matrix, ncols)
-    basis = []
-    for vec in null:
-        terms = {exps: coeff for exps, coeff in zip(monomials, vec)
-                 if not coeff.is_zero()}
-        basis.append(Poly.make(names, terms))
-    return basis
+def _canonical_basis(names, n: int, basis: list[Poly]) -> list[Poly]:
+    """The unique reduced echelon basis of the span of ``basis``: reduced in
+    ascending grlex column order, the row with the highest pivot monomial
+    first."""
+    order = [e for d in range(1, n + 1) for e in _monomials(len(names), d)]
+    col_of = {e: j for j, e in enumerate(order)}
+    reduced = _reduced_echelon([{col_of[e]: c for e, c in f.terms.items()} for f in basis])
+    return [Poly.make(names, {order[j]: c for j, c in row.items()})
+            for _, row in reversed(reduced)]
 
 
 def formal_first_integral(x: VectorField, n: int = 8) -> JetSolutionSpace:
     """Exact truncated first-integral solution space at order ``n``.
 
     Solves ``jet(X . F, n) == 0`` over polynomials of degree 1..n with zero
-    constant term; every basis element's residual is rechecked by exact
-    multiplication before being returned.
+    constant term, one degree at a time: the order-d solutions are exactly
+    ``G + H`` with G an order-(d-1) solution and H homogeneous of degree d
+    whose degree-d parts of ``X . G + X . H`` cancel.  Every basis
+    element's residual is rechecked by exact multiplication at every
+    degree; the order-n basis is brought to canonical form first.
     """
     if not x.is_holomorphic():
         raise NotApplicableError("formal solving needs a holomorphic field")
@@ -172,18 +170,33 @@ def formal_first_integral(x: VectorField, n: int = 8) -> JetSolutionSpace:
         raise StructuralError("jet order must be at least 2")
     names = x.chart.var_names
     dims = []
-    basis = ()
+    basis: list[Poly] = []   # order-(d-1) solutions
+    images: list[Poly] = []  # X . f for f in basis; zero below degree d
     for d in range(1, n + 1):
-        monomials = _monomials_up_to(names, d)
-        solutions = _solve_jet_problem(x, d, monomials)
-        for f in solutions:
-            residual = directional_derivative(x, f).jet_truncate(d)
-            if not residual.is_zero():  # pragma: no cover - exact solver guard
-                raise StructuralError("nullspace element failed residual check")
-        dims.append(len(solutions))
+        degree_d = _monomials(len(names), d)
+        new = [Poly.make(names, {e: GR_ONE}) for e in degree_d]
+        columns = basis + new
+        row_of = {e: i for i, e in enumerate(degree_d)}
+        rows = [{} for _ in degree_d]
+        for j, image in enumerate(images + [directional_derivative(x, m) for m in new]):
+            for e, c in image.terms.items():
+                if sum(e) == d:
+                    rows[row_of[e]][j] = c
+        basis = []
+        for vec in _nullspace(rows, len(columns)):
+            terms: dict = {}
+            for j, a in vec.items():
+                for e, c in columns[j].terms.items():
+                    terms[e] = terms.get(e, GR_ZERO) + a * c
+            basis.append(Poly.make(names, terms))
         if d == n:
-            basis = tuple(solutions)
-    return JetSolutionSpace(n, basis, tuple(dims))
+            basis = _canonical_basis(names, n, basis)
+        images = [directional_derivative(x, f) for f in basis]
+        for image in images:
+            if not image.jet_truncate(d).is_zero():  # pragma: no cover - exact solver guard
+                raise StructuralError("nullspace element failed residual check")
+        dims.append(len(basis))
+    return JetSolutionSpace(n, tuple(basis), tuple(dims))
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from .classify import (
     SingularityReport,
     classify_singularity,
 )
-from .errors import DegenerateInputError, NotApplicableError, StructuralError
+from .errors import DegenerateInputError, FoliationError, NotApplicableError, StructuralError
 from .fields import Chart, VectorField, linear_part
 from . import intervals as iv
 
@@ -443,12 +443,10 @@ def _resolve(x: VectorField, max_steps: int, blow_up, divisor_points,
                 divisor_var=result.divisor_var, divisor_label=label,
                 dicritical=result.dicritical,
                 multiplicity=result.divisor_multiplicity,
+                # 0 for every blow-up made here: each blown component has
+                # weighted order at least its variable's weight at the center
                 pole_order=result.pole_order)
             tree.nodes.append(child)
-            if result.pole_order > 0:
-                tree.diagnostics.append(
-                    f"node {child.id}: strictly meromorphic vector-field transform "
-                    f"(pole order {result.pole_order}); foliation representative used")
             points, listed_all = divisor_points(tree, child, idx == 0)
             complete = complete and listed_all
             for p in points:
@@ -595,7 +593,7 @@ def match_persistent_normal_form(x: VectorField) -> dict | None:
 def _is_nilpotent_germ(germ: VectorField) -> bool:
     try:
         report = classify_singularity(germ)
-    except Exception:
+    except FoliationError:
         return False
     return report.klass == CLASS_NILPOTENT
 

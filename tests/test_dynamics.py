@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from foliations import dynamics
 from foliations.algebra import Poly, gr
 from foliations.classify import second_jet_check
 from foliations.corpus import linear_saddle, strict_siegel_diagonal
@@ -141,6 +142,13 @@ class TestLifts:
         assert result.escaped
         # final is the last in-domain sample
         assert abs(result.final[0]) <= 2.0
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # a full circle needs at least 64 steps: a cap of 10 must not
+        # return a truncated path as if it had reached the end
+        monkeypatch.setattr(dynamics, "_RK45_MAX_ITER", 10)
+        with pytest.raises(SingularLiftError, match="10 iterations"):
+            lift_path(linear_saddle(3), "y", full_circle(0.1), [0.01])
 
     def test_singular_base_rejected(self):
         chart = Chart.root(V2)
