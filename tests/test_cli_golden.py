@@ -1,0 +1,79 @@
+"""Byte-identity of the command-line outputs.
+
+Every case runs one ``foliations`` command in-process and records the exit
+code and the sha256 digest of its standard output.  The committed digests
+pin ``parse``, ``classify``, ``blowup`` (all charts of the point blow-up),
+``integrals --formal --jet-degree 4`` and ``dynamics holonomy`` on every
+fixture, ``dynamics semicomplete`` on a few one-variable fields and the whole
+``corpus`` report, so a change that alters one byte a user sees fails here.
+
+Regenerate the digests only when an output change is intended:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --write
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from foliations.cli import main
+from foliations.corpus import fixtures_dir
+
+DIGESTS = Path(__file__).resolve().parent / "golden" / "cli_digests.json"
+FIXTURE_COMMANDS = {
+    "parse": ["parse"],
+    "classify": ["classify"],
+    "blowup": ["blowup"],
+    "formal4": ["integrals", "--formal", "--jet-degree", "4"],
+    "holonomy": ["dynamics", "holonomy"],
+}
+# one-variable fields for the semicompleteness rule: orders 2, 3 and 5 (the
+# last with a non-real coefficient) and one that does not vanish at 0
+ONE_VARIABLE = {
+    "order2": "x^2",
+    "order3": "x^3 - 2*x^4",
+    "order5": "1/2*x^5 + i*x^6",
+    "nonvanishing": "1 + x",
+}
+
+
+def run(argv: list[str]) -> dict:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return {"exit": code, "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+def compute(workdir: Path) -> dict[str, dict]:
+    out = {}
+    for path in sorted(fixtures_dir().glob("*.field")):
+        for name, command in FIXTURE_COMMANDS.items():
+            out[f"{path.stem}/{name}"] = run(command + [str(path)])
+    for name, expr in ONE_VARIABLE.items():
+        path = workdir / f"{name}.field"
+        path.write_text(f"vars: x\nkind: field\n{expr}\n")
+        out[f"{name}/semicomplete"] = run(["dynamics", "semicomplete", str(path)])
+    out["corpus"] = run(["corpus"])
+    return out
+
+
+def test_cli_output_byte_identical(tmp_path):
+    expected = json.loads(DIGESTS.read_text())
+    actual = compute(tmp_path)
+    assert sorted(actual) == sorted(expected)
+    changed = [name for name in expected if actual[name] != expected[name]]
+    assert not changed, f"{len(changed)} CLI outputs changed: {changed[:10]}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_cli_golden.py --write")
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = compute(Path(tmp))
+    DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
