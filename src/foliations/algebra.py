@@ -4,7 +4,10 @@ Three layers, all immutable and exact:
 
 * :class:`GaussianRational` -- complex numbers with rational real and
   imaginary parts.  Every coefficient in the package lives here, so equality
-  of derived objects is decidable.
+  of derived objects is decidable.  A value ``(a + b*i) / d`` is stored as
+  three ints with ``d > 0`` and ``gcd(a, b, d) == 1``; this form is unique,
+  so equality compares ints, and each ring operation is a few int products
+  and at most one gcd; real operands skip the imaginary cross products.
 * :class:`Poly` -- sparse multivariate polynomials in up to three declared
   variables, stored as a map from exponent tuples to nonzero coefficients.
   The canonical term order is graded lexicographic in the declared variable
@@ -33,24 +36,48 @@ from .errors import (
 
 Exponents = tuple[int, ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GaussianRational:
     """Element of Q(i): exact complex number with rational parts.
 
-    `Fraction` keeps denominators positive and fractions reduced, so values
-    are canonical and hashable.
+    The value ``(a + b*i) / d`` is held as the private int triple
+    ``(a, b, d)`` with ``d > 0`` and ``gcd(a, b, d) == 1``.  That form is
+    unique, so equality compares the triples, and ``hash`` equals
+    ``hash((re, im))``.  ``re`` and ``im`` read back as reduced
+    :class:`Fraction` values.  Instances are immutable: assigning or
+    deleting any attribute raises ``AttributeError``.
     """
 
-    re: Fraction = _ZERO
-    im: Fraction = _ZERO
+    __slots__ = ("_abd",)
+
+    def __init__(self, re: Fraction | int = 0, im: Fraction | int = 0) -> None:
+        rn, rd = re.numerator, re.denominator
+        jn, jd = im.numerator, im.denominator
+        # over d = lcm(rd, jd) the triple is already canonical: each prime of
+        # d divides one reduced denominator fully, so not its numerator
+        d = rd // math.gcd(rd, jd) * jd
+        _set_abd(self, (rn * (d // rd), jn * (d // jd), d))
+
+    def __setattr__(self, *args):
+        raise AttributeError("GaussianRational is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _raw, self._abd
+
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self._abd
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self._abd
+        return Fraction(b, d)
 
     @staticmethod
     def of(value: "GaussianRational | Fraction | int | str") -> "GaussianRational":
@@ -58,41 +85,76 @@ class GaussianRational:
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, (int, Fraction, str)):
-            return GaussianRational(Fraction(value))
+            q = Fraction(value)
+            return _raw(q.numerator, 0, q.denominator)
         raise StructuralError(f"cannot coerce {value!r} to a Gaussian rational")
 
     @staticmethod
     def i() -> "GaussianRational":
-        return GaussianRational(_ZERO, _ONE)
+        return _raw(0, 1, 1)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return self._abd == other._abd
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        a, b, d = self._abd
+        c, e, f = other._abd
+        if d == f:
+            if d == 1:
+                return _raw(a + c, b + e, 1)
+            return _make(a + c, b + e, d)
+        return _make(a * f + c * d, b * f + e * d, d * f)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        a, b, d = self._abd
+        c, e, f = other._abd
+        if d == f:
+            if d == 1:
+                return _raw(a - c, b - e, 1)
+            return _make(a - c, b - e, d)
+        return _make(a * f - c * d, b * f - e * d, d * f)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        a, b, d = self._abd
+        return _raw(-a, -b, d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self._abd
+        c, e, f = other._abd
+        if b == 0:
+            if e == 0:
+                if d == 1 and f == 1:
+                    return _raw(a * c, 0, 1)
+                return _make(a * c, 0, d * f)
+            return _make(a * c, a * e, d * f)
+        if e == 0:
+            return _make(a * c, b * c, d * f)
+        return _make(a * c - b * e, a * e + b * c, d * f)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        n = other.norm2()
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        a, b, d = self._abd
+        c, e, f = other._abd
+        if e == 0:
+            if c == 0:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            if c < 0:
+                return _make(-a * f, -b * f, -d * c)
+            return _make(a * f, b * f, d * c)
+        # (a + bi)/d * f/(c + ei) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+        return _make((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
 
     def __pow__(self, k: int) -> "GaussianRational":
         if k < 0:
-            return GaussianRational(_ONE) / self ** (-k)
-        out = GaussianRational(_ONE)
+            return GR_ONE / self ** (-k)
+        out = GR_ONE
         base = self
         while k:
             if k & 1:
@@ -102,35 +164,60 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        a, b, d = self._abd
+        return _raw(a, -b, d)
 
     def norm2(self) -> Fraction:
         """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._abd
+        return Fraction(a * a + b * b, d * d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        a, b, _ = self._abd
+        return a == 0 and b == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division rounds correctly, as float(Fraction) does
+        a, b, d = self._abd
+        return complex(a / d, b / d)
 
     def sort_key(self) -> tuple[Fraction, Fraction]:
         return (self.re, self.im)
 
     def text(self) -> str:
         """Canonical rendering: '3', '-1/2', 'i', '2i', '1+2i', '1/2-3/4i'."""
-        if self.im == 0:
+        a, b, _ = self._abd
+        if b == 0:
             return _frac_text(self.re)
-        if self.re == 0:
+        if a == 0:
             return _imag_text(self.im)
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if b > 0 else "-"
         return f"{_frac_text(self.re)}{sign}{_imag_text(abs(self.im))}"
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.text()
+
+
+_new = object.__new__
+_set_abd = GaussianRational._abd.__set__
+
+
+def _raw(a: int, b: int, d: int) -> GaussianRational:
+    """``(a + b*i) / d`` from a triple already in canonical form."""
+    z = _new(GaussianRational)
+    _set_abd(z, (a, b, d))
+    return z
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """``(a + b*i) / d`` for any ``d > 0``, reduced to canonical form."""
+    g = math.gcd(a, b, d)
+    z = _new(GaussianRational)
+    _set_abd(z, (a // g, b // g, d // g) if g != 1 else (a, b, d))
+    return z
 
 
 def _frac_text(q: Fraction) -> str:
@@ -145,8 +232,8 @@ def _imag_text(q: Fraction) -> str:
     return f"{q}i"
 
 
-GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(_ONE)
+GR_ZERO = _raw(0, 0, 1)
+GR_ONE = _raw(1, 0, 1)
 
 
 def gr(value, im=None) -> GaussianRational:
@@ -553,6 +640,18 @@ def monomial_content(components: Iterable[Poly]) -> tuple[Exponents, list[Poly]]
     return exps, reduced
 
 
+def _times_monomial(p: Poly, exps: Exponents) -> Poly:
+    """``p`` times the monomial with exponents ``exps`` (all >= 0).
+
+    The term keys are shifted in their existing order and no coefficient is
+    touched, so the result equals ``p * Poly.monomial(vars, 1, exps)``.
+    """
+    if not any(exps):
+        return p
+    return Poly(p.vars, {tuple(x + k for x, k in zip(e, exps)): c
+                         for e, c in p.terms.items()})
+
+
 # ---------------------------------------------------------------------------
 # Chart functions
 # ---------------------------------------------------------------------------
@@ -615,10 +714,7 @@ class ChartFunction:
         """Multiply back into a plain polynomial (requires holomorphy)."""
         if not self.is_holomorphic():
             raise PoleEvaluationError("chart function is meromorphic")
-        if self.is_zero():
-            return self.numerator
-        mono = Poly.monomial(self.vars, GR_ONE, self.monomial_exponents)
-        return self.numerator * mono
+        return _times_monomial(self.numerator, self.monomial_exponents)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChartFunction):
@@ -641,10 +737,10 @@ class ChartFunction:
             return self
         base = tuple(min(a, b) for a, b in
                      zip(self.monomial_exponents, other.monomial_exponents))
-        pa = self.numerator * Poly.monomial(
-            self.vars, GR_ONE, tuple(a - m for a, m in zip(self.monomial_exponents, base)))
-        pb = other.numerator * Poly.monomial(
-            self.vars, GR_ONE, tuple(b - m for b, m in zip(other.monomial_exponents, base)))
+        pa = _times_monomial(
+            self.numerator, tuple(a - m for a, m in zip(self.monomial_exponents, base)))
+        pb = _times_monomial(
+            other.numerator, tuple(b - m for b, m in zip(other.monomial_exponents, base)))
         return ChartFunction.make(pa + pb, base)
 
     def __sub__(self, other: "ChartFunction") -> "ChartFunction":

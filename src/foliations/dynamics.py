@@ -357,7 +357,7 @@ class LiftResult:
     fiber_vars: tuple[str, ...]
     samples: tuple[tuple[float, tuple[complex, ...]], ...]
     final: tuple[complex, ...]
-    est_error: float
+    est_error: float | None     # None when the lift escaped: nothing estimated
     escaped: bool
 
     def fiber_moduli(self, var: str) -> list[float]:
@@ -403,7 +403,8 @@ def lift_path(
     embedded 5(4) pair; the a-posteriori error estimate compares against a
     re-run at hundredfold tighter tolerances.  A zero of the base component
     along the lift raises :class:`SingularLiftError`; leaving the escape
-    polydisc sets ``escaped`` instead of failing.
+    polydisc sets ``escaped`` instead of failing, and then ``est_error`` is
+    ``None`` because no estimate is made.
     """
     chart = x.chart
     b = chart.var_index(base_var)
@@ -439,7 +440,7 @@ def lift_path(
     samples, escaped = _rk45(rhs, t0, t1, y0, rtol, atol, max_step, escape_radius)
     final = samples[-1][1]
     if escaped:
-        est = 0.0
+        est = None
     else:
         tight, _ = _rk45(rhs, t0, t1, y0, rtol / 100.0, atol / 100.0,
                          max_step / 2.0, escape_radius)

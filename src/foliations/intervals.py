@@ -280,7 +280,7 @@ def _gaussian_integer_divisors(a: int, b: int) -> list[tuple[int, int]]:
 def _recognized_candidates(c: list[GaussianRational],
                            denominator_cap: int = 10 ** 6) -> list[GaussianRational]:
     """Gaussian-rational candidates recognized from floating approximations."""
-    coeffs = [complex(float(k.re), float(k.im)) for k in reversed(c)]
+    coeffs = [k.to_complex() for k in reversed(c)]
     try:
         approx = np.roots(coeffs)
     except Exception:  # pragma: no cover - degenerate float input
@@ -301,7 +301,8 @@ def gaussian_rational_roots(c: list[GaussianRational]) -> list[GaussianRational]
     classical divisor search on trailing/leading coefficients after clearing
     denominators (skipped when the coefficient norms are too large for
     enumeration -- the recognition pass covers those in practice).  Every
-    reported root is verified exactly and deflated.
+    reported root is verified exactly and deflated; a linear remainder
+    ``c0 + c1*t`` gives its root ``-c0/c1`` exactly, with no search.
     """
     c = poly_trim(list(c))
     roots: list[GaussianRational] = []
@@ -310,6 +311,9 @@ def gaussian_rational_roots(c: list[GaussianRational]) -> list[GaussianRational]
             roots.append(GR_ZERO)
             c = poly_trim(c[1:])
             continue
+        if poly_degree(c) == 1:
+            roots.append(-c[0] / c[1])
+            break
         found = None
         for cand in _recognized_candidates(c):
             if poly_eval(c, cand).is_zero():
@@ -317,23 +321,18 @@ def gaussian_rational_roots(c: list[GaussianRational]) -> list[GaussianRational]
                 break
         if found is None:
             # clear denominators -> Gaussian integer coefficients
-            scale = 1
-            for ck in c:
-                for d in (ck.re.denominator, ck.im.denominator):
-                    scale = scale * d // math.gcd(scale, d)
+            scale = math.lcm(*(ck._abd[2] for ck in c))
             ints = [ck * GaussianRational.of(scale) for ck in c]
             lead, tail = ints[-1], ints[0]
             if max(lead.norm2(), tail.norm2()) <= _DIVISOR_NORM_CAP:
                 tail_divs = _gaussian_integer_divisors(int(tail.re), int(tail.im))
                 lead_divs = _gaussian_integer_divisors(int(lead.re), int(lead.im))
-                seen: set[tuple[Fraction, Fraction]] = set()
+                seen: set[GaussianRational] = set()
                 for p, q in ((p, q) for p in tail_divs for q in lead_divs):
-                    cand = GaussianRational(Fraction(p[0]), Fraction(p[1])) / \
-                        GaussianRational(Fraction(q[0]), Fraction(q[1]))
-                    key = (cand.re, cand.im)
-                    if key in seen:
+                    cand = GaussianRational(*p) / GaussianRational(*q)
+                    if cand in seen:
                         continue
-                    seen.add(key)
+                    seen.add(cand)
                     if poly_eval(c, cand).is_zero():
                         found = cand
                         break
@@ -432,7 +431,7 @@ def certified_roots(c: list[GaussianRational], width: float = 1e-10):
     intervals: list[CertifiedRoot] = []
     for part, m in remaining:
         dd = poly_degree(part)
-        approx = np.roots([complex(p_.re, p_.im) for p_ in reversed(part)])
+        approx = np.roots([p_.to_complex() for p_ in reversed(part)])
         coeffs_iv = [ComplexInterval.of_gaussian(p_) for p_ in part]
         dcoeffs_iv = [ComplexInterval.of_gaussian(p_) for p_ in poly_derivative(part)]
         boxes: list[ComplexInterval] = []

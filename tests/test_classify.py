@@ -153,6 +153,17 @@ class TestClassification:
             for c in (gr(2), gr("1/3"), gr(0, 1), gr(-5, 2)):
                 assert classify_singularity(field.scale(c)).klass == base
 
+    def test_large_denominator_eigenvalue_is_exact(self):
+        # r x d/dx + 2y d/dy with r = 1234567/1000003
+        r = gr("1234567/1000003")
+        field = VectorField.make(Chart.root(V2), [
+            Poly.make(V2, {(1, 0): r}), Poly.make(V2, {(0, 1): gr(2)})])
+        report = classify_singularity(field)
+        assert report.eigen.all_exact()
+        assert sorted(report.eigen.exact_values(), key=lambda v: v.sort_key()) == [r, gr(2)]
+        assert report.resonance_rank == 1
+        assert report.domain_position == POSITION_POINCARE
+
     def test_elementary_iff_char_not_nilpotent(self):
         fields = [saddle_node_family(1, 1, 1), sancho_sanz_field(),
                   cusp_hamiltonian(1), linear_saddle(2),

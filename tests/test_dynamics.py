@@ -142,6 +142,8 @@ class TestLifts:
         assert result.escaped
         # final is the last in-domain sample
         assert abs(result.final[0]) <= 2.0
+        # no tighter re-run is made after an escape, so there is no estimate
+        assert result.est_error is None
 
     def test_iteration_cap_raises(self, monkeypatch):
         # a full circle needs at least 64 steps: a cap of 10 must not

@@ -110,3 +110,12 @@ class TestCertifiedRoots:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(DegenerateInputError):
             certified_roots([GR_ZERO])
+
+    def test_linear_remainder_is_exact(self):
+        # (t - 2)(t - r): after deflating 2 the remainder t - r has a
+        # denominator above the float-recognition cap and a norm above the
+        # divisor-search cap, and is still solved exactly
+        r = gr("1234567/1000003")
+        exact, intervals = certified_roots([gr(2) * r, -(r + gr(2)), gr(1)])
+        assert exact == [(r, 1), (gr(2), 1)]
+        assert intervals == []
