@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -525,15 +526,19 @@ class Poly:
 
     # -- evaluation ----------------------------------------------------------
 
+    @cached_property
+    def _complex_terms(self) -> tuple[tuple[complex, tuple[tuple[int, int], ...]], ...]:
+        """``(c.to_complex(), nonzero (index, power) pairs)`` per term, in term order."""
+        return tuple((c.to_complex(), tuple((j, k) for j, k in enumerate(e) if k))
+                     for e, c in self.terms.items())
+
     def eval_complex(self, point: Sequence[complex]) -> complex:
         if len(point) != len(self.vars):
             raise StructuralError("point dimension mismatch")
         total = 0j
-        for e, c in self.terms.items():
-            term = c.to_complex()
-            for x, k in zip(point, e):
-                if k:
-                    term *= x ** k
+        for term, powers in self._complex_terms:
+            for j, k in powers:
+                term *= point[j] ** k
             total += term
         return total
 
@@ -636,6 +641,8 @@ def monomial_content(components: Iterable[Poly]) -> tuple[Exponents, list[Poly]]
             for j in range(n):
                 content[j] = min(content[j], e[j])
     exps = tuple(int(c) for c in content)
+    if not any(exps):
+        return exps, comps
     reduced = [p if p.is_zero() else p.divide_monomial(exps) for p in comps]
     return exps, reduced
 
@@ -770,14 +777,16 @@ class ChartFunction:
 
     # -- evaluation --------------------------------------------------------------
 
+    @cached_property
+    def _powers(self) -> tuple[tuple[int, int], ...]:
+        """Nonzero ``(index, exponent)`` pairs of the monomial factor."""
+        return tuple((j, e) for j, e in enumerate(self.monomial_exponents) if e)
+
     def eval_complex(self, point: Sequence[complex], pole_tol: float = 0.0) -> complex:
         """Evaluate at a complex point; poles raise :class:`PoleEvaluationError`."""
-        if len(point) != len(self.vars):
-            raise StructuralError("point dimension mismatch")
         value = self.numerator.eval_complex(point)
-        for x, e in zip(point, self.monomial_exponents):
-            if e == 0:
-                continue
+        for j, e in self._powers:
+            x = point[j]
             if e < 0 and abs(x) <= pole_tol:
                 raise PoleEvaluationError("evaluation at a pole")
             value *= x ** e

@@ -4,9 +4,10 @@ Everything here is floating point, driven by the exact objects of the other
 modules: time-form integrals ``int dx / X(x)`` along paths, the
 one-dimensional semicompleteness verdict (exact vanishing order rule with a
 corroborating integral), leaf-path lifting by an adaptive embedded
-Runge-Kutta 5(4) pair with step-doubling error estimates, quadrature of the
-holonomy form ``(H/F) dx`` cross-validated against lifts, and tracing of
-the real trajectories on which that form has prescribed phase.
+Runge-Kutta 5(4) pair whose error estimate compares the lift with a re-run
+at hundredfold tighter tolerances, quadrature of the holonomy form
+``(H/F) dx`` cross-validated against lifts, and tracing of the real
+trajectories on which that form has prescribed phase.
 
 Conventions: lifting the base equation ``dz/dx = z H(x)/F(x)`` gives
 ``z = z0 * exp(int (H/F) dx)``; the derivative of the holonomy return map
@@ -16,6 +17,7 @@ holonomy contracts.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -183,15 +185,11 @@ def adaptive_quadrature(
 # ---------------------------------------------------------------------------
 
 def _univariate_eval(fun: "Poly | ChartFunction") -> Callable[[complex], complex]:
-    if isinstance(fun, Poly):
-        if len(fun.vars) != 1:
-            raise StructuralError("expected a univariate function")
-        return lambda z: fun.eval_complex((z,))
-    if isinstance(fun, ChartFunction):
-        if len(fun.vars) != 1:
-            raise StructuralError("expected a univariate function")
-        return lambda z: fun.eval_complex((z,))
-    raise StructuralError("expected Poly or ChartFunction")
+    if not isinstance(fun, (Poly, ChartFunction)):
+        raise StructuralError("expected Poly or ChartFunction")
+    if len(fun.vars) != 1:
+        raise StructuralError("expected a univariate function")
+    return lambda z: fun.eval_complex((z,))
 
 
 def time_form_integral(
@@ -280,57 +278,95 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
 
 
-class _Escape(Exception):
-    pass
-
+# the nonzero entries of the tableau rows and weights as (stage, coefficient)
+_DP_ROWS = tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in _DP_A[1:])
+_DP_W5 = tuple((j, b) for j, b in enumerate(_DP_B5) if b)
+_DP_W4 = tuple((j, b) for j, b in enumerate(_DP_B4) if b)
 
 # iterations (accepted or rejected steps) one integration may take
 _RK45_MAX_ITER = 200000
 
+# the plain ``complex`` of a complex or NumPy complex scalar, faster than
+# the ``complex()`` constructor (``complex.__complex__`` is new in 3.11)
+_plain_complex = getattr(complex, "__complex__", complex)
 
-def _rk45(rhs, t0: float, t1: float, y0: np.ndarray,
+
+def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
           rtol: float, atol: float, max_step: float,
           escape_radius: float | None = None):
     """Adaptive Dormand-Prince integration of a complex system.
 
-    Returns ``(samples, escaped)`` with samples at every accepted step;
-    raises SingularLiftError if ``_RK45_MAX_ITER`` iterations end before
-    ``t1`` without an escape.
+    The state and the stages are lists of Python ``complex``; ``rhs(t, y)``
+    returns one.  Returns ``(samples, escaped)`` with samples at every
+    accepted step; raises SingularLiftError if ``_RK45_MAX_ITER`` iterations
+    end before ``t1`` without an escape.
+
+    The step sequence, and so every output, depends on the last bit of
+    each stage and error value, and the outputs are pinned to the rounding
+    of the NumPy array form ``y + h * sum(a_j * k_j)``.  Python ``complex``
+    ``+``, ``-``, ``*`` and float-by-complex products round as NumPy's do,
+    so the stages are plain lists, and every sum starts from ``0j`` and
+    adds its nonzero terms in tableau order.  Complex division and modulus
+    do not round alike: NumPy's kernels differ from Python's ``/`` and
+    ``abs()`` in the last bit for a large share of operands.  So the error
+    norm and the escape test take their moduli from one ``np.abs`` call per
+    step, the error is a maximum that a NaN wins (as in ``np.max``, so a
+    NaN rejects the step), and a right-hand side that divides does so on
+    the operand types it had on arrays (see ``lift_path``).
     """
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
+    y = [complex(v) for v in y0]
     if span == 0:
-        return [(t0, y0.copy())], False
+        return [(t0, y)], False
     h = direction * min(max_step, span / 64.0)
     t = t0
-    y = y0.astype(complex)
-    samples = [(t, y.copy())]
+    n = len(y)
+    samples = [(t, y)]
     escaped = False
     for _ in range(_RK45_MAX_ITER):
         remaining = t1 - t
         if remaining * direction <= 1e-14 * span:
             break
-        clamped = abs(h) >= abs(remaining)
-        if clamped:
+        if abs(h) >= abs(remaining):
             h = remaining
         k = [rhs(t, y)]
-        for stage in range(1, 7):
-            acc = np.zeros_like(y)
-            for j, a in enumerate(_DP_A[stage]):
-                if a:
-                    acc = acc + a * k[j]
-            k.append(rhs(t + _DP_C[stage] * h, y + h * acc))
-        y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k) if b)
-        y4 = y + h * sum(b * ki for b, ki in zip(_DP_B4, k) if b)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.max(np.abs(y5 - y4) / scale)) if y.size else 0.0
+        for c, row in zip(_DP_C[1:], _DP_ROWS):
+            stage = []
+            for i in range(n):
+                acc = 0j
+                for j, a in row:
+                    acc = acc + a * k[j][i]
+                stage.append(y[i] + h * acc)
+            k.append(rhs(t + c * h, stage))
+        y5 = []
+        diff = []
+        for i in range(n):
+            s5 = s4 = 0j
+            for j, b in _DP_W5:
+                s5 = s5 + b * k[j][i]
+            for j, b in _DP_W4:
+                s4 = s4 + b * k[j][i]
+            u = y[i] + h * s5
+            y5.append(u)
+            diff.append(u - (y[i] + h * s4))
+        moduli = np.abs(y + y5 + diff).tolist()
+        err = 0.0
+        for i in range(n):
+            m, m5 = moduli[i], moduli[n + i]
+            if not m >= m5 and m == m:      # np.maximum: a NaN wins
+                m = m5
+            r = moduli[2 * n + i] / (atol + rtol * m)
+            if i == 0 or r > err or r != r:  # np.max: a NaN wins
+                err = r
         if err <= 1.0:
-            if escape_radius is not None and np.any(np.abs(y5) > escape_radius):
+            if escape_radius is not None and any(
+                    m5 > escape_radius for m5 in moduli[n:2 * n]):
                 escaped = True      # final stays the last in-domain sample
                 break
             t = t + h
             y = y5
-            samples.append((t, y.copy()))
+            samples.append((t, y))
         factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
         h = h * min(5.0, max(0.2, factor))
         if abs(h) > max_step:
@@ -412,31 +448,25 @@ def lift_path(
     if len(fiber) != len(fiber_vars):
         raise StructuralError("one fiber value per non-base variable required")
     comp_fns = [c.eval_complex for c in x.components]
+    fiber_fns = [f for i, f in enumerate(comp_fns) if i != b]
+    base_fn = comp_fns[b]
+    complex128 = np.complex128
 
-    def assemble(zb: complex, y: np.ndarray) -> list[complex]:
-        point: list[complex] = []
-        it = iter(y)
-        for i, _v in enumerate(chart.var_names):
-            point.append(zb if i == b else next(it))
-        return point
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        zb = path.point(t)
-        point = assemble(zb, y)
-        base_speed = comp_fns[b](point)
+    def rhs(t: float, y: list[complex]) -> list[complex]:
+        # fiber coordinates enter the components as NumPy scalars, so powers
+        # of them, and the division by a base speed that depends on them,
+        # keep NumPy's rounding (see _rk45)
+        point = [complex128(v) for v in y]
+        point.insert(b, path.point(t))
+        base_speed = base_fn(point)
         if abs(base_speed) < ZERO_FLOOR:
             raise SingularLiftError("base component vanished along the lift")
         vel = path.velocity(t) / base_speed
-        out = []
-        for i in range(len(chart.var_names)):
-            if i == b:
-                continue
-            out.append(comp_fns[i](point) * vel)
-        return np.array(out, dtype=complex)
+        return [_plain_complex(f(point) * vel) for f in fiber_fns]
 
     t0, t1 = path.t_range
     max_step = abs(t1 - t0) / max(min_samples, 1)
-    y0 = np.array(list(fiber), dtype=complex)
+    y0 = [complex(v) for v in fiber]
     samples, escaped = _rk45(rhs, t0, t1, y0, rtol, atol, max_step, escape_radius)
     final = samples[-1][1]
     if escaped:
@@ -444,12 +474,12 @@ def lift_path(
     else:
         tight, _ = _rk45(rhs, t0, t1, y0, rtol / 100.0, atol / 100.0,
                          max_step / 2.0, escape_radius)
-        est = float(np.max(np.abs(final - tight[-1][1]))) if final.size else 0.0
+        est = float(np.max(np.abs(np.subtract(final, tight[-1][1])))) if final else 0.0
     return LiftResult(
         base_var=base_var,
         fiber_vars=fiber_vars,
-        samples=tuple((t, tuple(map(complex, y))) for t, y in samples),
-        final=tuple(map(complex, final)),
+        samples=tuple((t, tuple(y)) for t, y in samples),
+        final=tuple(final),
         est_error=est,
         escaped=escaped,
     )
@@ -465,15 +495,23 @@ def loop_lift_ratio(
     """final/initial fiber ratio after lifting a full circle in the base.
 
     For a linearizable saddle this estimates the derivative of the holonomy
-    return map of the separatrix ``{others = 0}``.
+    return map of the separatrix ``{others = 0}``.  A field without a fiber
+    variable raises :class:`StructuralError`; a zero or non-finite radius or
+    fiber seed (no loop, or no ratio final/initial) raises
+    :class:`DegenerateInputError`.
     """
-    fiber_count = x.chart.dim - 1
+    if x.chart.dim < 2:
+        raise StructuralError("holonomy needs at least one fiber variable")
+    if radius == 0 or not math.isfinite(radius):
+        raise DegenerateInputError(f"loop radius must be finite and nonzero, got {radius!r}")
+    if fiber_seed == 0 or not cmath.isfinite(fiber_seed):
+        raise DegenerateInputError(f"fiber seed must be finite and nonzero, got {fiber_seed!r}")
     path = full_circle(radius)
-    fiber = [fiber_seed] * fiber_count
+    fiber = [fiber_seed] * (x.chart.dim - 1)
     result = lift_path(x, base_var, path, fiber, **kwargs)
     if result.escaped:
         raise SingularLiftError("lift escaped the polydisc before closing the loop")
-    return result.final[0] / fiber[0] if fiber[0] != 0 else complex(math.nan)
+    return result.final[0] / fiber[0]
 
 
 # ---------------------------------------------------------------------------
@@ -557,16 +595,14 @@ def trace_descent(
     phase = complex(math.cos(theta), math.sin(theta))
 
     stop_reason = "t_max"
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        z = complex(y[0])
-        fv, hv = fe(z), he(z)
+    def rhs(t: float, y: list[complex]) -> list[complex]:
+        fv, hv = fe(y[0]), he(y[0])
         if abs(hv) < ZERO_FLOOR or abs(fv) < ZERO_FLOOR:
             raise SingularLiftError("hit a singularity of the form")
-        return np.array([phase * fv / hv], dtype=complex)
+        return [phase * fv / hv]
 
-    y0 = np.array([start], dtype=complex)
     try:
-        samples, escaped = _rk45(rhs, 0.0, t_max, y0, rtol, atol,
+        samples, escaped = _rk45(rhs, 0.0, t_max, [start], rtol, atol,
                                  max_step=t_max / 64.0,
                                  escape_radius=domain_radius)
         if escaped:
@@ -574,7 +610,7 @@ def trace_descent(
     except SingularLiftError:
         raise SingularPathError("descent ran into a singularity of the form") from None
     return Trajectory(
-        samples=tuple((t, complex(y[0])) for t, y in samples),
+        samples=tuple((t, y[0]) for t, y in samples),
         stop_reason=stop_reason,
     )
 

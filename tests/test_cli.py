@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 
 from foliations.cli import main
 from foliations.corpus import fixtures_dir
@@ -166,6 +167,22 @@ class TestSubcommands:
         data = json.loads(out)
         assert abs(data["argument_over_pi"] + 2.0 / 3.0) < 1e-4
         validate(load_schema("dynamics_outputs.schema.json"), data)
+
+    @pytest.mark.parametrize("file_text, flags, message", [
+        ("x, -3*y", ["--fiber-seed", "0", "--base", "x"], "fiber seed"),
+        ("x^2", ["--base", "x"], "fiber variable"),
+        ("x, -3*y", ["--loop-radius", "0"], "loop radius"),
+    ])
+    def test_dynamics_holonomy_degenerate_input(self, tmp_path, file_text, flags, message):
+        names = "x, y" if "y" in file_text else "x"
+        path = tmp_path / "field.field"
+        path.write_text(f"vars: {names}\nkind: field\n{file_text}\n", encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli("dynamics", "holonomy", str(path), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.getvalue().startswith("error: ") and message in err.getvalue()
 
     def test_dynamics_semicomplete(self, tmp_path):
         good = tmp_path / "quadratic.field"

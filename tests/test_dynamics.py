@@ -152,6 +152,33 @@ class TestLifts:
         with pytest.raises(SingularLiftError, match="10 iterations"):
             lift_path(linear_saddle(3), "y", full_circle(0.1), [0.01])
 
+    def test_zero_fiber_seed_rejected(self):
+        # the zero fiber is fixed by the lift: final/initial is 0/0
+        with pytest.raises(DegenerateInputError, match="fiber seed"):
+            loop_lift_ratio(linear_saddle(3), "x", 0.1, 0.0)
+
+    def test_one_variable_field_rejected(self):
+        field = VectorField.make(Chart.root(V1), [upoly({2: 1})])
+        with pytest.raises(StructuralError, match="fiber variable"):
+            loop_lift_ratio(field, "x")
+
+    def test_zero_loop_radius_rejected(self):
+        # a point loop would report the identity ratio 1
+        with pytest.raises(DegenerateInputError, match="loop radius"):
+            loop_lift_ratio(linear_saddle(3), "y", 0.0, 0.01)
+
+    def test_nan_error_rejects_step(self, monkeypatch):
+        # a NaN in the second of two components makes the error NaN, as
+        # np.max would, so no step past t = 0.5 is accepted and the cap
+        # is reached instead of returning NaN samples
+        monkeypatch.setattr(dynamics, "_RK45_MAX_ITER", 50)
+
+        def rhs(t, y):
+            return [-y[0], complex(math.nan, 0.0) if t > 0.5 else 0j]
+
+        with pytest.raises(SingularLiftError, match="50 iterations"):
+            dynamics._rk45(rhs, 0.0, 1.0, [1.0, 0.0], 1e-8, 1e-10, 0.125)
+
     def test_singular_base_rejected(self):
         chart = Chart.root(V2)
         field = VectorField.make(chart, [
