@@ -2,7 +2,7 @@
 
 Given a holomorphic vector field vanishing at the chart origin this module
 computes the exact characteristic polynomial of its linear part, solves for
-eigenvalues (exactly in Q(i) whenever possible, otherwise as certified
+eigenvalues (exactly whenever they lie in Q(i), otherwise as certified
 complex rectangles), and derives the classification tags: regular,
 elementary nondegenerate, saddle-node with its rank, nilpotent, or zero
 linear part.  It also provides the integer-relation rank of an exact
@@ -16,7 +16,6 @@ return ``undecided`` instead.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +23,6 @@ from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly
 from .errors import NotApplicableError, StructuralError
 from .fields import LinearPart, VectorField, linear_part
 from .intervals import CertifiedRoot, certified_roots
-from . import intervals as iv
 
 CLASS_REGULAR = "regular"
 CLASS_ELEMENTARY = "elementary_nondegenerate"
@@ -160,10 +158,8 @@ def char_poly(lp: LinearPart) -> Poly:
 def eigen_solve(p: Poly) -> EigenData:
     """Roots of a monic univariate polynomial of degree <= 3.
 
-    Gaussian-rational roots are found exactly (divisor search plus verified
-    recognition); a remaining quadratic is solved exactly when its
-    discriminant is a perfect square in Q(i); everything else is certified
-    by interval Newton rectangles of width <= 1e-10.
+    :func:`certified_roots` gives every root in Q(i) exactly and certifies
+    each other root by an interval Newton rectangle of width <= 1e-10.
     """
     coeffs = p.univariate_coeffs(p.vars[0] if p.vars else _T)
     degree = len(coeffs) - 1
@@ -171,75 +167,8 @@ def eigen_solve(p: Poly) -> EigenData:
         raise StructuralError("eigen_solve expects degree at most 3")
     if coeffs[-1] != GR_ONE:
         raise StructuralError("eigen_solve expects a monic polynomial")
-    roots: list[tuple[object, int]] = []
-    exact, certified = _solve_with_quadratic_closure(coeffs)
-    for value, mult in exact:
-        roots.append((value, mult))
-    for c in certified:
-        roots.append((c, c.multiplicity))
-    return EigenData(p, tuple(roots))
-
-
-def gaussian_sqrt(z: GaussianRational) -> GaussianRational | None:
-    """An exact square root in Q(i) when one exists, else None."""
-    if z.is_zero():
-        return GR_ZERO
-    n = z.norm2()
-    m = _fraction_sqrt(n)
-    if m is None:
-        return None
-    u2 = (z.re + m) / 2
-    u = _fraction_sqrt(u2)
-    if u is not None and u != 0:
-        v = z.im / (2 * u)
-        w = GaussianRational(u, v)
-        if w * w == z:
-            return w
-    if z.im == 0 and z.re < 0:
-        v = _fraction_sqrt(-z.re)
-        if v is not None:
-            return GaussianRational(Fraction(0), v)
-    return None
-
-
-def _fraction_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _solve_with_quadratic_closure(coeffs):
-    """Exact roots (with multiplicity) plus certified leftovers."""
-    work = iv.poly_trim(list(coeffs))
-    exact: dict[tuple[Fraction, Fraction], tuple[GaussianRational, int]] = {}
-
-    def record(r: GaussianRational):
-        key = (r.re, r.im)
-        prev = exact.get(key)
-        exact[key] = (r, (prev[1] if prev else 0) + 1)
-
-    for r in iv.gaussian_rational_roots(work):
-        record(r)
-        work = iv.deflate(work, r)
-    if iv.poly_degree(work) == 2:
-        # monic t^2 + b t + c with no Q(i) root: try the exact quadratic formula
-        b, c = work[1] / work[2], work[0] / work[2]
-        disc = b * b - GaussianRational.of(4) * c
-        s = gaussian_sqrt(disc)
-        if s is not None:  # pragma: no cover - roots would have been rational
-            half = GaussianRational.of(Fraction(1, 2))
-            record((-b + s) * half)
-            record((-b - s) * half)
-            work = [GR_ONE]
-    out_exact = [exact[k] for k in sorted(exact)]
-    if iv.poly_degree(work) <= 0:
-        return out_exact, []
-    _, certified = certified_roots(work)
-    return out_exact, certified
+    exact, certified = certified_roots(coeffs)
+    return EigenData(p, tuple(exact + [(c, c.multiplicity) for c in certified]))
 
 
 # ---------------------------------------------------------------------------

@@ -440,13 +440,16 @@ def lift_path(
     re-run at hundredfold tighter tolerances.  A zero of the base component
     along the lift raises :class:`SingularLiftError`; leaving the escape
     polydisc sets ``escaped`` instead of failing, and then ``est_error`` is
-    ``None`` because no estimate is made.
+    ``None`` because no estimate is made.  A non-finite fiber value raises
+    :class:`DegenerateInputError`.
     """
     chart = x.chart
     b = chart.var_index(base_var)
     fiber_vars = tuple(v for v in chart.var_names if v != base_var)
     if len(fiber) != len(fiber_vars):
         raise StructuralError("one fiber value per non-base variable required")
+    if not all(cmath.isfinite(v) for v in fiber):
+        raise DegenerateInputError(f"fiber values must be finite, got {list(fiber)!r}")
     comp_fns = [c.eval_complex for c in x.components]
     fiber_fns = [f for i, f in enumerate(comp_fns) if i != b]
     base_fn = comp_fns[b]
@@ -584,10 +587,13 @@ def trace_descent(
     For theta = 0 these are the curves on which the holonomy form is real
     and positive (steepest holonomy contraction); |theta| < pi/2 rotates the
     family.  Tracing stops at ``t_max``, at singularities of the form, or on
-    leaving the domain disc.
+    leaving the domain disc.  A non-finite start raises
+    :class:`DegenerateInputError`.
     """
     if not -math.pi / 2 < theta < math.pi / 2:
         raise StructuralError("theta must lie strictly between -pi/2 and pi/2")
+    if not cmath.isfinite(start):
+        raise DegenerateInputError(f"descent start must be finite, got {start!r}")
     fe = _univariate_eval(f)
     he = _univariate_eval(h)
     if abs(fe(start)) < ZERO_FLOOR or abs(he(start)) < ZERO_FLOOR:

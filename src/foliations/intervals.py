@@ -1,17 +1,24 @@
 """Complex rectangle interval arithmetic and certified polynomial roots.
 
 Rectangles ``[re_lo, re_hi] x [im_lo, im_hi]`` with outward-rounded float
-endpoints.  The only consumer-facing entry point is
-:func:`certified_roots`, which isolates all complex roots of an exact
-univariate polynomial over Q(i): exact Gaussian-rational roots are split off
-by divisor search, the square-free part of the remainder is computed by
-exact Euclidean gcd, and each remaining simple root is certified by an
-interval Newton contraction seeded from floating-point approximations and
-refined below a requested width.
+endpoints.  The one root pipeline is :func:`certified_roots`, which finds
+all complex roots of an exact univariate polynomial over Q(i): every root
+in Q(i) exactly, and each other root in an interval Newton rectangle.
+
+Exactness rests on one fact: once denominators are cleared, f lies in
+Z[i][t] with some leading coefficient a, and a*r lies in Z[i] for every
+Q(i) root r.  So a root is found by rounding onto Z[i], never by
+enumerating divisors.  Rounding a*z for each float root z finds most exact
+roots at once.  Completeness comes from p-adic lifting, which works on each
+square-free part of the remainder without floats: every Q(i) root lifts
+from a root modulo a prime, and that lift leaves a single Gaussian-integer
+candidate, checked exactly.  It therefore also covers roots that float
+arithmetic cannot separate or certify.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,9 +93,6 @@ class Interval:
     def straddles_zero(self) -> bool:
         return self.lo <= 0.0 <= self.hi
 
-    def subset(self, o: "Interval") -> bool:
-        return o.lo <= self.lo and self.hi <= o.hi
-
     def strict_subset(self, o: "Interval") -> bool:
         return o.lo < self.lo and self.hi < o.hi
 
@@ -150,9 +154,6 @@ class ComplexInterval:
 
     def contains(self, z: complex) -> bool:
         return self.re.contains(z.real) and self.im.contains(z.imag)
-
-    def subset(self, o: "ComplexInterval") -> bool:
-        return self.re.subset(o.re) and self.im.subset(o.im)
 
     def strict_subset(self, o: "ComplexInterval") -> bool:
         return self.re.strict_subset(o.re) and self.im.strict_subset(o.im)
@@ -252,100 +253,114 @@ def deflate(c: list[GaussianRational], root: GaussianRational) -> list[GaussianR
 
 
 # ---------------------------------------------------------------------------
-# Gaussian-rational root search (divisor enumeration)
+# Exact Q(i) roots: rounding and p-adic lifting onto Z[i]
 # ---------------------------------------------------------------------------
 
-_DIVISOR_NORM_CAP = 4_000_000
+def _round(z: GaussianRational) -> GaussianRational:
+    """The Gaussian integer nearest to ``z``."""
+    a, b, d = z._abd
+    return GaussianRational((2 * a + d) // (2 * d), (2 * b + d) // (2 * d))
 
 
-def _gaussian_integer_divisors(a: int, b: int) -> list[tuple[int, int]]:
-    """All Gaussian-integer divisors of the nonzero Gaussian integer a+bi."""
-    norm = a * a + b * b
-    out = []
-    bound = int(math.isqrt(norm))
-    for m in range(0, bound + 1):
-        for n in range(-bound, bound + 1):
-            nd = m * m + n * n
-            if nd == 0 or nd > norm or norm % nd:
-                continue
-            # exact divisibility of a+bi by m+ni
-            re_num = a * m + b * n
-            im_num = b * m - a * n
-            if re_num % nd == 0 and im_num % nd == 0:
-                out.append((m, n))
-                out.append((-m, -n))
-    return out
+def _split_rounded_roots(c: list[GaussianRational],
+                         exact: list[GaussianRational]) -> list[GaussianRational]:
+    """Append to ``exact`` and deflate the Q(i) roots that rounding finds.
 
-
-def _recognized_candidates(c: list[GaussianRational],
-                           denominator_cap: int = 10 ** 6) -> list[GaussianRational]:
-    """Gaussian-rational candidates recognized from floating approximations."""
-    coeffs = [k.to_complex() for k in reversed(c)]
-    try:
-        approx = np.roots(coeffs)
-    except Exception:  # pragma: no cover - degenerate float input
-        return []
-    out = []
-    for z in approx:
-        re = Fraction(z.real).limit_denominator(denominator_cap)
-        im = Fraction(z.imag).limit_denominator(denominator_cap)
-        out.append(GaussianRational(re, im))
-    return out
-
-
-def gaussian_rational_roots(c: list[GaussianRational]) -> list[GaussianRational]:
-    """All roots of the polynomial lying in Q(i), with multiplicity.
-
-    Candidates come from two sources: exact rational recognition of floating
-    approximations (always attempted, verified by exact evaluation), and the
-    classical divisor search on trailing/leading coefficients after clearing
-    denominators (skipped when the coefficient norms are too large for
-    enumeration -- the recognition pass covers those in practice).  Every
-    reported root is verified exactly and deflated; a linear remainder
-    ``c0 + c1*t`` gives its root ``-c0/c1`` exactly, with no search.
+    Clearing denominators gives ``c`` in Z[i][t] with leading coefficient a,
+    so a*r lies in Z[i] for every Q(i) root r.  Zero roots are split off
+    first; then each float root z gives the candidate g/a, with g the
+    Gaussian integer nearest a*z, and a linear remainder gives its root.
+    Returns the remainder.
     """
-    c = poly_trim(list(c))
-    roots: list[GaussianRational] = []
-    while poly_degree(c) > 0:
-        if c[0].is_zero():
-            roots.append(GR_ZERO)
-            c = poly_trim(c[1:])
+    while poly_degree(c) > 0 and c[0].is_zero():
+        exact.append(GR_ZERO)
+        c = c[1:]
+    if poly_degree(c) > 1:
+        a = c[-1] * GaussianRational.of(math.lcm(*(k._abd[2] for k in c)))
+        for z in np.roots([k.to_complex() for k in reversed(c)]):
+            r = _round(a * GaussianRational(Fraction(z.real), Fraction(z.imag))) / a
+            if poly_eval(c, r).is_zero():
+                exact.append(r)
+                c = deflate(c, r)
+                if poly_degree(c) == 1:
+                    break
+    if poly_degree(c) == 1:
+        exact.append(-c[0] / c[1])
+        c = c[1:]
+    return c
+
+
+def _eval_mod(h: list[int], x: int, m: int) -> int:
+    out = 0
+    for c in reversed(h):
+        out = (out * x + c) % m
+    return out
+
+
+def _hensel(h: list[int], x: int, m: int) -> int:
+    """Lift a root x of ``h`` mod p, simple mod p, to a root mod m = p**k."""
+    dh = [k * c for k, c in enumerate(h)][1:]
+    while (v := _eval_mod(h, x, m)):
+        x = (x - v * pow(_eval_mod(dh, x, m), -1, m)) % m
+    return x
+
+
+def _qi_roots(part: list[GaussianRational]) -> list[GaussianRational]:
+    """Every root in Q(i) of the monic square-free ``part``.
+
+    With D the lcm of the denominators, D*r runs over the Gaussian-integer
+    roots g of the monic G(s) = D**n part(s/D) in Z[i][s].  Cauchy's bound
+    |r| <= 1 + max |c_j| gives 4|g|**2 < L = 8 D**2 (1 + max |c_j|**2).
+    Take a prime p = 1 (mod 4) at whose roots G mod p has a nonzero
+    derivative, and M = p**k > L.  Sending i to a square root iota of -1
+    maps Z[i] onto Z/M with kernel pi**k, pi = gcd(p, iota - i).  Each root
+    of G mod p lifts to one root mod M (Hensel), and the element of Z[i]
+    nearest 0 that maps to it is the only candidate for g; it is kept when
+    part(g/D) == 0.
+    """
+    n = poly_degree(part)
+    if n == 1:
+        return [-part[0]]
+    d = math.lcm(*(c._abd[2] for c in part))
+    g = [(c * GaussianRational.of(d ** (n - j)))._abd for j, c in enumerate(part)]
+    limit = 8 * d * d * (1 + max(c.norm2() for c in part))
+    p = 1
+    while True:
+        p += 4
+        if any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
             continue
-        if poly_degree(c) == 1:
-            roots.append(-c[0] / c[1])
+        iota = next(x for x in range(p) if x * x % p == p - 1)
+        gp = [(a + iota * b) % p for a, b, _ in g]
+        roots = [x for x in range(p) if _eval_mod(gp, x, p) == 0]
+        dgp = [k * c for k, c in enumerate(gp)][1:]
+        if all(_eval_mod(dgp, x, p) for x in roots):
             break
-        found = None
-        for cand in _recognized_candidates(c):
-            if poly_eval(c, cand).is_zero():
-                found = cand
-                break
-        if found is None:
-            # clear denominators -> Gaussian integer coefficients
-            scale = math.lcm(*(ck._abd[2] for ck in c))
-            ints = [ck * GaussianRational.of(scale) for ck in c]
-            lead, tail = ints[-1], ints[0]
-            if max(lead.norm2(), tail.norm2()) <= _DIVISOR_NORM_CAP:
-                tail_divs = _gaussian_integer_divisors(int(tail.re), int(tail.im))
-                lead_divs = _gaussian_integer_divisors(int(lead.re), int(lead.im))
-                seen: set[GaussianRational] = set()
-                for p, q in ((p, q) for p in tail_divs for q in lead_divs):
-                    cand = GaussianRational(*p) / GaussianRational(*q)
-                    if cand in seen:
-                        continue
-                    seen.add(cand)
-                    if poly_eval(c, cand).is_zero():
-                        found = cand
-                        break
-        if found is None:
-            break
-        roots.append(found)
-        c = deflate(c, found)
-    return roots
+    if not roots:
+        return []
+    pi, q = GaussianRational.of(p), GaussianRational(iota, -1)
+    while not q.is_zero():
+        pi, q = q, pi - _round(pi / q) * q
+    m, k = p, 1
+    while m <= limit:
+        m, k = m * p, k + 1
+    iota = _hensel([1, 0, 1], iota, m)
+    gm = [(a + iota * b) % m for a, b, _ in g]
+    pik = pi ** k
+    out = []
+    for x in roots:
+        z = GaussianRational.of(_hensel(gm, x, m))
+        r = (z - _round(z / pik) * pik) / GaussianRational.of(d)
+        if poly_eval(part, r).is_zero():
+            out.append(r)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Certified interval roots
 # ---------------------------------------------------------------------------
+
+_WIDTH = 1e-10  # every certified rectangle is refined to at most this width
+
 
 @dataclass(frozen=True)
 class CertifiedRoot:
@@ -363,8 +378,7 @@ def _interval_eval(coeffs: list[ComplexInterval], x: ComplexInterval) -> Complex
     return out
 
 
-def _newton_certify(coeffs, dcoeffs, seed: complex, radius: float,
-                    width: float) -> ComplexInterval | None:
+def _newton_certify(coeffs, dcoeffs, seed: complex, radius: float) -> ComplexInterval | None:
     """Interval Newton: certify and refine a unique simple root near ``seed``."""
     box = ComplexInterval.box(seed, radius)
     certified = False
@@ -381,43 +395,16 @@ def _newton_certify(coeffs, dcoeffs, seed: complex, radius: float,
         nxt = newton.intersect(box)
         if nxt is None:
             return None
-        if certified and nxt.width() <= width:
+        if certified and nxt.width() <= _WIDTH:
             return nxt
         box = nxt
-    return box if certified and box.width() <= width else None
+    return None
 
 
-def certified_roots(c: list[GaussianRational], width: float = 1e-10):
-    """All complex roots of an exact polynomial, with multiplicities.
-
-    Returns ``(exact, intervals)`` where ``exact`` is a list of
-    ``(GaussianRational, multiplicity)`` and ``intervals`` a list of
-    :class:`CertifiedRoot` for the non-Q(i) roots.  Multiplicities are exact
-    (derived from repeated gcd with the derivative); the rectangles certify
-    containment and uniqueness via an interval Newton contraction and are
-    pairwise disjoint unless flagged clustered.
-    """
-    c = poly_trim(list(c))
-    d = poly_degree(c)
-    if d < 0:
-        raise DegenerateInputError("zero polynomial has every point as a root")
-    if d == 0:
-        return [], []
-    # exact roots first
-    exact_list = gaussian_rational_roots(c)
-    exact: dict[tuple[Fraction, Fraction], tuple[GaussianRational, int]] = {}
-    work = c
-    for r in exact_list:
-        key = (r.re, r.im)
-        prev = exact.get(key)
-        exact[key] = (r, (prev[1] if prev else 0) + 1)
-        work = deflate(work, r)
-    out_exact = [exact[k] for k in sorted(exact)]
-    if poly_degree(work) <= 0:
-        return out_exact, []
-    # multiplicity structure of the remainder via square-free decomposition
-    remaining: list[tuple[list[GaussianRational], int]] = []
-    p = poly_monic(work)
+def _square_free_parts(c: list[GaussianRational]) -> list[tuple[list[GaussianRational], int]]:
+    """``(part, m)`` pairs: each part monic, holding the roots of multiplicity m."""
+    parts = []
+    p = poly_monic(c)
     mult = 1
     while poly_degree(p) > 0:
         g = poly_gcd(p, poly_derivative(p))
@@ -425,33 +412,76 @@ def certified_roots(c: list[GaussianRational], width: float = 1e-10):
         # roots of sqfree that are not roots of g have multiplicity == mult
         part, _ = poly_divmod(sqfree, poly_gcd(sqfree, g))
         if poly_degree(part) > 0:
-            remaining.append((part, mult))
+            parts.append((part, mult))
         p = g
         mult += 1
+    return parts
+
+
+def _certify(part: list[GaussianRational], m: int) -> list[CertifiedRoot]:
+    """Certified rectangles for the roots of the square-free ``part``."""
     intervals: list[CertifiedRoot] = []
-    for part, m in remaining:
-        dd = poly_degree(part)
-        approx = np.roots([p_.to_complex() for p_ in reversed(part)])
-        coeffs_iv = [ComplexInterval.of_gaussian(p_) for p_ in part]
-        dcoeffs_iv = [ComplexInterval.of_gaussian(p_) for p_ in poly_derivative(part)]
-        boxes: list[ComplexInterval] = []
-        for z in sorted(approx, key=lambda w: (w.real, w.imag)):
-            box = None
-            for radius in (1e-7, 1e-5, 1e-3, 1e-2, 1e-1):
-                box = _newton_certify(coeffs_iv, dcoeffs_iv, complex(z), radius, width)
-                if box is not None:
-                    break
-            if box is None:
-                # certification failed: report a coarse box, flagged clustered
-                intervals.append(CertifiedRoot(
-                    ComplexInterval.box(complex(z), 1e-6), m, clustered=True))
-            else:
-                boxes.append(box)
-        clustered = any(
-            boxes[i].overlaps(boxes[j])
-            for i in range(len(boxes)) for j in range(i + 1, len(boxes)))
-        for box in boxes:
-            intervals.append(CertifiedRoot(box, m, clustered=clustered))
-        if dd != len(approx):  # pragma: no cover - numpy contract
-            raise DegenerateInputError("root count mismatch")
-    return out_exact, intervals
+    approx = np.roots([p_.to_complex() for p_ in reversed(part)])
+    coeffs_iv = [ComplexInterval.of_gaussian(p_) for p_ in part]
+    dcoeffs_iv = [ComplexInterval.of_gaussian(p_) for p_ in poly_derivative(part)]
+    boxes: list[ComplexInterval] = []
+    for z in sorted(approx, key=lambda w: (w.real, w.imag)):
+        box = None
+        for radius in (1e-7, 1e-5, 1e-3, 1e-2, 1e-1):
+            box = _newton_certify(coeffs_iv, dcoeffs_iv, complex(z), radius)
+            if box is not None:
+                break
+        if box is None:
+            # certification failed: report a coarse box, flagged clustered
+            intervals.append(CertifiedRoot(
+                ComplexInterval.box(complex(z), 1e-6), m, clustered=True))
+        else:
+            boxes.append(box)
+    clustered = any(
+        boxes[i].overlaps(boxes[j])
+        for i in range(len(boxes)) for j in range(i + 1, len(boxes)))
+    for box in boxes:
+        intervals.append(CertifiedRoot(box, m, clustered=clustered))
+    if poly_degree(part) != len(approx):  # pragma: no cover - numpy contract
+        raise DegenerateInputError("root count mismatch")
+    return intervals
+
+
+def certified_roots(c: list[GaussianRational]):
+    """All complex roots of an exact polynomial, with multiplicities.
+
+    Returns ``(exact, intervals)``: ``exact`` lists every root in Q(i) as
+    ``(GaussianRational, multiplicity)``, sorted by (re, im), and
+    ``intervals`` holds a :class:`CertifiedRoot` for each other root.
+    Rounding float roots onto Z[i] finds most Q(i) roots cheaply.  The
+    remainder is split into square-free parts by repeated gcd with the
+    derivative, each holding the roots of one multiplicity; the Q(i) roots
+    left in a part are found by :func:`_qi_roots` and divided out, and the
+    rest are certified from ``np.roots`` seeds by interval Newton rectangles
+    of width at most 1e-10, pairwise disjoint unless flagged clustered.  No
+    float decides exactness, so ``exact`` is complete: no rectangle, flagged
+    clustered or not, holds a root in Q(i).
+    """
+    c = poly_trim(list(c))
+    if poly_degree(c) < 0:
+        raise DegenerateInputError("zero polynomial has every point as a root")
+    exact: list[GaussianRational] = []  # each root repeated by multiplicity
+    intervals: list[CertifiedRoot] = []
+    for part, m in _square_free_parts(_split_rounded_roots(c, exact)):
+        for r in _qi_roots(part):
+            exact += [r] * m
+            part = deflate(part, r)
+        if poly_degree(part) > 0:
+            intervals += _certify(part, m)
+    exact.sort(key=GaussianRational.sort_key)
+    return [(r, len(list(g))) for r, g in itertools.groupby(exact)], intervals
+
+
+def gaussian_rational_roots(c: list[GaussianRational]) -> list[GaussianRational]:
+    """All roots of the polynomial lying in Q(i), with multiplicity.
+
+    The exact half of :func:`certified_roots`, each root repeated by its
+    multiplicity and sorted by (re, im).
+    """
+    exact, _ = certified_roots(c)
+    return [r for r, m in exact for _ in range(m)]

@@ -164,6 +164,17 @@ class TestClassification:
         assert report.resonance_rank == 1
         assert report.domain_position == POSITION_POINCARE
 
+    def test_large_denominator_spectrum_3d_is_exact(self):
+        values = [gr("1234567/1000003"), gr("7654321/1000033"), gr("3333331/1000037")]
+        field = VectorField.make(Chart.root(V3), [
+            Poly.make(V3, {e: v}) for e, v in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), values)])
+        report = classify_singularity(field)
+        assert report.eigen.all_exact()
+        assert sorted(report.eigen.exact_values(), key=lambda v: v.sort_key()) == sorted(
+            values, key=lambda v: v.sort_key())
+        assert report.resonance_rank == 2
+        assert report.domain_position == POSITION_POINCARE
+
     def test_elementary_iff_char_not_nilpotent(self):
         fields = [saddle_node_family(1, 1, 1), sancho_sanz_field(),
                   cusp_hamiltonian(1), linear_saddle(2),

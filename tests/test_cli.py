@@ -272,6 +272,15 @@ class TestFlagValidation:
                           "--center", "sphere")
         assert code == 2
 
+    def test_nan_start_error(self, tmp_path):
+        path = tmp_path / "square.field"
+        path.write_text("vars: x\nkind: field\nx^2\n", encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, _ = run_cli("dynamics", "descent", str(path), "--start", "nan,0")
+        assert code == 1
+        assert err.getvalue().startswith("error: descent start must be finite")
+
     def test_bad_start_usage_error(self, tmp_path):
         path = tmp_path / "lin.field"
         path.write_text("vars: x\nkind: field\nx\n", encoding="utf-8")

@@ -179,6 +179,10 @@ class TestLifts:
         with pytest.raises(SingularLiftError, match="50 iterations"):
             dynamics._rk45(rhs, 0.0, 1.0, [1.0, 0.0], 1e-8, 1e-10, 0.125)
 
+    def test_nan_fiber_rejected(self):
+        with pytest.raises(DegenerateInputError, match="fiber values"):
+            lift_path(linear_saddle(3), "y", full_circle(0.1), [complex(math.nan, 0)])
+
     def test_singular_base_rejected(self):
         chart = Chart.root(V2)
         field = VectorField.make(chart, [
@@ -243,6 +247,10 @@ class TestDescent:
     def test_start_at_singularity_rejected(self):
         with pytest.raises(SingularPathError):
             trace_descent(upoly({1: 1}), upoly({0: 1}), 0.0, 0j, 1.0)
+
+    def test_nan_start_rejected(self):
+        with pytest.raises(DegenerateInputError, match="start must be finite"):
+            trace_descent(upoly({2: 1}), upoly({0: 1}), 0.0, complex(math.nan, 0), 1.0)
 
     def test_theta_range_enforced(self):
         with pytest.raises(StructuralError):

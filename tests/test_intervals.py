@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from foliations import intervals
 from foliations.algebra import GR_ZERO, GaussianRational, gr
 from foliations.errors import DegenerateInputError
 from foliations.intervals import (
@@ -112,10 +113,42 @@ class TestCertifiedRoots:
             certified_roots([GR_ZERO])
 
     def test_linear_remainder_is_exact(self):
-        # (t - 2)(t - r): after deflating 2 the remainder t - r has a
-        # denominator above the float-recognition cap and a norm above the
-        # divisor-search cap, and is still solved exactly
+        # (t - 2)(t - r): rounding 1000003*z onto Z[i] recovers r from its
+        # float root z, and the linear remainder t - 2 gives its root exactly
         r = gr("1234567/1000003")
         exact, intervals = certified_roots([gr(2) * r, -(r + gr(2)), gr(1)])
         assert exact == [(r, 1), (gr(2), 1)]
         assert intervals == []
+
+    def test_two_large_denominator_roots_are_exact(self):
+        # (t - r)(t - s): the lead after clearing denominators is about
+        # 10**12, too large for rounding a float root onto Z[i]
+        r, s = gr("1234567/1000003"), gr("7654321/1000033")
+        exact, intervals = certified_roots([r * s, -(r + s), gr(1)])
+        assert exact == [(r, 1), (s, 1)]
+        assert intervals == []
+
+    def test_double_root_beyond_float_certification_is_exact(self):
+        # (t - r)^2 with |r| > 10**6: a float root is off by about 1e-2, and
+        # no rectangle around r can be refined to width 1e-10
+        r = gr("10800928/3")
+        exact, intervals = certified_roots([r * r, -(r + r), gr(1)])
+        assert exact == [(r, 2)]
+        assert intervals == []
+
+    def test_clustered_roots_are_exact(self):
+        # roots 10**-12 apart that float arithmetic cannot separate
+        r, s = gr(1), gr("999999999999/1000000000000")
+        exact, intervals = certified_roots([r * s, -(r + s), gr(1)])
+        assert exact == [(s, 1), (r, 1)]
+        assert intervals == []
+
+    def test_exact_check_tries_few_candidates(self, monkeypatch):
+        # 1999 t^3 - 2 has no root in Q(i); deciding that takes O(degree)
+        # exact evaluations, not one per divisor pair of 2 and 1999
+        calls = []
+        real_eval = intervals.poly_eval
+        monkeypatch.setattr(intervals, "poly_eval",
+                            lambda c, x: calls.append(x) or real_eval(c, x))
+        assert gaussian_rational_roots(coeffs(-2, 0, 0, 1999)) == []
+        assert len(calls) <= 2 * 3
