@@ -7,12 +7,11 @@ in Q(i) exactly, and each other root in an interval Newton rectangle.
 
 Exactness rests on one fact: once denominators are cleared, f lies in
 Z[i][t] with some leading coefficient a, and a*r lies in Z[i] for every
-Q(i) root r.  So a root is found by rounding onto Z[i], never by
-enumerating divisors.  Rounding a*z for each float root z finds most exact
-roots at once.  Completeness comes from p-adic lifting, which works on each
-square-free part of the remainder without floats: every Q(i) root lifts
-from a root modulo a prime, and that lift leaves a single Gaussian-integer
-candidate, checked exactly.  It therefore also covers roots that float
+Q(i) root r.  So a root is found by locating a*r in Z[i], never by
+enumerating divisors.  p-adic lifting does this on each square-free part
+without floats: every Q(i) root lifts from a root modulo a prime, and that
+lift leaves a single Gaussian-integer candidate, checked exactly.  The
+search is complete, with no cap, and also covers roots that float
 arithmetic cannot separate or certify.
 """
 
@@ -217,19 +216,19 @@ def poly_monic(c: list[GaussianRational]) -> list[GaussianRational]:
 
 def poly_divmod(a: list[GaussianRational], b: list[GaussianRational]):
     """Exact division with remainder over the field Q(i)."""
-    a = poly_trim(list(a))
+    r = poly_trim(list(a))
     b = poly_trim(list(b))
-    if poly_degree(b) < 0:
+    db = len(b) - 1
+    if b[db].is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    q = [GR_ZERO] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    db = poly_degree(b)
-    while poly_degree(r) >= db:
-        dr = poly_degree(r)
-        coeff = r[dr] / b[db]
-        q[dr - db] = coeff
-        for k in range(db + 1):
+    q = [GR_ZERO] * max(0, len(r) - db)
+    for dr in range(len(r) - 1, db - 1, -1):
+        if r[dr].is_zero():
+            continue
+        coeff = q[dr - db] = r[dr] / b[db]
+        for k in range(db):
             r[dr - db + k] = r[dr - db + k] - coeff * b[k]
+        r[dr] = GR_ZERO
     return poly_trim(q), poly_trim(r)
 
 
@@ -253,7 +252,7 @@ def deflate(c: list[GaussianRational], root: GaussianRational) -> list[GaussianR
 
 
 # ---------------------------------------------------------------------------
-# Exact Q(i) roots: rounding and p-adic lifting onto Z[i]
+# Exact Q(i) roots: p-adic lifting onto Z[i]
 # ---------------------------------------------------------------------------
 
 def _round(z: GaussianRational) -> GaussianRational:
@@ -262,39 +261,27 @@ def _round(z: GaussianRational) -> GaussianRational:
     return GaussianRational((2 * a + d) // (2 * d), (2 * b + d) // (2 * d))
 
 
-def _split_rounded_roots(c: list[GaussianRational],
-                         exact: list[GaussianRational]) -> list[GaussianRational]:
-    """Append to ``exact`` and deflate the Q(i) roots that rounding finds.
-
-    Clearing denominators gives ``c`` in Z[i][t] with leading coefficient a,
-    so a*r lies in Z[i] for every Q(i) root r.  Zero roots are split off
-    first; then each float root z gives the candidate g/a, with g the
-    Gaussian integer nearest a*z, and a linear remainder gives its root.
-    Returns the remainder.
-    """
-    while poly_degree(c) > 0 and c[0].is_zero():
-        exact.append(GR_ZERO)
-        c = c[1:]
-    if poly_degree(c) > 1:
-        a = c[-1] * GaussianRational.of(math.lcm(*(k._abd[2] for k in c)))
-        for z in np.roots([k.to_complex() for k in reversed(c)]):
-            r = _round(a * GaussianRational(Fraction(z.real), Fraction(z.imag))) / a
-            if poly_eval(c, r).is_zero():
-                exact.append(r)
-                c = deflate(c, r)
-                if poly_degree(c) == 1:
-                    break
-    if poly_degree(c) == 1:
-        exact.append(-c[0] / c[1])
-        c = c[1:]
-    return c
-
-
 def _eval_mod(h: list[int], x: int, m: int) -> int:
     out = 0
     for c in reversed(h):
         out = (out * x + c) % m
     return out
+
+
+def _squarefree_mod(h: list[int], p: int) -> bool:
+    """Whether the monic ``h`` has no repeated factor mod p: gcd(h, h') = 1."""
+    a, b = h, [k * c % p for k, c in enumerate(h)][1:]
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q, off = a[-1] * inv % p, len(a) - len(b)
+            a = a[:off] + [(x - q * y) % p for x, y in zip(a[off:-1], b)]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
 
 
 def _hensel(h: list[int], x: int, m: int) -> int:
@@ -311,12 +298,14 @@ def _qi_roots(part: list[GaussianRational]) -> list[GaussianRational]:
     With D the lcm of the denominators, D*r runs over the Gaussian-integer
     roots g of the monic G(s) = D**n part(s/D) in Z[i][s].  Cauchy's bound
     |r| <= 1 + max |c_j| gives 4|g|**2 < L = 8 D**2 (1 + max |c_j|**2).
-    Take a prime p = 1 (mod 4) at whose roots G mod p has a nonzero
-    derivative, and M = p**k > L.  Sending i to a square root iota of -1
-    maps Z[i] onto Z/M with kernel pi**k, pi = gcd(p, iota - i).  Each root
-    of G mod p lifts to one root mod M (Hensel), and the element of Z[i]
-    nearest 0 that maps to it is the only candidate for g; it is kept when
-    part(g/D) == 0.
+    Take a prime p = 1 (mod 4) modulo which G is square-free, and
+    M = p**k > L.  Only a prime dividing the norm of the discriminant of G
+    fails, and each is rejected after a gcd mod p, so the primes tried cost
+    work polynomial in the input size.  Sending i to a square root iota of
+    -1 maps Z[i] onto Z/M with kernel pi**k, pi = gcd(p, iota - i).  Each
+    root of G mod p lifts to one root mod M (Hensel), and the element of
+    Z[i] nearest 0 that maps to it is the only candidate for g; it is kept
+    when part(g/D) == 0.
     """
     n = poly_degree(part)
     if n == 1:
@@ -329,12 +318,12 @@ def _qi_roots(part: list[GaussianRational]) -> list[GaussianRational]:
         p += 4
         if any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
             continue
-        iota = next(x for x in range(p) if x * x % p == p - 1)
+        w = next(x for x in range(2, p) if pow(x, p // 2, p) == p - 1)
+        iota = pow(w, p // 4, p)  # a square root of -1 mod p
         gp = [(a + iota * b) % p for a, b, _ in g]
-        roots = [x for x in range(p) if _eval_mod(gp, x, p) == 0]
-        dgp = [k * c for k, c in enumerate(gp)][1:]
-        if all(_eval_mod(dgp, x, p) for x in roots):
+        if _squarefree_mod(gp, p):
             break
+    roots = [x for x in range(p) if _eval_mod(gp, x, p) == 0]
     if not roots:
         return []
     pi, q = GaussianRational.of(p), GaussianRational(iota, -1)
@@ -408,6 +397,9 @@ def _square_free_parts(c: list[GaussianRational]) -> list[tuple[list[GaussianRat
     mult = 1
     while poly_degree(p) > 0:
         g = poly_gcd(p, poly_derivative(p))
+        if poly_degree(g) == 0:  # p is square-free
+            parts.append((p, mult))
+            break
         sqfree, _ = poly_divmod(p, g)
         # roots of sqfree that are not roots of g have multiplicity == mult
         part, _ = poly_divmod(sqfree, poly_gcd(sqfree, g))
@@ -453,13 +445,14 @@ def certified_roots(c: list[GaussianRational]):
     Returns ``(exact, intervals)``: ``exact`` lists every root in Q(i) as
     ``(GaussianRational, multiplicity)``, sorted by (re, im), and
     ``intervals`` holds a :class:`CertifiedRoot` for each other root.
-    Rounding float roots onto Z[i] finds most Q(i) roots cheaply.  The
-    remainder is split into square-free parts by repeated gcd with the
-    derivative, each holding the roots of one multiplicity; the Q(i) roots
-    left in a part are found by :func:`_qi_roots` and divided out, and the
-    rest are certified from ``np.roots`` seeds by interval Newton rectangles
-    of width at most 1e-10, pairwise disjoint unless flagged clustered.  No
-    float decides exactness, so ``exact`` is complete: no rectangle, flagged
+    A factor t**k is split off first (in a resolution it is the common
+    case, and the exact gcds below cost more than the rest).  The quotient
+    is split into square-free parts by repeated gcd with the derivative,
+    each holding the roots of one multiplicity; the Q(i) roots of a part
+    are found by :func:`_qi_roots` and divided out, and the rest are
+    certified from ``np.roots`` seeds by interval Newton rectangles of width
+    at most 1e-10, pairwise disjoint unless flagged clustered.  No float
+    decides exactness, so ``exact`` is complete: no rectangle, flagged
     clustered or not, holds a root in Q(i).
     """
     c = poly_trim(list(c))
@@ -467,7 +460,10 @@ def certified_roots(c: list[GaussianRational]):
         raise DegenerateInputError("zero polynomial has every point as a root")
     exact: list[GaussianRational] = []  # each root repeated by multiplicity
     intervals: list[CertifiedRoot] = []
-    for part, m in _square_free_parts(_split_rounded_roots(c, exact)):
+    while poly_degree(c) > 0 and c[0].is_zero():
+        exact.append(GR_ZERO)
+        c = c[1:]
+    for part, m in _square_free_parts(c):
         for r in _qi_roots(part):
             exact += [r] * m
             part = deflate(part, r)

@@ -113,8 +113,7 @@ class TestCertifiedRoots:
             certified_roots([GR_ZERO])
 
     def test_linear_remainder_is_exact(self):
-        # (t - 2)(t - r): rounding 1000003*z onto Z[i] recovers r from its
-        # float root z, and the linear remainder t - 2 gives its root exactly
+        # (t - 2)(t - r): both roots exact, r with a denominator of 10**6
         r = gr("1234567/1000003")
         exact, intervals = certified_roots([gr(2) * r, -(r + gr(2)), gr(1)])
         assert exact == [(r, 1), (gr(2), 1)]
@@ -122,7 +121,7 @@ class TestCertifiedRoots:
 
     def test_two_large_denominator_roots_are_exact(self):
         # (t - r)(t - s): the lead after clearing denominators is about
-        # 10**12, too large for rounding a float root onto Z[i]
+        # 10**12, too large for a float root to pin down r or s
         r, s = gr("1234567/1000003"), gr("7654321/1000033")
         exact, intervals = certified_roots([r * s, -(r + s), gr(1)])
         assert exact == [(r, 1), (s, 1)]
@@ -152,3 +151,20 @@ class TestCertifiedRoots:
                             lambda c, x: calls.append(x) or real_eval(c, x))
         assert gaussian_rational_roots(coeffs(-2, 0, 0, 1999)) == []
         assert len(calls) <= 2 * 3
+
+    def test_rejected_primes_cost_little(self, monkeypatch):
+        # t^2 - N/3^k, N the product of the first 200 primes p = 1 (mod 4):
+        # t^2 - N 3^k has a double root mod each of them, so the lifting
+        # prime is the 201st.  Rejecting a prime takes a gcd mod p, not one
+        # evaluation per residue, so the work is linear in that prime.
+        primes = [p for p in range(5, 3000, 4)
+                  if all(p % q for q in range(3, math.isqrt(p) + 1, 2))]
+        n = math.prod(primes[:200])
+        c = GaussianRational.of(n) / GaussianRational.of(3) ** (len(str(n)) * 2)
+        calls = []
+        real_eval = intervals._eval_mod
+        monkeypatch.setattr(intervals, "_eval_mod",
+                            lambda h, x, m: calls.append(x) or real_eval(h, x, m))
+        exact, boxes = certified_roots([-c, GR_ZERO, gr(1)])
+        assert exact == [] and len(boxes) == 2
+        assert len(calls) <= 2 * primes[200]
