@@ -208,6 +208,23 @@ class TestPersistentDetection:
         assert report.matched and report.n >= 2
         assert report.witness["chain"] == []
 
+    def test_match_after_one_blowup(self):
+        # x^3 d/dx + (2x + z) d/dy - y^2 d/dz matches only on the x chart
+        # of its point blow-up, at (0, 0, -2); the escape then follows that
+        # pre-chain, whose component is labelled E1pre
+        field = VectorField.make(Chart.root(V3), [
+            make_poly(V3, {(3, 0, 0): 1}),
+            make_poly(V3, {(1, 0, 0): 2, (0, 0, 1): 1}),
+            make_poly(V3, {(0, 2, 0): -1})])
+        report = detect_persistent_nilpotent(field)
+        assert report.matched and report.n == 3
+        assert report.witness["stage"] == 1
+        assert report.witness["chain"] == [
+            {"chart_var": "x", "coords": ["0", "0", "-2"]}]
+        tree = resolve3(field, max_steps=3)
+        assert tree.steps == 2 and tree.weighted_steps == 1
+        assert tree.nodes[2].rep.chart.divisor_labels == ("E1pre", None, "E1")
+
 
 class TestResolve3:
     def test_standard_only_budget_exhausts_at_nilpotent(self):

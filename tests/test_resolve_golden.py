@@ -8,9 +8,13 @@ seeded random planar and 3-D germs and the budget edge cases, so a change
 to ``seidenberg_resolve`` or ``resolve3`` that alters one byte of their
 output fails here.
 
-Regenerate the digests only when an output change is intended:
+New cases are pinned with
 
     PYTHONPATH=src python tests/test_resolve_golden.py --write
+
+which adds the digests of case ids not yet in the file and refuses (exit 1,
+nothing written) when a pinned digest would change.  An intended output
+change is re-pinned by deleting the affected entries first.
 """
 
 from __future__ import annotations
@@ -102,6 +106,12 @@ def cases():
     gap3 = _field(V3, [{(2, 0, 0): 1, (1, 1, 1): -2}, {(1, 2, 0): 2},
                        {(2, 0, 0): 1, (0, 0, 2): -1, (2, 0, 1): -2}])
     out.append(("nonrational/3d/3", lambda: resolve3(gap3, max_steps=3, probe_budget=2)))
+    # x^3, 2x + z, -y^2: the probe matches after one point blow-up (chart x,
+    # point (0, 0, -2)), so the escape follows a pre-chain
+    prechain = _field(V3, [{(3, 0, 0): 1}, {(1, 0, 0): 2, (0, 0, 1): 1}, {(0, 2, 0): -1}])
+    for steps in (3, 12):
+        out.append((f"prechain/3d/{steps}",
+                    lambda s=steps: resolve3(prechain, max_steps=s)))
     for k, x in enumerate(_planar_germs(100)):
         out.append((f"planar/{k:03d}", lambda x=x: seidenberg_resolve(x, max_steps=40)))
     for k, x in enumerate(_germs3(30)):
@@ -134,5 +144,10 @@ def test_resolution_output_byte_identical():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_resolve_golden.py --write")
+    pinned = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    actual = compute()
+    changed = [name for name in pinned if actual.get(name, pinned[name]) != pinned[name]]
+    if changed:
+        sys.exit(f"{len(changed)} pinned outputs changed, nothing written: {changed[:10]}")
     DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps(compute(), indent=1) + "\n")
+    DIGESTS.write_text(json.dumps(actual, indent=1) + "\n")
