@@ -37,7 +37,7 @@ from .dynamics import (
     time_form_integral,
     trace_descent,
 )
-from .errors import FoliationError, ParseError
+from .errors import DegenerateInputError, FoliationError, ParseError
 from .expressions import parse_expression, parse_field, render_field
 from .fields import OneForm, VectorField
 from .integrals import formal_first_integral, independence_check, verify_first_integral
@@ -66,21 +66,24 @@ def _emit(data) -> None:
 
 def _parse_path_flag(text: str):
     kind, _, rest = text.partition(":")
+    arity = {"circle": 1, "half": 1, "arc": 3, "segment": 4}.get(kind)
     try:
-        if kind == "circle":
-            return full_circle(float(rest))
-        if kind == "half":
-            return half_circle(float(rest))
-        if kind == "arc":
-            radius, a0, a1 = (float(v) for v in rest.split(":"))
-            return CircularArc(0j, radius, a0, a1)
-        if kind == "segment":
-            x0, y0, x1, y1 = (float(v) for v in rest.split(":"))
-            return Segment(complex(x0, y0), complex(x1, y1))
+        values = [float(v) for v in rest.split(":")]
     except ValueError:
-        pass
-    raise ParseError(f"bad path spec {text!r} "
-                     "(circle:R, half:R, arc:R:A0:A1, segment:X0:Y0:X1:Y1)")
+        values = []
+    if len(values) != arity:
+        raise ParseError(f"bad path spec {text!r} "
+                         "(circle:R, half:R, arc:R:A0:A1, segment:X0:Y0:X1:Y1)")
+    if not all(math.isfinite(v) for v in values):
+        raise DegenerateInputError(f"path parameters must be finite, got {text!r}")
+    if kind == "circle":
+        return full_circle(values[0])
+    if kind == "half":
+        return half_circle(values[0])
+    if kind == "arc":
+        return CircularArc(0j, *values)
+    x0, y0, x1, y1 = values
+    return Segment(complex(x0, y0), complex(x1, y1))
 
 
 def _cmd_parse(args) -> int:

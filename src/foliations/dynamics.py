@@ -142,13 +142,16 @@ def half_circle(radius: float) -> CircularArc:
 # Adaptive quadrature
 # ---------------------------------------------------------------------------
 
+# bisection depth at which adaptive Simpson accepts an estimate as it is
+_QUADRATURE_MAX_DEPTH = 40
+
+
 def adaptive_quadrature(
     f: Callable[[float], complex],
     a: float,
     b: float,
     abs_tol: float = DEFAULT_ABS_TOL,
     rel_tol: float = DEFAULT_REL_TOL,
-    max_depth: int = 40,
 ) -> tuple[complex, float]:
     """Adaptive Simpson integration of a complex integrand; (value, error)."""
 
@@ -161,7 +164,8 @@ def adaptive_quadrature(
         lm, flm, left = simpson(x0, f0, x1, f1)
         rm, frm, right = simpson(x1, f1, x2, f2)
         delta = left + right - whole
-        if depth >= max_depth:
+        # a non-finite estimate never meets the tolerance: stop bisecting it
+        if depth >= _QUADRATURE_MAX_DEPTH or not cmath.isfinite(delta):
             return left + right + delta / 15.0, abs(delta)
         if abs(delta) <= 15.0 * tol:
             return left + right + delta / 15.0, abs(delta) / 15.0
@@ -299,7 +303,8 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
     The state and the stages are lists of Python ``complex``; ``rhs(t, y)``
     returns one.  Returns ``(samples, escaped)`` with samples at every
     accepted step; raises SingularLiftError if ``_RK45_MAX_ITER`` iterations
-    end before ``t1`` without an escape.
+    end before ``t1`` without an escape, and DegenerateInputError before
+    any step when ``t1``, ``rtol`` or ``atol`` is not finite.
 
     The step sequence, and so every output, depends on the last bit of
     each stage and error value, and the outputs are pinned to the rounding
@@ -314,6 +319,10 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
     NaN rejects the step), and a right-hand side that divides does so on
     the operand types it had on arrays (see ``lift_path``).
     """
+    for name, value in (("end time", t1), ("relative tolerance", rtol),
+                        ("absolute tolerance", atol)):
+        if not math.isfinite(value):
+            raise DegenerateInputError(f"integration {name} must be finite, got {value!r}")
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
     y = [complex(v) for v in y0]

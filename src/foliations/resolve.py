@@ -23,7 +23,9 @@ The dimensions differ in three places, which they pass to the skeleton:
       ord f >= 2, ord g >= 2, n >= 2,
 
   is instead escaped with a single blow-up of weight 2 centered on the
-  distinguished invariant axis.
+  distinguished invariant axis.  The probe that finds the match may first
+  follow a chain of point blow-ups; the escape starts from the germ the
+  probe matched, whose chain divisors become the components ``E{n}pre``.
 * **The divisor points of a new chart, and whether that list is
   complete.**  Dimension 2 enumerates the whole divisor in the first chart
   and only the origin in the second.  Dimension 3 solves the restricted
@@ -35,6 +37,9 @@ The dimensions differ in three places, which they pass to the skeleton:
 
 Self-intersection weights are tracked in dimension 2 only: its components
 start at -1, those of dimension 3 carry ``None``.
+
+Each tree node keeps the ``TransformResult`` of the blow-up chart that made
+it (``None`` at the root), the one record of that blow-up's facts.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .algebra import GR_ONE, GR_ZERO, ChartFunction, GaussianRational, Poly, monomial_content
-from .blowup import POINT, BlowupSpec, all_charts, curve_center, weighted_blowup
+from .blowup import POINT, BlowupSpec, TransformResult, all_charts, curve_center, weighted_blowup
 from .classify import (
     CLASS_NILPOTENT,
     SingularityReport,
@@ -86,12 +91,6 @@ class SingularPoint:
     cs_indices: dict[str, GaussianRational] = field(default_factory=dict)
     note: str = ""
 
-    def sort_key(self):
-        if self.coords is not None:
-            return (0, tuple((c.re, c.im) for c in self.coords))
-        mids = tuple(((b[0] + b[1]) / 2, (b[2] + b[3]) / 2) for b in self.box)
-        return (1, mids)
-
     def coords_text(self) -> list:
         if self.coords is not None:
             return [c.text() for c in self.coords]
@@ -104,20 +103,13 @@ class SingularPoint:
 
 @dataclass
 class TreeNode:
-    """One chart of the resolution tree, with its foliation representative."""
+    """One chart of the resolution tree, with its foliation representative
+    and the blow-up chart that made it (``None`` at the root)."""
 
     id: int
     parent: int | None
-    chart: Chart
     rep: VectorField
-    center_coords: tuple[str, ...] | None
-    center_kind: str | None
-    weights: tuple[int, ...] | None
-    divisor_var: str | None
-    divisor_label: str | None
-    dicritical: bool
-    multiplicity: int
-    pole_order: int
+    transform: TransformResult | None
     singular_points: list[SingularPoint] = field(default_factory=list)
 
 
@@ -169,22 +161,25 @@ class ResolutionTree:
     def to_json_dict(self) -> dict:
         nodes = []
         for n in self.nodes:
+            t = n.transform
             nodes.append({
                 "id": n.id,
                 "parent": n.parent,
-                "vars": list(n.chart.var_names),
-                "divisor_labels": list(n.chart.divisor_labels),
-                "center": None if n.center_coords is None else {
-                    "coords": list(n.center_coords),
-                    "kind": n.center_kind,
-                    "weights": list(n.weights) if n.weights else None,
+                "vars": list(n.rep.chart.var_names),
+                "divisor_labels": list(n.rep.chart.divisor_labels),
+                "center": None if t is None else {
+                    "coords": list(t.record.center_coords),
+                    "kind": t.record.center,
+                    "weights": list(t.record.weights),
                 },
-                "divisor_var": n.divisor_var,
-                "divisor_label": n.divisor_label,
+                "divisor_var": None if t is None else t.divisor_var,
+                "divisor_label": None if t is None else t.record.divisor_label,
                 "field": n.rep.render(),
-                "dicritical": n.dicritical,
-                "multiplicity": n.multiplicity,
-                "pole_order": n.pole_order,
+                "dicritical": t is not None and t.dicritical,
+                "multiplicity": 0 if t is None else t.divisor_multiplicity,
+                # 0 for every blow-up made here: each blown component has
+                # weighted order at least its variable's weight at the center
+                "pole_order": 0 if t is None else t.pole_order,
                 "singular_points": [{
                     "coords": p.coords_text(),
                     "exact": p.coords is not None,
@@ -308,7 +303,7 @@ def _classify_point(node: TreeNode, coords) -> SingularPoint:
         node_id=node.id,
         coords=tuple(coords),
         box=None,
-        on_components=_on_components(node.chart, coords),
+        on_components=_on_components(node.rep.chart, coords),
         report=report,
         status=status,
     )
@@ -320,7 +315,7 @@ def _classify_point(node: TreeNode, coords) -> SingularPoint:
 def _interval_point(node: TreeNode, divisor_var: str, other: str,
                     root: iv.CertifiedRoot) -> SingularPoint:
     """Record a non-rational divisor point; prove elementarity if possible."""
-    chart = node.chart
+    chart = node.rep.chart
     iv_idx = chart.var_index(divisor_var)
     boxes = []
     for name in chart.var_names:
@@ -398,7 +393,7 @@ def _resolve(x: VectorField, max_steps: int, blow_up, divisor_points,
     * ``blow_up(tree, point, germ, label, center_coords)``: blows up the
       point's recentered ``germ``, adds the blow-ups it made to
       ``tree.steps`` / ``tree.weighted_steps``, sets the point's status and
-      returns ``(chart results, center kind, weights)``;
+      returns the chart results, each of which becomes a child node;
     * ``divisor_points(tree, child, first)``: the singular points on the
       divisor of a new chart (``first`` for the first chart of a blow-up),
       and whether that list is complete;
@@ -406,8 +401,7 @@ def _resolve(x: VectorField, max_steps: int, blow_up, divisor_points,
     """
     tree = ResolutionTree(dim=x.chart.dim)
     rep = _prepare_input(x, tree)
-    root = TreeNode(0, None, rep.chart, rep, None, None, None, None, None,
-                    False, 0, 0)
+    root = TreeNode(0, None, rep, None)
     tree.nodes.append(root)
     p0 = _classify_point(root, tuple([GR_ZERO] * tree.dim))
     root.singular_points.append(p0)
@@ -434,18 +428,8 @@ def _resolve(x: VectorField, max_steps: int, blow_up, divisor_points,
         tree.components[label] = DivisorComponent(label, new_weight, node.id)
         germ = germ_at(node.rep, point.coords)
         center_coords = tuple(c.text() for c in point.coords)
-        results, center_kind, weights = blow_up(tree, point, germ, label, center_coords)
-        for idx, result in enumerate(results):
-            child = TreeNode(
-                id=len(tree.nodes), parent=node.id, chart=result.chart,
-                rep=result.representative, center_coords=center_coords,
-                center_kind=center_kind, weights=weights,
-                divisor_var=result.divisor_var, divisor_label=label,
-                dicritical=result.dicritical,
-                multiplicity=result.divisor_multiplicity,
-                # 0 for every blow-up made here: each blown component has
-                # weighted order at least its variable's weight at the center
-                pole_order=result.pole_order)
+        for idx, result in enumerate(blow_up(tree, point, germ, label, center_coords)):
+            child = TreeNode(len(tree.nodes), node.id, result.representative, result)
             tree.nodes.append(child)
             points, listed_all = divisor_points(tree, child, idx == 0)
             complete = complete and listed_all
@@ -491,7 +475,7 @@ def _blow_up_2d(tree: ResolutionTree, point: SingularPoint, germ: VectorField,
                 label: str, center_coords: tuple[str, ...]):
     tree.steps += 1
     point.status = POINT_BLOWN_UP
-    return all_charts(germ, POINT, (1, 1), label, center_coords), POINT, (1, 1)
+    return all_charts(germ, POINT, (1, 1), label, center_coords)
 
 
 def _divisor_points_2d(tree: ResolutionTree, child: TreeNode, first: bool):
@@ -501,16 +485,14 @@ def _divisor_points_2d(tree: ResolutionTree, child: TreeNode, first: bool):
         if child.rep.vanishes_at_origin():
             return [_classify_point(child, (GR_ZERO, GR_ZERO))], True
         return [], True
-    exact, certified, whole = singular_points_on_divisor(child.rep, child.divisor_var)
-    if whole:
-        tree.diagnostics.append(
-            f"node {child.id}: divisor entirely singular (unexpected)")
-        return [], True
-    names = child.chart.var_names
-    other = names[1] if names[0] == child.divisor_var else names[0]
-    points = [_classify_point(child, _lift_coords(child.chart, child.divisor_var, r))
+    # a content-free representative never vanishes on its whole divisor
+    divisor_var = child.transform.divisor_var
+    exact, certified, _ = singular_points_on_divisor(child.rep, divisor_var)
+    names = child.rep.chart.var_names
+    other = names[1] if names[0] == divisor_var else names[0]
+    points = [_classify_point(child, _lift_coords(child.rep.chart, divisor_var, r))
               for r in sorted(exact, key=lambda g: g.sort_key())]
-    points += [_interval_point(child, child.divisor_var, other, c) for c in certified]
+    points += [_interval_point(child, divisor_var, other, c) for c in certified]
     return points, True
 
 
@@ -525,22 +507,25 @@ def _lift_coords(chart: Chart, divisor_var: str, root: GaussianRational):
 # Persistent-nilpotent detection (dimension 3)
 # ---------------------------------------------------------------------------
 
+# germs one probe examines at most before giving up without a verdict
+_MAX_PROBE_GERMS = 200
+
+
 @dataclass
 class PersistentNilpotentReport:
     """Outcome of the normal-form probe.
 
     ``matched=False`` is a non-verdict: the form is semi-decidable and the
-    probe only explores finitely many blow-ups.  ``chain_exact`` mirrors the
-    witness chain with exact coordinates for replay by the driver.
+    probe only explores finitely many blow-ups; ``capped`` says it stopped
+    at ``_MAX_PROBE_GERMS`` germs with more left.  ``germ`` is the matched
+    germ, after the witness chain of blow-ups labelled ``probe``.
     """
 
     matched: bool
     n: int | None = None
     witness: dict | None = None
-    chain_exact: list[tuple[str, tuple[GaussianRational, ...]]] | None = None
-
-    def to_json(self) -> dict:
-        return {"matched": self.matched, "n": self.n, "witness": self.witness}
+    germ: VectorField | None = None
+    capped: bool = False
 
 
 def _order_in_var(p: Poly, var: str) -> float:
@@ -632,9 +617,6 @@ def _divisor_candidates_3d(rep: VectorField, divisor_var: str):
         values = {u1: a, u2: b, divisor_var: GR_ZERO}
         return tuple(values[name] for name in names)
 
-    if not nonzero:
-        # cannot happen for a content-free representative; defensive
-        return [full_coords(GR_ZERO, GR_ZERO)], [f"{u1}-axis", f"{u2}-axis"], 0, False
     if any(p.degree() == 0 for p in nonzero):
         return [], [], 0, True  # a nonvanishing component: no zeros at all
 
@@ -705,10 +687,10 @@ def detect_persistent_nilpotent(
     examined = 0
     queue: deque[tuple[VectorField, list, int]] = deque([(x, [], 0)])
     while queue:
+        if examined == _MAX_PROBE_GERMS:
+            return PersistentNilpotentReport(False, capped=True)
         germ, chain, depth = queue.popleft()
         examined += 1
-        if examined > 200:
-            break  # combinatorial safety valve; result stays a non-verdict
         witness = match_persistent_normal_form(germ)
         if witness is not None and (not require_axis_orders
                                     or witness["z_orders_exceed_2n"]):
@@ -717,8 +699,7 @@ def detect_persistent_nilpotent(
                 {"chart_var": var, "coords": [c.text() for c in coords]}
                 for var, coords in chain]
             witness["stage"] = depth
-            return PersistentNilpotentReport(True, witness["n"], witness,
-                                             chain_exact=list(chain))
+            return PersistentNilpotentReport(True, witness["n"], witness, germ)
         if depth >= probe_budget:
             continue
         expansions = []
@@ -768,7 +749,7 @@ def _escape_blowup(germ: VectorField, witness: dict, label: str,
         blown = list(names)
         center = POINT
     weights = tuple(2 if v == roles["z"] else 1 for v in blown)
-    return all_charts(germ, center, weights, label, center_coords), center, weights
+    return all_charts(germ, center, weights, label, center_coords)
 
 
 def resolve3(
@@ -800,19 +781,22 @@ def _blow_up_3d(tree: ResolutionTree, point: SingularPoint, germ: VectorField,
     if (allow_weighted and point.report is not None
             and point.report.klass == CLASS_NILPOTENT):
         probe = detect_persistent_nilpotent(germ, probe_budget)
+        if probe.capped:
+            tree.diagnostics.append(
+                f"node {point.node_id}: persistent-nilpotent probe stopped after "
+                f"{_MAX_PROBE_GERMS} germs without a verdict")
         if probe.matched:
-            # replay the probe's chain of point blow-ups, then escape
-            current = germ
-            for chart_var, coords in (probe.chain_exact or []):
-                idx = list(current.chart.var_names).index(chart_var)
-                result = weighted_blowup(
-                    current, BlowupSpec(POINT, (1, 1, 1), idx), f"{label}pre")
-                current = germ_at(result.representative, coords)
-                tree.steps += 1
+            # the escape starts where the probe matched: after its chain of
+            # point blow-ups, whose divisors become this label's pre-chain
+            tree.steps += len(probe.witness["chain"])
             tree.weighted_steps += 1
             point.status = POINT_ESCAPED
             point.note = f"persistent nilpotent (n={probe.n}); weight-2 escape"
-            return _escape_blowup(current, probe.witness, label, center_coords)
+            matched = probe.germ
+            labels = [f"{label}pre" if name == "probe" else name
+                      for name in matched.chart.divisor_labels]
+            matched = VectorField(matched.chart.with_labels(labels), matched.components)
+            return _escape_blowup(matched, probe.witness, label, center_coords)
     tree.steps += 1
     point.status = POINT_BLOWN_UP
     axis = _singular_axis_center(germ)
@@ -820,17 +804,18 @@ def _blow_up_3d(tree: ResolutionTree, point: SingularPoint, germ: VectorField,
         center, weights = curve_center(axis), (1, 1)
     else:
         center, weights = POINT, (1, 1, 1)
-    return all_charts(germ, center, weights, label, center_coords), center, weights
+    return all_charts(germ, center, weights, label, center_coords)
 
 
 def _divisor_points_3d(tree: ResolutionTree, child: TreeNode, first: bool):
+    divisor_var = child.transform.divisor_var
     candidates, lines, nonrational, complete = _divisor_candidates_3d(
-        child.rep, child.divisor_var)
+        child.rep, divisor_var)
     if not first:
         # avoid double-counting: later charts only contribute points
         # invisible in earlier charts (their origin region)
         candidates = [c for c in candidates
-                      if _invisible_in_earlier_charts(child.chart, child.divisor_var, c)]
+                      if _invisible_in_earlier_charts(child.rep.chart, divisor_var, c)]
     for line in lines:
         tree.diagnostics.append(
             f"node {child.id}: singular curve on the divisor ({line})")

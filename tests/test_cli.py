@@ -281,6 +281,34 @@ class TestFlagValidation:
         assert code == 1
         assert err.getvalue().startswith("error: descent start must be finite")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["timeform", "--path", "circle:inf"], "path parameters must be finite, got 'circle:inf'"),
+        (["timeform", "--path", "half:nan"], "path parameters must be finite, got 'half:nan'"),
+        (["holonomy", "--tol-rel", "nan"], "integration relative tolerance must be finite, got nan"),
+        (["descent", "--tol-rel", "nan"], "integration relative tolerance must be finite, got nan"),
+        (["descent", "--t-max", "nan"], "integration end time must be finite, got nan"),
+        (["descent", "--t-max", "inf"], "integration end time must be finite, got inf")])
+    def test_nonfinite_dynamics_value_error(self, tmp_path, monkeypatch, argv, message):
+        # each value is rejected before any quadrature or integration step
+        from foliations import dynamics
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature started")
+
+        monkeypatch.setattr(dynamics, "adaptive_quadrature", no_quadrature)
+        monkeypatch.setattr(dynamics, "_RK45_MAX_ITER", 0)
+        operation, *flags = argv
+        if operation == "holonomy":
+            path = fixture("saddle12.field")
+        else:
+            path = tmp_path / "square.field"
+            path.write_text("vars: x\nkind: field\nx^2\n", encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, _ = run_cli("dynamics", operation, str(path), *flags)
+        assert code == 1
+        assert err.getvalue() == f"error: {message}\n"
+
     def test_bad_start_usage_error(self, tmp_path):
         path = tmp_path / "lin.field"
         path.write_text("vars: x\nkind: field\nx\n", encoding="utf-8")

@@ -86,6 +86,21 @@ class TestTimeForm:
         vl, _ = time_form_integral(x2, lower)
         assert abs(vu - vl) < 1e-6
 
+    def test_nonfinite_integrand_stops_bisection(self):
+        # a NaN Simpson estimate is never within tolerance; bisecting it
+        # would evaluate the integrand about 2^41 times
+        calls = []
+
+        def integrand(t):
+            calls.append(t)
+            if len(calls) > 1000:
+                raise AssertionError("bisection went on past a NaN estimate")
+            return complex(math.nan, 0.0)
+
+        value, err = adaptive_quadrature(integrand, 0.0, 1.0)
+        assert cmath.isnan(value) and math.isnan(err)
+        assert len(calls) == 5
+
 
 class TestSemicomplete:
     def test_order_rule(self):
@@ -183,6 +198,16 @@ class TestLifts:
         with pytest.raises(DegenerateInputError, match="fiber values"):
             lift_path(linear_saddle(3), "y", full_circle(0.1), [complex(math.nan, 0)])
 
+    @pytest.mark.parametrize("tolerances, message", [
+        ({"rtol": math.nan}, "relative tolerance must be finite, got nan"),
+        ({"atol": math.inf}, "absolute tolerance must be finite, got inf")])
+    def test_nonfinite_tolerance_rejected(self, monkeypatch, tolerances, message):
+        # rejected before any step: without the check a NaN tolerance runs
+        # to the iteration cap, here 0
+        monkeypatch.setattr(dynamics, "_RK45_MAX_ITER", 0)
+        with pytest.raises(DegenerateInputError, match=message):
+            lift_path(linear_saddle(3), "y", full_circle(0.1), [0.01], **tolerances)
+
     def test_singular_base_rejected(self):
         chart = Chart.root(V2)
         field = VectorField.make(chart, [
@@ -251,6 +276,17 @@ class TestDescent:
     def test_nan_start_rejected(self):
         with pytest.raises(DegenerateInputError, match="start must be finite"):
             trace_descent(upoly({2: 1}), upoly({0: 1}), 0.0, complex(math.nan, 0), 1.0)
+
+    @pytest.mark.parametrize("t_max, tolerances, message", [
+        (math.nan, {}, "end time must be finite, got nan"),
+        (math.inf, {}, "end time must be finite, got inf"),
+        (1.0, {"rtol": math.nan}, "relative tolerance must be finite, got nan")])
+    def test_nonfinite_end_time_or_tolerance_rejected(self, monkeypatch, t_max,
+                                                      tolerances, message):
+        monkeypatch.setattr(dynamics, "_RK45_MAX_ITER", 0)
+        with pytest.raises(DegenerateInputError, match=message):
+            trace_descent(upoly({2: 1}), upoly({0: 1}), 0.0, 0.5 + 0.5j, t_max,
+                          **tolerances)
 
     def test_theta_range_enforced(self):
         with pytest.raises(StructuralError):

@@ -99,9 +99,9 @@ class TestSeidenberg:
                 # the label created by blowing this point up
                 child = next(n for n in tree.nodes
                              if n.parent == point.node_id
-                             and n.center_coords == tuple(
+                             and n.transform.record.center_coords == tuple(
                                  c.text() for c in point.coords))
-                created = order[child.divisor_label]
+                created = order[child.transform.record.divisor_label]
                 for comp in point.on_components:
                     if order[comp] < created:
                         recomputed[comp] -= 1
@@ -224,6 +224,19 @@ class TestPersistentDetection:
         tree = resolve3(field, max_steps=3)
         assert tree.steps == 2 and tree.weighted_steps == 1
         assert tree.nodes[2].rep.chart.divisor_labels == ("E1pre", None, "E1")
+
+    def test_probe_cap_is_reported(self, monkeypatch):
+        # Sancho-Sanz(1, 1, 1) does not match; with probe budget 6 the probe
+        # examines 13 germs, so a cap of 3 stops it with germs left over
+        import foliations.resolve as resolve
+        field = sancho_sanz_field(1, 1, 1)
+        assert not detect_persistent_nilpotent(field, 6).capped
+        monkeypatch.setattr(resolve, "_MAX_PROBE_GERMS", 3)
+        report = detect_persistent_nilpotent(field, 6)
+        assert not report.matched and report.capped
+        tree = resolve3(field, max_steps=1)
+        assert ("node 0: persistent-nilpotent probe stopped after 3 germs "
+                "without a verdict") in tree.diagnostics
 
 
 class TestResolve3:

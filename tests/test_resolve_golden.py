@@ -12,9 +12,9 @@ New cases are pinned with
 
     PYTHONPATH=src python tests/test_resolve_golden.py --write
 
-which adds the digests of case ids not yet in the file and refuses (exit 1,
-nothing written) when a pinned digest would change.  An intended output
-change is re-pinned by deleting the affected entries first.
+which adds the digests of new case ids, drops those of removed ones, and
+refuses (exit 1, nothing written) when a pinned digest would change.  An
+intended output change is re-pinned by deleting the affected entries first.
 """
 
 from __future__ import annotations
