@@ -406,7 +406,7 @@ class Poly:
                 continue
             ne = list(e)
             ne[i] -= 1
-            out[tuple(ne)] = c * GaussianRational.of(e[i])
+            out[tuple(ne)] = c * _raw(e[i], 0, 1)
         return Poly(self.vars, out)
 
     def jet_truncate(self, n: int) -> "Poly":

@@ -146,6 +146,19 @@ def half_circle(radius: float) -> CircularArc:
 _QUADRATURE_MAX_DEPTH = 40
 
 
+def _check_tolerances(kind: str, rel_tol: float, abs_tol: float) -> None:
+    """Reject tolerances under which no error estimate is ever accepted
+    (or every one is): non-finite, negative, or both zero."""
+    for name, value in (("relative", rel_tol), ("absolute", abs_tol)):
+        if not math.isfinite(value):
+            raise DegenerateInputError(f"{kind} {name} tolerance must be finite, got {value!r}")
+        if value < 0:
+            raise DegenerateInputError(
+                f"{kind} {name} tolerance must be nonnegative, got {value!r}")
+    if rel_tol == 0 and abs_tol == 0:
+        raise DegenerateInputError(f"{kind} tolerances must not both be zero")
+
+
 def adaptive_quadrature(
     f: Callable[[float], complex],
     a: float,
@@ -153,7 +166,13 @@ def adaptive_quadrature(
     abs_tol: float = DEFAULT_ABS_TOL,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> tuple[complex, float]:
-    """Adaptive Simpson integration of a complex integrand; (value, error)."""
+    """Adaptive Simpson integration of a complex integrand; (value, error).
+
+    A non-finite or negative tolerance, or two zero tolerances, raise
+    :class:`DegenerateInputError`: no estimate could meet them, so every
+    interval would be bisected to the depth limit.
+    """
+    _check_tolerances("quadrature", rel_tol, abs_tol)
 
     def simpson(x0, f0, x2, f2):
         x1 = 0.5 * (x0 + x2)
@@ -304,7 +323,14 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
     returns one.  Returns ``(samples, escaped)`` with samples at every
     accepted step; raises SingularLiftError if ``_RK45_MAX_ITER`` iterations
     end before ``t1`` without an escape, and DegenerateInputError before
-    any step when ``t1``, ``rtol`` or ``atol`` is not finite.
+    any step when ``t1``, ``rtol`` or ``atol`` is not finite, when a
+    tolerance is negative or when both are zero.
+
+    The pair is first-same-as-last: the last stage of an accepted step is
+    ``rhs(t + h, y5)`` bit for bit (``c = 1`` and its tableau row is the
+    order-5 weights, with the same nonzero terms in the same order), so it
+    is the next step's first stage; a rejected step keeps its first stage.
+    One integration therefore calls ``rhs`` 6 times per iteration plus once.
 
     The step sequence, and so every output, depends on the last bit of
     each stage and error value, and the outputs are pinned to the rounding
@@ -319,10 +345,9 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
     NaN rejects the step), and a right-hand side that divides does so on
     the operand types it had on arrays (see ``lift_path``).
     """
-    for name, value in (("end time", t1), ("relative tolerance", rtol),
-                        ("absolute tolerance", atol)):
-        if not math.isfinite(value):
-            raise DegenerateInputError(f"integration {name} must be finite, got {value!r}")
+    if not math.isfinite(t1):
+        raise DegenerateInputError(f"integration end time must be finite, got {t1!r}")
+    _check_tolerances("integration", rtol, atol)
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
     y = [complex(v) for v in y0]
@@ -333,13 +358,16 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
     n = len(y)
     samples = [(t, y)]
     escaped = False
+    first = None    # rhs(t, y), carried over from the previous step
     for _ in range(_RK45_MAX_ITER):
         remaining = t1 - t
         if remaining * direction <= 1e-14 * span:
             break
         if abs(h) >= abs(remaining):
             h = remaining
-        k = [rhs(t, y)]
+        if first is None:
+            first = rhs(t, y)
+        k = [first]
         for c, row in zip(_DP_C[1:], _DP_ROWS):
             stage = []
             for i in range(n):
@@ -376,6 +404,7 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
             t = t + h
             y = y5
             samples.append((t, y))
+            first = k[6]
         factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
         h = h * min(5.0, max(0.2, factor))
         if abs(h) > max_step:
@@ -596,13 +625,15 @@ def trace_descent(
     For theta = 0 these are the curves on which the holonomy form is real
     and positive (steepest holonomy contraction); |theta| < pi/2 rotates the
     family.  Tracing stops at ``t_max``, at singularities of the form, or on
-    leaving the domain disc.  A non-finite start raises
-    :class:`DegenerateInputError`.
+    leaving the domain disc.  A non-finite start, a negative ``t_max`` and
+    the tolerances ``_rk45`` rejects raise :class:`DegenerateInputError`.
     """
     if not -math.pi / 2 < theta < math.pi / 2:
         raise StructuralError("theta must lie strictly between -pi/2 and pi/2")
     if not cmath.isfinite(start):
         raise DegenerateInputError(f"descent start must be finite, got {start!r}")
+    if t_max < 0:
+        raise DegenerateInputError(f"descent t_max must be nonnegative, got {t_max!r}")
     fe = _univariate_eval(f)
     he = _univariate_eval(h)
     if abs(fe(start)) < ZERO_FLOOR or abs(he(start)) < ZERO_FLOOR:

@@ -13,7 +13,10 @@ All computations are exact.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 from .algebra import GR_ZERO, ChartFunction, GaussianRational, Poly
@@ -116,9 +119,21 @@ class VectorField:
 
     def polys(self) -> tuple[Poly, ...]:
         """Components as plain polynomials (requires holomorphy)."""
+        return self._polys
+
+    @cached_property
+    def _polys(self) -> tuple[Poly, ...]:
+        # expanded once per field: the formal solver asks for them per column
         if not self.is_holomorphic():
             raise PoleEvaluationError("vector field has meromorphic components")
         return tuple(c.expand() for c in self.components)
+
+    @cached_property
+    def _graded_terms(self) -> tuple[list, ...]:
+        """Per component, its ``(degree, exponents, coefficient)`` terms in
+        ascending degree."""
+        return tuple(sorted((sum(e), e, c) for e, c in p.terms.items())
+                     for p in self.polys())
 
     def component(self, var: str) -> ChartFunction:
         return self.components[self.chart.var_index(var)]
@@ -215,15 +230,32 @@ def _require_shared_chart(a, b) -> None:
 # Operations
 # ---------------------------------------------------------------------------
 
-def directional_derivative(x: VectorField, f: Poly) -> Poly:
-    """X . F = sum_i X^i dF/dx_i, exactly (X holomorphic)."""
+def directional_derivative(x: VectorField, f: Poly, bound: int | None = None) -> Poly:
+    """X . F = sum_i X^i dF/dx_i, exactly (X holomorphic).
+
+    With ``bound``, only the terms of total degree <= bound are formed: the
+    result equals ``directional_derivative(x, f).jet_truncate(bound)``, and
+    no product of higher degree is computed.
+    """
     if f.vars != x.chart.var_names:
         raise ChartMismatchError("function lives on a different chart")
-    comps = x.polys()
-    out = Poly.zero(f.vars)
-    for comp, var in zip(comps, x.chart.var_names):
-        out = out + comp * f.partial(var)
-    return out
+    limit = math.inf if bound is None else bound
+    out: dict = {}
+    # components in ascending degree, so each term of dF/dx_i stops at the
+    # first component term that would exceed the bound
+    for comp_terms, var in zip(x._graded_terms, x.chart.var_names):
+        for eb, cb in f.partial(var).terms.items():
+            room = limit - sum(eb)
+            for da, ea, ca in comp_terms:
+                if da > room:
+                    break
+                e = tuple(map(operator.add, ea, eb))
+                s = out.get(e, GR_ZERO) + ca * cb
+                if s.is_zero():
+                    out.pop(e, None)
+                else:
+                    out[e] = s
+    return Poly(f.vars, out)
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:

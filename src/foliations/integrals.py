@@ -11,7 +11,9 @@ image ``X . m`` of a degree-k monomial has order at least k, so the system
 is block lower-triangular by degree.  Degree d eliminates only the block
 whose rows are the degree-d monomials and whose columns are the degree-d
 images of the order-(d-1) solutions followed by those of the new degree-d
-monomials, instead of the whole order-d system.
+monomials, instead of the whole order-d system.  No image is formed above
+the degree that is read: d for a new monomial, d+1 for an order-d solution
+(its residual check, then the next block).
 
 Factorizations are caller-supplied: multivariate polynomial factorization
 is deliberately out of scope, and the quotient construction only needs the
@@ -178,7 +180,9 @@ def formal_first_integral(x: VectorField, n: int = 8) -> JetSolutionSpace:
         columns = basis + new
         row_of = {e: i for i, e in enumerate(degree_d)}
         rows = [{} for _ in degree_d]
-        for j, image in enumerate(images + [directional_derivative(x, m) for m in new]):
+        # X(0) = 0, so X . m has order >= d: bound d leaves its degree-d part
+        new_images = [directional_derivative(x, m, d) for m in new]
+        for j, image in enumerate(images + new_images):
             for e, c in image.terms.items():
                 if sum(e) == d:
                     rows[row_of[e]][j] = c
@@ -191,7 +195,9 @@ def formal_first_integral(x: VectorField, n: int = 8) -> JetSolutionSpace:
             basis.append(Poly.make(names, terms))
         if d == n:
             basis = _canonical_basis(names, n, basis)
-        images = [directional_derivative(x, f) for f in basis]
+        # degree <= d+1 is all that is read: the residual check below, then
+        # the degree-(d+1) rows of the next block
+        images = [directional_derivative(x, f, d + 1) for f in basis]
         for image in images:
             if not image.jet_truncate(d).is_zero():  # pragma: no cover - exact solver guard
                 raise StructuralError("nullspace element failed residual check")

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import foliations
 from foliations.cli import main
 from foliations.corpus import fixtures_dir
 
@@ -309,8 +313,63 @@ class TestFlagValidation:
         assert code == 1
         assert err.getvalue() == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["timeform", "--tol-abs", "0", "--tol-rel", "0"],
+         "quadrature tolerances must not both be zero"),
+        (["descent", "--tol-abs", "0", "--tol-rel", "0"],
+         "integration tolerances must not both be zero"),
+        (["descent", "--tol-rel", "-1"],
+         "integration relative tolerance must be nonnegative, got -1.0"),
+        (["descent", "--t-max", "-1"], "descent t_max must be nonnegative, got -1.0")])
+    def test_tolerance_or_t_max_without_error_control(self, tmp_path, monkeypatch,
+                                                      argv, message):
+        # the caps keep a run that is not rejected up front short: the
+        # quadrature at depth 2 and the integration at 0 iterations
+        from foliations import dynamics
+
+        monkeypatch.setattr(dynamics, "_QUADRATURE_MAX_DEPTH", 2)
+        monkeypatch.setattr(dynamics, "_RK45_MAX_ITER", 0)
+        path = tmp_path / "square.field"
+        path.write_text("vars: x\nkind: field\nx^2\n", encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, _ = run_cli("dynamics", argv[0], str(path), *argv[1:])
+        assert code == 1
+        assert err.getvalue() == f"error: {message}\n"
+
     def test_bad_start_usage_error(self, tmp_path):
         path = tmp_path / "lin.field"
         path.write_text("vars: x\nkind: field\nx\n", encoding="utf-8")
         code, _ = run_cli("dynamics", "descent", str(path), "--start", "oops")
         assert code == 2
+
+
+class TestParserReuse:
+    """``main`` builds its parser once and reuses it for every call."""
+
+    def test_repeated_verify_is_identical(self):
+        argv = ("integrals", fixture("two_integrals.field"),
+                "--verify", "x*z", "--verify", "(y^2 - x^3)*z^2")
+        first, second = run_cli(*argv), run_cli(*argv)
+        assert first == second
+        assert len(json.loads(first[1])["verify"]) == 2
+
+    def test_verify_does_not_leak_into_next_call(self):
+        run_cli("integrals", fixture("two_integrals.field"), "--verify", "x*z")
+        code, out = run_cli("integrals", fixture("xabc111.field"),
+                            "--formal", "--jet-degree", "3")
+        assert code == 0
+        assert list(json.loads(out)) == ["formal"]
+
+    def test_usage_error_then_valid_call_matches_fresh_process(self):
+        argv = ["integrals", fixture("xabc111.field"), "--formal", "--jet-degree", "3"]
+        with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+            run_cli("integrals", fixture("xabc111.field"), "--jet-degree", "three")
+        assert exc.value.code == 2
+        code, out = run_cli(*argv)
+        src = Path(foliations.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        fresh = subprocess.run([sys.executable, "-m", "foliations", *argv],
+                               capture_output=True, text=True, env=env, check=False)
+        assert (code, out) == (fresh.returncode, fresh.stdout)

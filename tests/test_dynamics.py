@@ -101,6 +101,25 @@ class TestTimeForm:
         assert cmath.isnan(value) and math.isnan(err)
         assert len(calls) == 5
 
+    @pytest.mark.parametrize("tolerances, message", [
+        ({"abs_tol": 0.0, "rel_tol": 0.0}, "tolerances must not both be zero"),
+        ({"rel_tol": -1.0}, "relative tolerance must be nonnegative, got -1.0"),
+        ({"abs_tol": -1e-10}, "absolute tolerance must be nonnegative, got -1e-10")])
+    def test_tolerance_without_error_control_rejected(self, tolerances, message):
+        # no Simpson estimate meets such a tolerance, so every interval
+        # would be bisected to the depth limit (about 2^41 evaluations)
+        calls = []
+
+        def integrand(t):
+            calls.append(t)
+            if len(calls) > 10 ** 4:
+                raise AssertionError("bisection ran on without error control")
+            return t * t
+
+        with pytest.raises(DegenerateInputError, match=message):
+            adaptive_quadrature(integrand, 0.0, 1.0, **tolerances)
+        assert calls == []
+
 
 class TestSemicomplete:
     def test_order_rule(self):
@@ -193,6 +212,40 @@ class TestLifts:
 
         with pytest.raises(SingularLiftError, match="50 iterations"):
             dynamics._rk45(rhs, 0.0, 1.0, [1.0, 0.0], 1e-8, 1e-10, 0.125)
+
+    def test_first_stage_reused(self, monkeypatch):
+        # Dormand-Prince is first-same-as-last: each integration evaluates
+        # the right-hand side 6 times per iteration plus once.  Both runs of
+        # this lift (the lift and its tighter re-run) reject one step, so
+        # they take 201 and 504 iterations for 200 and 503 accepted steps.
+        calls = []
+        rk45 = dynamics._rk45
+
+        def counting_rk45(rhs, *args, **kwargs):
+            calls.append(0)
+
+            def counted(t, y):
+                calls[-1] += 1
+                return rhs(t, y)
+
+            return rk45(counted, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_rk45", counting_rk45)
+        result = lift_path(linear_saddle(3), "x", full_circle(0.9), [0.5])
+        assert len(result.samples) == 201
+        assert calls == [6 * 201 + 1, 6 * 504 + 1]
+
+    @pytest.mark.parametrize("tolerances, message", [
+        ({"rtol": -1.0}, "relative tolerance must be nonnegative, got -1.0"),
+        ({"atol": -1e-10}, "absolute tolerance must be nonnegative, got -1e-10"),
+        ({"rtol": 0.0, "atol": 0.0}, "tolerances must not both be zero")])
+    def test_tolerance_without_error_control_rejected(self, monkeypatch, tolerances,
+                                                      message):
+        # a negative tolerance accepts every step, and two zero tolerances
+        # divide the error by zero.  Each is rejected before any step.
+        monkeypatch.setattr(dynamics, "_RK45_MAX_ITER", 0)
+        with pytest.raises(DegenerateInputError, match=message):
+            lift_path(linear_saddle(3), "y", full_circle(0.1), [0.01], **tolerances)
 
     def test_nan_fiber_rejected(self):
         with pytest.raises(DegenerateInputError, match="fiber values"):
@@ -287,6 +340,13 @@ class TestDescent:
         with pytest.raises(DegenerateInputError, match=message):
             trace_descent(upoly({2: 1}), upoly({0: 1}), 0.0, 0.5 + 0.5j, t_max,
                           **tolerances)
+
+    def test_negative_t_max_rejected(self, monkeypatch):
+        # a negative t_max made every step point away from it until the
+        # iteration cap, reported as a singularity of the form
+        monkeypatch.setattr(dynamics, "_RK45_MAX_ITER", 0)
+        with pytest.raises(DegenerateInputError, match="t_max must be nonnegative, got -1.0"):
+            trace_descent(upoly({2: 1}), upoly({0: 1}), 0.0, 0.5 + 0.5j, -1.0)
 
     def test_theta_range_enforced(self):
         with pytest.raises(StructuralError):
