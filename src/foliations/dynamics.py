@@ -169,8 +169,8 @@ def adaptive_quadrature(
     """Adaptive Simpson integration of a complex integrand; (value, error).
 
     A non-finite or negative tolerance, or two zero tolerances, raise
-    :class:`DegenerateInputError`: no estimate could meet them, so every
-    interval would be bisected to the depth limit.
+    :class:`DegenerateInputError`: no estimate meets a NaN, negative or zero
+    tolerance, so every interval would be bisected to the depth limit.
     """
     _check_tolerances("quadrature", rel_tol, abs_tol)
 
