@@ -395,6 +395,17 @@ class Poly:
             return Poly.zero(self.vars)
         return Poly(self.vars, {e: k * c for e, k in self.terms.items()})
 
+    def times_monomial(self, exps: Exponents) -> "Poly":
+        """``self`` times the monomial with exponents ``exps`` (all >= 0).
+
+        The term keys are shifted in their existing order and no coefficient
+        is touched, so the result equals ``self * Poly.monomial(vars, 1, exps)``.
+        """
+        if not any(exps):
+            return self
+        return Poly(self.vars, {tuple(x + k for x, k in zip(e, exps)): c
+                                for e, c in self.terms.items()})
+
     # -- calculus and reshaping ---------------------------------------------
 
     def partial(self, var: str) -> "Poly":
@@ -441,26 +452,34 @@ class Poly:
         return Poly(self.vars, out)
 
     def shift(self, offsets: Mapping[str, "GaussianRational | int | Fraction"]) -> "Poly":
-        """Translate coordinates: substitute ``x := x + c`` for each entry."""
+        """Translate coordinates: substitute ``x := x + a`` for each entry.
+
+        Each term ``c * x**k`` expands into one dict as
+        ``sum_j C(k, j) * a**(k - j) * c * x**j``, highest ``j`` first.
+        """
         p = self
-        for name, c in offsets.items():
-            c = GaussianRational.of(c)
-            if c.is_zero():
+        for name, a in offsets.items():
+            a = GaussianRational.of(a)
+            if a.is_zero():
                 continue
             i = p.var_index(name)
-            out = Poly.zero(p.vars)
-            xpc = Poly.variable(p.vars, name) + Poly.constant(p.vars, c)
-            # group terms by the power of x_i, reuse binomial powers
-            powers: dict[int, Poly] = {0: Poly.constant(p.vars, GR_ONE)}
-            maxk = max((e[i] for e in p.terms), default=0)
-            for k in range(1, maxk + 1):
-                powers[k] = powers[k - 1] * xpc
-            for e, coeff in p.terms.items():
+            rows: dict[int, list[GaussianRational]] = {}
+            out: dict[Exponents, GaussianRational] = {}
+            for e, c in p.terms.items():
+                k = e[i]
+                if k not in rows:   # C(k, j) * a**(k - j) for j = k, ..., 0
+                    rows[k] = [a ** (k - j) * _raw(math.comb(k, j), 0, 1)
+                               for j in range(k, -1, -1)]
                 ne = list(e)
-                k = ne[i]
-                ne[i] = 0
-                out = out + Poly(p.vars, {tuple(ne): coeff}) * powers[k]
-            p = out
+                for j, b in zip(range(k, -1, -1), rows[k]):
+                    ne[i] = j
+                    key = tuple(ne)
+                    s = out.get(key, GR_ZERO) + c * b
+                    if s.is_zero():
+                        out.pop(key, None)
+                    else:
+                        out[key] = s
+            p = Poly(p.vars, out)
         return p
 
     def substitute_monomials(
@@ -647,18 +666,6 @@ def monomial_content(components: Iterable[Poly]) -> tuple[Exponents, list[Poly]]
     return exps, reduced
 
 
-def _times_monomial(p: Poly, exps: Exponents) -> Poly:
-    """``p`` times the monomial with exponents ``exps`` (all >= 0).
-
-    The term keys are shifted in their existing order and no coefficient is
-    touched, so the result equals ``p * Poly.monomial(vars, 1, exps)``.
-    """
-    if not any(exps):
-        return p
-    return Poly(p.vars, {tuple(x + k for x, k in zip(e, exps)): c
-                         for e, c in p.terms.items()})
-
-
 # ---------------------------------------------------------------------------
 # Chart functions
 # ---------------------------------------------------------------------------
@@ -721,7 +728,7 @@ class ChartFunction:
         """Multiply back into a plain polynomial (requires holomorphy)."""
         if not self.is_holomorphic():
             raise PoleEvaluationError("chart function is meromorphic")
-        return _times_monomial(self.numerator, self.monomial_exponents)
+        return self.numerator.times_monomial(self.monomial_exponents)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChartFunction):
@@ -744,10 +751,10 @@ class ChartFunction:
             return self
         base = tuple(min(a, b) for a, b in
                      zip(self.monomial_exponents, other.monomial_exponents))
-        pa = _times_monomial(
-            self.numerator, tuple(a - m for a, m in zip(self.monomial_exponents, base)))
-        pb = _times_monomial(
-            other.numerator, tuple(b - m for b, m in zip(other.monomial_exponents, base)))
+        pa = self.numerator.times_monomial(
+            tuple(a - m for a, m in zip(self.monomial_exponents, base)))
+        pb = other.numerator.times_monomial(
+            tuple(b - m for b, m in zip(other.monomial_exponents, base)))
         return ChartFunction.make(pa + pb, base)
 
     def __sub__(self, other: "ChartFunction") -> "ChartFunction":
@@ -767,13 +774,6 @@ class ChartFunction:
         if c.is_zero():
             return ChartFunction.zero(self.vars)
         return ChartFunction(self.numerator.scale(c), self.monomial_exponents)
-
-    def shift_exponents(self, delta: Sequence[int]) -> "ChartFunction":
-        """Multiply by the (Laurent) monomial with exponent vector ``delta``."""
-        if self.is_zero():
-            return self
-        exps = tuple(a + d for a, d in zip(self.monomial_exponents, delta))
-        return ChartFunction(self.numerator, exps)
 
     # -- evaluation --------------------------------------------------------------
 

@@ -6,18 +6,19 @@ reproduces the standard transform exactly (the standard entry points simply
 delegate to the weighted one).
 
 For the chart in which the blown-up variable ``v`` carries weight ``w`` and
-another blown-up variable ``u`` carries weight ``w_u`` the substitution is
-``v_old = v**w``, ``u_old = u * v**w_u``, and the transformed components are
-recovered by exact division:
+another blown-up variable ``u`` carries weight ``w_u`` the substitution
+``v_old = v**w``, ``u_old = u * v**w_u`` maps exponents one-to-one and keeps
+every coefficient.  With ``top = max(weights)`` each transformed component
+times ``v**top`` is a polynomial numerator:
 
-    v'   =  X_v(sub) / (w * v**(w-1))
-    u'   =  X_u(sub) / v**w_u  -  (w_u / w) * u * X_v(sub) / v**w
+    v' * v**top  =  X_v(sub) * v**(top-w+1) / w
+    u' * v**top  =  X_u(sub) * v**(top-w_u) - (w_u/w) * u * X_v(sub) * v**(top-w)
+    z' * v**top  =  X_z(sub) * v**top          (z free on a curve center)
 
-Denominators are monomials in ``v`` only, so every component is an exact
-:class:`~foliations.algebra.ChartFunction`.  The divisor-vanishing order of
-the transform is extracted into a holomorphic, content-free representative;
-a transform with poles is reported with its pole order instead of being
-silently cleared.
+The monomial content of the numerators gives the holomorphic, content-free
+representative, and its ``v`` exponent minus ``top`` the vanishing order of
+the transform along the divisor; a transform with poles is reported with its
+pole order instead of being silently cleared.
 """
 
 from __future__ import annotations
@@ -25,12 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    ChartFunction,
-    GaussianRational,
-    Poly,
-    monomial_content,
-)
+from .algebra import ChartFunction, Poly, monomial_content
 from .errors import InvalidCenterError, NotApplicableError, StructuralError
 from .fields import BlowupRecord, Chart, VectorField
 
@@ -137,42 +133,31 @@ def weighted_blowup(
     v_name = blown[spec.chart_index]
     k = chart.var_index(v_name)
     wv = weight_of[v_name]
+    top = max(weights)
+    blown_weights = [(chart.var_index(name), w) for name, w in weight_of.items()]
 
-    def unit(i: int) -> list[int]:
-        e = [0] * n
-        e[i] = 1
-        return e
+    def v_power(d: int) -> tuple[int, ...]:
+        return tuple(d if j == k else 0 for j in range(n))
 
-    # substitution: v_old = v**wv ; u_old = u * v**w_u ; free variables fixed
-    assignment = {}
-    ek = unit(k)
-    assignment[v_name] = (GaussianRational.of(1), tuple(x_ * wv for x_ in ek))
-    for u_name in blown:
-        if u_name == v_name:
-            continue
-        j = chart.var_index(u_name)
-        exps = unit(j)
-        exps[k] += weight_of[u_name]
-        assignment[u_name] = (GaussianRational.of(1), tuple(exps))
+    # the substitution: one-to-one on exponents, coefficients kept
+    subbed = [Poly(names, {e[:k] + (sum(w * e[j] for j, w in blown_weights),) + e[k + 1:]: c
+                           for e, c in p.terms.items()})
+              for p in x.polys()]
 
-    subbed = [p.laurent_substitute(assignment) for p in x.polys()]
-
-    comps: list[ChartFunction] = [None] * n  # type: ignore[list-item]
-    minus_wv_ek = tuple(-wv * e for e in ek)
-    for name in names:
-        i = chart.var_index(name)
-        if name == v_name:
-            shifted = subbed[i].shift_exponents(tuple(-(wv - 1) * e for e in ek))
-            comps[i] = shifted.scale(GaussianRational.of(Fraction(1, wv)))
+    # each transformed component times v**top, as a polynomial numerator
+    numerators = []
+    for i, name in enumerate(names):
+        if i == k:
+            num = subbed[k].times_monomial(v_power(top - wv + 1)).scale(Fraction(1, wv))
         elif name in weight_of:
             wu = weight_of[name]
-            first = subbed[i].shift_exponents(tuple(-wu * e for e in ek))
-            u_poly = ChartFunction.of_poly(Poly.variable(names, name))
-            second = (subbed[k].shift_exponents(minus_wv_ek) * u_poly).scale(
-                GaussianRational.of(Fraction(wu, wv)))
-            comps[i] = first - second
+            u_times = list(v_power(top - wv))
+            u_times[i] += 1
+            num = (subbed[i].times_monomial(v_power(top - wu))
+                   - subbed[k].times_monomial(tuple(u_times)).scale(Fraction(wu, wv)))
         else:
-            comps[i] = subbed[i]
+            num = subbed[i].times_monomial(v_power(top))
+        numerators.append(num)
 
     # divisor labels: the chart variable cuts the new component; strict
     # transforms of previously labelled hypersurfaces keep their labels
@@ -186,18 +171,16 @@ def weighted_blowup(
                           v_name, divisor_label)
     new_chart = chart.extended(record, labels)
 
-    field = VectorField(new_chart, tuple(comps))
-
-    orders = [c.order_in(v_name) for c in comps if not c.is_zero()]
-    if not orders:
+    if all(p.is_zero() for p in numerators):
         raise NotApplicableError("transform of the zero field")
-    m = int(min(orders))
-    pole_order = max(0, -m)
-    cleared = [c.shift_exponents(tuple(-m * e for e in ek)) for c in comps]
-    content, reduced = monomial_content([c.expand() for c in cleared])
+    over_top = v_power(-top)
+    field = VectorField(new_chart,
+                        tuple(ChartFunction.make(p, over_top) for p in numerators))
+    content, reduced = monomial_content(numerators)
+    multiplicity = content[k] - top
+    pole_order = max(0, -multiplicity)
     representative = VectorField(new_chart,
                                  tuple(ChartFunction.of_poly(p) for p in reduced))
-    multiplicity = m + content[k]
 
     rep_v = representative.components[k]
     dicritical = (not rep_v.is_zero()) and rep_v.order_in(v_name) == 0

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -145,6 +146,10 @@ def half_circle(radius: float) -> CircularArc:
 # bisection depth at which adaptive Simpson accepts an estimate as it is
 _QUADRATURE_MAX_DEPTH = 40
 
+# relative rounding floor of adaptive Simpson: a difference this small
+# against the integral of |f| over the interval is rounding, not error
+_QUADRATURE_ROUNDOFF = 50.0 * sys.float_info.epsilon
+
 
 def _check_tolerances(kind: str, rel_tol: float, abs_tol: float) -> None:
     """Reject tolerances under which no error estimate is ever accepted
@@ -170,7 +175,11 @@ def adaptive_quadrature(
 
     A non-finite or negative tolerance, or two zero tolerances, raise
     :class:`DegenerateInputError`: no estimate meets a NaN, negative or zero
-    tolerance, so every interval would be bisected to the depth limit.
+    tolerance, so every interval would be bisected to the depth limit.  An
+    interval is also accepted when its Simpson difference is within
+    ``50 * eps`` of the composite-Simpson integral of ``|f|`` over it: a
+    relative tolerance alone on an integral that is zero would otherwise
+    be met by no estimate either.
     """
     _check_tolerances("quadrature", rel_tol, abs_tol)
 
@@ -186,7 +195,10 @@ def adaptive_quadrature(
         # a non-finite estimate never meets the tolerance: stop bisecting it
         if depth >= _QUADRATURE_MAX_DEPTH or not cmath.isfinite(delta):
             return left + right + delta / 15.0, abs(delta)
-        if abs(delta) <= 15.0 * tol:
+        # the size of |f| on the interval is formed only past the tolerance
+        if (abs(delta) <= 15.0 * tol
+                or abs(delta) <= _QUADRATURE_ROUNDOFF * abs(x2 - x0) / 12.0 * (
+                    abs(f0) + 4.0 * abs(flm) + 2.0 * abs(f1) + 4.0 * abs(frm) + abs(f2))):
             return left + right + delta / 15.0, abs(delta) / 15.0
         lv, le = recurse(x0, f0, x1, f1, left, lm, flm, tol / 2.0, depth + 1)
         rv, re_ = recurse(x1, f1, x2, f2, right, rm, frm, tol / 2.0, depth + 1)
@@ -393,7 +405,9 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
             m, m5 = moduli[i], moduli[n + i]
             if not m >= m5 and m == m:      # np.maximum: a NaN wins
                 m = m5
-            r = moduli[2 * n + i] / (atol + rtol * m)
+            scale, d = atol + rtol * m, moduli[2 * n + i]
+            # a zero scale (atol = 0 at a zero state) admits only d = 0
+            r = d / scale if scale else (0.0 if d == 0 else d * math.inf)
             if i == 0 or r > err or r != r:  # np.max: a NaN wins
                 err = r
         if err <= 1.0:

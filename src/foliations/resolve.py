@@ -598,7 +598,8 @@ def _divisor_candidates_3d(rep: VectorField, divisor_var: str):
     Otherwise the caller is told the enumeration is incomplete.
 
     Returns ``(candidates, singular_lines, nonrational, complete)`` where
-    candidates are exact points (full chart coordinates), singular_lines
+    candidates are exact points (full chart coordinates) not already seen
+    from an earlier chart of the same blow-up, singular_lines
     describe one-dimensional singular components found on the divisor, and
     nonrational counts certified-interval roots that could not be followed.
     """
@@ -661,7 +662,8 @@ def _divisor_candidates_3d(rep: VectorField, divisor_var: str):
     unique = sorted({(a.re, a.im, b.re, b.im): (a, b)
                      for a, b in points}.values(),
                     key=lambda ab: (ab[0].re, ab[0].im, ab[1].re, ab[1].im))
-    candidates = [full_coords(a, b) for a, b in unique]
+    candidates = [c for c in (full_coords(a, b) for a, b in unique)
+                  if _invisible_in_earlier_charts(rep.chart, divisor_var, c)]
     return candidates, lines, nonrational, complete
 
 
@@ -808,14 +810,10 @@ def _blow_up_3d(tree: ResolutionTree, point: SingularPoint, germ: VectorField,
 
 
 def _divisor_points_3d(tree: ResolutionTree, child: TreeNode, first: bool):
-    divisor_var = child.transform.divisor_var
+    # ``first`` is not needed: the candidates of a later chart already
+    # leave out the points an earlier chart shows
     candidates, lines, nonrational, complete = _divisor_candidates_3d(
-        child.rep, divisor_var)
-    if not first:
-        # avoid double-counting: later charts only contribute points
-        # invisible in earlier charts (their origin region)
-        candidates = [c for c in candidates
-                      if _invisible_in_earlier_charts(child.rep.chart, divisor_var, c)]
+        child.rep, child.transform.divisor_var)
     for line in lines:
         tree.diagnostics.append(
             f"node {child.id}: singular curve on the divisor ({line})")

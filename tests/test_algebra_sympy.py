@@ -1,9 +1,10 @@
 """Differential test of the ``Poly`` ring operations against sympy.
 
 Sum, difference, negation, product, small powers, scaling by a constant
-and ``shift`` (``x := x + c``) of random polynomials in one to three
-variables with Q(i) coefficients, non-real ones included, are compared
-with sympy's expanded results term by term.
+and ``shift`` (``x := x + c``, for one variable and for several at once)
+of random polynomials in one to three variables with Q(i) coefficients,
+non-real ones included, are compared with sympy's expanded results term
+by term.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ def polys(vars):
 def operands(draw):
     vars = ("x", "y", "z")[:draw(st.integers(1, 3))]
     return (vars, draw(polys(vars)), draw(polys(vars)), draw(coefficients),
-            draw(st.integers(0, 3)), draw(st.sampled_from(vars)))
+            draw(st.integers(0, 3)), draw(st.sampled_from(vars)),
+            draw(st.dictionaries(st.sampled_from(vars), coefficients)))
 
 
 def to_sympy_number(c: GaussianRational):
@@ -57,7 +59,7 @@ def ours(p: Poly) -> dict:
 @settings(max_examples=60, deadline=None)
 @given(operands())
 def test_ring_operations_match_sympy(case):
-    vars, p, q, c, k, var = case
+    vars, p, q, c, k, var, offsets = case
     syms = sympy.symbols(vars)
     sp, sq, sc = to_sympy(p, syms), to_sympy(q, syms), to_sympy_number(c)
     assert ours(p + q) == terms(sp + sq, syms)
@@ -68,3 +70,6 @@ def test_ring_operations_match_sympy(case):
     assert ours(p.scale(c)) == terms(sc * sp, syms)
     s = syms[vars.index(var)]
     assert ours(p.shift({var: c})) == terms(sp.subs(s, s + sc), syms)
+    moved = {syms[vars.index(name)]: syms[vars.index(name)] + to_sympy_number(a)
+             for name, a in offsets.items()}
+    assert ours(p.shift(offsets)) == terms(sp.xreplace(moved), syms)

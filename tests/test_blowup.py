@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from foliations.algebra import GR_ONE, ChartFunction, Poly, gr
+from foliations.algebra import GR_ONE, ChartFunction, Poly
 from foliations.blowup import (
     POINT,
     BlowupSpec,
@@ -88,7 +88,7 @@ class TestChartCompatibility:
         x1 = ChartFunction.of_poly(Poly.variable(V2, "x"))
         dx0 = comps[0] * ChartFunction.of_poly(Poly.variable(V2, "y")) \
             + x1 * comps[1]
-        dy0 = comps[0].shift_exponents((-2, 0)).scale(gr(-1))
+        dy0 = comps[0] * ChartFunction.make(Poly.constant(V2, -1), (-2, 0))
         return dx0, dy0
 
     def test_total_transforms_glue_exactly(self):

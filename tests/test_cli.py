@@ -209,6 +209,34 @@ class TestSubcommands:
         data = json.loads(out)
         assert abs(complex(*data["integral"])) < 1e-9
 
+    def test_dynamics_timeform_relative_tolerance_on_zero_integral(self, tmp_path,
+                                                                   monkeypatch):
+        # the loop integral of dx/x^2 is 0, so --tol-rel alone asks for an
+        # error of about 0: only the rounding floor stops the bisection,
+        # which otherwise runs toward 2^41 evaluations
+        from foliations import dynamics
+
+        quadrature = dynamics.adaptive_quadrature
+        calls = []
+
+        def counted_quadrature(f, *args):
+            def counted(t):
+                calls.append(t)
+                if len(calls) > 10 ** 5:
+                    raise AssertionError("bisection ran on below rounding")
+                return f(t)
+            return quadrature(counted, *args)
+
+        monkeypatch.setattr(dynamics, "adaptive_quadrature", counted_quadrature)
+        path = tmp_path / "square.field"
+        path.write_text("vars: x\nkind: field\nx^2\n", encoding="utf-8")
+        code, out = run_cli("dynamics", "timeform", str(path),
+                            "--path", "circle:1", "--tol-abs", "0")
+        assert code == 0
+        data = json.loads(out)
+        assert abs(complex(*data["integral"])) < 1e-12
+        assert data["error_estimate"] < 1e-12
+
     def test_dynamics_descent_csv(self, tmp_path):
         path = tmp_path / "linear.field"
         path.write_text("vars: x\nkind: field\nx\n", encoding="utf-8")

@@ -7,9 +7,13 @@ pin ``parse``, ``classify``, ``blowup`` (all charts of the point blow-up),
 fixture, ``dynamics semicomplete`` on a few one-variable fields and the whole
 ``corpus`` report, so a change that alters one byte a user sees fails here.
 
-Regenerate the digests only when an output change is intended:
+New cases are pinned with
 
     PYTHONPATH=src python tests/test_cli_golden.py --write
+
+which adds the digests of new case ids, drops those of removed ones, and
+refuses (exit 1, nothing written) when a pinned digest would change.  An
+intended output change is re-pinned by deleting the affected entries first.
 """
 
 from __future__ import annotations
@@ -17,13 +21,14 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from foliations.cli import main
 from foliations.corpus import fixtures_dir
+
+import golden_pins
 
 DIGESTS = Path(__file__).resolve().parent / "golden" / "cli_digests.json"
 FIXTURE_COMMANDS = {
@@ -71,9 +76,10 @@ def test_cli_output_byte_identical(tmp_path):
     assert not changed, f"{len(changed)} CLI outputs changed: {changed[:10]}"
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_cli_golden.py --write")
+def compute_in_tempdir() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        digests = compute(Path(tmp))
-    DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
+        return compute(Path(tmp))
+
+
+if __name__ == "__main__":
+    golden_pins.main(DIGESTS, compute_in_tempdir)

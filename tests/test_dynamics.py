@@ -121,6 +121,24 @@ class TestTimeForm:
         assert calls == []
 
 
+    def test_relative_tolerance_alone_on_zero_integral(self):
+        # the loop integral of dx/x^2 is 0, so rel_tol * |value| is about 0
+        # and only the rounding floor ends the bisection (about 2^41
+        # evaluations without it)
+        path = full_circle(1.0)
+        calls = []
+
+        def integrand(t):
+            calls.append(t)
+            if len(calls) > 10 ** 5:
+                raise AssertionError("bisection ran on below rounding")
+            z = path.point(t)
+            return path.velocity(t) / (z * z)
+
+        value, err = adaptive_quadrature(integrand, *path.t_range, abs_tol=0.0)
+        assert abs(value) < 1e-12 and err < 1e-12
+
+
 class TestSemicomplete:
     def test_order_rule(self):
         assert semicomplete_order_test(upoly({1: 1})).verdict == SEMICOMPLETE
@@ -246,6 +264,13 @@ class TestLifts:
         monkeypatch.setattr(dynamics, "_RK45_MAX_ITER", 0)
         with pytest.raises(DegenerateInputError, match=message):
             lift_path(linear_saddle(3), "y", full_circle(0.1), [0.01], **tolerances)
+
+    def test_zero_state_with_zero_atol(self):
+        # the error scale atol + rtol * |y| is 0 on the zero fiber: a zero
+        # difference there is no error, not 0/0
+        result = lift_path(linear_saddle(3), "y", full_circle(0.1), [0], atol=0.0)
+        assert result.final == (0j,)
+        assert result.est_error == 0.0
 
     def test_nan_fiber_rejected(self):
         with pytest.raises(DegenerateInputError, match="fiber values"):

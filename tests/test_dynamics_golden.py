@@ -12,9 +12,13 @@ and ``dynamics holonomy``.  The adaptive step sequence depends on every bit
 of every right-hand-side value and error norm, so a change to the
 integrator's arithmetic that moves one rounding fails here.
 
-Regenerate the digests only when an output change is intended:
+New cases are pinned with
 
     PYTHONPATH=src python tests/test_dynamics_golden.py --write
+
+which adds the digests of new case ids, drops those of removed ones, and
+refuses (exit 1, nothing written) when a pinned digest would change.  An
+intended output change is re-pinned by deleting the affected entries first.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import hashlib
 import io
 import json
 import math
-import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -45,6 +48,8 @@ from foliations.dynamics import (
 )
 from foliations.errors import FoliationError
 from foliations.fields import Chart, VectorField
+
+import golden_pins
 
 DIGESTS = Path(__file__).resolve().parent / "golden" / "dynamics_digests.json"
 V1 = ("x",)
@@ -227,9 +232,10 @@ def test_dynamics_output_byte_identical(tmp_path):
     assert not changed, f"{len(changed)} dynamics outputs changed: {changed[:10]}"
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_dynamics_golden.py --write")
+def compute_in_tempdir() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        digests = compute(Path(tmp))
-    DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
+        return compute(Path(tmp))
+
+
+if __name__ == "__main__":
+    golden_pins.main(DIGESTS, compute_in_tempdir)

@@ -8,9 +8,13 @@ every vector-field fixture, the slow catalog fields at order 8 and seeded
 random planar and 3-D germs, so a change to ``formal_first_integral`` that
 alters one byte of its output fails here.
 
-Regenerate the digests only when an output change is intended:
+New cases are pinned with
 
     PYTHONPATH=src python tests/test_integrals_golden.py --write
+
+which adds the digests of new case ids, drops those of removed ones, and
+refuses (exit 1, nothing written) when a pinned digest would change.  An
+intended output change is re-pinned by deleting the affected entries first.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import sys
 from pathlib import Path
 
 from foliations.algebra import Poly, gr
@@ -27,6 +30,8 @@ from foliations.errors import FoliationError
 from foliations.expressions import parse_field
 from foliations.fields import Chart, VectorField
 from foliations.integrals import formal_first_integral
+
+import golden_pins
 
 DIGESTS = Path(__file__).resolve().parent / "golden" / "jet_digests.json"
 V2 = ("x", "y")
@@ -92,7 +97,4 @@ def test_formal_integral_output_byte_identical():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_integrals_golden.py --write")
-    DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps(compute(), indent=1) + "\n")
+    golden_pins.main(DIGESTS, compute)

@@ -225,9 +225,27 @@ class TestPersistentDetection:
         assert tree.steps == 2 and tree.weighted_steps == 1
         assert tree.nodes[2].rep.chart.divisor_labels == ("E1pre", None, "E1")
 
+    def test_probe_examines_each_divisor_point_once(self, monkeypatch):
+        # a point of the divisor with a nonzero coordinate in the first
+        # chart's variable is seen from that chart too; the probe follows it
+        # from the first chart only, so Sancho-Sanz(1, 1, 1) at budget 6
+        # takes 7 germs, not 13
+        import foliations.resolve as resolve
+        calls = []
+        match = resolve.match_persistent_normal_form
+
+        def counted(germ):
+            calls.append(germ)
+            return match(germ)
+
+        monkeypatch.setattr(resolve, "match_persistent_normal_form", counted)
+        report = detect_persistent_nilpotent(sancho_sanz_field(1, 1, 1), 6)
+        assert not report.matched and not report.capped
+        assert len(calls) == 7
+
     def test_probe_cap_is_reported(self, monkeypatch):
         # Sancho-Sanz(1, 1, 1) does not match; with probe budget 6 the probe
-        # examines 13 germs, so a cap of 3 stops it with germs left over
+        # examines 7 germs, so a cap of 3 stops it with germs left over
         import foliations.resolve as resolve
         field = sancho_sanz_field(1, 1, 1)
         assert not detect_persistent_nilpotent(field, 6).capped

@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import sys
 from pathlib import Path
 
 from foliations.algebra import Poly, gr
@@ -31,6 +30,8 @@ from foliations.errors import FoliationError
 from foliations.expressions import parse_field
 from foliations.fields import Chart, VectorField
 from foliations.resolve import emit_tree, resolve3, seidenberg_resolve
+
+import golden_pins
 
 DIGESTS = Path(__file__).resolve().parent / "golden" / "resolve_digests.json"
 V2 = ("x", "y")
@@ -142,12 +143,4 @@ def test_resolution_output_byte_identical():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_resolve_golden.py --write")
-    pinned = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
-    actual = compute()
-    changed = [name for name in pinned if actual.get(name, pinned[name]) != pinned[name]]
-    if changed:
-        sys.exit(f"{len(changed)} pinned outputs changed, nothing written: {changed[:10]}")
-    DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps(actual, indent=1) + "\n")
+    golden_pins.main(DIGESTS, compute)
