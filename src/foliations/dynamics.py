@@ -195,11 +195,11 @@ def adaptive_quadrature(
         # a non-finite estimate never meets the tolerance: stop bisecting it
         if depth >= _QUADRATURE_MAX_DEPTH or not cmath.isfinite(delta):
             return left + right + delta / 15.0, abs(delta)
+        gap = abs(delta)
         # the size of |f| on the interval is formed only past the tolerance
-        if (abs(delta) <= 15.0 * tol
-                or abs(delta) <= _QUADRATURE_ROUNDOFF * abs(x2 - x0) / 12.0 * (
-                    abs(f0) + 4.0 * abs(flm) + 2.0 * abs(f1) + 4.0 * abs(frm) + abs(f2))):
-            return left + right + delta / 15.0, abs(delta) / 15.0
+        if gap <= 15.0 * tol or gap <= _QUADRATURE_ROUNDOFF * abs(x2 - x0) / 12.0 * (
+                abs(f0) + 4.0 * abs(flm) + 2.0 * abs(f1) + 4.0 * abs(frm) + abs(f2)):
+            return left + right + delta / 15.0, gap / 15.0
         lv, le = recurse(x0, f0, x1, f1, left, lm, flm, tol / 2.0, depth + 1)
         rv, re_ = recurse(x1, f1, x2, f2, right, rm, frm, tol / 2.0, depth + 1)
         return lv + rv, le + re_
@@ -405,9 +405,11 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
             m, m5 = moduli[i], moduli[n + i]
             if not m >= m5 and m == m:      # np.maximum: a NaN wins
                 m = m5
-            scale, d = atol + rtol * m, moduli[2 * n + i]
-            # a zero scale (atol = 0 at a zero state) admits only d = 0
-            r = d / scale if scale else (0.0 if d == 0 else d * math.inf)
+            try:
+                r = moduli[2 * n + i] / (atol + rtol * m)
+            except ZeroDivisionError:   # atol = 0 at a zero state: only 0 passes
+                d = moduli[2 * n + i]
+                r = d * math.inf if d else 0.0
             if i == 0 or r > err or r != r:  # np.max: a NaN wins
                 err = r
         if err <= 1.0:

@@ -96,8 +96,10 @@ def test_weighted_blowup_matches_sympy_pushforward(case):
     v_name = blown[spec.chart_index]
     k = vars.index(v_name)
     v, wv = syms[k], weight[v_name]
-    images = {syms[vars.index(name)]: v ** w if name == v_name else syms[vars.index(name)] * v ** w
-              for name, w in weight.items()}
+    images = {}
+    for name, w in weight.items():
+        s = syms[vars.index(name)]
+        images[s] = v ** w if name == v_name else s * v ** w
     pulled = [to_sympy(p, syms).xreplace(images) for p in comps]
     expected = []
     for name, s, x_s in zip(vars, syms, pulled):
@@ -105,7 +107,8 @@ def test_weighted_blowup_matches_sympy_pushforward(case):
             expected.append(x_s / (wv * v ** (wv - 1)))
         elif name in weight:
             wu = weight[name]
-            expected.append(x_s / v ** wu - sympy.Rational(wu, wv) * s * pulled[k] / v ** wv)
+            expected.append(x_s / v ** wu
+                            - sympy.Rational(wu, wv) * s * pulled[k] / v ** wv)
         else:
             expected.append(x_s)
     expected = [sympy.expand(e) for e in expected]
