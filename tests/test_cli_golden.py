@@ -4,8 +4,10 @@ Every case runs one ``foliations`` command in-process and records the exit
 code and the sha256 digest of its standard output.  The committed digests
 pin ``parse``, ``classify``, ``blowup`` (all charts of the point blow-up),
 ``integrals --formal --jet-degree 4`` and ``dynamics holonomy`` on every
-fixture, ``dynamics semicomplete`` on a few one-variable fields and the whole
-``corpus`` report, so a change that alters one byte a user sees fails here.
+fixture, the blow-up along the ``z`` axis (all charts, chart 1, and weights
+2, 1) on every three-dimensional fixture, ``dynamics semicomplete`` on a few
+one-variable fields and the whole ``corpus`` report, so a change that alters
+one byte a user sees fails here.
 
 New cases are pinned with
 
@@ -27,6 +29,7 @@ from pathlib import Path
 
 from foliations.cli import main
 from foliations.corpus import fixtures_dir
+from foliations.expressions import parse_field
 
 import golden_pins
 
@@ -37,6 +40,13 @@ FIXTURE_COMMANDS = {
     "blowup": ["blowup"],
     "formal4": ["integrals", "--formal", "--jet-degree", "4"],
     "holonomy": ["dynamics", "holonomy"],
+}
+# curve centres exist only in dimension 3; fixtures whose z axis is not
+# invariant pin the exit code of the refusal
+FIXTURE_COMMANDS_3D = {
+    "blowup_curve_z": ["blowup", "--center", "curve:z"],
+    "blowup_curve_z_chart1": ["blowup", "--center", "curve:z", "--chart", "1"],
+    "blowup_curve_z_w21": ["blowup", "--center", "curve:z", "--weights", "2,1"],
 }
 # one-variable fields for the semicompleteness rule: orders 2, 3 and 5 (the
 # last with a non-real coefficient) and one that does not vanish at 0
@@ -58,7 +68,10 @@ def run(argv: list[str]) -> dict:
 def compute(workdir: Path) -> dict[str, dict]:
     out = {}
     for path in sorted(fixtures_dir().glob("*.field")):
-        for name, command in FIXTURE_COMMANDS.items():
+        commands = dict(FIXTURE_COMMANDS)
+        if parse_field(path.read_text()).chart.dim == 3:
+            commands.update(FIXTURE_COMMANDS_3D)
+        for name, command in commands.items():
             out[f"{path.stem}/{name}"] = run(command + [str(path)])
     for name, expr in ONE_VARIABLE.items():
         path = workdir / f"{name}.field"
