@@ -190,13 +190,13 @@ class GaussianRational:
 
     def text(self) -> str:
         """Canonical rendering: '3', '-1/2', 'i', '2i', '1+2i', '1/2-3/4i'."""
-        a, b, _ = self._abd
+        a, b, d = self._abd
         if b == 0:
-            return _frac_text(self.re)
+            return _ratio_text(a, d)
         if a == 0:
-            return _imag_text(self.im)
+            return _imag_text(_ratio_text(b, d))
         sign = "+" if b > 0 else "-"
-        return f"{_frac_text(self.re)}{sign}{_imag_text(abs(self.im))}"
+        return f"{self.re}{sign}{_imag_text(str(abs(self.im)))}"
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.text()
@@ -221,14 +221,15 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     return z
 
 
-def _frac_text(q: Fraction) -> str:
-    return str(q)
+def _ratio_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for ``d > 0`` and ``gcd(n, d) == 1``."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _imag_text(q: Fraction) -> str:
-    if q == 1:
+def _imag_text(q: str) -> str:
+    if q == "1":
         return "i"
-    if q == -1:
+    if q == "-1":
         return "-i"
     return f"{q}i"
 
@@ -618,15 +619,15 @@ class Poly:
 def _term_text(vars: tuple[str, ...], exps: Exponents, c: GaussianRational) -> tuple[int, str]:
     """Return (sign, unsigned text) of one term for canonical rendering."""
     factors = [f"{v}^{k}" if k > 1 else v for v, k in zip(vars, exps) if k]
-    # pure-real and pure-imaginary coefficients can absorb an overall sign
-    if c.im == 0:
-        sign = 1 if c.re > 0 else -1
-        mag = abs(c.re)
-        coeff_txt = None if mag == 1 and factors else _frac_text(mag)
-    elif c.re == 0:
-        sign = 1 if c.im > 0 else -1
-        mag = abs(c.im)
-        coeff_txt = "i" if mag == 1 else f"{mag}i"
+    # pure-real and pure-imaginary coefficients can absorb an overall sign;
+    # with one part zero the other is already in lowest terms
+    a, b, d = c._abd
+    if b == 0:
+        sign = 1 if a > 0 else -1
+        coeff_txt = None if abs(a) == d == 1 and factors else _ratio_text(abs(a), d)
+    elif a == 0:
+        sign = 1 if b > 0 else -1
+        coeff_txt = _imag_text(_ratio_text(abs(b), d))
     else:
         sign = 1
         coeff_txt = f"({c.text()})"
@@ -782,12 +783,12 @@ class ChartFunction:
         """Nonzero ``(index, exponent)`` pairs of the monomial factor."""
         return tuple((j, e) for j, e in enumerate(self.monomial_exponents) if e)
 
-    def eval_complex(self, point: Sequence[complex], pole_tol: float = 0.0) -> complex:
+    def eval_complex(self, point: Sequence[complex]) -> complex:
         """Evaluate at a complex point; poles raise :class:`PoleEvaluationError`."""
         value = self.numerator.eval_complex(point)
         for j, e in self._powers:
             x = point[j]
-            if e < 0 and abs(x) <= pole_tol:
+            if e < 0 and x == 0:
                 raise PoleEvaluationError("evaluation at a pole")
             value *= x ** e
         return value

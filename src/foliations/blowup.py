@@ -23,6 +23,7 @@ pole order instead of being silently cleared.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -173,14 +174,16 @@ def weighted_blowup(
 
     if all(p.is_zero() for p in numerators):
         raise NotApplicableError("transform of the zero field")
-    over_top = v_power(-top)
-    field = VectorField(new_chart,
-                        tuple(ChartFunction.make(p, over_top) for p in numerators))
     content, reduced = monomial_content(numerators)
     multiplicity = content[k] - top
     pole_order = max(0, -multiplicity)
-    representative = VectorField(new_chart,
-                                 tuple(ChartFunction.of_poly(p) for p in reduced))
+    representative = VectorField.make(new_chart, reduced)
+    # the raw transform is the representative times x**content / v**top
+    shift = content[:k] + (multiplicity,) + content[k + 1:]
+    field = VectorField(new_chart, tuple(
+        f if f.is_zero() else ChartFunction(
+            f.numerator, tuple(map(operator.add, f.monomial_exponents, shift)))
+        for f in representative.components))
 
     rep_v = representative.components[k]
     dicritical = (not rep_v.is_zero()) and rep_v.order_in(v_name) == 0

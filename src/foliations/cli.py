@@ -25,7 +25,7 @@ import json
 import math
 import sys
 
-from .blowup import POINT, BlowupSpec, curve_center, weighted_blowup
+from .blowup import POINT, BlowupSpec, all_charts, weighted_blowup
 from .classify import classify_singularity, resonant_relations
 from .corpus import render_report, run_corpus
 from .dynamics import (
@@ -108,10 +108,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_blowup(args) -> int:
     field = _load_field(args.file)
-    if args.center != "point" and not args.center.startswith("curve:"):
+    if args.center != POINT and not args.center.startswith("curve:"):
         raise ParseError(f"bad center {args.center!r} (point or curve:VAR)")
-    center = POINT if args.center == "point" else curve_center(
-        args.center.split(":", 1)[1])
+    center = args.center
     weights = None
     if args.weights:
         try:
@@ -119,11 +118,13 @@ def _cmd_blowup(args) -> int:
         except ValueError:
             raise ParseError(f"bad weights {args.weights!r} "
                              "(comma-separated integers)") from None
-    indices = [args.chart] if args.chart is not None else list(
-        range(field.chart.dim if center == POINT else 2))
+    if args.chart is None:
+        charts = enumerate(all_charts(field, center, weights))
+    else:
+        charts = [(args.chart,
+                   weighted_blowup(field, BlowupSpec(center, weights, args.chart)))]
     output = []
-    for idx in indices:
-        result = weighted_blowup(field, BlowupSpec(center, weights, idx))
+    for idx, result in charts:
         output.append({
             "chart_index": idx,
             "divisor_var": result.divisor_var,

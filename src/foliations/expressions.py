@@ -13,7 +13,8 @@ exponents), unary minus, ``*``, binary ``+``/``-``.  Numeric literals are
 integers, fractions ``p/q``, and imaginary variants written with a trailing
 ``i`` (``i``, ``2i``, ``3/4i``); mixed constants like ``1+2i`` arise from
 ordinary addition, usually parenthesized as in ``(1+2i)*x^2*y``.  The name
-``i`` is reserved and cannot be declared as a variable.
+``i`` is reserved and cannot be declared as a variable.  No exponent, and no
+product or power, may exceed total degree 32.
 
 Parsing a canonical rendering returns the identical object, making the
 canonical text a faithful interchange format.
@@ -30,6 +31,11 @@ from .fields import Chart, OneForm, VectorField
 
 KIND_FIELD = "field"
 KIND_FORM = "form"
+
+# bound on every exponent and on the total degree of every product or power
+# formed while parsing, checked before the polynomial is expanded; it also
+# bounds the term count
+_MAX_DEGREE = 32
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,12 @@ def _tokenize(text: str, line: int) -> list[Token]:
     return out
 
 
+def _check_degree(degree: int, tok: Token) -> None:
+    if degree > _MAX_DEGREE:
+        raise ParseError(f"total degree {degree} exceeds the limit {_MAX_DEGREE}",
+                         tok.line, tok.column)
+
+
 class _Parser:
     """Recursive descent over one component expression."""
 
@@ -140,7 +152,9 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "op" and tok.text == "*":
                 self.next()
-                left = left * self.parse_factor()
+                right = self.parse_factor()
+                _check_degree(left.degree() + right.degree(), tok)
+                left = left * right
             else:
                 return left
 
@@ -163,7 +177,12 @@ class _Parser:
                     or exp_tok.value.re < 0):
                 raise ParseError("exponent must be a nonnegative integer",
                                  exp_tok.line, exp_tok.column)
-            return base ** int(exp_tok.value.re)
+            k = int(exp_tok.value.re)
+            if k > _MAX_DEGREE:
+                raise ParseError(f"exponent {k} exceeds the limit {_MAX_DEGREE}",
+                                 exp_tok.line, exp_tok.column)
+            _check_degree(base.degree() * k, exp_tok)
+            return base ** k
         return base
 
     def parse_atom(self) -> Poly:

@@ -139,8 +139,8 @@ class VectorField:
         return self.components[self.chart.var_index(var)]
 
     def vanishes_at_origin(self) -> bool:
-        return all(c.is_holomorphic() and c.expand().constant_term().is_zero()
-                   for c in self.components)
+        return self.is_holomorphic() and all(
+            p.constant_term().is_zero() for p in self.polys())
 
     def scale(self, c) -> "VectorField":
         return VectorField(self.chart, tuple(f.scale(c) for f in self.components))
@@ -160,14 +160,6 @@ class VectorField:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
-
-    def translate(self, point: Sequence[GaussianRational]) -> "VectorField":
-        """Recenter so that ``point`` becomes the origin (labels are kept;
-        callers that move off a divisor must fix labels themselves)."""
-        offsets = {v: p for v, p in zip(self.chart.var_names, point)}
-        return VectorField(self.chart,
-                           tuple(ChartFunction.of_poly(c.expand().shift(offsets))
-                                 for c in self.components))
 
     def render(self) -> str:
         return ", ".join(c.render() for c in self.components)
@@ -270,9 +262,6 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
 
 def linear_part(x: VectorField) -> LinearPart:
     """Exact Jacobian at the chart origin; poles at the origin are an error."""
-    for c in x.components:
-        if not c.is_holomorphic():
-            raise PoleEvaluationError("meromorphic component at the origin")
     names = x.chart.var_names
     n = len(names)
     rows = []

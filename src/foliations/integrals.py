@@ -30,6 +30,10 @@ from .algebra import GR_ONE, GR_ZERO, Poly
 from .errors import NotApplicableError, StructuralError
 from .fields import VectorField, directional_derivative
 
+# highest jet order the formal solver accepts: the unknowns grow as the
+# cube of the order in dimension 3
+_MAX_JET_ORDER = 32
+
 
 # ---------------------------------------------------------------------------
 # Verification and independence
@@ -162,7 +166,8 @@ def formal_first_integral(x: VectorField, n: int = 8) -> JetSolutionSpace:
     ``G + H`` with G an order-(d-1) solution and H homogeneous of degree d
     whose degree-d parts of ``X . G + X . H`` cancel.  Every basis
     element's residual is rechecked by exact multiplication at every
-    degree; the order-n basis is brought to canonical form first.
+    degree; the order-n basis is brought to canonical form first.  Orders
+    from 2 to 32 are accepted.
     """
     if not x.is_holomorphic():
         raise NotApplicableError("formal solving needs a holomorphic field")
@@ -170,6 +175,8 @@ def formal_first_integral(x: VectorField, n: int = 8) -> JetSolutionSpace:
         raise NotApplicableError("formal solving needs a singular germ")
     if n < 2:
         raise StructuralError("jet order must be at least 2")
+    if n > _MAX_JET_ORDER:
+        raise StructuralError(f"jet order must be at most {_MAX_JET_ORDER}")
     names = x.chart.var_names
     dims = []
     basis: list[Poly] = []   # order-(d-1) solutions

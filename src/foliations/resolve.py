@@ -52,7 +52,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .algebra import GR_ONE, GR_ZERO, ChartFunction, GaussianRational, Poly, monomial_content
-from .blowup import POINT, BlowupSpec, TransformResult, all_charts, curve_center, weighted_blowup
+from .blowup import (POINT, BlowupSpec, TransformResult, _blown_vars, all_charts,
+                     curve_center, weighted_blowup)
 from .classify import (
     CLASS_NILPOTENT,
     SingularityReport,
@@ -242,19 +243,16 @@ def singular_points_on_divisor(rep: VectorField, divisor_var: str):
 # Point classification helpers
 # ---------------------------------------------------------------------------
 
-def _translate_labels(chart: Chart, coords) -> Chart:
-    labels = list(chart.divisor_labels)
-    for i, c in enumerate(coords):
-        if not c.is_zero():
-            labels[i] = None
-    return chart.with_labels(labels)
-
-
 def germ_at(rep: VectorField, coords) -> VectorField:
-    """The representative recentered at an exact point, labels adjusted."""
-    moved = rep.translate(coords)
-    chart = _translate_labels(rep.chart, coords)
-    return VectorField(chart, moved.components)
+    """The representative recentered at an exact point (``rep`` itself at the
+    origin), with the labels of the divisors the point is not on cleared."""
+    if all(c.is_zero() for c in coords):
+        return rep
+    offsets = dict(zip(rep.chart.var_names, coords))
+    labels = [label if c.is_zero() else None
+              for label, c in zip(rep.chart.divisor_labels, coords)]
+    return VectorField.make(rep.chart.with_labels(labels),
+                            [p.shift(offsets) for p in rep.polys()])
 
 
 def _eigenvalue_ratios(germ: VectorField) -> dict[str, GaussianRational]:
@@ -743,13 +741,8 @@ def _escape_blowup(germ: VectorField, witness: dict, label: str,
     """
     roles = witness["roles"]
     axis = roles["x"]
-    names = germ.chart.var_names
-    if _singular_axis_center(germ) == axis:
-        blown = [v for v in names if v != axis]
-        center = curve_center(axis)
-    else:
-        blown = list(names)
-        center = POINT
+    center = curve_center(axis) if _singular_axis_center(germ) == axis else POINT
+    blown = _blown_vars(germ.chart, BlowupSpec(center))
     weights = tuple(2 if v == roles["z"] else 1 for v in blown)
     return all_charts(germ, center, weights, label, center_coords)
 
@@ -855,14 +848,7 @@ def _invisible_in_earlier_charts(chart: Chart, divisor_var: str, coords) -> bool
     with coordinates scaled by 1/w; only points with that coordinate equal
     to zero are genuinely new in this chart.
     """
-    record = chart.history[-1]
-    blown: list[str] = []
-    if record.center == POINT:
-        blown = list(chart.var_names)
-    else:
-        free = record.center.split(":", 1)[1]
-        blown = [v for v in chart.var_names if v != free]
-    for name in blown:
+    for name in _blown_vars(chart, BlowupSpec(chart.history[-1].center)):
         if name == divisor_var:
             break
         i = chart.var_names.index(name)

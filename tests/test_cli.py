@@ -365,6 +365,25 @@ class TestFlagValidation:
         assert code == 1
         assert err.getvalue() == f"error: {message}\n"
 
+    def test_degree_limit_usage_error(self, tmp_path):
+        path = tmp_path / "big.field"
+        path.write_text("vars: x, y\nkind: field\nx^40, y\n", encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli("parse", str(path))
+        assert (code, out) == (2, "")
+        assert err.getvalue() == ("parse error: exponent 40 exceeds the limit 32 "
+                                  "(line 3, column 3)\n")
+
+    def test_jet_degree_limit_error(self, tmp_path):
+        path = tmp_path / "square.field"
+        path.write_text("vars: x\nkind: field\nx^2\n", encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli("integrals", str(path), "--formal", "--jet-degree", "33")
+        assert (code, out) == (1, "")
+        assert err.getvalue() == "error: jet order must be at most 32\n"
+
     def test_bad_start_usage_error(self, tmp_path):
         path = tmp_path / "lin.field"
         path.write_text("vars: x\nkind: field\nx\n", encoding="utf-8")

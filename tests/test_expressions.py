@@ -58,6 +58,22 @@ class TestExpressionGrammar:
         with pytest.raises(ParseError):
             parse_expression("x^(2)", ("x",))
 
+    @pytest.mark.parametrize("text, message, column", [
+        ("x^33", "exponent 33 exceeds the limit 32", 3),
+        ("(x + y)^40", "exponent 40 exceeds the limit 32", 9),
+        ("(x^8)^5", "total degree 40 exceeds the limit 32", 7),
+        ("x^16*y^17", "total degree 33 exceeds the limit 32", 5),
+        ("(x + y)^16*(x - y)^16*x", "total degree 33 exceeds the limit 32", 22)])
+    def test_degree_limit(self, text, message, column):
+        # refused at the offending token, before the result is expanded
+        with pytest.raises(ParseError, match=message) as info:
+            parse_expression(text, ("x", "y"))
+        assert (info.value.line, info.value.column) == (1, column)
+
+    def test_degree_limit_is_inclusive(self):
+        for text in ("x^32", "(x^8)^4", "x^16*y^16", "(x + y)^16*(x - y)^16"):
+            assert parse_expression(text, ("x", "y")).degree() == 32
+
 
 class TestFieldFiles:
     def test_parse_field_example(self):

@@ -12,7 +12,7 @@ from foliations.corpus import (
     saddle_node_family,
     two_integrals_field,
 )
-from foliations.errors import NotApplicableError
+from foliations.errors import NotApplicableError, StructuralError
 from foliations.fields import Chart, VectorField, directional_derivative
 from foliations.integrals import (
     FactoredFunction,
@@ -116,6 +116,13 @@ class TestFormal:
             Poly.constant(V2, 1), Poly.zero(V2)])
         with pytest.raises(NotApplicableError):
             formal_first_integral(field, 3)
+
+    def test_jet_order_limit(self):
+        # one variable keeps every order cheap, so only the limit refuses 33
+        field = VectorField.make(Chart.root(("x",)), [make_poly(("x",), {(2,): 1})])
+        assert len(formal_first_integral(field, 32).dims_by_degree) == 32
+        with pytest.raises(StructuralError, match="jet order must be at most 32"):
+            formal_first_integral(field, 33)
 
 
 class TestQuotient:

@@ -22,6 +22,7 @@ from foliations.resolve import (
     STATUS_RESOLVED,
     detect_persistent_nilpotent,
     emit_tree,
+    germ_at,
     match_persistent_normal_form,
     resolve3,
     seidenberg_resolve,
@@ -32,6 +33,29 @@ from conftest import make_poly
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
+
+
+class TestGermAt:
+    def test_origin_returns_the_representative(self):
+        rep = cusp_hamiltonian(2)
+        assert germ_at(rep, (gr(0), gr(0))) is rep
+
+    def test_recentres_and_clears_labels_off_the_point(self):
+        chart = Chart(V3, divisor_labels=("E1", "E2", None))
+        rep = VectorField.make(chart, [
+            make_poly(V3, {(1, 1, 0): 1, (0, 2, 0): 1}),
+            make_poly(V3, {(0, 0, 1): 1}),
+            make_poly(V3, {(1, 0, 0): 1})])
+        germ = germ_at(rep, (gr(0), gr(2), gr(0)))
+        # the point is on E1 (x = 0) but not on E2 (y = 2)
+        assert germ.chart.divisor_labels == ("E1", None, None)
+        assert germ.chart.history == rep.chart.history
+        # x*y + y^2 at y + 2: x*y + 2*x + y^2 + 4*y + 4
+        assert germ.polys() == (
+            make_poly(V3, {(1, 1, 0): 1, (1, 0, 0): 2, (0, 2, 0): 1,
+                           (0, 1, 0): 4, (0, 0, 0): 4}),
+            rep.polys()[1], rep.polys()[2])
+        assert rep.chart.divisor_labels == ("E1", "E2", None)
 
 
 class TestDivisorPoints:
