@@ -13,8 +13,8 @@ exponents), unary minus, ``*``, binary ``+``/``-``.  Numeric literals are
 integers, fractions ``p/q``, and imaginary variants written with a trailing
 ``i`` (``i``, ``2i``, ``3/4i``); mixed constants like ``1+2i`` arise from
 ordinary addition, usually parenthesized as in ``(1+2i)*x^2*y``.  The name
-``i`` is reserved and cannot be declared as a variable.  No exponent, and no
-product or power, may exceed total degree 32.
+``i`` is reserved and cannot be declared as a variable.  Exponents, and the
+total degree of every product and power, are at most 32.
 
 Parsing a canonical rendering returns the identical object, making the
 canonical text a faithful interchange format.
