@@ -80,6 +80,18 @@ def _germs3(count: int):
     return out
 
 
+# (alpha, beta, lambda) from the parameter lists of the benchmark's probe items
+_SANCHO_SANZ = [(gr(1), gr(1), gr("1/2")), (gr(2), gr(3), gr(1)),
+                (gr("1/2"), gr("1/3"), gr(2)), (gr("3/2"), gr(-2), gr(-1)),
+                (gr("1/3"), gr("1/2"), gr("1/3")), (gr(1, 1), gr(1), gr(1))]
+
+
+def _sancho_sanz(alpha, beta, lam) -> VectorField:
+    """x(x d/dx - alpha y d/dy - beta z d/dz) + xz d/dy + (y - lambda x) d/dz."""
+    return _field(V3, [{(2, 0, 0): 1}, {(1, 0, 1): 1, (1, 1, 0): -alpha},
+                       {(0, 1, 0): 1, (1, 0, 1): -beta, (1, 0, 0): -lam}])
+
+
 def cases():
     """(case id, zero-argument callable returning a tree) in a fixed order."""
     out = []
@@ -118,6 +130,15 @@ def cases():
     for k, x in enumerate(_germs3(30)):
         out.append((f"germ3/{k:02d}",
                     lambda x=x: resolve3(x, max_steps=3, probe_budget=2)))
+    # the persistent-nilpotent probe at its default budget: later probes of
+    # one resolution revisit blow-ups that earlier probes already made
+    for k, x in enumerate(_germs3(30)):
+        out.append((f"germ3/{k:02d}/probe6", lambda x=x: resolve3(x, max_steps=3)))
+    for a, b, lam in _SANCHO_SANZ:
+        x = _sancho_sanz(a, b, lam)
+        for steps in (4, 6):
+            out.append((f"sancho_sanz({a.text()},{b.text()},{lam.text()})/3d/{steps}",
+                        lambda x=x, s=steps: resolve3(x, max_steps=s)))
     return out
 
 
