@@ -31,11 +31,14 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DegenerateInputError,
+    EvaluationOverflowError,
     PoleEvaluationError,
     StructuralError,
 )
 
 Exponents = tuple[int, ...]
+
+_OVERFLOW = "floating-point overflow evaluating at a point too far from the origin"
 
 # ---------------------------------------------------------------------------
 # Gaussian rationals
@@ -436,6 +439,9 @@ class Poly:
     def restrict(self, var: str, value=0) -> "Poly":
         """Substitute ``var := value`` for an exact constant value."""
         i = self.var_index(var)
+        if not value:
+            # at zero exactly the terms free of ``var`` survive, unchanged
+            return Poly(self.vars, {e: c for e, c in self.terms.items() if not e[i]})
         value = GaussianRational.of(value)
         out: dict[Exponents, GaussianRational] = {}
         for e, c in self.terms.items():
@@ -556,10 +562,13 @@ class Poly:
         if len(point) != len(self.vars):
             raise StructuralError("point dimension mismatch")
         total = 0j
-        for term, powers in self._complex_terms:
-            for j, k in powers:
-                term *= point[j] ** k
-            total += term
+        try:
+            for term, powers in self._complex_terms:
+                for j, k in powers:
+                    term *= point[j] ** k
+                total += term
+        except OverflowError:
+            raise EvaluationOverflowError(_OVERFLOW) from None
         return total
 
     def divide_monomial(self, exps: Exponents) -> "Poly":
@@ -790,7 +799,10 @@ class ChartFunction:
             x = point[j]
             if e < 0 and x == 0:
                 raise PoleEvaluationError("evaluation at a pole")
-            value *= x ** e
+            try:
+                value *= x ** e
+            except OverflowError:
+                raise EvaluationOverflowError(_OVERFLOW) from None
         return value
 
     # -- rendering ------------------------------------------------------------------

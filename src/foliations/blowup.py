@@ -149,13 +149,17 @@ def weighted_blowup(
     numerators = []
     for i, name in enumerate(names):
         if i == k:
-            num = subbed[k].times_monomial(v_power(top - wv + 1)).scale(Fraction(1, wv))
+            num = subbed[k].times_monomial(v_power(top - wv + 1))
+            if wv != 1:
+                num = num.scale(Fraction(1, wv))
         elif name in weight_of:
             wu = weight_of[name]
             u_times = list(v_power(top - wv))
             u_times[i] += 1
-            num = (subbed[i].times_monomial(v_power(top - wu))
-                   - subbed[k].times_monomial(tuple(u_times)).scale(Fraction(wu, wv)))
+            drift = subbed[k].times_monomial(tuple(u_times))
+            if wu != wv:
+                drift = drift.scale(Fraction(wu, wv))
+            num = subbed[i].times_monomial(v_power(top - wu)) - drift
         else:
             num = subbed[i].times_monomial(v_power(top))
         numerators.append(num)

@@ -295,6 +295,24 @@ def second_jet_check(x: VectorField) -> bool:
     return any(not p.jet_truncate(2).is_zero() for p in x.polys())
 
 
+def _nilpotent_class(lp: LinearPart, cp: Poly) -> str | None:
+    """The class of a linear part whose characteristic polynomial ``cp`` is
+    ``t**n`` (nilpotent, or zero), else None."""
+    if cp != Poly((_T,), {(lp.dim,): GR_ONE}):
+        return None
+    return CLASS_ZERO_LINEAR if lp.is_zero() else CLASS_NILPOTENT
+
+
+def is_nilpotent(x: VectorField) -> bool:
+    """True iff ``x`` vanishes at the origin with a nonzero nilpotent linear
+    part: the class :func:`classify_singularity` reports as nilpotent,
+    without solving for eigenvalues."""
+    if not x.vanishes_at_origin():
+        return False
+    lp = linear_part(x)
+    return not lp.is_zero() and _nilpotent_class(lp, char_poly(lp)) == CLASS_NILPOTENT
+
+
 def classify_singularity(x: VectorField) -> SingularityReport:
     """Classify the germ of a holomorphic field at the chart origin.
 
@@ -308,10 +326,8 @@ def classify_singularity(x: VectorField) -> SingularityReport:
     lp = linear_part(x)
     cp = char_poly(lp)
     eigen = eigen_solve(cp)
-    n = x.chart.dim
-    t_power = Poly((_T,), {(n,): GR_ONE})
-    if cp == t_power:
-        klass = CLASS_ZERO_LINEAR if lp.is_zero() else CLASS_NILPOTENT
+    klass = _nilpotent_class(lp, cp)
+    if klass is not None:
         rank = None
     else:
         zero_mult = eigen.zero_multiplicity()

@@ -19,6 +19,10 @@ class PoleEvaluationError(FoliationError):
     """Evaluation or expansion hit a pole of a meromorphic function."""
 
 
+class EvaluationOverflowError(FoliationError):
+    """A floating-point evaluation left the range of doubles."""
+
+
 class ChartMismatchError(FoliationError):
     """Two geometric objects do not live on the same chart."""
 

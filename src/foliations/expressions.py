@@ -47,6 +47,14 @@ class Token:
     value: GaussianRational | None = None
 
 
+def _int_literal(digits: str, line: int, col: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's int conversion limit
+        raise ParseError(f"numeric literal of {len(digits)} digits is too long",
+                         line, col) from None
+
+
 def _tokenize(text: str, line: int) -> list[Token]:
     out: list[Token] = []
     i = 0
@@ -61,14 +69,14 @@ def _tokenize(text: str, line: int) -> list[Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            num = int(text[i:j])
+            num = _int_literal(text[i:j], line, col)
             den = 1
             if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
                 j += 1
                 k = j
                 while k < n and text[k].isdigit():
                     k += 1
-                den = int(text[j:k])
+                den = _int_literal(text[j:k], line, col)
                 if den == 0:
                     raise ParseError("zero denominator in literal", line, col)
                 j = k

@@ -26,6 +26,8 @@ The dimensions differ in three places, which they pass to the skeleton:
   distinguished invariant axis.  The probe that finds the match may first
   follow a chain of point blow-ups; the escape starts from the germ the
   probe matched, whose chain divisors become the components ``E{n}pre``.
+  The probes of one resolution share a memo of the germs they expanded, so
+  no point blow-up one of them made is made again.
 * **The divisor points of a new chart, and whether that list is
   complete.**  Dimension 2 enumerates the whole divisor in the first chart
   and only the origin in the second.  Dimension 3 solves the restricted
@@ -58,9 +60,10 @@ from .classify import (
     CLASS_NILPOTENT,
     SingularityReport,
     classify_singularity,
+    is_nilpotent,
 )
 from .errors import DegenerateInputError, FoliationError, NotApplicableError, StructuralError
-from .fields import Chart, VectorField, linear_part
+from .fields import BlowupRecord, Chart, VectorField, linear_part
 from . import intervals as iv
 
 STATUS_RESOLVED = "resolved"
@@ -575,10 +578,9 @@ def match_persistent_normal_form(x: VectorField) -> dict | None:
 
 def _is_nilpotent_germ(germ: VectorField) -> bool:
     try:
-        report = classify_singularity(germ)
+        return is_nilpotent(germ)
     except FoliationError:
         return False
-    return report.klass == CLASS_NILPOTENT
 
 
 def _uses_only(p: Poly, var: str) -> bool:
@@ -665,10 +667,52 @@ def _divisor_candidates_3d(rep: VectorField, divisor_var: str):
     return candidates, lines, nonrational, complete
 
 
+def _germ_key(germ: VectorField) -> tuple:
+    """The chart variables and exact components of a germ, hashable without
+    building a ``Fraction``."""
+    return (germ.chart.var_names,) + tuple(
+        (f.monomial_exponents, tuple((e, c._abd) for e, c in f.numerator.terms.items()))
+        for f in germ.components)
+
+
+def _probe_expansions(germ: VectorField, memo: dict) -> list:
+    """``(divisor var, coords, sub-germ)`` for each nilpotent singular point
+    on the divisor of the point blow-up of ``germ``, chart by chart.
+
+    The sub-germs' components depend on the germ's components alone, so
+    ``memo`` keeps them per :func:`_germ_key`; their charts are rebuilt
+    from the germ's chart as the blow-up labelled ``probe`` and
+    :func:`germ_at` make them.
+    """
+    key = _germ_key(germ)
+    found = memo.get(key)
+    if found is None:
+        found = []
+        for idx in range(3):
+            result = weighted_blowup(germ, BlowupSpec(POINT, (1, 1, 1), idx),
+                                     divisor_label="probe")
+            candidates, _lines, _nr, _complete = _divisor_candidates_3d(
+                result.representative, result.divisor_var)
+            for coords in candidates:
+                sub = germ_at(result.representative, coords)
+                if _is_nilpotent_germ(sub):
+                    found.append((result.divisor_var, coords, sub.components))
+        memo[key] = found
+    chart = germ.chart
+    out = []
+    for var, coords, components in found:
+        record = BlowupRecord(POINT, ("0",) * 3, (1, 1, 1), var, "probe")
+        labels = ["probe" if name == var else label if c.is_zero() else None
+                  for name, label, c in zip(chart.var_names, chart.divisor_labels, coords)]
+        out.append((var, coords, VectorField(chart.extended(record, labels), components)))
+    return out
+
+
 def detect_persistent_nilpotent(
     x: VectorField,
     probe_budget: int = 6,
     require_axis_orders: bool = False,
+    memo: dict | None = None,
 ) -> PersistentNilpotentReport:
     """Probe for the persistent-nilpotent normal form.
 
@@ -677,12 +721,15 @@ def detect_persistent_nilpotent(
     stage.  The ``> 2n`` conditions on the axis orders of f and g are
     reported in the witness; they become mandatory only with
     ``require_axis_orders=True``, since further blow-ups can always raise
-    them.
+    them.  Probes that pass the same ``memo`` dict share their blow-ups:
+    a germ one of them expanded is not blown up again.
     """
     if x.chart.dim != 3:
         raise NotApplicableError("persistent-nilpotent detection is three-dimensional")
     if not _is_nilpotent_germ(x):
         raise NotApplicableError("field does not have a nilpotent linear part")
+    if memo is None:
+        memo = {}
 
     examined = 0
     queue: deque[tuple[VectorField, list, int]] = deque([(x, [], 0)])
@@ -702,18 +749,8 @@ def detect_persistent_nilpotent(
             return PersistentNilpotentReport(True, witness["n"], witness, germ)
         if depth >= probe_budget:
             continue
-        expansions = []
-        for idx in range(3):
-            result = weighted_blowup(germ, BlowupSpec(POINT, (1, 1, 1), idx),
-                                     divisor_label="probe")
-            candidates, _lines, _nr, _complete = _divisor_candidates_3d(
-                result.representative, result.divisor_var)
-            for coords in candidates:
-                sub = germ_at(result.representative, coords)
-                if _is_nilpotent_germ(sub):
-                    expansions.append(
-                        (sub, chain + [(result.divisor_var, coords)], depth + 1))
-        queue.extend(expansions)
+        queue.extend((sub, chain + [(var, coords)], depth + 1)
+                     for var, coords, sub in _probe_expansions(germ, memo))
     return PersistentNilpotentReport(False)
 
 
@@ -765,17 +802,18 @@ def resolve3(
         raise NotApplicableError("resolve3 expects a three-dimensional germ")
     return _resolve(
         x, max_steps,
-        partial(_blow_up_3d, probe_budget=probe_budget, allow_weighted=allow_weighted),
+        partial(_blow_up_3d, probe_budget=probe_budget, allow_weighted=allow_weighted,
+                probe_memo={}),
         _divisor_points_3d,
         on_budget=partial(_budget_3d, allow_weighted=allow_weighted))
 
 
 def _blow_up_3d(tree: ResolutionTree, point: SingularPoint, germ: VectorField,
                 label: str, center_coords: tuple[str, ...], *,
-                probe_budget: int, allow_weighted: bool):
+                probe_budget: int, allow_weighted: bool, probe_memo: dict):
     if (allow_weighted and point.report is not None
             and point.report.klass == CLASS_NILPOTENT):
-        probe = detect_persistent_nilpotent(germ, probe_budget)
+        probe = detect_persistent_nilpotent(germ, probe_budget, memo=probe_memo)
         if probe.capped:
             tree.diagnostics.append(
                 f"node {point.node_id}: persistent-nilpotent probe stopped after "

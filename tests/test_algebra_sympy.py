@@ -1,8 +1,8 @@
 """Differential test of the ``Poly`` ring operations against sympy.
 
-Sum, difference, negation, product, small powers, scaling by a constant
-and ``shift`` (``x := x + c``, for one variable and for several at once)
-of random polynomials in one to three variables with Q(i) coefficients,
+Sum, difference, negation, product, small powers, scaling by a constant,
+``shift`` (``x := x + c``, for one variable and for several at once) and
+``restrict`` (``x := c``, zero included) of random polynomials in one to three variables with Q(i) coefficients,
 non-real ones included, are compared with sympy's expanded results term
 by term.
 """
@@ -73,3 +73,19 @@ def test_ring_operations_match_sympy(case):
     moved = {syms[vars.index(name)]: syms[vars.index(name)] + to_sympy_number(a)
              for name, a in offsets.items()}
     assert ours(p.shift(offsets)) == terms(sp.xreplace(moved), syms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operands())
+def test_restrict_matches_sympy(case):
+    vars, p, _q, c, _k, var, _offsets = case
+    syms = sympy.symbols(vars)
+    sp, s = to_sympy(p, syms), syms[vars.index(var)]
+    assert ours(p.restrict(var, c)) == terms(sp.subs(s, to_sympy_number(c)), syms)
+    # at zero the terms free of ``var`` survive unchanged and in their order
+    i = vars.index(var)
+    for zero in (0, GaussianRational.of(0)):
+        restricted = p.restrict(var, zero)
+        assert ours(restricted) == terms(sp.subs(s, 0), syms)
+        assert list(restricted.terms.items()) == [
+            (e, k) for e, k in p.terms.items() if not e[i]]

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from foliations.algebra import Poly, gr
+from foliations.algebra import ChartFunction, Poly, gr
 from foliations.classify import (
     CLASS_ELEMENTARY,
     CLASS_NILPOTENT,
@@ -18,6 +20,7 @@ from foliations.classify import (
     char_poly,
     classify_singularity,
     eigen_solve,
+    is_nilpotent,
     resonance_rank,
     resonant_relations,
     siegel_test,
@@ -31,6 +34,7 @@ from foliations.corpus import (
     sancho_sanz_field,
     two_integrals_field,
 )
+from foliations.errors import FoliationError
 from foliations.fields import Chart, LinearPart, VectorField, linear_part
 from foliations.intervals import CertifiedRoot
 
@@ -271,3 +275,93 @@ class TestEigenFactorReconstruction:
                 factor = t - Poly.make(T, {(0,): value})
                 product = product * factor ** mult
             assert product == p
+
+
+# ---------------------------------------------------------------------------
+# The nilpotency test against the full classification
+# ---------------------------------------------------------------------------
+
+small = st.integers(-3, 3)
+monomials3 = st.lists(st.integers(0, 3), min_size=3, max_size=3).map(tuple)
+
+
+def _terms(draw, min_degree: int) -> dict:
+    return {e: c for e, c in draw(st.dictionaries(monomials3, small, max_size=4)).items()
+            if sum(e) >= min_degree and c}
+
+
+@st.composite
+def random_germs(draw):
+    """Random 3-D fields, constant terms included (non-vanishing ones)."""
+    return VectorField.make(Chart.root(V3), [
+        make_poly(V3, _terms(draw, 0)) for _ in range(3)])
+
+
+@st.composite
+def conjugated_nilpotent_germs(draw):
+    """Linear part P N P^-1 (N strictly upper triangular, P an invertible
+    small integer matrix), plus higher-order terms and maybe a constant
+    term; also says whether the field is nilpotent (N nonzero, no constant)."""
+    # P = L U with unit triangular integer factors, so det P = 1
+    lower = [[draw(small) if j < i else int(i == j) for j in range(3)] for i in range(3)]
+    upper = [[draw(small) if j > i else int(i == j) for j in range(3)] for i in range(3)]
+    p = _product(lower, upper)
+    n = [[draw(small) if j > i else 0 for j in range(3)] for i in range(3)]
+    p_inv = _inverse([[Fraction(v) for v in row] for row in p])
+    lin = _product(_product(p, n), p_inv)
+    constant = draw(st.booleans()) and draw(st.integers(1, 3))
+    comps = []
+    for i in range(3):
+        terms = _terms(draw, 2)
+        for j in range(3):
+            if lin[i][j]:
+                terms[tuple(int(k == j) for k in range(3))] = lin[i][j]
+        if constant and i == 0:
+            terms[(0, 0, 0)] = constant
+        comps.append(make_poly(V3, terms))
+    return VectorField.make(Chart.root(V3), comps), any(any(row) for row in n) and not constant
+
+
+def _product(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+
+def _inverse(m):
+    rows = [row + [Fraction(int(i == j)) for j in range(3)] for i, row in enumerate(m)]
+    for col in range(3):
+        pivot = next(r for r in range(col, 3) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(3):
+            if r != col and rows[r][col]:
+                rows[r] = [v - rows[r][col] * w for v, w in zip(rows[r], rows[col])]
+    return [row[3:] for row in rows]
+
+
+def _classified_nilpotent(field: VectorField) -> bool:
+    try:
+        return classify_singularity(field).klass == CLASS_NILPOTENT
+    except FoliationError:
+        return False
+
+
+# x d/dx + y/x d/dy + z d/dz: meromorphic along x = 0
+MEROMORPHIC = VectorField(Chart.root(V3), (
+    ChartFunction.of_poly(Poly.variable(V3, "x")),
+    ChartFunction(Poly.variable(V3, "y"), (-1, 0, 0)),
+    ChartFunction.of_poly(Poly.variable(V3, "z"))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_germs())
+@example(sancho_sanz_field())
+@example(MEROMORPHIC)
+def test_is_nilpotent_agrees_with_classification(field):
+    assert is_nilpotent(field) == _classified_nilpotent(field)
+
+
+@settings(max_examples=80, deadline=None)
+@given(conjugated_nilpotent_germs())
+def test_conjugated_nilpotent_linear_parts(case):
+    field, nilpotent = case
+    assert is_nilpotent(field) == nilpotent == _classified_nilpotent(field)

@@ -375,6 +375,33 @@ class TestFlagValidation:
         assert err.getvalue() == ("parse error: exponent 40 exceeds the limit 32 "
                                   "(line 3, column 3)\n")
 
+    def test_long_literal_usage_error(self, tmp_path):
+        # longer than the interpreter converts to int: refused at the token
+        path = tmp_path / "long.field"
+        path.write_text("vars: x\nkind: field\n" + "1" * 5000 + "*x\n", encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli("parse", str(path))
+        assert (code, out) == (2, "")
+        assert err.getvalue() == ("parse error: numeric literal of 5000 digits is too "
+                                  "long (line 3, column 1)\n")
+
+    @pytest.mark.parametrize("field, argv", [
+        ("x^2", ["descent", "--start", "1e308,0"]),
+        ("x^2", ["timeform", "--path", "circle:1e200"]),
+        ("x^3, -y^2 + x*y", ["holonomy", "--base", "x", "--loop-radius", "1e200"])])
+    def test_overflow_error(self, tmp_path, field, argv):
+        # finite but huge inputs overflow the first complex evaluation
+        names = "x" if "y" not in field else "x, y"
+        path = tmp_path / "huge.field"
+        path.write_text(f"vars: {names}\nkind: field\n{field}\n", encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli("dynamics", argv[0], str(path), *argv[1:])
+        assert (code, out) == (1, "")
+        assert err.getvalue() == ("error: floating-point overflow evaluating at a "
+                                  "point too far from the origin\n")
+
     def test_jet_degree_limit_error(self, tmp_path):
         path = tmp_path / "square.field"
         path.write_text("vars: x\nkind: field\nx^2\n", encoding="utf-8")

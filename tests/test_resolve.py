@@ -15,7 +15,8 @@ from foliations.corpus import (
     sancho_sanz_field,
 )
 from foliations.errors import NotApplicableError
-from foliations.fields import Chart, VectorField
+from foliations.blowup import POINT
+from foliations.fields import BlowupRecord, Chart, VectorField
 from foliations.resolve import (
     POINT_NONRATIONAL,
     STATUS_BUDGET,
@@ -266,6 +267,55 @@ class TestPersistentDetection:
         report = detect_persistent_nilpotent(sancho_sanz_field(1, 1, 1), 6)
         assert not report.matched and not report.capped
         assert len(calls) == 7
+
+    @pytest.mark.parametrize("field", [
+        VectorField.make(Chart.root(V3), [
+            make_poly(V3, {(3, 0, 0): 1}),
+            make_poly(V3, {(1, 0, 0): 2, (0, 0, 1): 1}),
+            make_poly(V3, {(0, 2, 0): -1})]),
+        persistent_synthetic_field()], ids=["prechain", "persistent_synthetic"])
+    def test_shared_memo_gives_the_fresh_report(self, monkeypatch, field):
+        # the probes of one resolution, run in the driver's order: each gives
+        # with the memo the earlier probes filled the report it gives alone,
+        # while making fewer blow-ups
+        import foliations.resolve as resolve
+        blowups = []
+        blowup = resolve.weighted_blowup
+
+        def counted(*args, **kwargs):
+            blowups.append(args[0])
+            return blowup(*args, **kwargs)
+
+        monkeypatch.setattr(resolve, "weighted_blowup", counted)
+        tree = resolve3(field, max_steps=12)
+        probed = [germ_at(tree.nodes[point.node_id].rep, point.coords)
+                  for _, point in tree.all_points()
+                  if point.status in ("blown_up", "escaped_weighted")
+                  and point.report.klass == CLASS_NILPOTENT]
+        assert len(probed) >= 2
+
+        def facts(report):
+            germ = report.germ
+            return (report.matched, report.n, report.capped, report.witness,
+                    germ and germ.render(), germ and germ.chart.divisor_labels,
+                    germ and germ.chart.history)
+
+        memo = {}
+        del blowups[:]
+        shared = [facts(detect_persistent_nilpotent(germ, memo=memo)) for germ in probed]
+        shared_blowups = len(blowups)
+        del blowups[:]
+        fresh = [facts(detect_persistent_nilpotent(germ)) for germ in probed]
+        assert shared == fresh
+        assert any(matched for matched, *_ in fresh)
+        assert shared_blowups < len(blowups)
+        # the first germ again, on a chart with a history and a label: a
+        # match reached through the memo gets this chart's history and labels
+        record = BlowupRecord(POINT, ("0",) * 3, (1, 1, 1), "y", "E1")
+        moved = VectorField(Chart(V3, (record,), (None, "E1", None)),
+                            probed[0].components)
+        assert (facts(detect_persistent_nilpotent(moved, memo=memo))
+                == facts(detect_persistent_nilpotent(moved)))
 
     def test_probe_cap_is_reported(self, monkeypatch):
         # Sancho-Sanz(1, 1, 1) does not match; with probe budget 6 the probe
