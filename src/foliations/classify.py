@@ -310,6 +310,7 @@ def is_nilpotent(x: VectorField) -> bool:
     if not x.vanishes_at_origin():
         return False
     lp = linear_part(x)
+    # a zero linear part needs no characteristic polynomial
     return not lp.is_zero() and _nilpotent_class(lp, char_poly(lp)) == CLASS_NILPOTENT
 
 
