@@ -39,6 +39,10 @@ UNDECIDED = "undecided"
 
 _T = "t"
 
+# largest total order resonant_relations enumerates: the multi-indices
+# grow as order**n, as the formal solver's unknowns do with jet order
+_MAX_RESONANCE_BOUND = 32
+
 
 @dataclass(frozen=True)
 class EigenData:
@@ -211,8 +215,12 @@ def resonance_rank(eigenvalues) -> int | str:
 def resonant_relations(eigenvalues, bound: int = 6):
     """All relations lambda_i = (I, lambda) with |I| in [2, bound].
 
-    Returns a list of ``(i, I)`` pairs (0-based i, exponent tuples).
+    Returns a list of ``(i, I)`` pairs (0-based i, exponent tuples).  A
+    bound below 0 or above 32 raises :class:`StructuralError`.
     """
+    if not 0 <= bound <= _MAX_RESONANCE_BOUND:
+        raise StructuralError(
+            f"resonance bound must lie between 0 and {_MAX_RESONANCE_BOUND}, got {bound}")
     vals = list(eigenvalues)
     if not all(isinstance(v, GaussianRational) for v in vals):
         raise NotApplicableError("resonant relations need exact eigenvalues")

@@ -15,6 +15,11 @@ Subcommands map one-to-one onto the library operations::
 All results go to standard output as JSON unless ``--dot`` or ``--csv`` is
 given.  Exit codes: 0 success, 1 analysis-negative outcome (failed check,
 exhausted budget, false verification), 2 usage or parse errors.
+
+Each run is a fresh process, so start-up counts.  This module imports only
+the parser layer (``errors``, ``expressions``, ``fields``); each ``_cmd_*``
+handler imports the modules it calls when it runs.  NumPy is loaded only by
+``dynamics``, ``corpus`` and the certification of roots outside Q(i).
 """
 
 from __future__ import annotations
@@ -25,24 +30,9 @@ import json
 import math
 import sys
 
-from .blowup import POINT, BlowupSpec, all_charts, weighted_blowup
-from .classify import classify_singularity, resonant_relations
-from .corpus import render_report, run_corpus
-from .dynamics import (
-    CircularArc,
-    Segment,
-    full_circle,
-    half_circle,
-    loop_lift_ratio,
-    semicomplete_order_test,
-    time_form_integral,
-    trace_descent,
-)
 from .errors import DegenerateInputError, FoliationError, ParseError
 from .expressions import parse_expression, parse_field, render_field
 from .fields import OneForm, VectorField
-from .integrals import formal_first_integral, independence_check, verify_first_integral
-from .resolve import STATUS_RESOLVED, emit_tree, resolve3, seidenberg_resolve
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -66,6 +56,8 @@ def _emit(data) -> None:
 
 
 def _parse_path_flag(text: str):
+    from .dynamics import CircularArc, Segment, full_circle, half_circle
+
     kind, _, rest = text.partition(":")
     arity = {"circle": 1, "half": 1, "arc": 3, "segment": 4}.get(kind)
     try:
@@ -94,6 +86,8 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import classify_singularity, resonant_relations
+
     field = _load_field(args.file)
     report = classify_singularity(field)
     out = report.to_json()
@@ -107,6 +101,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
+    from .blowup import POINT, BlowupSpec, all_charts, weighted_blowup
+
     field = _load_field(args.file)
     if args.center != POINT and not args.center.startswith("curve:"):
         raise ParseError(f"bad center {args.center!r} (point or curve:VAR)")
@@ -139,6 +135,8 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_resolve(args) -> int:
+    from .resolve import STATUS_RESOLVED, emit_tree, resolve3, seidenberg_resolve
+
     field = _load_field(args.file)
     if field.chart.dim == 2:
         tree = seidenberg_resolve(field, max_steps=args.max_steps)
@@ -152,6 +150,8 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_integrals(args) -> int:
+    from .integrals import formal_first_integral, independence_check, verify_first_integral
+
     field = _load_field(args.file)
     names = field.chart.var_names
     out: dict = {}
@@ -179,6 +179,9 @@ def _cmd_integrals(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
+    from .dynamics import (loop_lift_ratio, semicomplete_order_test, time_form_integral,
+                           trace_descent)
+
     if args.operation == "holonomy":
         field = _load_field(args.file)
         ratio = loop_lift_ratio(field, args.base, args.loop_radius,
@@ -222,6 +225,8 @@ def _cmd_dynamics(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    from .corpus import render_report, run_corpus
+
     report = run_corpus(args.filter, args.fixtures)
     sys.stdout.write(render_report(report))
     return EXIT_OK if report["failures"] == 0 else EXIT_NEGATIVE

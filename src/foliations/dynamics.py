@@ -25,9 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import ChartFunction, Poly
+from .algebra import _OVERFLOW, ChartFunction, Poly
 from .errors import (
     DegenerateInputError,
+    EvaluationOverflowError,
     NotApplicableError,
     SingularLiftError,
     SingularPathError,
@@ -495,7 +496,8 @@ def lift_path(
     along the lift raises :class:`SingularLiftError`; leaving the escape
     polydisc sets ``escaped`` instead of failing, and then ``est_error`` is
     ``None`` because no estimate is made.  A non-finite fiber value raises
-    :class:`DegenerateInputError`.
+    :class:`DegenerateInputError`, and a floating-point overflow along the
+    lift :class:`EvaluationOverflowError`.
     """
     chart = x.chart
     b = chart.var_index(base_var)
@@ -524,14 +526,23 @@ def lift_path(
     t0, t1 = path.t_range
     max_step = abs(t1 - t0) / max(min_samples, 1)
     y0 = [complex(v) for v in fiber]
-    samples, escaped = _rk45(rhs, t0, t1, y0, rtol, atol, max_step, escape_radius)
-    final = samples[-1][1]
-    if escaped:
-        est = None
-    else:
-        tight, _ = _rk45(rhs, t0, t1, y0, rtol / 100.0, atol / 100.0,
-                         max_step / 2.0, escape_radius)
-        est = float(np.max(np.abs(np.subtract(final, tight[-1][1])))) if final else 0.0
+    # NumPy scalar arithmetic only warns on overflow and goes on with inf
+    # and NaN, so a huge fiber value would reject steps until the iteration
+    # cap; raising turns it into the error a Python complex gives
+    try:
+        with np.errstate(over="raise"):
+            samples, escaped = _rk45(rhs, t0, t1, y0, rtol, atol, max_step,
+                                     escape_radius)
+            final = samples[-1][1]
+            if escaped:
+                est = None
+            else:
+                tight, _ = _rk45(rhs, t0, t1, y0, rtol / 100.0, atol / 100.0,
+                                 max_step / 2.0, escape_radius)
+                est = (float(np.max(np.abs(np.subtract(final, tight[-1][1]))))
+                       if final else 0.0)
+    except FloatingPointError:
+        raise EvaluationOverflowError(_OVERFLOW) from None
     return LiftResult(
         base_var=base_var,
         fiber_vars=fiber_vars,

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import GR_ONE, GR_ZERO, GaussianRational
 from .errors import DegenerateInputError
 
@@ -412,6 +410,10 @@ def _square_free_parts(c: list[GaussianRational]) -> list[tuple[list[GaussianRat
 
 def _certify(part: list[GaussianRational], m: int) -> list[CertifiedRoot]:
     """Certified rectangles for the roots of the square-free ``part``."""
+    # NumPy is imported at its one use, so a root-find with every root in
+    # Q(i) never loads it
+    import numpy as np
+
     intervals: list[CertifiedRoot] = []
     approx = np.roots([p_.to_complex() for p_ in reversed(part)])
     coeffs_iv = [ComplexInterval.of_gaussian(p_) for p_ in part]

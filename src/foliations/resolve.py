@@ -796,10 +796,13 @@ def resolve3(
     curves inside the singular set.  With ``allow_weighted`` enabled, a
     nilpotent point matching the persistent normal form is removed by a
     single weight-2 blow-up; with it disabled the driver keeps applying
-    standard blow-ups until the budget runs out.
+    standard blow-ups until the budget runs out.  A negative
+    ``probe_budget`` raises :class:`StructuralError`.
     """
     if x.chart.dim != 3:
         raise NotApplicableError("resolve3 expects a three-dimensional germ")
+    if probe_budget < 0:
+        raise StructuralError(f"probe budget must be nonnegative, got {probe_budget}")
     return _resolve(
         x, max_steps,
         partial(_blow_up_3d, probe_budget=probe_budget, allow_weighted=allow_weighted,

@@ -389,9 +389,11 @@ class TestFlagValidation:
     @pytest.mark.parametrize("field, argv", [
         ("x^2", ["descent", "--start", "1e308,0"]),
         ("x^2", ["timeform", "--path", "circle:1e200"]),
-        ("x^3, -y^2 + x*y", ["holonomy", "--base", "x", "--loop-radius", "1e200"])])
+        ("x^3, -y^2 + x*y", ["holonomy", "--base", "x", "--loop-radius", "1e200"]),
+        ("x^3, -y^2 + x*y", ["holonomy", "--base", "x", "--fiber-seed", "1e200"])])
     def test_overflow_error(self, tmp_path, field, argv):
-        # finite but huge inputs overflow the first complex evaluation
+        # finite but huge inputs overflow the first complex evaluation, in
+        # Python complex or (the fiber seed) in NumPy complex128 scalars
         names = "x" if "y" not in field else "x, y"
         path = tmp_path / "huge.field"
         path.write_text(f"vars: {names}\nkind: field\n{field}\n", encoding="utf-8")
@@ -410,6 +412,32 @@ class TestFlagValidation:
             code, out = run_cli("integrals", str(path), "--formal", "--jet-degree", "33")
         assert (code, out) == (1, "")
         assert err.getvalue() == "error: jet order must be at most 32\n"
+
+    @pytest.mark.parametrize("bound", ["-1", "33"])
+    def test_resonance_bound_limit_error(self, bound):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli("classify", fixture("siegel_triple.field"),
+                                "--resonance-bound", bound)
+        assert (code, out) == (1, "")
+        assert err.getvalue() == ("error: resonance bound must lie between 0 and 32, "
+                                  f"got {bound}\n")
+
+    def test_resonance_bound_limit_is_inclusive(self, tmp_path):
+        # spectrum (0, 1): the zero eigenvalue is resonant at every order
+        path = tmp_path / "saddle_node.field"
+        path.write_text("vars: x, y\nkind: field\nx, y^2\n", encoding="utf-8")
+        code, out = run_cli("classify", str(path), "--resonance-bound", "32")
+        assert code == 0
+        assert {"index": 0, "exponents": [32, 0]} in json.loads(out)["resonant_relations"]
+
+    def test_negative_probe_budget_error(self):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli("resolve", fixture("sancho_sanz.field"),
+                                "--probe-budget", "-1")
+        assert (code, out) == (1, "")
+        assert err.getvalue() == "error: probe budget must be nonnegative, got -1\n"
 
     def test_bad_start_usage_error(self, tmp_path):
         path = tmp_path / "lin.field"
@@ -447,3 +475,55 @@ class TestParserReuse:
         fresh = subprocess.run([sys.executable, "-m", "foliations", *argv],
                                capture_output=True, text=True, env=env, check=False)
         assert (code, out) == (fresh.returncode, fresh.stdout)
+
+
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new interpreter with this checkout on the path."""
+    src = Path(foliations.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, check=False)
+
+
+# runs one CLI call, then prints the NumPy and toolkit modules it loaded
+_LOADED_AFTER = """
+import json, sys
+from foliations.cli import main
+code = main(sys.argv[1:])
+print(code, json.dumps(sorted(m for m in sys.modules
+                              if m == "numpy" or m.startswith("foliations."))))
+"""
+
+
+class TestStartup:
+    """The CLI loads a subcommand's modules, and NumPy, only when it runs."""
+
+    def loaded(self, *argv) -> tuple[int, set[str]]:
+        done = _fresh_python("-c", _LOADED_AFTER, *argv)
+        assert done.stderr == ""
+        code, modules = done.stdout.splitlines()[-1].split(" ", 1)
+        return int(code), set(json.loads(modules))
+
+    def test_import_loads_the_parser_layer_only(self):
+        done = _fresh_python("-c", _LOADED_AFTER.split("code =")[0]
+                             + "print(json.dumps(sorted(sys.modules)))")
+        modules = set(json.loads(done.stdout))
+        assert "numpy" not in modules
+        assert not modules & {f"foliations.{m}" for m in (
+            "resolve", "blowup", "classify", "intervals", "dynamics", "corpus")}
+
+    @pytest.mark.parametrize("argv", [
+        ["integrals", "two_integrals.field", "--formal"],
+        ["parse", "two_integrals.field"],
+        ["classify", "siegel_triple.field"]])    # spectrum (1, 1+i, -2-i)
+    def test_exact_commands_leave_numpy_unloaded(self, argv):
+        code, modules = self.loaded(argv[0], fixture(argv[1]), *argv[2:])
+        assert code == 0
+        assert "numpy" not in modules
+
+    def test_dynamics_from_a_cold_start(self):
+        done = _fresh_python("-m", "foliations", "dynamics", "holonomy",
+                             fixture("saddle12.field"), "--base", "x")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert set(json.loads(done.stdout)) >= {"ratio", "argument_over_pi"}
