@@ -26,6 +26,15 @@ def fixture(name: str) -> str:
     return str(fixtures_dir() / name)
 
 
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new interpreter with this checkout on the path."""
+    src = Path(foliations.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, check=False)
+
+
 # ---------------------------------------------------------------------------
 # Minimal JSON-schema validation (subset: type/properties/required/items/
 # enum/anyOf), enough for the shipped schema files.
@@ -469,45 +478,26 @@ class TestParserReuse:
             run_cli("integrals", fixture("xabc111.field"), "--jet-degree", "three")
         assert exc.value.code == 2
         code, out = run_cli(*argv)
-        src = Path(foliations.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        fresh = subprocess.run([sys.executable, "-m", "foliations", *argv],
-                               capture_output=True, text=True, env=env, check=False)
+        fresh = _fresh_python("-m", "foliations", *argv)
         assert (code, out) == (fresh.returncode, fresh.stdout)
 
 
-def _fresh_python(*args) -> subprocess.CompletedProcess:
-    """Run ``python *args`` in a new interpreter with this checkout on the path."""
-    src = Path(foliations.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, check=False)
-
-
-# runs one CLI call, then prints the NumPy and toolkit modules it loaded
-_LOADED_AFTER = """
-import json, sys
+# one CLI call in a new interpreter; prints its exit code and whether NumPy
+# was loaded
+_NUMPY_AFTER = """
+import sys
 from foliations.cli import main
 code = main(sys.argv[1:])
-print(code, json.dumps(sorted(m for m in sys.modules
-                              if m == "numpy" or m.startswith("foliations."))))
+print(code, "numpy" in sys.modules)
 """
 
 
 class TestStartup:
     """The CLI loads a subcommand's modules, and NumPy, only when it runs."""
 
-    def loaded(self, *argv) -> tuple[int, set[str]]:
-        done = _fresh_python("-c", _LOADED_AFTER, *argv)
-        assert done.stderr == ""
-        code, modules = done.stdout.splitlines()[-1].split(" ", 1)
-        return int(code), set(json.loads(modules))
-
     def test_import_loads_the_parser_layer_only(self):
-        done = _fresh_python("-c", _LOADED_AFTER.split("code =")[0]
-                             + "print(json.dumps(sorted(sys.modules)))")
+        done = _fresh_python("-c", "import json, sys, foliations.cli; "
+                             "print(json.dumps(sorted(sys.modules)))")
         modules = set(json.loads(done.stdout))
         assert "numpy" not in modules
         assert not modules & {f"foliations.{m}" for m in (
@@ -518,9 +508,9 @@ class TestStartup:
         ["parse", "two_integrals.field"],
         ["classify", "siegel_triple.field"]])    # spectrum (1, 1+i, -2-i)
     def test_exact_commands_leave_numpy_unloaded(self, argv):
-        code, modules = self.loaded(argv[0], fixture(argv[1]), *argv[2:])
-        assert code == 0
-        assert "numpy" not in modules
+        done = _fresh_python("-c", _NUMPY_AFTER, argv[0], fixture(argv[1]), *argv[2:])
+        assert done.stderr == ""
+        assert done.stdout.splitlines()[-1] == "0 False"
 
     def test_dynamics_from_a_cold_start(self):
         done = _fresh_python("-m", "foliations", "dynamics", "holonomy",
