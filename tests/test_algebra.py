@@ -5,9 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foliations.algebra import (
     GR_ONE,
+    GR_ZERO,
     ChartFunction,
     GaussianRational,
     Poly,
@@ -86,6 +89,45 @@ class TestRingArithmetic:
                 assert (a + b).degree() <= max(a.degree(), b.degree())
             if not a.is_zero() and not b.is_zero():
                 assert (a * b).order() == a.order() + b.order()
+
+
+def _schoolbook_product(p: Poly, q: Poly) -> Poly:
+    """The generic double loop over the terms of ``p`` and then of ``q``."""
+    out = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(e, GR_ZERO) + ca * cb
+            if s.is_zero():
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return Poly(p.vars, out)
+
+
+_small_fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+_nonzero_coefficients = st.builds(GaussianRational, _small_fractions,
+                                  st.one_of(st.just(Fraction(0)), _small_fractions)
+                                  ).filter(bool)
+
+
+@st.composite
+def _poly_and_monomial(draw):
+    vars = V3[:draw(st.integers(1, 3))]
+    exps = st.lists(st.integers(0, 4), min_size=len(vars), max_size=len(vars)).map(tuple)
+    p = Poly.make(vars, draw(st.dictionaries(exps, _nonzero_coefficients, max_size=6)))
+    q = Poly.make(vars, {draw(exps): draw(_nonzero_coefficients)})
+    return p, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly_and_monomial())
+def test_product_with_one_term_keeps_term_order(operands):
+    # term order decides eval_complex's float order and every rendering
+    # digest, so it is compared as a list, not as a dict
+    p, q = operands
+    for a, b in ((p, q), (q, p)):
+        assert list((a * b).terms.items()) == list(_schoolbook_product(a, b).terms.items())
 
 
 class TestDerivative:
