@@ -370,6 +370,13 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_same_vars(other)
+        # times one term: the keys stay distinct and in the other factor's
+        # order, as the double loop below would leave them
+        one, many = (self, other) if len(self.terms) == 1 else (other, self)
+        if len(one.terms) == 1:
+            (e1, c1), = one.terms.items()
+            return Poly(self.vars, {tuple(x + y for x, y in zip(e, e1)): c * c1
+                                    for e, c in many.terms.items()})
         out: dict[Exponents, GaussianRational] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():

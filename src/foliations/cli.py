@@ -17,22 +17,23 @@ given.  Exit codes: 0 success, 1 analysis-negative outcome (failed check,
 exhausted budget, false verification), 2 usage or parse errors.
 
 Each run is a fresh process, so start-up counts.  This module imports only
-the parser layer (``errors``, ``expressions``, ``fields``); each ``_cmd_*``
-handler imports the modules it calls when it runs.  NumPy is loaded only by
-``dynamics``, ``corpus`` and the certification of roots outside Q(i).
+the parser layer (``errors``, ``expressions``, ``fields``) and the JSON
+writer (``jsontext``); each ``_cmd_*`` handler imports the modules it calls
+when it runs.  NumPy is loaded only by ``dynamics``, ``corpus`` and the
+certification of roots outside Q(i).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
 from .errors import DegenerateInputError, FoliationError, ParseError
 from .expressions import parse_expression, parse_field, render_field
 from .fields import OneForm, VectorField
+from .jsontext import dumps
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -52,7 +53,7 @@ def _load_field(path: str) -> VectorField:
 
 
 def _emit(data) -> None:
-    sys.stdout.write(json.dumps(data, indent=2, sort_keys=False) + "\n")
+    sys.stdout.write(dumps(data) + "\n")
 
 
 def _parse_path_flag(text: str):

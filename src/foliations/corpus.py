@@ -18,7 +18,6 @@ JSON.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +67,7 @@ from .integrals import (
     meromorphic_quotient,
     verify_first_integral,
 )
+from .jsontext import dumps
 from .resolve import (
     STATUS_RESOLVED,
     detect_persistent_nilpotent,
@@ -673,4 +673,4 @@ def run_corpus(filter_substring: str | None = None,
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=False) + "\n"
+    return dumps(report) + "\n"

@@ -279,8 +279,12 @@ def semicomplete_order_test(x_1d: Poly, radius: float = 0.1) -> Semicompleteness
     Order at most 2 at the origin is semicomplete; order k >= 3 is not, and
     the verdict attaches the vanishing integral of the time form over an
     open arc of angle 2*pi/(k-1) as numeric corroboration.  The exact order
-    rule is authoritative; the integral is evidence only.
+    rule is authoritative; the integral is evidence only.  A zero or
+    non-finite radius (no arc) raises :class:`DegenerateInputError`, whatever
+    the order.
     """
+    if radius == 0 or not math.isfinite(radius):
+        raise DegenerateInputError(f"loop radius must be finite and nonzero, got {radius!r}")
     if len(x_1d.vars) != 1:
         raise StructuralError("expected a univariate polynomial")
     if x_1d.is_zero():

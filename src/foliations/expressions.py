@@ -22,10 +22,9 @@ canonical text a faithful interchange format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
-from .algebra import GaussianRational, Poly
+from .algebra import GaussianRational, Poly, _make
 from .errors import ParseError, StructuralError
 from .fields import Chart, OneForm, VectorField
 
@@ -38,8 +37,7 @@ KIND_FORM = "form"
 _MAX_DEGREE = 32
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str        # number, name, op, end
     text: str
     line: int
@@ -82,9 +80,9 @@ def _tokenize(text: str, line: int) -> list[Token]:
                 j = k
             if j < n and text[j] == "i":
                 j += 1
-                value = GaussianRational(Fraction(0), Fraction(num, den))
+                value = _make(0, num, den)
             else:
-                value = GaussianRational(Fraction(num, den))
+                value = _make(num, 0, den)
             out.append(Token("number", text[i:j], line, col, value))
             i = j
             continue
@@ -179,13 +177,10 @@ class _Parser:
         if tok.kind == "op" and tok.text == "^":
             self.next()
             exp_tok = self.next()
-            if (exp_tok.kind != "number" or exp_tok.value is None
-                    or exp_tok.value.im != 0
-                    or exp_tok.value.re.denominator != 1
-                    or exp_tok.value.re < 0):
+            if exp_tok.kind != "number" or exp_tok.value._abd[1:] != (0, 1):
                 raise ParseError("exponent must be a nonnegative integer",
                                  exp_tok.line, exp_tok.column)
-            k = int(exp_tok.value.re)
+            k = exp_tok.value._abd[0]       # a literal is never negative
             if k > _MAX_DEGREE:
                 raise ParseError(f"exponent {k} exceeds the limit {_MAX_DEGREE}",
                                  exp_tok.line, exp_tok.column)

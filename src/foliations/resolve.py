@@ -47,7 +47,6 @@ it (``None`` at the root), the one record of that blow-up's facts.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -65,6 +64,7 @@ from .classify import (
 from .errors import DegenerateInputError, FoliationError, NotApplicableError, StructuralError
 from .fields import BlowupRecord, Chart, VectorField, linear_part
 from . import intervals as iv
+from .jsontext import dumps
 
 STATUS_RESOLVED = "resolved"
 STATUS_BUDGET = "budget_exhausted"
@@ -905,7 +905,7 @@ def _invisible_in_earlier_charts(chart: Chart, divisor_var: str, coords) -> bool
 def emit_tree(tree: ResolutionTree, fmt: str = "json") -> str:
     """Deterministic serialization of a resolution tree (json or dot)."""
     if fmt == "json":
-        return json.dumps(tree.to_json_dict(), indent=2, sort_keys=False)
+        return dumps(tree.to_json_dict())
     if fmt != "dot":
         raise StructuralError("format must be 'json' or 'dot'")
     lines = ["digraph resolution {"]

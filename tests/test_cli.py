@@ -322,6 +322,21 @@ class TestFlagValidation:
         assert code == 1
         assert err.getvalue().startswith("error: descent start must be finite")
 
+    @pytest.mark.parametrize("field, radius", [
+        ("x^3", "nan"), ("x^3", "inf"), ("x^3", "0"),
+        ("x^2", "nan")])   # checked first, also where no integral is taken
+    def test_semicomplete_degenerate_radius_error(self, tmp_path, field, radius):
+        # a NaN radius used to reach the output as NaN, which is not JSON
+        path = tmp_path / "power.field"
+        path.write_text(f"vars: x\nkind: field\n{field}\n", encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli("dynamics", "semicomplete", str(path),
+                                "--loop-radius", radius)
+        assert (code, out) == (1, "")
+        assert err.getvalue() == ("error: loop radius must be finite and nonzero, "
+                                  f"got {float(radius)!r}\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["timeform", "--path", "circle:inf"], "path parameters must be finite, got 'circle:inf'"),
         (["timeform", "--path", "half:nan"], "path parameters must be finite, got 'half:nan'"),
