@@ -1,4 +1,5 @@
-"""Indented JSON text, byte-identical to ``json.dumps(obj, indent=2)``.
+"""Indented JSON text, byte-identical to what ``json.dumps`` prints with an
+indent of two spaces and its other defaults.
 
 With an indent, CPython's ``json`` runs its pure-Python encoder, which
 chains one generator per container.  This writer appends the pieces of the
@@ -73,7 +74,7 @@ def _write(obj, out: list[str], newline: str) -> None:
 
 
 def dumps(obj) -> str:
-    """``json.dumps(obj, indent=2)``, from one list of pieces joined once."""
+    """``obj`` as ``json.dumps`` indents it by two spaces, joined once."""
     out: list[str] = []
     _write(obj, out, "\n")
     return "".join(out)
