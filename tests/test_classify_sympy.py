@@ -1,7 +1,10 @@
-"""Differential test of ``classify.char_poly`` against sympy's charpoly.
+"""Differential tests of ``classify`` against sympy.
 
-Linear parts are 1x1 to 3x3 matrices with entries in Q(i), non-real ones
-included, with numerators and denominators up to 10**6.
+``char_poly`` is checked against sympy's charpoly on 1x1 to 3x3 matrices
+with entries in Q(i), non-real ones included, with numerators and
+denominators up to 10**6.  ``resonance_rank`` is checked against the rank
+of the real and imaginary parts as a sympy matrix, on vectors of length
+1 to 3 whose small entries make zeros, repeats and relations common.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foliations.algebra import GaussianRational
-from foliations.classify import char_poly
+from foliations.classify import char_poly, resonance_rank
 from foliations.fields import LinearPart
 
 BOUND = 10 ** 6
@@ -42,3 +45,15 @@ def test_char_poly_matches_sympy(rows):
     ours = char_poly(LinearPart(tuple(tuple(row) for row in rows))).univariate_coeffs("t")
     assert [_to_sympy(c) for c in reversed(ours)] == [
         sympy.expand(c) for c in expected.all_coeffs()]
+
+
+small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+small_entries = st.builds(GaussianRational, small, st.one_of(st.just(Fraction(0)), small))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(small_entries, entries), min_size=1, max_size=3))
+def test_resonance_rank_matches_sympy(vals):
+    parts = sympy.Matrix([[sympy.Rational(v.re.numerator, v.re.denominator) for v in vals],
+                          [sympy.Rational(v.im.numerator, v.im.denominator) for v in vals]])
+    assert resonance_rank(vals) == len(vals) - parts.rank()
