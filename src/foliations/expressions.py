@@ -53,6 +53,11 @@ def _int_literal(digits: str, line: int, col: int) -> int:
                          line, col) from None
 
 
+# literal digits are ASCII only: str.isdigit also accepts superscripts and
+# other scripts' digits
+_DIGITS = "0123456789"
+
+
 def _tokenize(text: str, line: int) -> list[Token]:
     out: list[Token] = []
     i = 0
@@ -63,16 +68,16 @@ def _tokenize(text: str, line: int) -> list[Token]:
             i += 1
             continue
         col = i + 1
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             num = _int_literal(text[i:j], line, col)
             den = 1
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "/" and j + 1 < n and text[j + 1] in _DIGITS:
                 j += 1
                 k = j
-                while k < n and text[k].isdigit():
+                while k < n and text[k] in _DIGITS:
                     k += 1
                 den = _int_literal(text[j:k], line, col)
                 if den == 0:
