@@ -23,10 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import GR_ONE, GR_ZERO, GaussianRational
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, EvaluationOverflowError
 
 _UP = math.inf
 _DOWN = -math.inf
+_TOO_LARGE = "coefficient too large for a floating-point root certification"
 
 
 def _lo(x: float) -> float:
@@ -50,7 +51,10 @@ class Interval:
 
     @staticmethod
     def of_fraction(q: Fraction) -> "Interval":
-        x = float(q)
+        try:
+            x = float(q)
+        except OverflowError:
+            raise EvaluationOverflowError(_TOO_LARGE) from None
         lo, hi = x, x
         if Fraction(x) > q:
             lo = _lo(x)
@@ -415,7 +419,11 @@ def _certify(part: list[GaussianRational], m: int) -> list[CertifiedRoot]:
     import numpy as np
 
     intervals: list[CertifiedRoot] = []
-    approx = np.roots([p_.to_complex() for p_ in reversed(part)])
+    try:
+        seeds = [p_.to_complex() for p_ in reversed(part)]
+    except OverflowError:
+        raise EvaluationOverflowError(_TOO_LARGE) from None
+    approx = np.roots(seeds)
     coeffs_iv = [ComplexInterval.of_gaussian(p_) for p_ in part]
     dcoeffs_iv = [ComplexInterval.of_gaussian(p_) for p_ in poly_derivative(part)]
     boxes: list[ComplexInterval] = []

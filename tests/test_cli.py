@@ -428,6 +428,19 @@ class TestFlagValidation:
         assert err.getvalue() == ("error: floating-point overflow evaluating at a "
                                   "point too far from the origin\n")
 
+    @pytest.mark.parametrize("command", ["classify", "resolve"])
+    def test_huge_coefficient_certification_error(self, tmp_path, command):
+        # the eigenvalues +-sqrt(2e400) are not in Q(i); certifying them
+        # needs the coefficient -2e400 as a double
+        path = tmp_path / "huge.field"
+        path.write_text("vars: x, y\ny, 2" + "0" * 400 + "*x\n", encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(command, str(path))
+        assert (code, out) == (1, "")
+        assert err.getvalue() == ("error: coefficient too large for a floating-point "
+                                  "root certification\n")
+
     def test_jet_degree_limit_error(self, tmp_path):
         path = tmp_path / "square.field"
         path.write_text("vars: x\nkind: field\nx^2\n", encoding="utf-8")
