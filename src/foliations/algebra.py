@@ -18,11 +18,15 @@ Three layers, all immutable and exact:
   coordinate hypersurfaces.  Construction fully extracts the monomial content
   of the numerator, so equality is again decidable.
 
+One exact sparse row reduction, :func:`_reduced_echelon`, serves the formal
+first-integral solver and the resonance rank.
+
 Pure functions only; no value is mutated after construction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -712,10 +716,6 @@ class ChartFunction:
         return ChartFunction(reduced, exps)
 
     @staticmethod
-    def of_poly(p: Poly) -> "ChartFunction":
-        return ChartFunction.make(p)
-
-    @staticmethod
     def zero(vars: Sequence[str]) -> "ChartFunction":
         return ChartFunction(Poly.zero(vars), (0,) * len(vars))
 
@@ -736,10 +736,6 @@ class ChartFunction:
         if self.is_zero():
             return math.inf
         return self.monomial_exponents[self.numerator.var_index(var)]
-
-    def pole_order_in(self, var: str) -> int:
-        e = self.order_in(var)
-        return int(-e) if e < 0 else 0
 
     def expand(self) -> Poly:
         """Multiply back into a plain polynomial (requires holomorphy)."""
@@ -827,3 +823,38 @@ class ChartFunction:
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.render()
+
+
+# ---------------------------------------------------------------------------
+# Exact row reduction
+# ---------------------------------------------------------------------------
+
+def _reduced_echelon(rows):
+    """Reduced row echelon form of an exact matrix with sparse rows.
+
+    ``rows`` are dicts from column index to nonzero GaussianRational.
+    Returns the nonzero rows of the reduced form as ``(pivot column, row)``
+    pairs in ascending pivot order: each row is 1 at its pivot and 0 in
+    every other row's pivot column, so the result depends only on the row
+    space and the column order.
+    """
+    pending = [dict(r) for r in rows if r]
+    done = []
+    while pending:
+        c = min(min(r) for r in pending)
+        k = next(i for i, r in enumerate(pending) if c in r)
+        inv = GR_ONE / pending[k][c]
+        row = {j: v * inv for j, v in pending.pop(k).items()}
+        for other in itertools.chain(pending, (r for _, r in done)):
+            f = other.get(c)
+            if f is None:
+                continue
+            for j, v in row.items():
+                s = other.get(j, GR_ZERO) - f * v
+                if s.is_zero():
+                    other.pop(j, None)
+                else:
+                    other[j] = s
+        done.append((c, row))
+        pending = [r for r in pending if r]
+    return done

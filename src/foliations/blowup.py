@@ -1,9 +1,9 @@
 """Blow-up transforms of vector fields.
 
 Supports one-point blow-ups, blow-ups along coordinate-axis curves in
-dimension 3, and weighted variants of both.  A weight vector of all ones
-reproduces the standard transform exactly (the standard entry points simply
-delegate to the weighted one).
+dimension 3, and weighted variants of both, through one entry point,
+:func:`weighted_blowup`.  Weights default to ones, which is the standard
+blow-up.
 
 For the chart in which the blown-up variable ``v`` carries weight ``w`` and
 another blown-up variable ``u`` carries weight ``w_u`` the substitution
@@ -204,35 +204,6 @@ def weighted_blowup(
     )
 
 
-def blowup_point(
-    x: VectorField,
-    spec: BlowupSpec | None = None,
-    divisor_label: str | None = None,
-    center_coords: tuple[str, ...] | None = None,
-) -> TransformResult:
-    """Standard one-point blow-up (weights all 1) in one chart."""
-    if spec is None:
-        spec = BlowupSpec()
-    if spec.center != POINT:
-        raise StructuralError("blowup_point needs a point center")
-    spec = BlowupSpec(POINT, tuple([1] * x.chart.dim), spec.chart_index)
-    return weighted_blowup(x, spec, divisor_label, center_coords)
-
-
-def blowup_curve(
-    x: VectorField,
-    spec: BlowupSpec,
-    divisor_label: str | None = None,
-    center_coords: tuple[str, ...] | None = None,
-) -> TransformResult:
-    """Standard blow-up along a coordinate axis in dimension 3."""
-    free = spec.free_var()
-    if free is None:
-        raise StructuralError("blowup_curve needs a curve center")
-    spec = BlowupSpec(spec.center, (1, 1), spec.chart_index)
-    return weighted_blowup(x, spec, divisor_label, center_coords)
-
-
 def all_charts(
     x: VectorField,
     center: str = POINT,
@@ -249,7 +220,3 @@ def all_charts(
             x, BlowupSpec(center, weights, idx), divisor_label, center_coords))
     return out
 
-
-def dicritical_test(result: TransformResult) -> bool:
-    """True iff the new divisor is not invariant for the representative."""
-    return result.dicritical

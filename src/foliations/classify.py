@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly
+from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, _make, _reduced_echelon
 from .errors import NotApplicableError, StructuralError
 from .fields import LinearPart, VectorField, linear_part
 from .intervals import CertifiedRoot, certified_roots
@@ -182,34 +182,17 @@ def eigen_solve(p: Poly) -> EigenData:
 def resonance_rank(eigenvalues) -> int | str:
     """Rank of the lattice {m in Z^n : sum m_i lambda_i = 0}.
 
-    Exact linear algebra over Q on real and imaginary parts.  Certified
-    (non-exact) eigenvalues yield 'undecided'.
+    Exact linear algebra over Q: n minus the rank of the two rows holding
+    the real and the imaginary parts.  Certified (non-exact) eigenvalues
+    yield 'undecided'.
     """
     vals = list(eigenvalues)
     if not all(isinstance(v, GaussianRational) for v in vals):
         return UNDECIDED
-    n = len(vals)
-    rows = [[v.re for v in vals], [v.im for v in vals]]
-    rank = 0
-    col = 0
-    rows = [list(r) for r in rows]
-    for col in range(n):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return n - rank
+    abd = [v._abd for v in vals]
+    rows = [{j: _make(a, 0, d) for j, (a, _, d) in enumerate(abd) if a},
+            {j: _make(b, 0, d) for j, (_, b, d) in enumerate(abd) if b}]
+    return len(vals) - len(_reduced_echelon(rows))
 
 
 def resonant_relations(eigenvalues, bound: int = 6):

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable
 
 from .algebra import GR_ONE, GaussianRational, Poly, gr
-from .blowup import POINT, BlowupSpec, all_charts, blowup_point, curve_center, weighted_blowup
+from .blowup import POINT, BlowupSpec, all_charts, curve_center, weighted_blowup
 from .classify import (
     CLASS_NILPOTENT,
     CLASS_SADDLE_NODE,
@@ -425,7 +425,7 @@ def _checks(fixtures: Path | None = None) -> list[CorpusCheck]:
     def _():
         field = cusp_hamiltonian(1)
         for idx in range(2):
-            std = blowup_point(field, BlowupSpec(POINT, None, idx))
+            std = weighted_blowup(field, BlowupSpec(POINT, None, idx))
             wtd = weighted_blowup(field, BlowupSpec(POINT, (1, 1), idx))
             _ensure(std.representative == wtd.representative
                     and std.field == wtd.field

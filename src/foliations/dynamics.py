@@ -612,12 +612,6 @@ def omega1_integral(
     return adaptive_quadrature(integrand, a, b, abs_tol, rel_tol)
 
 
-def contraction_check(f: Poly, h: Poly, path: PathSpec, **kwargs) -> bool:
-    """True when the holonomy derivative ``exp(-I)`` contracts (Re I > 0)."""
-    value, _ = omega1_integral(f, h, path, **kwargs)
-    return value.real > 0
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """A traced real trajectory in one complex coordinate."""

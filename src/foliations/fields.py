@@ -73,9 +73,6 @@ class Chart:
         except ValueError:
             raise StructuralError(f"unknown variable {name!r}") from None
 
-    def label_of(self, name: str) -> str | None:
-        return self.divisor_labels[self.var_index(name)]
-
     def with_labels(self, labels: Sequence[str | None]) -> "Chart":
         return replace(self, divisor_labels=tuple(labels))
 
@@ -91,7 +88,7 @@ def _as_chart_functions(chart: Chart, components) -> tuple[ChartFunction, ...]:
     out = []
     for comp in components:
         if isinstance(comp, Poly):
-            comp = ChartFunction.of_poly(comp)
+            comp = ChartFunction.make(comp)
         if not isinstance(comp, ChartFunction):
             raise StructuralError("components must be Poly or ChartFunction")
         if comp.vars != chart.var_names:
@@ -303,11 +300,6 @@ def integrability_check(omega: OneForm) -> bool:
     if omega.chart.dim != 3:
         raise NotApplicableError("integrability test needs dimension 2 or 3")
     return _wedge3_coefficient(omega).is_zero()
-
-
-def exterior_derivative_of(f: Poly, chart: Chart) -> OneForm:
-    """dF as a one-form (convenience for building exact forms)."""
-    return OneForm.make(chart, [f.partial(v) for v in chart.var_names])
 
 
 def radial_field(chart: Chart) -> VectorField:

@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebra import GR_ONE, GR_ZERO, Poly
+from .algebra import GR_ONE, GR_ZERO, Poly, _reduced_echelon
 from .errors import NotApplicableError, StructuralError
 from .fields import VectorField, directional_derivative
 
@@ -97,37 +97,6 @@ def _monomials(k: int, d: int) -> list[tuple[int, ...]]:
     if k == 1:
         return [(d,)]
     return [(a,) + rest for a in range(d + 1) for rest in _monomials(k - 1, d - a)]
-
-
-def _reduced_echelon(rows):
-    """Reduced row echelon form of an exact matrix with sparse rows.
-
-    ``rows`` are dicts from column index to nonzero GaussianRational.
-    Returns the nonzero rows of the reduced form as ``(pivot column, row)``
-    pairs in ascending pivot order: each row is 1 at its pivot and 0 in
-    every other row's pivot column, so the result depends only on the row
-    space and the column order.
-    """
-    pending = [dict(r) for r in rows if r]
-    done = []
-    while pending:
-        c = min(min(r) for r in pending)
-        k = next(i for i, r in enumerate(pending) if c in r)
-        inv = GR_ONE / pending[k][c]
-        row = {j: v * inv for j, v in pending.pop(k).items()}
-        for other in itertools.chain(pending, (r for _, r in done)):
-            f = other.get(c)
-            if f is None:
-                continue
-            for j, v in row.items():
-                s = other.get(j, GR_ZERO) - f * v
-                if s.is_zero():
-                    other.pop(j, None)
-                else:
-                    other[j] = s
-        done.append((c, row))
-        pending = [r for r in pending if r]
-    return done
 
 
 def _nullspace(rows, ncols):

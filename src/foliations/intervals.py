@@ -482,12 +482,3 @@ def certified_roots(c: list[GaussianRational]):
     exact.sort(key=GaussianRational.sort_key)
     return [(r, len(list(g))) for r, g in itertools.groupby(exact)], intervals
 
-
-def gaussian_rational_roots(c: list[GaussianRational]) -> list[GaussianRational]:
-    """All roots of the polynomial lying in Q(i), with multiplicity.
-
-    The exact half of :func:`certified_roots`, each root repeated by its
-    multiplicity and sorted by (re, im).
-    """
-    exact, _ = certified_roots(c)
-    return [r for r, m in exact for _ in range(m)]

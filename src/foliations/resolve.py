@@ -52,7 +52,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 
-from .algebra import GR_ONE, GR_ZERO, ChartFunction, GaussianRational, Poly, monomial_content
+from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, monomial_content
 from .blowup import (POINT, BlowupSpec, TransformResult, _blown_vars, all_charts,
                      curve_center, weighted_blowup)
 from .classify import (
@@ -380,7 +380,7 @@ def _prepare_input(x: VectorField, tree: ResolutionTree) -> VectorField:
     if any(content):
         tree.diagnostics.append(
             "input had a monomial zero divisor; working with its representative")
-    return VectorField(x.chart, tuple(ChartFunction.of_poly(p) for p in reduced))
+    return VectorField.make(x.chart, reduced)
 
 
 def _resolve(x: VectorField, max_steps: int, blow_up, divisor_points,
@@ -711,18 +711,18 @@ def _probe_expansions(germ: VectorField, memo: dict) -> list:
 def detect_persistent_nilpotent(
     x: VectorField,
     probe_budget: int = 6,
-    require_axis_orders: bool = False,
     memo: dict | None = None,
 ) -> PersistentNilpotentReport:
     """Probe for the persistent-nilpotent normal form.
 
     Follows nilpotent singular points through at most ``probe_budget``
     one-point blow-ups, matching the normal form syntactically at each
-    stage.  The ``> 2n`` conditions on the axis orders of f and g are
-    reported in the witness; they become mandatory only with
-    ``require_axis_orders=True``, since further blow-ups can always raise
-    them.  Probes that pass the same ``memo`` dict share their blow-ups:
-    a germ one of them expanded is not blown up again.
+    stage, and stops at the first match.  The ``> 2n`` conditions on the
+    axis orders of f and g are reported in the witness as
+    ``z_orders_exceed_2n``, not required for a match, since further
+    blow-ups can always raise them.  Probes that pass the same ``memo``
+    dict share their blow-ups: a germ one of them expanded is not blown up
+    again.
     """
     if x.chart.dim != 3:
         raise NotApplicableError("persistent-nilpotent detection is three-dimensional")
@@ -739,8 +739,7 @@ def detect_persistent_nilpotent(
         germ, chain, depth = queue.popleft()
         examined += 1
         witness = match_persistent_normal_form(germ)
-        if witness is not None and (not require_axis_orders
-                                    or witness["z_orders_exceed_2n"]):
+        if witness is not None:
             witness = dict(witness)
             witness["chain"] = [
                 {"chart_var": var, "coords": [c.text() for c in coords]}

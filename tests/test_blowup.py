@@ -7,10 +7,7 @@ from foliations.blowup import (
     POINT,
     BlowupSpec,
     all_charts,
-    blowup_curve,
-    blowup_point,
     curve_center,
-    dicritical_test,
     weighted_blowup,
 )
 from foliations.corpus import (
@@ -35,11 +32,11 @@ class TestPointBlowup:
     def test_radial_multiplicity_and_dicritical(self):
         for result in all_charts(radial(2)):
             assert result.divisor_multiplicity == 1
-            assert dicritical_test(result)
+            assert result.dicritical
 
     def test_cusp_divisor_invariant(self):
         for result in all_charts(cusp_hamiltonian(1)):
-            assert not dicritical_test(result)
+            assert not result.dicritical
         first = all_charts(cusp_hamiltonian(1))[0]
         # transformed representative in the chart where old y = x*y
         assert first.representative.render() == "2*x*y, -2*y^2 + 3*x"
@@ -54,7 +51,7 @@ class TestPointBlowup:
         field = VectorField.make(Chart.root(V2), [
             Poly.constant(V2, 1), Poly.zero(V2)])
         with pytest.raises(NotApplicableError):
-            blowup_point(field)
+            weighted_blowup(field, BlowupSpec())
 
     def test_multiplicity_rule_homogeneous(self, rng):
         # k = 1, 2, 3; radial multiples get k, others k-1
@@ -75,7 +72,7 @@ class TestPointBlowup:
 
     def test_jouanolou_blowup_invariant(self):
         for result in all_charts(jouanolou_field(2)):
-            assert not dicritical_test(result)
+            assert not result.dicritical
 
 
 class TestChartCompatibility:
@@ -85,8 +82,8 @@ class TestChartCompatibility:
     def _push_to_first_chart(result1):
         # gluing: x0 = x1*y1, y0 = 1/x1; pushforward of d/dx1, d/dy1
         comps = result1.field.components
-        x1 = ChartFunction.of_poly(Poly.variable(V2, "x"))
-        dx0 = comps[0] * ChartFunction.of_poly(Poly.variable(V2, "y")) \
+        x1 = ChartFunction.make(Poly.variable(V2, "x"))
+        dx0 = comps[0] * ChartFunction.make(Poly.variable(V2, "y")) \
             + x1 * comps[1]
         dy0 = comps[0] * ChartFunction.make(Poly.constant(V2, -1), (-2, 0))
         return dx0, dy0
@@ -96,8 +93,8 @@ class TestChartCompatibility:
                       VectorField.make(Chart.root(V2), [
                           make_poly(V2, {(0, 2): 1, (2, 0): 2}),
                           make_poly(V2, {(2, 0): 1, (1, 1): -1})])):
-            result0 = blowup_point(field, BlowupSpec(POINT, None, 0))
-            result1 = blowup_point(field, BlowupSpec(POINT, None, 1))
+            result0 = weighted_blowup(field, BlowupSpec(POINT, None, 0))
+            result1 = weighted_blowup(field, BlowupSpec(POINT, None, 1))
             glue = {"x": (GR_ONE, (1, 1)), "y": (GR_ONE, (-1, 0))}
             dx0, dy0 = self._push_to_first_chart(result1)
             for pushed, comp in ((dx0, result0.field.components[0]),
@@ -107,7 +104,7 @@ class TestChartCompatibility:
 
     def test_blow_down_collinearity(self):
         for field in (cusp_hamiltonian(1), two_integrals_field()):
-            result = blowup_point(field, BlowupSpec(POINT, None, 0))
+            result = weighted_blowup(field, BlowupSpec(POINT, None, 0))
             dim = field.chart.dim
             point = tuple(0.31 + 0.11j * (k + 1) for k in range(dim))
             down = [point[0]] + [point[0] * point[k] for k in range(1, dim)]
@@ -145,7 +142,7 @@ class TestFirstIntegralPullback:
         level = cusp_level(1)
         assert directional_derivative(field, level).is_zero()
         for idx in range(2):
-            result = blowup_point(field, BlowupSpec(POINT, None, idx))
+            result = weighted_blowup(field, BlowupSpec(POINT, None, idx))
             sub = _chart_substitution(V2, idx)
             pulled = level.substitute_monomials(sub)
             assert directional_derivative(result.representative, pulled).is_zero()
@@ -154,7 +151,7 @@ class TestFirstIntegralPullback:
         field = two_integrals_field()
         integral = make_poly(V3, {(1, 0, 1): 1})
         for idx in range(3):
-            result = blowup_point(field, BlowupSpec(POINT, None, idx))
+            result = weighted_blowup(field, BlowupSpec(POINT, None, idx))
             sub = _chart_substitution(V3, idx)
             pulled = integral.substitute_monomials(sub)
             assert directional_derivative(result.representative, pulled).is_zero()
@@ -180,7 +177,7 @@ class TestCurveBlowup:
         # is z times the radial field of the (y, z) planes, so its foliation
         # meets the new divisor transversally (dicritical) and the
         # representative is regular at generic divisor points
-        result = blowup_curve(x, BlowupSpec(curve_center("x"), None, 0))
+        result = weighted_blowup(x, BlowupSpec(curve_center("x"), None, 0))
         assert result.dicritical
         assert result.representative.is_holomorphic()
         comp = result.representative.component("y").expand().restrict(
@@ -189,7 +186,7 @@ class TestCurveBlowup:
 
     def test_partner_regular_at_generic_points(self):
         _, y = commuting_pair(1)
-        result = blowup_curve(y, BlowupSpec(curve_center("x"), None, 0))
+        result = weighted_blowup(y, BlowupSpec(curve_center("x"), None, 0))
         comp = result.representative.component("x").expand().restrict(
             result.divisor_var, 0)
         assert not comp.is_zero()
@@ -198,7 +195,7 @@ class TestCurveBlowup:
         field = VectorField.make(Chart.root(V3), [
             Poly.constant(V3, 1), Poly.variable(V3, "y"), Poly.variable(V3, "z")])
         with pytest.raises(InvalidCenterError):
-            blowup_curve(field, BlowupSpec(curve_center("z"), None, 0))
+            weighted_blowup(field, BlowupSpec(curve_center("z"), None, 0))
 
 
 class TestWeightedBlowup:
@@ -212,9 +209,10 @@ class TestWeightedBlowup:
         assert comp.monomial_exponents[0] == -1
 
     def test_weight_one_matches_standard(self):
+        # weights default to ones: the standard blow-up
         for field in (cusp_hamiltonian(1), radial(2)):
             for idx in range(2):
-                standard = blowup_point(field, BlowupSpec(POINT, None, idx))
+                standard = weighted_blowup(field, BlowupSpec(POINT, None, idx))
                 weighted = weighted_blowup(field, BlowupSpec(POINT, (1, 1), idx))
                 assert standard.field == weighted.field
                 assert standard.representative == weighted.representative
@@ -234,6 +232,5 @@ class TestWeightedBlowup:
 
     def test_divisor_labels(self):
         field = cusp_hamiltonian(1)
-        result = blowup_point(field, BlowupSpec(POINT, None, 0), divisor_label="E7")
-        assert result.chart.label_of("x") == "E7"
-        assert result.chart.label_of("y") is None
+        result = weighted_blowup(field, BlowupSpec(POINT, None, 0), divisor_label="E7")
+        assert result.chart.divisor_labels == ("E7", None)

@@ -347,9 +347,9 @@ def _classified_nilpotent(field: VectorField) -> bool:
 
 # x d/dx + y/x d/dy + z d/dz: meromorphic along x = 0
 MEROMORPHIC = VectorField(Chart.root(V3), (
-    ChartFunction.of_poly(Poly.variable(V3, "x")),
+    ChartFunction.make(Poly.variable(V3, "x")),
     ChartFunction(Poly.variable(V3, "y"), (-1, 0, 0)),
-    ChartFunction.of_poly(Poly.variable(V3, "z"))))
+    ChartFunction.make(Poly.variable(V3, "z"))))
 
 
 @settings(max_examples=80, deadline=None)

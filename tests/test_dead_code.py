@@ -1,0 +1,62 @@
+"""Dead-code guard over ``src/foliations``, with the standard ``ast`` only.
+
+Every name a module imports must be used in that module or listed in its
+``__all__``, and every module-level private name must be referenced from
+another top-level statement of the package.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import foliations
+
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+         for path in sorted(Path(foliations.__file__).parent.glob("*.py"))}
+
+
+def _names(node: ast.AST, references: bool = False) -> set[str]:
+    """Names ``node`` loads, string annotations included; with ``references``
+    also the attributes it reads and the names it imports from modules."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif references and isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif references and isinstance(sub, ast.ImportFrom):
+            out.update(a.name for a in sub.names)
+        for ann in (getattr(sub, "annotation", None), getattr(sub, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                out |= _names(ast.parse(ann.value, mode="eval"))
+    return out
+
+
+def _defined(stmt: ast.stmt) -> set[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def test_every_import_is_used():
+    unused = []
+    for module, tree in TREES.items():
+        used = _names(tree) | {c.value for stmt in tree.body if "__all__" in _defined(stmt)
+                               for c in ast.walk(stmt) if isinstance(c, ast.Constant)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                unused += [f"{module}: {a.name}" for a in node.names
+                           if (a.asname or a.name).split(".")[0] not in used]
+    assert unused == []
+
+
+def test_every_private_name_is_referenced():
+    statements = [stmt for tree in TREES.values() for stmt in tree.body]
+    references = [_names(stmt, references=True) for stmt in statements]
+    dead = [name for i, stmt in enumerate(statements) for name in _defined(stmt)
+            if name.startswith("_") and not name.startswith("__")
+            and not any(name in refs for j, refs in enumerate(references) if j != i)]
+    assert dead == []

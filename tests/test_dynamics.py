@@ -19,7 +19,6 @@ from foliations.dynamics import (
     Polyline,
     Segment,
     adaptive_quadrature,
-    contraction_check,
     full_circle,
     half_circle,
     lift_path,
@@ -299,7 +298,6 @@ class TestOmegaOne:
         one = upoly({0: 1})
         value, _ = omega1_integral(one, one, Segment(0j, 0.8 + 0j))
         assert abs(value - 0.8) < 1e-9
-        assert contraction_check(one, one, Segment(0j, 0.8 + 0j))
 
     def test_zero_numerator(self):
         value, _ = omega1_integral(upoly({0: 1}), Poly.zero(V1),

@@ -20,7 +20,6 @@ from foliations.fields import (
     contract,
     directional_derivative,
     euler_test,
-    exterior_derivative_of,
     integrability_check,
     lie_bracket,
     linear_part,
@@ -167,13 +166,15 @@ class TestIntegrability:
     def test_exact_forms_integrable(self):
         chart = Chart.root(V3)
         f = make_poly(V3, {(1, 1, 1): 1})
-        assert integrability_check(exterior_derivative_of(f, chart))
+        assert integrability_check(
+            OneForm.make(chart, [f.partial(v) for v in V3]))
 
     def test_exact_forms_integrable_randomized(self, rng):
         chart = Chart.root(V3)
         for _ in range(50):
             f = random_poly(rng, V3, max_degree=4)
-            assert integrability_check(exterior_derivative_of(f, chart))
+            assert integrability_check(
+                OneForm.make(chart, [f.partial(v) for v in V3]))
 
     def test_dimension_two_always(self):
         chart = Chart.root(V2)

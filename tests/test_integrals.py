@@ -5,7 +5,7 @@ import random
 import pytest
 
 from foliations.algebra import GR_ONE, Poly, gr
-from foliations.blowup import POINT, BlowupSpec, blowup_point
+from foliations.blowup import POINT, BlowupSpec, weighted_blowup
 from foliations.corpus import (
     diagonal_two_integrals_field,
     radial,
@@ -51,7 +51,7 @@ class TestVerify:
         x = two_integrals_field()
         f = make_poly(V3, {(1, 0, 1): 1})
         for idx in range(3):
-            result = blowup_point(x, BlowupSpec(POINT, None, idx))
+            result = weighted_blowup(x, BlowupSpec(POINT, None, idx))
             sub = {}
             for j, name in enumerate(V3):
                 if j == idx:

@@ -12,7 +12,6 @@ from foliations.intervals import (
     Interval,
     certified_roots,
     deflate,
-    gaussian_rational_roots,
     poly_divmod,
     poly_gcd,
 )
@@ -60,26 +59,23 @@ class TestExactPolynomialHelpers:
 
 class TestRationalRoots:
     def test_integer_roots(self):
-        roots = gaussian_rational_roots(coeffs(6, -5, -2, 1))
-        values = sorted((r.re, r.im) for r in roots)
-        assert values == [(-2, 0), (1, 0), (3, 0)]
+        exact, intervals = certified_roots(coeffs(6, -5, -2, 1))
+        assert [((r.re, r.im), m) for r, m in exact] == [((-2, 0), 1), ((1, 0), 1), ((3, 0), 1)]
+        assert not intervals
 
     def test_gaussian_roots(self):
         # (t - i)(t + 2i): coefficients 2, i, 1
-        roots = gaussian_rational_roots([gr(2), gr(0, 1), gr(1)])
-        values = sorted((r.re, r.im) for r in roots)
-        assert values == [(0, -2), (0, 1)]
+        exact, _ = certified_roots([gr(2), gr(0, 1), gr(1)])
+        assert [((r.re, r.im), m) for r, m in exact] == [((0, -2), 1), ((0, 1), 1)]
 
     def test_fractional_roots(self):
         # (2t - 1)(3t + 1) = 6t^2 - t - 1
-        roots = gaussian_rational_roots(coeffs(-1, -1, 6))
-        values = sorted((r.re, r.im) for r in roots)
-        assert [str(v[0]) for v in values] == ["-1/3", "1/2"]
+        exact, _ = certified_roots(coeffs(-1, -1, 6))
+        assert [(str(r.re), m) for r, m in exact] == [("-1/3", 1), ("1/2", 1)]
 
     def test_multiplicity_by_deflation(self):
         # (t-1)^2
-        roots = gaussian_rational_roots(coeffs(1, -2, 1))
-        assert roots == [gr(1), gr(1)]
+        assert certified_roots(coeffs(1, -2, 1)) == ([(gr(1), 2)], [])
 
 
 class TestCertifiedRoots:
@@ -149,7 +145,7 @@ class TestCertifiedRoots:
         real_eval = intervals.poly_eval
         monkeypatch.setattr(intervals, "poly_eval",
                             lambda c, x: calls.append(x) or real_eval(c, x))
-        assert gaussian_rational_roots(coeffs(-2, 0, 0, 1999)) == []
+        assert certified_roots(coeffs(-2, 0, 0, 1999))[0] == []
         assert len(calls) <= 2 * 3
 
     def test_rejected_primes_cost_little(self, monkeypatch):

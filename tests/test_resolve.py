@@ -61,25 +61,25 @@ class TestGermAt:
 
 class TestDivisorPoints:
     def test_cusp_single_tangency_point(self):
-        from foliations.blowup import BlowupSpec, POINT, blowup_point
-        result = blowup_point(cusp_hamiltonian(1), BlowupSpec(POINT, None, 0))
+        from foliations.blowup import BlowupSpec, POINT, weighted_blowup
+        result = weighted_blowup(cusp_hamiltonian(1), BlowupSpec(POINT, None, 0))
         exact, certified, whole = singular_points_on_divisor(
             result.representative, result.divisor_var)
         assert exact == [gr(0)] and not certified and not whole
 
     def test_saddle_two_points(self):
-        from foliations.blowup import BlowupSpec, POINT, blowup_point
+        from foliations.blowup import BlowupSpec, POINT, weighted_blowup
         saddle = linear_saddle(1)
-        result0 = blowup_point(saddle, BlowupSpec(POINT, None, 0))
+        result0 = weighted_blowup(saddle, BlowupSpec(POINT, None, 0))
         exact, _, _ = singular_points_on_divisor(result0.representative,
                                                  result0.divisor_var)
         assert exact == [gr(0)]
-        result1 = blowup_point(saddle, BlowupSpec(POINT, None, 1))
+        result1 = weighted_blowup(saddle, BlowupSpec(POINT, None, 1))
         assert result1.representative.vanishes_at_origin()
 
     def test_radial_no_points(self):
-        from foliations.blowup import BlowupSpec, POINT, blowup_point
-        result = blowup_point(radial(2), BlowupSpec(POINT, None, 0))
+        from foliations.blowup import BlowupSpec, POINT, weighted_blowup
+        result = weighted_blowup(radial(2), BlowupSpec(POINT, None, 0))
         exact, certified, whole = singular_points_on_divisor(
             result.representative, result.divisor_var)
         assert not exact and not certified and not whole
@@ -211,15 +211,6 @@ class TestPersistentDetection:
         assert report.witness["stage"] == 0
         assert report.witness["f_axis_order"] == 3
         assert report.witness["z_orders_exceed_2n"] is False
-
-    def test_strict_mode_rejects_synthetic(self):
-        report = detect_persistent_nilpotent(
-            persistent_synthetic_field(), 2, require_axis_orders=True)
-        # the relaxed witness fails the strict > 2n check at stage 0; the
-        # probe then explores blow-ups, and the verdict stays a non-verdict
-        # unless some stage satisfies it
-        if report.matched:
-            assert report.witness["z_orders_exceed_2n"]
 
     def test_elementary_rejected(self):
         field = VectorField.make(Chart.root(V3), [
