@@ -5,8 +5,9 @@ Every case solves one truncated jet problem and records the sha256 digest of
 raises records ``"ErrorClass: message"`` instead.  The committed digests pin
 ``dims_by_degree``, the canonical reduced-echelon basis and its rendering on
 every vector-field fixture, the slow catalog fields at order 8 and seeded
-random planar and 3-D germs, so a change to ``formal_first_integral`` that
-alters one byte of its output fails here.
+random planar and 3-D germs, some at orders 7-12 where the basis
+coefficients grow to hundreds of digits, so a change to
+``formal_first_integral`` that alters one byte of its output fails here.
 
 New cases are pinned with
 
@@ -37,9 +38,13 @@ DIGESTS = Path(__file__).resolve().parent / "golden" / "jet_digests.json"
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
 COEFFS = [gr(-3), gr(-2), gr(-1), gr(1), gr(2), gr(3), gr("1/2"), gr("-2/3"), gr(1, 1)]
+# coprime denominators and non-real values: at orders 7-12 the basis
+# coefficients grow to hundreds of digits, where an elimination that lets
+# its integer rows grow beyond the reduced values stops finishing
+GROWTH_COEFFS = [gr("3/7"), gr("7/11"), gr("-1/3", "5/2"), gr(2, 1), gr(0, -4)]
 
 
-def _germs(vars, count: int, seed: int):
+def _germs(vars, count: int, seed: int, coeffs=COEFFS):
     """Components with 1-3 terms of degree 1..3 each; some coefficients are
     non-real, so the Gaussian part of the arithmetic is pinned too."""
     rng = random.Random(seed)
@@ -52,7 +57,7 @@ def _germs(vars, count: int, seed: int):
                 exps = [0] * len(vars)
                 for _ in range(rng.randint(1, 3)):
                     exps[rng.randrange(len(vars))] += 1
-                terms[tuple(exps)] = rng.choice(COEFFS)
+                terms[tuple(exps)] = rng.choice(coeffs)
             comps.append(Poly.make(vars, terms))
         out.append(VectorField.make(Chart.root(vars), comps))
     return out
@@ -73,6 +78,11 @@ def cases():
         out.append((f"germ2/{k:02d}/6", x, 6))
     for k, x in enumerate(_germs(V3, 15, 2025)):
         out.append((f"germ3/{k:02d}/4", x, 4))
+    for k, x in enumerate(_germs(V3, 10, 2026, GROWTH_COEFFS)):
+        n = 7 + k % 2
+        out.append((f"growth3/{k:02d}/{n}", x, n))
+    for k, x in enumerate(_germs(V2, 5, 2027, GROWTH_COEFFS)):
+        out.append((f"growth2/{k:02d}/12", x, 12))
     return out
 
 
