@@ -47,6 +47,7 @@ class ParseError(FoliationError):
     """Syntax or semantic error in a field-expression file."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        self.reason = message
         self.line = line
         self.column = column
         if line is not None:

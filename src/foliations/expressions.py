@@ -241,6 +241,16 @@ def _split_components(text: str, line: int) -> list[str]:
     return parts
 
 
+def _source_position(body: list[tuple[str, int, str]], offset: int) -> tuple[int, int]:
+    """File line and column of an offset into the body lines joined by
+    spaces; a joining space maps to the end of the line before it."""
+    for line, lineno, code in body:
+        if offset <= len(line):
+            break
+        offset -= len(line) + 1
+    return lineno, len(code) - len(code.lstrip()) + offset + 1
+
+
 def parse_field(text: str) -> VectorField | OneForm:
     """Parse a field file into a vector field or 1-form on a fresh chart.
 
@@ -250,9 +260,10 @@ def parse_field(text: str) -> VectorField | OneForm:
     """
     vars: tuple[str, ...] | None = None
     kind: str | None = None
-    body: list[tuple[str, int]] = []
+    body: list[tuple[str, int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         lowered = line.lower()
@@ -276,21 +287,29 @@ def parse_field(text: str) -> VectorField | OneForm:
             if kind not in (KIND_FIELD, KIND_FORM):
                 raise ParseError("kind must be 'field' or 'form'", lineno, 1)
             continue
-        body.append((line, lineno))
+        body.append((line, lineno, code))
     if vars is None:
         raise ParseError("missing 'vars:' header", 1, 1)
     if kind is None:
         kind = KIND_FIELD
     if not body:
         raise ParseError("missing component expressions", 1, 1)
-    joined = " ".join(part for part, _ in body)
+    joined = " ".join(part for part, _, _ in body)
     first_line = body[0][1]
     pieces = _split_components(joined, first_line)
     if len(pieces) != len(vars):
         raise ParseError(
             f"expected {len(vars)} components, found {len(pieces)}",
             first_line, 1)
-    components = [parse_expression(piece, vars, first_line) for piece in pieces]
+    components = []
+    start = 0  # offset of the piece in the joined text
+    for piece in pieces:
+        try:
+            components.append(parse_expression(piece, vars, first_line))
+        except ParseError as exc:
+            line, column = _source_position(body, start + exc.column - 1)
+            raise ParseError(exc.reason, line, column) from None
+        start += len(piece) + 1
     chart = Chart.root(vars)
     if kind == KIND_FIELD:
         return VectorField.make(chart, components)

@@ -209,10 +209,11 @@ class TestParseErrorPositions:
         ("vars: x\n# only a comment\n", "missing component expressions (line 1, column 1)"),
         ("vars: x, y\nx\n", "expected 2 components, found 1 (line 2, column 1)"),
         ("vars: x\n x, \n", "expected 1 components, found 2 (line 2, column 1)"),
-        ("vars: x, y\n\n x+\n ,w\n", "expected a number, variable, or '(' (line 3, column 4)"),
-        ("vars: x, y\nx, y\n\n  z\n", "unexpected 'z' (line 2, column 4)"),
-        ("vars: x, y\nx,\ny $\n", "unexpected character '$' (line 2, column 4)"),
-        ("vars: x, y\nx, w\n", "undeclared variable 'w' (line 2, column 2)"),
+        ("vars: x, y\n\n x+\n ,w\n", "expected a number, variable, or '(' (line 4, column 2)"),
+        ("vars: x, y\nx, y\n\n  z\n", "unexpected 'z' (line 4, column 3)"),
+        ("vars: x, y\nx,\ny $\n", "unexpected character '$' (line 3, column 3)"),
+        ("vars: x, y\nx, w\n", "undeclared variable 'w' (line 2, column 4)"),
+        ("vars: x, y\nx,  # c\n\t y + q  # d\n", "undeclared variable 'q' (line 3, column 7)"),
     ])
     def test_field_file_errors(self, text, message):
         with pytest.raises(ParseError) as info:
