@@ -43,6 +43,7 @@ from .errors import (
 Exponents = tuple[int, ...]
 
 _OVERFLOW = "floating-point overflow evaluating at a point too far from the origin"
+_COEFFICIENT_TOO_LARGE = "coefficient too large for a floating-point evaluation"
 
 # ---------------------------------------------------------------------------
 # Gaussian rationals
@@ -566,15 +567,19 @@ class Poly:
     @cached_property
     def _complex_terms(self) -> tuple[tuple[complex, tuple[tuple[int, int], ...]], ...]:
         """``(c.to_complex(), nonzero (index, power) pairs)`` per term, in term order."""
-        return tuple((c.to_complex(), tuple((j, k) for j, k in enumerate(e) if k))
-                     for e, c in self.terms.items())
+        try:
+            return tuple((c.to_complex(), tuple((j, k) for j, k in enumerate(e) if k))
+                         for e, c in self.terms.items())
+        except OverflowError:
+            raise EvaluationOverflowError(_COEFFICIENT_TOO_LARGE) from None
 
     def eval_complex(self, point: Sequence[complex]) -> complex:
         if len(point) != len(self.vars):
             raise StructuralError("point dimension mismatch")
+        terms = self._complex_terms
         total = 0j
         try:
-            for term, powers in self._complex_terms:
+            for term, powers in terms:
                 for j, k in powers:
                     term *= point[j] ** k
                 total += term

@@ -441,6 +441,20 @@ class TestFlagValidation:
         assert err.getvalue() == ("error: coefficient too large for a floating-point "
                                   "root certification\n")
 
+    @pytest.mark.parametrize("argv", [["timeform", "--path", "circle:0.5"],
+                                      ["descent", "--start", "0.5,0"]])
+    def test_huge_coefficient_evaluation_error(self, tmp_path, argv):
+        # the points are near the origin; the coefficient 2e400 is what
+        # has no double
+        path = tmp_path / "huge.field"
+        path.write_text("vars: x\n2" + "0" * 400 + "*x^2\n", encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli("dynamics", argv[0], str(path), *argv[1:])
+        assert (code, out) == (1, "")
+        assert err.getvalue() == ("error: coefficient too large for a floating-point "
+                                  "evaluation\n")
+
     def test_jet_degree_limit_error(self, tmp_path):
         path = tmp_path / "square.field"
         path.write_text("vars: x\nkind: field\nx^2\n", encoding="utf-8")
