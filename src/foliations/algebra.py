@@ -19,7 +19,12 @@ Three layers, all immutable and exact:
   of the numerator, so equality is again decidable.
 
 One exact sparse row reduction, :func:`_reduced_echelon`, serves the formal
-first-integral solver and the resonance rank.
+first-integral solver and the resonance rank.  It works on Gaussian
+integers, ``(re, im)`` pairs of ints, not on :class:`GaussianRational`
+values: each reduced row is a positive int denominator over primitive
+Gaussian-integer numerators, monic at its pivot, so its ints are those of
+the exact reduced row over a common denominator, and each row update ends
+in one gcd over the row instead of one per entry.
 
 Pure functions only; no value is mutated after construction.
 """
@@ -835,31 +840,77 @@ class ChartFunction:
 # ---------------------------------------------------------------------------
 
 def _reduced_echelon(rows):
-    """Reduced row echelon form of an exact matrix with sparse rows.
+    """Reduced row echelon form of a sparse matrix over Q(i).
 
-    ``rows`` are dicts from column index to nonzero GaussianRational.
-    Returns the nonzero rows of the reduced form as ``(pivot column, row)``
-    pairs in ascending pivot order: each row is 1 at its pivot and 0 in
-    every other row's pivot column, so the result depends only on the row
-    space and the column order.
+    ``rows`` are dicts from column index to a nonzero Gaussian integer
+    ``(re, im)``; a row stands for its span, so rows with rational entries
+    are passed scaled by a common denominator.  Returns the nonzero rows of
+    the reduced form as ``(pivot column, den, row)`` triples in ascending
+    pivot order, the true row being ``row / den``: ``den`` is a positive
+    int, ``row[pivot] == (den, 0)``, every other row's pivot column is
+    absent, and the ints of ``row`` have no common factor.  The form is
+    unique, so the result depends only on the row space and the column
+    order.
+
+    Rows are added one at a time: each is reduced against all stored rows
+    over their common denominator, made monic at its leading column, and
+    then removed from the stored rows that hold that column.  Every stored
+    row is the exact reduced row, so its ints are no larger than those of
+    its rational entries over their common denominator; each row update
+    ends in one gcd over the row.
     """
-    pending = [dict(r) for r in rows if r]
-    done = []
-    while pending:
-        c = min(min(r) for r in pending)
-        k = next(i for i, r in enumerate(pending) if c in r)
-        inv = GR_ONE / pending[k][c]
-        row = {j: v * inv for j, v in pending.pop(k).items()}
-        for other in itertools.chain(pending, (r for _, r in done)):
-            f = other.get(c)
+    done = {}  # pivot column -> (den, row)
+    for r in rows:
+        hits = [c for c in r if c in done]
+        if hits:
+            # r - sum_c r[c] / den_c * row_c, times the lcm of the den_c
+            scale = math.lcm(*(done[c][0] for c in hits))
+            out = {j: (scale * a, scale * b) for j, (a, b) in r.items() if j not in done}
+            for c in hits:
+                den, row = done[c]
+                m = scale // den
+                fa, fb = r[c]
+                fa *= m
+                fb *= m
+                for j, (a, b) in row.items():
+                    if j != c:
+                        x, y = out.get(j, (0, 0))
+                        out[j] = (x - fa * a + fb * b, y - fa * b - fb * a)
+            r = {j: v for j, v in out.items() if v != (0, 0)}
+        if not r:
+            continue
+        p = min(r)
+        # divide by r[p] = x + yi: by |x| and its sign when real, else
+        # multiply by its conjugate over x^2 + y^2
+        x, y = r[p]
+        if y:
+            den = x * x + y * y
+            row = {j: (a * x + b * y, b * x - a * y) for j, (a, b) in r.items()}
+        else:
+            den = abs(x)
+            row = r if x > 0 else {j: (-a, -b) for j, (a, b) in r.items()}
+        den, row = _primitive(den, row)
+        for c, (oden, orow) in list(done.items()):
+            f = orow.get(p)
             if f is None:
                 continue
-            for j, v in row.items():
-                s = other.get(j, GR_ZERO) - f * v
-                if s.is_zero():
-                    other.pop(j, None)
-                else:
-                    other[j] = s
-        done.append((c, row))
-        pending = [r for r in pending if r]
-    return done
+            # orow / oden - f / oden * row / den, over oden * den
+            fa, fb = f
+            out = {j: (den * a, den * b) for j, (a, b) in orow.items() if j != p}
+            for j, (a, b) in row.items():
+                if j != p:
+                    x, y = out.get(j, (0, 0))
+                    out[j] = (x - fa * a + fb * b, y - fa * b - fb * a)
+            done[c] = _primitive(oden * den, {j: v for j, v in out.items() if v != (0, 0)})
+        done[p] = (den, row)
+    return [(c, *done[c]) for c in sorted(done)]
+
+
+def _primitive(den, row):
+    """``(den, row)`` divided by the gcd of ``den`` and every int of ``row``."""
+    if den == 1:
+        return den, row
+    g = math.gcd(den, *itertools.chain.from_iterable(row.values()))
+    if g == 1:
+        return den, row
+    return den // g, {j: (a // g, b // g) for j, (a, b) in row.items()}

@@ -16,10 +16,11 @@ return ``undecided`` instead.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, _make, _reduced_echelon
+from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, _reduced_echelon
 from .errors import NotApplicableError, StructuralError
 from .fields import LinearPart, VectorField, linear_part
 from .intervals import CertifiedRoot, certified_roots
@@ -190,8 +191,9 @@ def resonance_rank(eigenvalues) -> int | str:
     if not all(isinstance(v, GaussianRational) for v in vals):
         return UNDECIDED
     abd = [v._abd for v in vals]
-    rows = [{j: _make(a, 0, d) for j, (a, _, d) in enumerate(abd) if a},
-            {j: _make(b, 0, d) for j, (_, b, d) in enumerate(abd) if b}]
+    scale = math.lcm(*(d for _, _, d in abd))
+    rows = [{j: (a * (scale // d), 0) for j, (a, _, d) in enumerate(abd) if a},
+            {j: (b * (scale // d), 0) for j, (_, b, d) in enumerate(abd) if b}]
     return len(vals) - len(_reduced_echelon(rows))
 
 

@@ -11,9 +11,19 @@ image ``X . m`` of a degree-k monomial has order at least k, so the system
 is block lower-triangular by degree.  Degree d eliminates only the block
 whose rows are the degree-d monomials and whose columns are the degree-d
 images of the order-(d-1) solutions followed by those of the new degree-d
-monomials, instead of the whole order-d system.  No image is formed above
-the degree that is read: d for a new monomial, d+1 for an order-d solution
-(its residual check, then the next block).
+monomials, instead of the whole order-d system.
+
+The solver runs on Gaussian integers, ``(re, im)`` pairs of ints.  It
+scales X by the lcm L of its coefficient denominators (``L.X`` has the
+first integrals of X) and builds one image table per call: for every
+monomial of degree 1..N, its image under ``L.X`` through degree N, split by
+degree.  The block rows read the table, and a solution's image is the
+combination of its monomials' images, formed through degree d+1 for an
+order-d solution (its residual check in all degrees up to d, then the next
+block).  Solutions are kept as primitive Gaussian-integer vectors, since
+only their span matters; the canonical order-N basis is converted to
+:class:`GaussianRational` once, and checked again with
+:func:`~foliations.fields.directional_derivative`.
 
 Factorizations are caller-supplied: multivariate polynomial factorization
 is deliberately out of scope, and the quotient construction only needs the
@@ -22,11 +32,13 @@ factored shape.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
-from .algebra import GR_ONE, GR_ZERO, Poly, _reduced_echelon
+from .algebra import GR_ONE, Poly, _make, _reduced_echelon
 from .errors import NotApplicableError, StructuralError
 from .fields import VectorField, directional_derivative
 
@@ -72,7 +84,9 @@ class JetSolutionSpace:
     ``dims_by_degree[d-1]`` is the dimension of the order-d problem for
     d = 1..N; the listed prefix is independent of N.  The solver extends
     the order-(d-1) basis by degree-d terms with one block elimination per
-    degree and brings only the order-N basis to canonical form.
+    degree over Gaussian integers, reading the images of monomials from one
+    table per call, and brings only the order-N basis to canonical form,
+    the only step that forms :class:`GaussianRational` coefficients.
     """
 
     degree: int
@@ -92,39 +106,94 @@ class JetSolutionSpace:
         }
 
 
-def _monomials(k: int, d: int) -> list[tuple[int, ...]]:
+@functools.cache
+def _monomials(k: int, d: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples in ``k`` variables of total degree ``d``, ascending."""
     if k == 1:
-        return [(d,)]
-    return [(a,) + rest for a in range(d + 1) for rest in _monomials(k - 1, d - a)]
+        return ((d,),)
+    return tuple((a,) + rest for a in range(d + 1) for rest in _monomials(k - 1, d - a))
 
 
 def _nullspace(rows, ncols):
-    """Nullspace basis of an exact sparse matrix, one vector (a dict from
-    column index to coefficient) per non-pivot column."""
+    """Nullspace basis of a sparse Gaussian-integer matrix, one vector (a
+    dict from column index to a Gaussian integer ``(re, im)``) per non-pivot
+    column; each vector is the exact one scaled to Gaussian integers."""
     reduced = _reduced_echelon(rows)
-    pivots = {c for c, _ in reduced}
+    pivots = {c for c, _, _ in reduced}
     basis = []
     for free in range(ncols):
         if free in pivots:
             continue
-        vec = {free: GR_ONE}
-        for c, row in reduced:
-            if free in row:
-                vec[c] = -row[free]
+        hits = [(c, den, row[free]) for c, den, row in reduced if free in row]
+        scale = math.lcm(*(den for _, den, _ in hits))
+        vec = {free: (scale, 0)}
+        for c, den, (a, b) in hits:
+            m = scale // den
+            vec[c] = (-m * a, -m * b)
         basis.append(vec)
     return basis
 
 
-def _canonical_basis(names, n: int, basis: list[Poly]) -> list[Poly]:
+def _add_scaled(out: dict, terms: dict, fa: int, fb: int) -> None:
+    """``out += (fa + fb*i) * terms`` over Gaussian-integer ``(re, im)`` values."""
+    for e, (a, b) in terms.items():
+        x, y = out.get(e, (0, 0))
+        out[e] = (x + fa * a - fb * b, y + fa * b + fb * a)
+
+
+def _image_table(x: VectorField, n: int) -> dict:
+    """``(L.X) . m`` for every monomial m of degree 1..n, as a map from m to
+    ``{degree: {exponents: (re, im)}}`` holding degrees up to n, where L is
+    the lcm of the coefficient denominators of X, so every value is a
+    Gaussian integer."""
+    graded = x._graded_terms
+    scale = math.lcm(*(c._abd[2] for comp in graded for _, _, c in comp))
+    comps = [[(da, ea, c._abd[0] * (scale // c._abd[2]), c._abd[1] * (scale // c._abd[2]))
+              for da, ea, c in comp] for comp in graded]
+    table = {}
+    for k in range(1, n + 1):
+        for m in _monomials(len(comps), k):
+            image: dict = {}
+            for i, comp in enumerate(comps):
+                p = m[i]
+                if not p:
+                    continue
+                base = m[:i] + (p - 1,) + m[i + 1:]
+                # components in ascending degree: stop past degree n
+                for da, ea, ca, cb in comp:
+                    if k - 1 + da > n:
+                        break
+                    part = image.setdefault(k - 1 + da, {})
+                    e = tuple(map(operator.add, ea, base))
+                    a, b = part.get(e, (0, 0))
+                    part[e] = (a + p * ca, b + p * cb)
+            table[m] = {deg: {e: v for e, v in part.items() if v != (0, 0)}
+                        for deg, part in sorted(image.items())}
+    return table
+
+
+def _image(table: dict, f: dict, top: int) -> dict:
+    """``(L.X) . f`` for a Gaussian-integer polynomial ``f``, as a map from
+    degree to its nonzero terms, for degrees up to ``top``."""
+    out: dict = {}
+    for m, (fa, fb) in f.items():
+        for deg, part in table[m].items():
+            if deg > top:
+                break
+            _add_scaled(out.setdefault(deg, {}), part, fa, fb)
+    return {deg: nonzero for deg, part in out.items()
+            if (nonzero := {e: v for e, v in part.items() if v != (0, 0)})}
+
+
+def _canonical_basis(names, n: int, basis: list[dict]) -> list[Poly]:
     """The unique reduced echelon basis of the span of ``basis``: reduced in
     ascending grlex column order, the row with the highest pivot monomial
     first."""
     order = [e for d in range(1, n + 1) for e in _monomials(len(names), d)]
     col_of = {e: j for j, e in enumerate(order)}
-    reduced = _reduced_echelon([{col_of[e]: c for e, c in f.terms.items()} for f in basis])
-    return [Poly.make(names, {order[j]: c for j, c in row.items()})
-            for _, row in reversed(reduced)]
+    reduced = _reduced_echelon([{col_of[e]: v for e, v in f.items()} for f in basis])
+    return [Poly.make(names, {order[j]: _make(a, b, den) for j, (a, b) in row.items()})
+            for _, den, row in reversed(reduced)]
 
 
 def formal_first_integral(x: VectorField, n: int = 8) -> JetSolutionSpace:
@@ -133,10 +202,10 @@ def formal_first_integral(x: VectorField, n: int = 8) -> JetSolutionSpace:
     Solves ``jet(X . F, n) == 0`` over polynomials of degree 1..n with zero
     constant term, one degree at a time: the order-d solutions are exactly
     ``G + H`` with G an order-(d-1) solution and H homogeneous of degree d
-    whose degree-d parts of ``X . G + X . H`` cancel.  Every basis
-    element's residual is rechecked by exact multiplication at every
-    degree; the order-n basis is brought to canonical form first.  Orders
-    from 2 to 32 are accepted.
+    whose degree-d parts of ``X . G + X . H`` cancel.  At every degree,
+    every new basis element's residual is checked to vanish in all degrees
+    up to d; the canonical order-n basis is checked again by exact
+    multiplication in Q(i).  Orders from 2 to 32 are accepted.
     """
     if not x.is_holomorphic():
         raise NotApplicableError("formal solving needs a holomorphic field")
@@ -147,38 +216,45 @@ def formal_first_integral(x: VectorField, n: int = 8) -> JetSolutionSpace:
     if n > _MAX_JET_ORDER:
         raise StructuralError(f"jet order must be at most {_MAX_JET_ORDER}")
     names = x.chart.var_names
+    table = _image_table(x, n)
     dims = []
-    basis: list[Poly] = []   # order-(d-1) solutions
-    images: list[Poly] = []  # X . f for f in basis; zero below degree d
+    basis: list[dict] = []  # order-(d-1) solutions, Gaussian-integer terms
+    tops: list[dict] = []   # degree-d terms of (L.X) . f for f in basis
     for d in range(1, n + 1):
         degree_d = _monomials(len(names), d)
-        new = [Poly.make(names, {e: GR_ONE}) for e in degree_d]
-        columns = basis + new
         row_of = {e: i for i, e in enumerate(degree_d)}
         rows = [{} for _ in degree_d]
-        # X(0) = 0, so X . m has order >= d: bound d leaves its degree-d part
-        new_images = [directional_derivative(x, m, d) for m in new]
-        for j, image in enumerate(images + new_images):
-            for e, c in image.terms.items():
-                if sum(e) == d:
-                    rows[row_of[e]][j] = c
-        basis = []
-        for vec in _nullspace(rows, len(columns)):
+        # X(0) = 0, so (L.X) . m has order >= d for a degree-d monomial m
+        for j, image in enumerate(tops + [table[m].get(d, {}) for m in degree_d]):
+            for e, v in image.items():
+                rows[row_of[e]][j] = v
+        old = len(basis)
+        solutions = []
+        for vec in _nullspace(rows, old + len(degree_d)):
             terms: dict = {}
-            for j, a in vec.items():
-                for e, c in columns[j].terms.items():
-                    terms[e] = terms.get(e, GR_ZERO) + a * c
-            basis.append(Poly.make(names, terms))
-        if d == n:
-            basis = _canonical_basis(names, n, basis)
-        # degree <= d+1 is all that is read: the residual check below, then
-        # the degree-(d+1) rows of the next block
-        images = [directional_derivative(x, f, d + 1) for f in basis]
-        for image in images:
-            if not image.jet_truncate(d).is_zero():  # pragma: no cover - exact solver guard
+            for j, (a, b) in vec.items():
+                if j < old:
+                    _add_scaled(terms, basis[j], a, b)
+                else:
+                    terms[degree_d[j - old]] = (a, b)
+            terms = {e: v for e, v in terms.items() if v != (0, 0)}
+            g = math.gcd(*itertools.chain.from_iterable(terms.values()))
+            solutions.append({e: (a // g, b // g) for e, (a, b) in terms.items()})
+        basis = solutions
+        # degree <= d+1 is all that is read: the residual check, then the
+        # degree-(d+1) rows of the next block
+        tops = []
+        for f in basis:
+            image = _image(table, f, d + 1)
+            if any(deg <= d for deg in image):
                 raise StructuralError("nullspace element failed residual check")
+            tops.append(image.get(d + 1, {}))
         dims.append(len(basis))
-    return JetSolutionSpace(n, tuple(basis), tuple(dims))
+    canonical = _canonical_basis(names, n, basis)
+    for f in canonical:
+        if not directional_derivative(x, f, n).is_zero():
+            raise StructuralError("nullspace element failed residual check")
+    return JetSolutionSpace(n, tuple(canonical), tuple(dims))
 
 
 # ---------------------------------------------------------------------------
