@@ -221,17 +221,19 @@ def parse_expression(text: str, vars: tuple[str, ...], line: int = 1) -> Poly:
     return poly
 
 
-def _split_components(text: str, line: int) -> list[str]:
+def _split_components(body: list[tuple[str, int, str]]) -> list[str]:
+    """The top-level comma-separated pieces of the body lines joined by
+    spaces; an unbalanced ``)`` raises at its own line and column."""
     parts = []
     depth = 0
     current = []
-    for ch in text:
+    for offset, ch in enumerate(" ".join(part for part, _, _ in body)):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ParseError("unbalanced ')'", line, 1)
+                raise ParseError("unbalanced ')'", *_source_position(body, offset))
         if ch == "," and depth == 0:
             parts.append("".join(current))
             current = []
@@ -294,9 +296,8 @@ def parse_field(text: str) -> VectorField | OneForm:
         kind = KIND_FIELD
     if not body:
         raise ParseError("missing component expressions", 1, 1)
-    joined = " ".join(part for part, _, _ in body)
     first_line = body[0][1]
-    pieces = _split_components(joined, first_line)
+    pieces = _split_components(body)
     if len(pieces) != len(vars):
         raise ParseError(
             f"expected {len(vars)} components, found {len(pieces)}",
