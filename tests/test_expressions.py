@@ -194,8 +194,9 @@ class TestParseErrorPositions:
         assert parse_expression(text, ("x", "y")).render() == expected
 
     @pytest.mark.parametrize("text, message", [
-        ("vars: x, y\nx, y)\n", "unbalanced ')' (line 2, column 1)"),
-        ("vars: x, y\n(x, y))\n", "unbalanced ')' (line 2, column 1)"),
+        ("vars: x, y\nx, y)\n", "unbalanced ')' (line 2, column 5)"),
+        ("vars: x, y\n(x, y))\n", "unbalanced ')' (line 2, column 7)"),
+        ("vars: x, y\nx,\n  y)\n", "unbalanced ')' (line 3, column 4)"),
         ("vars:\nx\n", "declare one to three variables (line 1, column 1)"),
         ("vars: x, y, z, w\nx, y, z, w\n", "declare one to three variables (line 1, column 1)"),
         ("vars: x, x\nx, x\n", "duplicate variable names (line 1, column 1)"),
