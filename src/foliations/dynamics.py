@@ -23,8 +23,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .algebra import _OVERFLOW, ChartFunction, Poly
 from .errors import (
     DegenerateInputError,
@@ -98,7 +96,7 @@ class LogSpiral:
         return (self.t0, self.t1)
 
     def point(self, t: float) -> complex:
-        return self.anchor * np.exp(t / self.direction)
+        return self.anchor * cmath.exp(t / self.direction)
 
     def velocity(self, t: float) -> complex:
         return self.point(t) / self.direction
@@ -326,10 +324,6 @@ _DP_W4 = tuple((j, b) for j, b in enumerate(_DP_B4) if b)
 # iterations (accepted or rejected steps) one integration may take
 _RK45_MAX_ITER = 200000
 
-# the plain ``complex`` of a complex or NumPy complex scalar, faster than
-# the ``complex()`` constructor (``complex.__complex__`` is new in 3.11)
-_plain_complex = getattr(complex, "__complex__", complex)
-
 
 def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
           rtol: float, atol: float, max_step: float,
@@ -350,17 +344,8 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
     One integration therefore calls ``rhs`` 6 times per iteration plus once.
 
     The step sequence, and so every output, depends on the last bit of
-    each stage and error value, and the outputs are pinned to the rounding
-    of the NumPy array form ``y + h * sum(a_j * k_j)``.  Python ``complex``
-    ``+``, ``-``, ``*`` and float-by-complex products round as NumPy's do,
-    so the stages are plain lists, and every sum starts from ``0j`` and
-    adds its nonzero terms in tableau order.  Complex division and modulus
-    do not round alike: NumPy's kernels differ from Python's ``/`` and
-    ``abs()`` in the last bit for a large share of operands.  So the error
-    norm and the escape test take their moduli from one ``np.abs`` call per
-    step, the error is a maximum that a NaN wins (as in ``np.max``, so a
-    NaN rejects the step), and a right-hand side that divides does so on
-    the operand types it had on arrays (see ``lift_path``).
+    each stage and error value; the golden digests pin CPython's complex
+    arithmetic.
     """
     if not math.isfinite(t1):
         raise DegenerateInputError(f"integration end time must be finite, got {t1!r}")
@@ -394,7 +379,7 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
                 stage.append(y[i] + h * acc)
             k.append(rhs(t + c * h, stage))
         y5 = []
-        diff = []
+        err = 0.0
         for i in range(n):
             s5 = s4 = 0j
             for j, b in _DP_W5:
@@ -403,23 +388,15 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
                 s4 = s4 + b * k[j][i]
             u = y[i] + h * s5
             y5.append(u)
-            diff.append(u - (y[i] + h * s4))
-        moduli = np.abs(y + y5 + diff).tolist()
-        err = 0.0
-        for i in range(n):
-            m, m5 = moduli[i], moduli[n + i]
-            if not m >= m5 and m == m:      # np.maximum: a NaN wins
-                m = m5
+            d = abs(u - (y[i] + h * s4))
             try:
-                r = moduli[2 * n + i] / (atol + rtol * m)
+                r = d / (atol + rtol * max(abs(y[i]), abs(u)))
             except ZeroDivisionError:   # atol = 0 at a zero state: only 0 passes
-                d = moduli[2 * n + i]
                 r = d * math.inf if d else 0.0
-            if i == 0 or r > err or r != r:  # np.max: a NaN wins
+            if i == 0 or r > err or r != r:  # a NaN error rejects the step
                 err = r
         if err <= 1.0:
-            if escape_radius is not None and any(
-                    m5 > escape_radius for m5 in moduli[n:2 * n]):
+            if escape_radius is not None and any(abs(u) > escape_radius for u in y5):
                 escaped = True      # final stays the last in-domain sample
                 break
             t = t + h
@@ -500,8 +477,10 @@ def lift_path(
     along the lift raises :class:`SingularLiftError`; leaving the escape
     polydisc sets ``escaped`` instead of failing, and then ``est_error`` is
     ``None`` because no estimate is made.  A non-finite fiber value raises
-    :class:`DegenerateInputError`, and a floating-point overflow along the
-    lift :class:`EvaluationOverflowError`.
+    :class:`DegenerateInputError`.  The components are evaluated on Python
+    ``complex`` fiber values, whose products and sums overflow to ``inf``
+    without raising; a base speed or fiber velocity that is not finite
+    raises :class:`EvaluationOverflowError`.
     """
     chart = x.chart
     b = chart.var_index(base_var)
@@ -513,40 +492,32 @@ def lift_path(
     comp_fns = [c.eval_complex for c in x.components]
     fiber_fns = [f for i, f in enumerate(comp_fns) if i != b]
     base_fn = comp_fns[b]
-    complex128 = np.complex128
 
     def rhs(t: float, y: list[complex]) -> list[complex]:
-        # fiber coordinates enter the components as NumPy scalars, so powers
-        # of them, and the division by a base speed that depends on them,
-        # keep NumPy's rounding (see _rk45)
-        point = [complex128(v) for v in y]
+        point = list(y)
         point.insert(b, path.point(t))
         base_speed = base_fn(point)
         if abs(base_speed) < ZERO_FLOOR:
             raise SingularLiftError("base component vanished along the lift")
         vel = path.velocity(t) / base_speed
-        return [_plain_complex(f(point) * vel) for f in fiber_fns]
+        velocities = [f(point) * vel for f in fiber_fns]
+        # complex products and sums overflow to inf or NaN without raising;
+        # left alone, they would reject steps until the iteration cap
+        if not (cmath.isfinite(base_speed) and all(map(cmath.isfinite, velocities))):
+            raise EvaluationOverflowError(_OVERFLOW)
+        return velocities
 
     t0, t1 = path.t_range
     max_step = abs(t1 - t0) / max(min_samples, 1)
     y0 = [complex(v) for v in fiber]
-    # NumPy scalar arithmetic only warns on overflow and goes on with inf
-    # and NaN, so a huge fiber value would reject steps until the iteration
-    # cap; raising turns it into the error a Python complex gives
-    try:
-        with np.errstate(over="raise"):
-            samples, escaped = _rk45(rhs, t0, t1, y0, rtol, atol, max_step,
-                                     escape_radius)
-            final = samples[-1][1]
-            if escaped:
-                est = None
-            else:
-                tight, _ = _rk45(rhs, t0, t1, y0, rtol / 100.0, atol / 100.0,
-                                 max_step / 2.0, escape_radius)
-                est = (float(np.max(np.abs(np.subtract(final, tight[-1][1]))))
-                       if final else 0.0)
-    except FloatingPointError:
-        raise EvaluationOverflowError(_OVERFLOW) from None
+    samples, escaped = _rk45(rhs, t0, t1, y0, rtol, atol, max_step, escape_radius)
+    final = samples[-1][1]
+    if escaped:
+        est = None
+    else:
+        tight, _ = _rk45(rhs, t0, t1, y0, rtol / 100.0, atol / 100.0,
+                         max_step / 2.0, escape_radius)
+        est = max((abs(u - v) for u, v in zip(final, tight[-1][1])), default=0.0)
     return LiftResult(
         base_var=base_var,
         fiber_vars=fiber_vars,

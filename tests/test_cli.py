@@ -416,8 +416,9 @@ class TestFlagValidation:
         ("x^3, -y^2 + x*y", ["holonomy", "--base", "x", "--loop-radius", "1e200"]),
         ("x^3, -y^2 + x*y", ["holonomy", "--base", "x", "--fiber-seed", "1e200"])])
     def test_overflow_error(self, tmp_path, field, argv):
-        # finite but huge inputs overflow the first complex evaluation, in
-        # Python complex or (the fiber seed) in NumPy complex128 scalars
+        # finite but huge inputs overflow the first complex evaluation: a
+        # power raises, and a product or sum that gives inf (the fiber seed)
+        # is caught by the lift's finiteness check
         names = "x" if "y" not in field else "x, y"
         path = tmp_path / "huge.field"
         path.write_text(f"vars: {names}\nkind: field\n{field}\n", encoding="utf-8")
@@ -545,12 +546,16 @@ class TestStartup:
         assert not modules & {f"foliations.{m}" for m in (
             "resolve", "blowup", "classify", "intervals", "dynamics", "corpus")}
 
+    # NumPy is loaded only to certify a root outside Q(i)
     @pytest.mark.parametrize("argv", [
         ["integrals", "two_integrals.field", "--formal"],
         ["parse", "two_integrals.field"],
-        ["classify", "siegel_triple.field"]])    # spectrum (1, 1+i, -2-i)
-    def test_exact_commands_leave_numpy_unloaded(self, argv):
-        done = _fresh_python("-c", _NUMPY_AFTER, argv[0], fixture(argv[1]), *argv[2:])
+        ["classify", "siegel_triple.field"],    # spectrum (1, 1+i, -2-i)
+        ["dynamics", "holonomy", "saddle12.field", "--base", "x"],
+        ["corpus"]])
+    def test_commands_leave_numpy_unloaded(self, argv):
+        done = _fresh_python("-c", _NUMPY_AFTER,
+                             *(fixture(a) if a.endswith(".field") else a for a in argv))
         assert done.stderr == ""
         assert done.stdout.splitlines()[-1] == "0 False"
 

@@ -4,7 +4,6 @@ import cmath
 import math
 import random
 
-import numpy as np
 import pytest
 
 from foliations import dynamics
@@ -219,8 +218,8 @@ class TestLifts:
             loop_lift_ratio(linear_saddle(3), "y", 0.0, 0.01)
 
     def test_nan_error_rejects_step(self, monkeypatch):
-        # a NaN in the second of two components makes the error NaN, as
-        # np.max would, so no step past t = 0.5 is accepted and the cap
+        # a NaN in the second of two components makes the error NaN, which
+        # rejects the step, so no step past t = 0.5 is accepted and the cap
         # is reached instead of returning NaN samples
         monkeypatch.setattr(dynamics, "_RK45_MAX_ITER", 50)
 
