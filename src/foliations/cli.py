@@ -19,8 +19,8 @@ exhausted budget, false verification), 2 usage or parse errors.
 Each run is a fresh process, so start-up counts.  This module imports only
 the parser layer (``errors``, ``expressions``, ``fields``) and the JSON
 writer (``jsontext``); each ``_cmd_*`` handler imports the modules it calls
-when it runs.  NumPy is loaded only by ``dynamics``, ``corpus`` and the
-certification of roots outside Q(i).
+when it runs.  NumPy is loaded only by the certification of roots outside
+Q(i).
 """
 
 from __future__ import annotations

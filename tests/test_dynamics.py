@@ -31,6 +31,7 @@ from foliations.dynamics import (
 )
 from foliations.errors import (
     DegenerateInputError,
+    EvaluationOverflowError,
     SingularLiftError,
     SingularPathError,
     StructuralError,
@@ -194,6 +195,19 @@ class TestLifts:
         assert abs(result.final[0]) <= 2.0
         # no tighter re-run is made after an escape, so there is no estimate
         assert result.est_error is None
+
+    def test_overflowing_base_speed_raises(self):
+        # y*z overflows to inf at y = z = 1e200 while the fiber components
+        # stay finite; dividing by the base speed would make every velocity
+        # 0 and return the starting fiber as the lift
+        chart = Chart.root(V3)
+        field = VectorField.make(chart, [
+            Poly.make(V3, {(0, 1, 1): gr(1)}),
+            Poly.variable(V3, "y"),
+            Poly.make(V3, {(0, 0, 1): gr(-1)})])
+        with pytest.raises(EvaluationOverflowError, match="overflow"):
+            lift_path(field, "x", full_circle(0.1), [1e200, 1e200],
+                      escape_radius=1e300)
 
     def test_iteration_cap_raises(self, monkeypatch):
         # a full circle needs at least 64 steps: a cap of 10 must not
