@@ -7,7 +7,7 @@ import random
 import pytest
 
 from foliations import dynamics
-from foliations.algebra import Poly, gr
+from foliations.algebra import ChartFunction, Poly, gr
 from foliations.classify import second_jet_check
 from foliations.corpus import linear_saddle, strict_siegel_diagonal
 from foliations.dynamics import (
@@ -32,6 +32,7 @@ from foliations.dynamics import (
 from foliations.errors import (
     DegenerateInputError,
     EvaluationOverflowError,
+    PoleEvaluationError,
     SingularLiftError,
     SingularPathError,
     StructuralError,
@@ -304,6 +305,44 @@ class TestLifts:
             Poly.variable(V2, "y"), Poly.variable(V2, "x")])
         with pytest.raises(SingularLiftError):
             lift_path(field, "x", Segment(0.5, -0.5), [0.0])
+
+
+class TestLiftExceptionOrder:
+    """Where two checks of the right-hand side collide at a segment's start,
+    the one the evaluation order reaches first raises: the base component,
+    then the base-speed floor, then the fibers in chart order."""
+
+    def test_base_zero_before_fiber_pole(self):
+        field = VectorField.make(Chart.root(V2), [
+            Poly.variable(V2, "x"),
+            ChartFunction.make(Poly.variable(V2, "y"), (-1, 0))])
+        with pytest.raises(SingularLiftError, match="base component vanished"):
+            lift_path(field, "x", Segment(0j, 0.5), [1.0])
+
+    def test_base_zero_before_fiber_power_overflow(self):
+        field = VectorField.make(Chart.root(V2), [
+            Poly.variable(V2, "x"), make_poly(V2, {(0, 2): 1})])
+        with pytest.raises(SingularLiftError, match="base component vanished"):
+            lift_path(field, "x", Segment(0j, 0.5), [1e200], escape_radius=1e300)
+
+    def test_base_zero_before_fiber_coefficient_overflow(self):
+        field = VectorField.make(Chart.root(V2), [
+            Poly.variable(V2, "x"), make_poly(V2, {(0, 1): 10 ** 400})])
+        with pytest.raises(SingularLiftError, match="base component vanished"):
+            lift_path(field, "x", Segment(0j, 0.5), [1.0])
+
+    def test_base_pole_before_fiber_power_overflow(self):
+        field = VectorField.make(Chart.root(V2), [
+            ChartFunction.make(Poly.constant(V2, 1), (-1, 0)),
+            make_poly(V2, {(0, 2): 1})])
+        with pytest.raises(PoleEvaluationError, match="evaluation at a pole"):
+            lift_path(field, "x", Segment(0j, 0.5), [1e200], escape_radius=1e300)
+
+    def test_tolerance_before_coefficient_overflow(self):
+        field = VectorField.make(Chart.root(V2), [
+            make_poly(V2, {(0, 0): 10 ** 400}), Poly.variable(V2, "y")])
+        with pytest.raises(DegenerateInputError, match="relative tolerance"):
+            lift_path(field, "x", Segment(0j, 0.5), [1.0], rtol=math.nan)
 
 
 class TestOmegaOne:
