@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     DegenerateInputError,
@@ -49,6 +49,7 @@ Exponents = tuple[int, ...]
 
 _OVERFLOW = "floating-point overflow evaluating at a point too far from the origin"
 _COEFFICIENT_TOO_LARGE = "coefficient too large for a floating-point evaluation"
+_POLE = "evaluation at a pole"
 
 # ---------------------------------------------------------------------------
 # Gaussian rationals
@@ -578,19 +579,14 @@ class Poly:
         except OverflowError:
             raise EvaluationOverflowError(_COEFFICIENT_TOO_LARGE) from None
 
+    @cached_property
+    def _evaluator(self) -> Callable[..., complex]:
+        return _compile_evaluator(self)
+
     def eval_complex(self, point: Sequence[complex]) -> complex:
         if len(point) != len(self.vars):
             raise StructuralError("point dimension mismatch")
-        terms = self._complex_terms
-        total = 0j
-        try:
-            for term, powers in terms:
-                for j, k in powers:
-                    term *= point[j] ** k
-                total += term
-        except OverflowError:
-            raise EvaluationOverflowError(_OVERFLOW) from None
-        return total
+        return self._evaluator(*point)
 
     def divide_monomial(self, exps: Exponents) -> "Poly":
         """Exact division by the monomial with exponent vector ``exps``."""
@@ -805,18 +801,15 @@ class ChartFunction:
         """Nonzero ``(index, exponent)`` pairs of the monomial factor."""
         return tuple((j, e) for j, e in enumerate(self.monomial_exponents) if e)
 
+    @cached_property
+    def _evaluator(self) -> Callable[..., complex]:
+        return _compile_evaluator(self)
+
     def eval_complex(self, point: Sequence[complex]) -> complex:
         """Evaluate at a complex point; poles raise :class:`PoleEvaluationError`."""
-        value = self.numerator.eval_complex(point)
-        for j, e in self._powers:
-            x = point[j]
-            if e < 0 and x == 0:
-                raise PoleEvaluationError("evaluation at a pole")
-            try:
-                value *= x ** e
-            except OverflowError:
-                raise EvaluationOverflowError(_OVERFLOW) from None
-        return value
+        if len(point) != len(self.vars):
+            raise StructuralError("point dimension mismatch")
+        return self._evaluator(*point)
 
     # -- rendering ------------------------------------------------------------------
 
@@ -833,6 +826,93 @@ class ChartFunction:
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.render()
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation
+# ---------------------------------------------------------------------------
+
+# products summed in one generated expression; a longer sum goes on over
+# further lines, so no expression nests deeper than the compiler allows
+_TERMS_PER_LINE = 32
+
+
+class _Source:
+    """Straight-line source of one function of ``params`` and the values its
+    names are bound to; :meth:`compile` turns it into the function.
+
+    :meth:`evaluate` writes the floating-point evaluation of a
+    :class:`Poly` or :class:`ChartFunction` at the point ``x0, x1, ...``,
+    which earlier lines must bind.  Its operations are those of a
+    term-by-term evaluation, in the same order: each numerator term is its
+    complex coefficient times its variable powers in variable order, and the
+    terms are added to ``0j`` in term order; then each nonzero monomial
+    exponent, in variable order, multiplies in its power after the pole
+    check of a negative one.  An ``x_j ** k`` is computed where it is first
+    used and read back by name after that.  An ``OverflowError`` becomes
+    :class:`EvaluationOverflowError`.  Coefficients are bound to names,
+    never written as text: the source holds only names, int indices and
+    int exponents.
+    """
+
+    def __init__(self, params: Sequence[str]) -> None:
+        self.params = tuple(params)
+        self.lines: list[str] = []
+        self.names: dict[str, object] = {
+            "EvaluationOverflowError": EvaluationOverflowError,
+            "PoleEvaluationError": PoleEvaluationError,
+            "OVERFLOW": _OVERFLOW,
+            "POLE": _POLE,
+            "COEFFICIENT_TOO_LARGE": _COEFFICIENT_TOO_LARGE,
+        }
+        self._computed: set[tuple[int, int]] = set()
+
+    def _power(self, j: int, k: int) -> str:
+        name = f"p{j}_{k}" if k > 0 else f"p{j}_m{-k}"
+        if (j, k) in self._computed:
+            return name
+        self._computed.add((j, k))
+        return f"({name} := x{j} ** {k})"
+
+    def evaluate(self, fun: "Poly | ChartFunction", out: str) -> None:
+        """Append the lines that set ``out`` to ``fun`` at ``x0, x1, ...``."""
+        numerator, monomial = ((fun.numerator, fun._powers)
+                               if isinstance(fun, ChartFunction) else (fun, ()))
+        try:
+            terms = numerator._complex_terms
+        except EvaluationOverflowError:
+            self.lines.append("raise EvaluationOverflowError(COEFFICIENT_TOO_LARGE) from None")
+            return
+        products = []
+        for c, powers in terms:
+            name = f"c{len(self.names)}"
+            self.names[name] = c
+            products.append("*".join([name] + [self._power(j, k) for j, k in powers]))
+        body, total = [], "0j"
+        for i in range(0, len(products), _TERMS_PER_LINE):
+            body.append(f"{out} = {' + '.join([total] + products[i:i + _TERMS_PER_LINE])}")
+            total = out
+        body = body or [f"{out} = 0j"]
+        for j, e in monomial:
+            if e < 0:
+                body += [f"if x{j} == 0:", "    raise PoleEvaluationError(POLE)"]
+            body.append(f"{out} = {out} * {self._power(j, e)}")
+        self.lines += ["try:", *(f"    {line}" for line in body), "except OverflowError:",
+                       "    raise EvaluationOverflowError(OVERFLOW) from None"]
+
+    def compile(self) -> Callable[..., object]:
+        source = (f"def f({', '.join(self.params)}):\n"
+                  + "".join(f"    {line}\n" for line in self.lines))
+        exec(source, self.names)
+        return self.names.pop("f")
+
+
+def _compile_evaluator(fun: "Poly | ChartFunction") -> Callable[..., complex]:
+    """``fun`` compiled to one function of the coordinates of a point."""
+    source = _Source([f"x{j}" for j in range(len(fun.vars))])
+    source.evaluate(fun, "value")
+    source.lines.append("return value")
+    return source.compile()
 
 
 # ---------------------------------------------------------------------------

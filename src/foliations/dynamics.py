@@ -9,6 +9,11 @@ at hundredfold tighter tolerances, quadrature of the holonomy form
 ``(H/F) dx`` cross-validated against lifts, and tracing of the real
 trajectories on which that form has prescribed phase.
 
+A lift evaluates its vector field through one function compiled for it:
+straight-line code that makes the operations of evaluating the base
+component and then each fiber component term by term, in the same order,
+so every value is bit for bit that of ``eval_complex``.
+
 Conventions: lifting the base equation ``dz/dx = z H(x)/F(x)`` gives
 ``z = z0 * exp(int (H/F) dx)``; the derivative of the holonomy return map
 is ``exp(-I)`` for the same integral ``I``, so ``Re I > 0`` means the
@@ -23,10 +28,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .algebra import _OVERFLOW, ChartFunction, Poly
+from .algebra import ChartFunction, Poly, _Source
 from .errors import (
     DegenerateInputError,
-    EvaluationOverflowError,
     NotApplicableError,
     SingularLiftError,
     SingularPathError,
@@ -223,7 +227,7 @@ def _univariate_eval(fun: "Poly | ChartFunction") -> Callable[[complex], complex
         raise StructuralError("expected Poly or ChartFunction")
     if len(fun.vars) != 1:
         raise StructuralError("expected a univariate function")
-    return lambda z: fun.eval_complex((z,))
+    return fun._evaluator
 
 
 def time_form_integral(
@@ -345,7 +349,9 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
 
     The step sequence, and so every output, depends on the last bit of
     each stage and error value; the golden digests pin CPython's complex
-    arithmetic.
+    arithmetic.  A lift's ``rhs`` is one compiled function that makes the
+    operations of evaluating its components one by one, in the same order,
+    so compiling it moves no bit.
     """
     if not math.isfinite(t1):
         raise DegenerateInputError(f"integration end time must be finite, got {t1!r}")
@@ -489,23 +495,31 @@ def lift_path(
         raise StructuralError("one fiber value per non-base variable required")
     if not all(cmath.isfinite(v) for v in fiber):
         raise DegenerateInputError(f"fiber values must be finite, got {list(fiber)!r}")
-    comp_fns = [c.eval_complex for c in x.components]
-    fiber_fns = [f for i, f in enumerate(comp_fns) if i != b]
-    base_fn = comp_fns[b]
-
-    def rhs(t: float, y: list[complex]) -> list[complex]:
-        point = list(y)
-        point.insert(b, path.point(t))
-        base_speed = base_fn(point)
-        if abs(base_speed) < ZERO_FLOOR:
-            raise SingularLiftError("base component vanished along the lift")
-        vel = path.velocity(t) / base_speed
-        velocities = [f(point) * vel for f in fiber_fns]
-        # complex products and sums overflow to inf or NaN without raising;
-        # left alone, they would reject steps until the iteration cap
-        if not (cmath.isfinite(base_speed) and all(map(cmath.isfinite, velocities))):
-            raise EvaluationOverflowError(_OVERFLOW)
-        return velocities
+    # rhs(t, y): the fiber values unpacked to their coordinates, the base
+    # point, the base component, its floor, then the fibers in chart order
+    fibers = [j for j in range(chart.dim) if j != b]
+    velocities = [f"w{j}" for j in fibers]
+    source = _Source(("t", "y"))
+    if fibers:
+        source.lines.append(", ".join(f"x{j}" for j in fibers) + ", = y")
+    source.lines.append(f"x{b} = point(t)")
+    source.evaluate(x.components[b], "speed")
+    source.lines += ["if abs(speed) < ZERO_FLOOR:",
+                     "    raise SingularLiftError(VANISHED)",
+                     "vel = velocity(t) / speed"]
+    for j, w in zip(fibers, velocities):
+        source.evaluate(x.components[j], w)
+        source.lines.append(f"{w} = {w} * vel")
+    # complex products and sums overflow to inf or NaN without raising;
+    # left alone, they would reject steps until the iteration cap
+    finite = " and ".join(f"isfinite({v})" for v in ["speed"] + velocities)
+    source.lines += [f"if not ({finite}):",
+                     "    raise EvaluationOverflowError(OVERFLOW)",
+                     f"return [{', '.join(velocities)}]"]
+    source.names.update(point=path.point, velocity=path.velocity, isfinite=cmath.isfinite,
+                        ZERO_FLOOR=ZERO_FLOOR, SingularLiftError=SingularLiftError,
+                        VANISHED="base component vanished along the lift")
+    rhs = source.compile()
 
     t0, t1 = path.t_range
     max_step = abs(t1 - t0) / max(min_samples, 1)

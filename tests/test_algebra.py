@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foliations.algebra import (
+    _OVERFLOW,
     GR_ONE,
     GR_ZERO,
     ChartFunction,
@@ -19,6 +21,7 @@ from foliations.algebra import (
 )
 from foliations.errors import (
     DegenerateInputError,
+    EvaluationOverflowError,
     PoleEvaluationError,
     StructuralError,
 )
@@ -243,7 +246,82 @@ class TestJets:
         assert q.homogeneous_component(2) == q
 
 
+def _reference_poly_eval(p: Poly, point) -> complex:
+    """The term-by-term loop the compiled evaluators replaced."""
+    if len(point) != len(p.vars):
+        raise StructuralError("point dimension mismatch")
+    terms = p._complex_terms
+    total = 0j
+    try:
+        for term, powers in terms:
+            for j, k in powers:
+                term *= point[j] ** k
+            total += term
+    except OverflowError:
+        raise EvaluationOverflowError(_OVERFLOW) from None
+    return total
+
+
+def _reference_chart_eval(f: ChartFunction, point) -> complex:
+    value = _reference_poly_eval(f.numerator, point)
+    for j, e in f._powers:
+        x = point[j]
+        if e < 0 and x == 0:
+            raise PoleEvaluationError("evaluation at a pole")
+        try:
+            value *= x ** e
+        except OverflowError:
+            raise EvaluationOverflowError(_OVERFLOW) from None
+    return value
+
+
+def _outcome(evaluate, fun, point):
+    """The value's type and bits, or the exception's type and message."""
+    try:
+        z = evaluate(fun, point)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(z), struct.pack("<dd", z.real, z.imag)
+
+
+_COORDINATE = st.one_of(
+    st.sampled_from([0, 1, -2, 10 ** 160, -(10 ** 400), 0.0, -0.0, 1e-200, -1e200,
+                     math.inf, math.nan, 0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                     complex(-0.0, -0.0), complex(1e200, -0.0), complex(-0.0, 1e-170),
+                     complex(math.inf, 0.0), complex(math.nan, 1.0)]),
+    st.integers(-5, 5),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.complex_numbers(max_magnitude=1e6))
+_COEFFICIENT = st.one_of(
+    st.builds(GaussianRational, st.fractions(max_denominator=50), st.fractions(max_denominator=50)),
+    st.sampled_from([gr(10 ** 400), gr(0, -(10 ** 309)), gr(1, -1)]))
+
+
+@st.composite
+def _function_and_point(draw):
+    n = draw(st.integers(1, 3))
+    vars = ("x", "y", "z")[:n]
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+    terms = draw(st.dictionaries(exps, _COEFFICIENT, max_size=6))
+    fun = Poly.make(vars, terms)
+    if draw(st.booleans()):
+        fun = ChartFunction.make(fun, draw(st.tuples(*[st.integers(-3, 3)] * n)))
+    return fun, tuple(draw(_COORDINATE) for _ in range(n))
+
+
 class TestEvalComplex:
+    @settings(max_examples=400, deadline=None)
+    @given(_function_and_point())
+    def test_compiled_evaluator_matches_term_loop_bit_for_bit(self, case):
+        fun, point = case
+        reference = (_reference_chart_eval if isinstance(fun, ChartFunction)
+                     else _reference_poly_eval)
+        assert (_outcome(type(fun).eval_complex, fun, point)
+                == _outcome(reference, fun, point))
+        wrong_length = point + (1.0,)
+        assert (_outcome(type(fun).eval_complex, fun, wrong_length)
+                == (StructuralError, "point dimension mismatch"))
+
     def test_polynomial(self):
         p = make_poly(("x",), {(2,): 1, (0,): -1})
         assert abs(p.eval_complex((2.0,)) - 3.0) < 1e-12
