@@ -37,9 +37,9 @@ quadratic = parse_expression("x^2", ("x",))
 print("verdict for x^2:", semicomplete_order_test(quadratic).verdict)
 
 for k in (3, 2):
-    ratio = loop_lift_ratio(linear_saddle(k), "y", 0.1, 0.01)
+    ratio, err = loop_lift_ratio(linear_saddle(k), "y", 0.1, 0.01)
     print(f"\nholonomy derivative of the (1, -{k}) saddle: "
-          f"{ratio:.6f} (= exp(-2 pi i / {k}) up to 1e-4)")
+          f"{ratio:.6f} (= exp(-2 pi i / {k}) up to 1e-4; estimated error {err:.1e})")
     print(f"  ratio^{k} = {ratio**k:.6f}")
 
 x = strict_siegel_diagonal()

@@ -185,7 +185,7 @@ def _cmd_dynamics(args) -> int:
 
     if args.operation == "holonomy":
         field = _load_field(args.file)
-        ratio = loop_lift_ratio(field, args.base, args.loop_radius,
+        ratio, err = loop_lift_ratio(field, args.base, args.loop_radius,
                                 complex(args.fiber_seed),
                                 rtol=args.tol_rel, atol=args.tol_abs)
         _emit({
@@ -193,6 +193,7 @@ def _cmd_dynamics(args) -> int:
             "loop_radius": args.loop_radius,
             "fiber_seed": args.fiber_seed,
             "ratio": [ratio.real, ratio.imag],
+            "error_estimate": err,
             "argument_over_pi": math.atan2(ratio.imag, ratio.real) / math.pi,
         })
         return EXIT_OK

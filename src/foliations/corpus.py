@@ -542,14 +542,14 @@ def _checks(fixtures: Path | None = None) -> list[CorpusCheck]:
 
     @check("holonomy_order_three", "loop lift of the (1,-3) saddle is a third root")
     def _():
-        ratio = loop_lift_ratio(linear_saddle(3), "y", 0.1, 0.01)
+        ratio, _err = loop_lift_ratio(linear_saddle(3), "y", 0.1, 0.01)
         expected = cmath.exp(-2j * math.pi / 3)
         _ensure(abs(ratio - expected) < 1e-4, f"ratio {ratio}")
         return "holonomy derivative = exp(-2 pi i/3) within 1e-4"
 
     @check("holonomy_order_two", "loop lift of the (1,-2) saddle is a half turn")
     def _():
-        ratio = loop_lift_ratio(linear_saddle(2), "y", 0.1, 0.01)
+        ratio, _err = loop_lift_ratio(linear_saddle(2), "y", 0.1, 0.01)
         expected = cmath.exp(-1j * math.pi)
         _ensure(abs(ratio - expected) < 1e-4, f"ratio {ratio}")
         return "holonomy derivative = exp(-pi i) within 1e-4"

@@ -548,11 +548,14 @@ def loop_lift_ratio(
     radius: float = 0.1,
     fiber_seed: complex = 0.01,
     **kwargs,
-) -> complex:
-    """final/initial fiber ratio after lifting a full circle in the base.
+) -> tuple[complex, float]:
+    """final/initial fiber ratio after lifting a full circle in the base;
+    (ratio, error).
 
     For a linearizable saddle this estimates the derivative of the holonomy
-    return map of the separatrix ``{others = 0}``.  A field without a fiber
+    return map of the separatrix ``{others = 0}``.  The error is the lift's
+    estimate (see :func:`lift_path`) over ``|fiber_seed|``, so it bounds the
+    ratio's error on the same scale as the ratio.  A field without a fiber
     variable raises :class:`StructuralError`; a zero or non-finite radius or
     fiber seed (no loop, or no ratio final/initial) raises
     :class:`DegenerateInputError`.
@@ -568,7 +571,7 @@ def loop_lift_ratio(
     result = lift_path(x, base_var, path, fiber, **kwargs)
     if result.escaped:
         raise SingularLiftError("lift escaped the polydisc before closing the loop")
-    return result.final[0] / fiber[0]
+    return result.final[0] / fiber[0], result.est_error / abs(fiber_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -211,9 +211,9 @@ def test_criterion_06_one_dimensional_semicompleteness():
 
 def test_criterion_07_holonomy_orders():
     with criterion(7, "loop-lift holonomy derivatives of the reference saddles"):
-        ratio3 = loop_lift_ratio(linear_saddle(3), "y", 0.1, 0.01)
+        ratio3, _ = loop_lift_ratio(linear_saddle(3), "y", 0.1, 0.01)
         assert abs(ratio3 - cmath.exp(-2j * math.pi / 3)) < 1e-4
-        ratio2 = loop_lift_ratio(linear_saddle(2), "y", 0.1, 0.01)
+        ratio2, _ = loop_lift_ratio(linear_saddle(2), "y", 0.1, 0.01)
         assert abs(ratio2 - cmath.exp(-1j * math.pi)) < 1e-4
 
 

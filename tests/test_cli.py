@@ -179,6 +179,16 @@ class TestSubcommands:
         assert code == 0
         data = json.loads(out)
         assert abs(data["argument_over_pi"] + 2.0 / 3.0) < 1e-4
+        assert 0 <= data["error_estimate"] < 1e-4
+        validate(load_schema("dynamics_outputs.schema.json"), data)
+
+    def test_dynamics_holonomy_reports_error_estimate(self):
+        # the cusp5 lift with the default radius and seed is far from
+        # converged: its estimate is over half the ratio's size
+        code, out = run_cli("dynamics", "holonomy", fixture("cusp5.field"))
+        assert code == 0
+        data = json.loads(out)
+        assert abs(data["error_estimate"] - 0.55) < 0.01
         validate(load_schema("dynamics_outputs.schema.json"), data)
 
     @pytest.mark.parametrize("file_text, flags, message", [

@@ -157,23 +157,24 @@ class TestSemicomplete:
 
 class TestLifts:
     def test_saddle_third_root(self):
-        ratio = loop_lift_ratio(linear_saddle(3), "y", 0.1, 0.01)
+        ratio, err = loop_lift_ratio(linear_saddle(3), "y", 0.1, 0.01)
         assert abs(ratio - cmath.exp(-2j * math.pi / 3)) < 1e-4
+        assert 0 <= err < 1e-4
 
     def test_saddle_half_turn(self):
-        ratio = loop_lift_ratio(linear_saddle(2), "y", 0.1, 0.01)
+        ratio, _ = loop_lift_ratio(linear_saddle(2), "y", 0.1, 0.01)
         assert abs(ratio - cmath.exp(-1j * math.pi)) < 1e-4
 
     def test_holonomy_orders_return_to_identity(self):
         for k in (2, 3):
-            ratio = loop_lift_ratio(linear_saddle(k), "y", 0.1, 0.01)
+            ratio, _ = loop_lift_ratio(linear_saddle(k), "y", 0.1, 0.01)
             assert abs(ratio ** k - 1.0) < 1e-3
         # eigenvalues (1, -3/2): ratio is a primitive cube root of unity
         chart = Chart.root(V2)
         field = VectorField.make(chart, [
             Poly.variable(V2, "x"),
             Poly.make(V2, {(0, 1): gr("-3/2")})])
-        ratio = loop_lift_ratio(field, "y", 0.1, 0.01)
+        ratio, _ = loop_lift_ratio(field, "y", 0.1, 0.01)
         assert abs(ratio ** 3 - 1.0) < 1e-3
 
     def test_sample_count_and_error_estimate(self):
