@@ -322,6 +322,15 @@ class TestEvalComplex:
         assert (_outcome(type(fun).eval_complex, fun, wrong_length)
                 == (StructuralError, "point dimension mismatch"))
 
+    def test_sum_longer_than_one_compiled_expression(self):
+        # 3375 terms: as one expression the sum exceeds the compiler's
+        # nesting limit (RecursionError at about 3000 terms)
+        p = Poly.make(V3, {(a, b, c): gr(a - b, c + 1) for a in range(15)
+                           for b in range(15) for c in range(15)})
+        point = (0.5, -0.25j, 1 + 0.125j)
+        assert (_outcome(Poly.eval_complex, p, point)
+                == _outcome(_reference_poly_eval, p, point))
+
     def test_polynomial(self):
         p = make_poly(("x",), {(2,): 1, (0,): -1})
         assert abs(p.eval_complex((2.0,)) - 3.0) < 1e-12
