@@ -18,6 +18,11 @@ Three layers, all immutable and exact:
   coordinate hypersurfaces.  Construction fully extracts the monomial content
   of the numerator, so equality is again decidable.
 
+Floating-point evaluation (``eval_complex``) runs straight-line code that
+:class:`_Source` writes and compiles once per object, with the operations of
+a term-by-term evaluation in the same order; lifts compile their right-hand
+side from the same generator.
+
 One exact sparse row reduction, :func:`_reduced_echelon`, serves the formal
 first-integral solver and the resonance rank.  It works on Gaussian
 integers, ``(re, im)`` pairs of ints, not on :class:`GaussianRational`
