@@ -685,13 +685,7 @@ def monomial_content(components: Iterable[Poly]) -> tuple[Exponents, list[Poly]]
     for p in nonzero[1:]:
         if p.vars != vars:
             raise StructuralError("components live on different variable lists")
-    n = len(vars)
-    content = [math.inf] * n
-    for p in nonzero:
-        for e in p.terms:
-            for j in range(n):
-                content[j] = min(content[j], e[j])
-    exps = tuple(int(c) for c in content)
+    exps = tuple(map(min, zip(*(e for p in nonzero for e in p.terms))))
     if not any(exps):
         return exps, comps
     reduced = [p if p.is_zero() else p.divide_monomial(exps) for p in comps]

@@ -15,9 +15,14 @@ times ``v**top`` is a polynomial numerator:
     u' * v**top  =  X_u(sub) * v**(top-w_u) - (w_u/w) * u * X_v(sub) * v**(top-w)
     z' * v**top  =  X_z(sub) * v**top          (z free on a curve center)
 
-The monomial content of the numerators gives the holomorphic, content-free
-representative, and its ``v`` exponent minus ``top`` the vanishing order of
-the transform along the divisor; a transform with poles is reported with its
+Each numerator is one dict built in one pass over the component's exponent
+keys, which does the substitution and the power of ``v`` (and of ``u`` for
+the drift) together; the drift is folded into the ``u`` numerator in place.
+Each numerator's own monomial content comes from one scan, and their minimum
+is the transform's content: dividing each numerator once by its own content
+gives both the holomorphic, content-free representative and the raw field.
+The content's ``v`` exponent minus ``top`` is the vanishing order of the
+transform along the divisor; a transform with poles is reported with its
 pole order instead of being silently cleared.
 """
 
@@ -25,9 +30,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import ChartFunction, Poly, monomial_content
+from .algebra import ChartFunction, Poly, _make
 from .errors import InvalidCenterError, NotApplicableError, StructuralError
 from .fields import BlowupRecord, Chart, VectorField
 
@@ -135,33 +139,40 @@ def weighted_blowup(
     k = chart.var_index(v_name)
     wv = weight_of[v_name]
     top = max(weights)
-    blown_weights = [(chart.var_index(name), w) for name, w in weight_of.items()]
+    # the new v exponent is this weighted sum of the old exponents
+    v_row = tuple(weight_of.get(name, 0) for name in names)
+    polys = x.polys()
 
-    def v_power(d: int) -> tuple[int, ...]:
-        return tuple(d if j == k else 0 for j in range(n))
+    def key_map(p: Poly, shift: int, bump: int | None = None) -> list[tuple[int, ...]]:
+        """``p``'s exponents after the substitution, times ``v**shift`` (and ``bump``)."""
+        keys = []
+        for e in p.terms:
+            key = list(e)
+            key[k] = sum(map(operator.mul, v_row, e)) + shift
+            if bump is not None:
+                key[bump] += 1
+            keys.append(tuple(key))
+        return keys
 
-    # the substitution: one-to-one on exponents, coefficients kept
-    subbed = [Poly(names, {e[:k] + (sum(w * e[j] for j, w in blown_weights),) + e[k + 1:]: c
-                           for e, c in p.terms.items()})
-              for p in x.polys()]
-
-    # each transformed component times v**top, as a polynomial numerator
+    # each transformed component times v**top, as a numerator's terms
     numerators = []
-    for i, name in enumerate(names):
-        if i == k:
-            num = subbed[k].times_monomial(v_power(top - wv + 1))
-            if wv != 1:
-                num = num.scale(Fraction(1, wv))
-        elif name in weight_of:
-            wu = weight_of[name]
-            u_times = list(v_power(top - wv))
-            u_times[i] += 1
-            drift = subbed[k].times_monomial(tuple(u_times))
-            if wu != wv:
-                drift = drift.scale(Fraction(wu, wv))
-            num = subbed[i].times_monomial(v_power(top - wu)) - drift
+    for i, (name, p) in enumerate(zip(names, polys)):
+        keys = key_map(p, top - weight_of.get(name, 0) + (i == k))
+        if i == k and wv != 1:
+            factor = _make(1, 0, wv)
+            num = {e: c * factor for e, c in zip(keys, p.terms.values())}
         else:
-            num = subbed[i].times_monomial(v_power(top))
+            num = dict(zip(keys, p.terms.values()))
+        if i != k and name in weight_of:
+            # fold in the drift term by term; a sum of zero drops its key
+            factor = _make(-weight_of[name], 0, wv)
+            for e, c in zip(key_map(polys[k], top - wv, i), polys[k].terms.values()):
+                c = c * factor
+                s = num[e] + c if e in num else c
+                if s:
+                    num[e] = s
+                else:
+                    del num[e]
         numerators.append(num)
 
     # divisor labels: the chart variable cuts the new component; strict
@@ -176,18 +187,28 @@ def weighted_blowup(
                           v_name, divisor_label)
     new_chart = chart.extended(record, labels)
 
-    if all(p.is_zero() for p in numerators):
+    if not any(numerators):
         raise NotApplicableError("transform of the zero field")
-    content, reduced = monomial_content(numerators)
+    # each numerator's own monomial content, and the transform's
+    owns = [tuple(map(min, zip(*num))) if num else () for num in numerators]
+    content = tuple(map(min, zip(*filter(None, owns))))
     multiplicity = content[k] - top
     pole_order = max(0, -multiplicity)
-    representative = VectorField.make(new_chart, reduced)
-    # the raw transform is the representative times x**content / v**top
-    shift = content[:k] + (multiplicity,) + content[k + 1:]
-    field = VectorField(new_chart, tuple(
-        f if f.is_zero() else ChartFunction(
-            f.numerator, tuple(map(operator.add, f.monomial_exponents, shift)))
-        for f in representative.components))
+    # one division per component: the representative is the transform over
+    # x**content, the raw field the transform over v**top
+    parts = []
+    for num, own in zip(numerators, owns):
+        if not num:
+            parts.append((ChartFunction(Poly(names, num), (0,) * n),) * 2)
+            continue
+        if any(own):
+            num = {tuple(map(operator.sub, e, own)): c for e, c in num.items()}
+        reduced = Poly(names, num)
+        parts.append((ChartFunction(reduced, tuple(map(operator.sub, own, content))),
+                      ChartFunction(reduced, own[:k] + (own[k] - top,) + own[k + 1:])))
+    rep_parts, field_parts = zip(*parts)
+    representative = VectorField(new_chart, rep_parts)
+    field = VectorField(new_chart, field_parts)
 
     rep_v = representative.components[k]
     dicritical = (not rep_v.is_zero()) and rep_v.order_in(v_name) == 0
