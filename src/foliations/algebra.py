@@ -849,7 +849,9 @@ class _Source:
     exponent, in variable order, multiplies in its power after the pole
     check of a negative one.  An ``x_j ** k`` is computed where it is first
     used and read back by name after that.  An ``OverflowError`` becomes
-    :class:`EvaluationOverflowError`.  Coefficients are bound to names,
+    :class:`EvaluationOverflowError`, and so does the ``ZeroDivisionError``
+    of a negative power of a nonzero complex coordinate whose positive power
+    underflows to zero.  Coefficients are bound to names,
     never written as text: the source holds only names, int indices and
     int exponents.
     """
@@ -896,7 +898,8 @@ class _Source:
             if e < 0:
                 body += [f"if x{j} == 0:", "    raise PoleEvaluationError(POLE)"]
             body.append(f"{out} = {out} * {self._power(j, e)}")
-        self.lines += ["try:", *(f"    {line}" for line in body), "except OverflowError:",
+        self.lines += ["try:", *(f"    {line}" for line in body),
+                       "except (OverflowError, ZeroDivisionError):",
                        "    raise EvaluationOverflowError(OVERFLOW) from None"]
 
     def compile(self) -> Callable[..., object]:

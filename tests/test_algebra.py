@@ -270,7 +270,7 @@ def _reference_chart_eval(f: ChartFunction, point) -> complex:
             raise PoleEvaluationError("evaluation at a pole")
         try:
             value *= x ** e
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             raise EvaluationOverflowError(_OVERFLOW) from None
     return value
 
@@ -330,6 +330,14 @@ class TestEvalComplex:
         point = (0.5, -0.25j, 1 + 0.125j)
         assert (_outcome(Poly.eval_complex, p, point)
                 == _outcome(_reference_poly_eval, p, point))
+
+    def test_tiny_complex_coordinate_near_a_pole_overflows(self):
+        # a complex x**-2 is 1 / x**2, and x**2 underflows to zero: the
+        # error is the one a float coordinate that close to the pole raises
+        inv = ChartFunction.make(Poly.constant(("x",), 1), (-2,))
+        expected = (EvaluationOverflowError, _OVERFLOW)
+        for x in (1e-200, 1e-200 + 0j, 1e-170j):
+            assert _outcome(ChartFunction.eval_complex, inv, (x,)) == expected
 
     def test_polynomial(self):
         p = make_poly(("x",), {(2,): 1, (0,): -1})
