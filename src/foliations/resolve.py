@@ -659,8 +659,7 @@ def _divisor_candidates_3d(rep: VectorField, divisor_var: str):
         if all(p.constant_term().is_zero() for p in restricted):
             points.append((GR_ZERO, GR_ZERO))
 
-    unique = sorted({(a.re, a.im, b.re, b.im): (a, b)
-                     for a, b in points}.values(),
+    unique = sorted({(a._abd, b._abd): (a, b) for a, b in points}.values(),
                     key=lambda ab: (ab[0].re, ab[0].im, ab[1].re, ab[1].im))
     candidates = [c for c in (full_coords(a, b) for a, b in unique)
                   if _invisible_in_earlier_charts(rep.chart, divisor_var, c)]
