@@ -12,7 +12,14 @@ trajectories on which that form has prescribed phase.
 A lift evaluates its vector field through one function compiled for it:
 straight-line code that makes the operations of evaluating the base
 component and then each fiber component term by term, in the same order,
-so every value is bit for bit that of ``eval_complex``.
+so every value is bit for bit that of ``eval_complex``.  Each integration
+step is likewise one compiled function per state length (``_dp_step``):
+the Dormand-Prince stages, weight sums and error norm with the operations
+of loops over the tableau, one for one.  Every path gives its point and
+velocity at a time from one evaluation, :meth:`at` (one ``cos`` and
+``sin``, one exponential or one segment lookup), which the lifts and the
+quadrature integrands call once per time; ``point`` and ``velocity`` are
+views of it.
 
 Conventions: lifting the base equation ``dz/dx = z H(x)/F(x)`` gives
 ``z = z0 * exp(int (H/F) dx)``; the derivative of the holonomy return map
@@ -23,6 +30,7 @@ holonomy contracts.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -31,6 +39,7 @@ from typing import Callable, Sequence
 from .algebra import ChartFunction, Poly, _Source
 from .errors import (
     DegenerateInputError,
+    IterationCapError,
     NotApplicableError,
     SingularLiftError,
     SingularPathError,
@@ -58,11 +67,16 @@ class Segment:
     def t_range(self) -> tuple[float, float]:
         return (0.0, 1.0)
 
+    def at(self, t: float) -> tuple[complex, complex]:
+        """(point, velocity) at parameter t."""
+        d = self.z1 - self.z0
+        return self.z0 + t * d, d
+
     def point(self, t: float) -> complex:
-        return self.z0 + t * (self.z1 - self.z0)
+        return self.at(t)[0]
 
     def velocity(self, t: float) -> complex:
-        return self.z1 - self.z0
+        return self.at(t)[1]
 
 
 @dataclass(frozen=True)
@@ -78,11 +92,16 @@ class CircularArc:
     def t_range(self) -> tuple[float, float]:
         return (self.angle0, self.angle1)
 
+    def at(self, t: float) -> tuple[complex, complex]:
+        """(point, velocity) at parameter t, from one cos and one sin."""
+        e = complex(math.cos(t), math.sin(t))
+        return self.center + self.radius * e, 1j * self.radius * e
+
     def point(self, t: float) -> complex:
-        return self.center + self.radius * complex(math.cos(t), math.sin(t))
+        return self.at(t)[0]
 
     def velocity(self, t: float) -> complex:
-        return 1j * self.radius * complex(math.cos(t), math.sin(t))
+        return self.at(t)[1]
 
 
 @dataclass(frozen=True)
@@ -99,11 +118,16 @@ class LogSpiral:
     def t_range(self) -> tuple[float, float]:
         return (self.t0, self.t1)
 
+    def at(self, t: float) -> tuple[complex, complex]:
+        """(point, velocity) at parameter t, from one exponential."""
+        p = self.anchor * cmath.exp(t / self.direction)
+        return p, p / self.direction
+
     def point(self, t: float) -> complex:
-        return self.anchor * cmath.exp(t / self.direction)
+        return self.at(t)[0]
 
     def velocity(self, t: float) -> complex:
-        return self.point(t) / self.direction
+        return self.at(t)[1]
 
 
 @dataclass(frozen=True)
@@ -120,14 +144,17 @@ class Polyline:
     def t_range(self) -> tuple[float, float]:
         return (0.0, float(len(self.points) - 1))
 
-    def point(self, t: float) -> complex:
+    def at(self, t: float) -> tuple[complex, complex]:
+        """(point, velocity) at parameter t, on the segment ``int(t)``."""
         k = min(int(t), len(self.points) - 2)
-        s = t - k
-        return self.points[k] + s * (self.points[k + 1] - self.points[k])
+        d = self.points[k + 1] - self.points[k]
+        return self.points[k] + (t - k) * d, d
+
+    def point(self, t: float) -> complex:
+        return self.at(t)[0]
 
     def velocity(self, t: float) -> complex:
-        k = min(int(t), len(self.points) - 2)
-        return self.points[k + 1] - self.points[k]
+        return self.at(t)[1]
 
 
 PathSpec = Segment | CircularArc | LogSpiral | Polyline
@@ -242,13 +269,14 @@ def time_form_integral(
     :class:`SingularPathError`.
     """
     evaluate = _univariate_eval(x_1d)
+    at = path.at
 
     def integrand(t: float) -> complex:
-        z = path.point(t)
+        z, v = at(t)
         w = evaluate(z)
         if abs(w) < ZERO_FLOOR:
             raise SingularPathError("path runs through a zero of the field")
-        return path.velocity(t) / w
+        return v / w
 
     a, b = path.t_range
     return adaptive_quadrature(integrand, a, b, abs_tol, rel_tol)
@@ -329,6 +357,53 @@ _DP_W4 = tuple((j, b) for j, b in enumerate(_DP_B4) if b)
 _RK45_MAX_ITER = 200000
 
 
+@functools.cache
+def _dp_step(n: int) -> Callable[..., tuple[list[complex], float, list[complex]]]:
+    """One Dormand-Prince step for a state of ``n`` components, compiled.
+
+    ``step(rhs, t, h, y, first, atol, rtol)`` returns ``(y5, err, last)``:
+    the order-5 state at ``t + h``, the largest component of the scaled
+    error (NaN if any is NaN) and ``rhs``'s value at the last stage.  The
+    state and the stages are unpacked to names; component ``i`` of stage
+    ``s`` is ``y_i + h * (0j + a * k_j_i + ...)`` over the nonzero entries
+    of the tableau row in order, at time ``t + c_s * h``, and the weight sums
+    also start from ``0j``: the operations of the loops over the tableau,
+    one for one.
+    """
+    source = _Source(("rhs", "t", "h", "y", "first", "atol", "rtol"))
+    source.names.update(inf=math.inf)
+
+    def names(prefix: str) -> str:
+        return ", ".join(f"{prefix}{i}" for i in range(n))
+
+    def combination(weights, prefix: str, i: int) -> str:
+        terms = []
+        for j, a in weights:
+            source.names[f"{prefix}{j}"] = a
+            terms.append(f"{prefix}{j} * k{j}_{i}")
+        return " + ".join(["0j"] + terms)
+
+    source.lines += [f"[{names('y')}] = y", f"[{names('k0_')}] = first"]
+    for s, (c, row) in enumerate(zip(_DP_C[1:], _DP_ROWS), start=1):
+        source.names[f"c{s}"] = c
+        args = ", ".join(f"y{i} + h * ({combination(row, f'a{s}_', i)})" for i in range(n))
+        last = " = last" if s == len(_DP_ROWS) else ""
+        source.lines.append(f"[{names(f'k{s}_')}]{last} = rhs(t + c{s} * h, [{args}])")
+    source.lines.append("err = 0.0")
+    for i in range(n):
+        source.lines += [
+            f"u{i} = y{i} + h * ({combination(_DP_W5, 'b', i)})",
+            f"d = abs(u{i} - (y{i} + h * ({combination(_DP_W4, 'e', i)})))",
+            "try:",
+            f"    r = d / (atol + rtol * max(abs(y{i}), abs(u{i})))",
+            "except ZeroDivisionError:   # atol = 0 at a zero state: only 0 passes",
+            "    r = d * inf if d else 0.0"]
+        # the first component sets the error; a NaN error rejects the step
+        source.lines += ["err = r"] if i == 0 else ["if r > err or r != r:", "    err = r"]
+    source.lines.append(f"return [{names('u')}], err, last")
+    return source.compile()
+
+
 def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
           rtol: float, atol: float, max_step: float,
           escape_radius: float | None = None):
@@ -336,10 +411,13 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
 
     The state and the stages are lists of Python ``complex``; ``rhs(t, y)``
     returns one.  Returns ``(samples, escaped)`` with samples at every
-    accepted step; raises SingularLiftError if ``_RK45_MAX_ITER`` iterations
-    end before ``t1`` without an escape, and DegenerateInputError before
+    accepted step; raises IterationCapError (a SingularLiftError) if
+    ``_RK45_MAX_ITER`` iterations end before ``t1`` without an escape,
+    SingularLiftError when the step size of a rejected step underflows, and
+    DegenerateInputError before
     any step when ``t1``, ``rtol`` or ``atol`` is not finite, when a
-    tolerance is negative or when both are zero.
+    tolerance is negative, when both are zero or when the first step
+    ``min(max_step, span / 64)`` of a nonzero span is zero.
 
     The pair is first-same-as-last: the last stage of an accepted step is
     ``rhs(t + h, y5)`` bit for bit (``c = 1`` and its tableau row is the
@@ -347,11 +425,13 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
     is the next step's first stage; a rejected step keeps its first stage.
     One integration therefore calls ``rhs`` 6 times per iteration plus once.
 
-    The step sequence, and so every output, depends on the last bit of
-    each stage and error value; the golden digests pin CPython's complex
-    arithmetic.  A lift's ``rhs`` is one compiled function that makes the
-    operations of evaluating its components one by one, in the same order,
-    so compiling it moves no bit.
+    Each step is one call of the straight-line function :func:`_dp_step`
+    compiles for the state's length.  The step sequence, and so every
+    output, depends on the last bit of each stage and error value; the
+    golden digests pin CPython's complex arithmetic.  The compiled step and
+    a lift's compiled ``rhs`` make the operations of loops over the tableau
+    and of evaluating the components one by one, in the same order, so
+    compiling them moves no bit.
     """
     if not math.isfinite(t1):
         raise DegenerateInputError(f"integration end time must be finite, got {t1!r}")
@@ -362,8 +442,11 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
     if span == 0:
         return [(t0, y)], False
     h = direction * min(max_step, span / 64.0)
+    if h == 0:      # every step would stay at t0 until the iteration cap
+        raise DegenerateInputError(
+            f"integration step underflows to zero: span {span!r}, max step {max_step!r}")
     t = t0
-    n = len(y)
+    step = _dp_step(len(y))
     samples = [(t, y)]
     escaped = False
     first = None    # rhs(t, y), carried over from the previous step
@@ -375,32 +458,7 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
             h = remaining
         if first is None:
             first = rhs(t, y)
-        k = [first]
-        for c, row in zip(_DP_C[1:], _DP_ROWS):
-            stage = []
-            for i in range(n):
-                acc = 0j
-                for j, a in row:
-                    acc = acc + a * k[j][i]
-                stage.append(y[i] + h * acc)
-            k.append(rhs(t + c * h, stage))
-        y5 = []
-        err = 0.0
-        for i in range(n):
-            s5 = s4 = 0j
-            for j, b in _DP_W5:
-                s5 = s5 + b * k[j][i]
-            for j, b in _DP_W4:
-                s4 = s4 + b * k[j][i]
-            u = y[i] + h * s5
-            y5.append(u)
-            d = abs(u - (y[i] + h * s4))
-            try:
-                r = d / (atol + rtol * max(abs(y[i]), abs(u)))
-            except ZeroDivisionError:   # atol = 0 at a zero state: only 0 passes
-                r = d * math.inf if d else 0.0
-            if i == 0 or r > err or r != r:  # a NaN error rejects the step
-                err = r
+        y5, err, last = step(rhs, t, h, y, first, atol, rtol)
         if err <= 1.0:
             if escape_radius is not None and any(abs(u) > escape_radius for u in y5):
                 escaped = True      # final stays the last in-domain sample
@@ -408,7 +466,7 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
             t = t + h
             y = y5
             samples.append((t, y))
-            first = k[6]
+            first = last
         factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
         h = h * min(5.0, max(0.2, factor))
         if abs(h) > max_step:
@@ -417,7 +475,7 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
             raise SingularLiftError("step size underflow (singular right-hand side?)")
     else:
         if (t1 - t) * direction > 1e-14 * span:
-            raise SingularLiftError(
+            raise IterationCapError(
                 f"RK45 stopped at t = {t:.6g} before t1 = {t1:.6g}: "
                 f"{_RK45_MAX_ITER} iterations reached")
     return samples, escaped
@@ -502,11 +560,11 @@ def lift_path(
     source = _Source(("t", "y"))
     if fibers:
         source.lines.append(", ".join(f"x{j}" for j in fibers) + ", = y")
-    source.lines.append(f"x{b} = point(t)")
+    source.lines.append(f"x{b}, v = at(t)")
     source.evaluate(x.components[b], "speed")
     source.lines += ["if abs(speed) < ZERO_FLOOR:",
                      "    raise SingularLiftError(VANISHED)",
-                     "vel = velocity(t) / speed"]
+                     "vel = v / speed"]
     for j, w in zip(fibers, velocities):
         source.evaluate(x.components[j], w)
         source.lines.append(f"{w} = {w} * vel")
@@ -516,7 +574,7 @@ def lift_path(
     source.lines += [f"if not ({finite}):",
                      "    raise EvaluationOverflowError(OVERFLOW)",
                      f"return [{', '.join(velocities)}]"]
-    source.names.update(point=path.point, velocity=path.velocity, isfinite=cmath.isfinite,
+    source.names.update(at=path.at, isfinite=cmath.isfinite,
                         ZERO_FLOOR=ZERO_FLOOR, SingularLiftError=SingularLiftError,
                         VANISHED="base component vanished along the lift")
     rhs = source.compile()
@@ -588,13 +646,14 @@ def omega1_integral(
     """Quadrature of the holonomy form ``(H/F) dx`` along a base path."""
     fe = _univariate_eval(f)
     he = _univariate_eval(h)
+    at = path.at
 
     def integrand(t: float) -> complex:
-        z = path.point(t)
+        z, v = at(t)
         fv = fe(z)
         if abs(fv) < ZERO_FLOOR:
             raise SingularPathError("denominator vanished on the path")
-        return he(z) / fv * path.velocity(t)
+        return he(z) / fv * v
 
     a, b = path.t_range
     return adaptive_quadrature(integrand, a, b, abs_tol, rel_tol)
@@ -639,7 +698,11 @@ def trace_descent(
     and positive (steepest holonomy contraction); |theta| < pi/2 rotates the
     family.  Tracing stops at ``t_max``, at singularities of the form, or on
     leaving the domain disc.  A non-finite start, a negative ``t_max`` and
-    the tolerances ``_rk45`` rejects raise :class:`DegenerateInputError`.
+    the tolerances and spans ``_rk45`` rejects raise
+    :class:`DegenerateInputError`.  A zero or pole of the form met on the
+    way, or a step size underflowing near one, raises
+    :class:`SingularPathError`; running out of iterations raises
+    :class:`IterationCapError`.
     """
     if not -math.pi / 2 < theta < math.pi / 2:
         raise StructuralError("theta must lie strictly between -pi/2 and pi/2")
@@ -666,7 +729,9 @@ def trace_descent(
                                  escape_radius=domain_radius)
         if escaped:
             stop_reason = "domain_exit"
-    except SingularLiftError:
+    except IterationCapError:
+        raise           # not a singularity: the cap names itself
+    except SingularLiftError:   # the form's zero or pole, or a step-size underflow
         raise SingularPathError("descent ran into a singularity of the form") from None
     return Trajectory(
         samples=tuple((t, y[0]) for t, y in samples),

@@ -43,6 +43,14 @@ class SingularLiftError(FoliationError):
     """Path lifting hit a zero of the base component of the vector field."""
 
 
+class IterationCapError(SingularLiftError):
+    """A numeric integration used up its iterations before its end time.
+
+    A :class:`SingularLiftError`, as lifts have always reported it, so that
+    callers converting singularities can let it pass under its own name.
+    """
+
+
 class ParseError(FoliationError):
     """Syntax or semantic error in a field-expression file."""
 

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foliations import dynamics
 from foliations.algebra import ChartFunction, Poly, gr
@@ -32,6 +34,7 @@ from foliations.dynamics import (
 from foliations.errors import (
     DegenerateInputError,
     EvaluationOverflowError,
+    IterationCapError,
     PoleEvaluationError,
     SingularLiftError,
     SingularPathError,
@@ -424,6 +427,20 @@ class TestDescent:
         with pytest.raises(DegenerateInputError, match="t_max must be nonnegative, got -1.0"):
             trace_descent(upoly({2: 1}), upoly({0: 1}), 0.0, 0.5 + 0.5j, -1.0)
 
+    def test_zero_first_step_rejected(self):
+        # t_max / 64 underflows to 0: the zero-length steps stayed at t = 0
+        # until the iteration cap, reported as a singularity of the form
+        with pytest.raises(DegenerateInputError, match="step underflows to zero: span 5e-324"):
+            trace_descent(upoly({2: 1}), upoly({1: 1}), 0.0, 0.5, 5e-324)
+        assert len(trace_descent(upoly({2: 1}), upoly({1: 1}), 0.0, 0.5, 1e-320).samples) > 1
+
+    def test_iteration_cap_names_itself(self, monkeypatch):
+        # a descent needs at least 64 steps; running out of iterations is
+        # not a singularity of the form
+        monkeypatch.setattr(dynamics, "_RK45_MAX_ITER", 5)
+        with pytest.raises(IterationCapError, match="5 iterations reached"):
+            trace_descent(upoly({2: 1}), upoly({0: 1}), 0.0, 0.5 + 0.5j, 1.0)
+
     def test_theta_range_enforced(self):
         with pytest.raises(StructuralError):
             trace_descent(upoly({1: 1}), upoly({0: 1}), math.pi / 2, 0.5, 1.0)
@@ -481,3 +498,52 @@ class TestPaths:
     def test_quadrature_of_polynomial(self):
         value, err = adaptive_quadrature(lambda t: t * t, 0.0, 1.0)
         assert abs(value - 1.0 / 3.0) < 1e-12
+
+
+def _bits(z: complex) -> tuple[float, ...]:
+    """``z``'s parts with the sign of zero made visible to ``==``."""
+    return (z.real, z.imag, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+
+
+def _polyline_point(p: Polyline, t: float) -> complex:
+    k = min(int(t), len(p.points) - 2)
+    s = t - k
+    return p.points[k] + s * (p.points[k + 1] - p.points[k])
+
+
+def _polyline_velocity(p: Polyline, t: float) -> complex:
+    k = min(int(t), len(p.points) - 2)
+    return p.points[k + 1] - p.points[k]
+
+
+# each path kind and the point and velocity formulas it had before ``at``
+# computed both at once
+_finite = st.floats(-1e3, 1e3)
+_complex = st.builds(complex, _finite, _finite)
+PATH_FORMULAS = [
+    (st.builds(Segment, _complex, _complex),
+     lambda p, t: p.z0 + t * (p.z1 - p.z0),
+     lambda p, t: p.z1 - p.z0),
+    (st.builds(CircularArc, _complex, _finite, _finite, _finite),
+     lambda p, t: p.center + p.radius * complex(math.cos(t), math.sin(t)),
+     lambda p, t: 1j * p.radius * complex(math.cos(t), math.sin(t))),
+    (st.builds(LogSpiral, _complex, _complex.filter(lambda z: abs(z) > 0.1),
+               st.floats(-30, 5), st.floats(-30, 5)),
+     lambda p, t: p.anchor * cmath.exp(t / p.direction),
+     lambda p, t: p.anchor * cmath.exp(t / p.direction) / p.direction),
+    (st.builds(Polyline, st.lists(_complex, min_size=2, max_size=6).map(tuple)),
+     _polyline_point, _polyline_velocity),
+]
+
+
+@pytest.mark.parametrize("paths, point, velocity", PATH_FORMULAS,
+                         ids=["segment", "arc", "spiral", "polyline"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_at_matches_point_and_velocity_formulas(paths, point, velocity, data):
+    path = data.draw(paths)
+    a, b = sorted(path.t_range)
+    t = data.draw(st.floats(a, b))
+    z, v = path.at(t)
+    assert _bits(z) == _bits(point(path, t)) == _bits(path.point(t))
+    assert _bits(v) == _bits(velocity(path, t)) == _bits(path.velocity(t))
