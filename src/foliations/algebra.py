@@ -19,9 +19,11 @@ Three layers, all immutable and exact:
   of the numerator, so equality is again decidable.
 
 Floating-point evaluation (``eval_complex``) runs straight-line code that
-:class:`_Source` writes and compiles once per object, with the operations of
-a term-by-term evaluation in the same order; lifts compile their right-hand
-side from the same generator.
+:class:`_Source` writes for each object, with the operations of a
+term-by-term evaluation in the same order, and compiles once per source
+text: the text carries no coefficient, only names bound per object, so one
+code object serves every function of one monomial shape.  Lifts compile
+their right-hand side from the same generator.
 
 One exact sparse row reduction, :func:`_reduced_echelon`, serves the formal
 first-integral solver and the resonance rank.  It works on Gaussian
@@ -39,8 +41,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
+from types import CodeType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -853,7 +856,9 @@ class _Source:
     of a negative power of a nonzero complex coordinate whose positive power
     underflows to zero.  Coefficients are bound to names,
     never written as text: the source holds only names, int indices and
-    int exponents.
+    int exponents.  So :meth:`compile` compiles once per source text, not
+    once per object: functions of one shape share one code object, and
+    each ``exec`` of it binds that object's own names.
     """
 
     def __init__(self, params: Sequence[str]) -> None:
@@ -905,8 +910,19 @@ class _Source:
     def compile(self) -> Callable[..., object]:
         source = (f"def f({', '.join(self.params)}):\n"
                   + "".join(f"    {line}\n" for line in self.lines))
-        exec(source, self.names)
+        exec(_code(source), self.names)
         return self.names.pop("f")
+
+
+# source texts kept compiled; one field shape makes one text per use
+# (an evaluator or a lift), and the dynamics workload's 2,000 items make 10
+_CODE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _code(source: str) -> CodeType:
+    """The code object of a :class:`_Source` text, compiled once per process."""
+    return compile(source, "<string>", "exec")
 
 
 def _compile_evaluator(fun: "Poly | ChartFunction") -> Callable[..., complex]:

@@ -9,10 +9,12 @@ at hundredfold tighter tolerances, quadrature of the holonomy form
 ``(H/F) dx`` cross-validated against lifts, and tracing of the real
 trajectories on which that form has prescribed phase.
 
-A lift evaluates its vector field through one function compiled for it:
+A lift evaluates its vector field through one function of its own:
 straight-line code that makes the operations of evaluating the base
 component and then each fiber component term by term, in the same order,
-so every value is bit for bit that of ``eval_complex``.  Each integration
+so every value is bit for bit that of ``eval_complex``.  The code is
+compiled once per source text, since the text carries no coefficient:
+lifts of fields of one monomial shape share it.  Each integration
 step is likewise one compiled function per state length (``_dp_step``):
 the Dormand-Prince stages, weight sums and error norm with the operations
 of loops over the tableau, one for one.  Every path gives its point and
@@ -417,7 +419,8 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
     DegenerateInputError before
     any step when ``t1``, ``rtol`` or ``atol`` is not finite, when a
     tolerance is negative, when both are zero or when the first step
-    ``min(max_step, span / 64)`` of a nonzero span is zero.
+    ``min(max_step, span / 64)`` of a nonzero span does not move ``t0``
+    (it is zero, or at most half an ulp of ``t0``).
 
     The pair is first-same-as-last: the last stage of an accepted step is
     ``rhs(t + h, y5)`` bit for bit (``c = 1`` and its tableau row is the
@@ -442,9 +445,10 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
     if span == 0:
         return [(t0, y)], False
     h = direction * min(max_step, span / 64.0)
-    if h == 0:      # every step would stay at t0 until the iteration cap
+    if t0 + h == t0:    # every step would stay at t0 until the iteration cap
         raise DegenerateInputError(
-            f"integration step underflows to zero: span {span!r}, max step {max_step!r}")
+            f"integration step underflows to zero: span {span!r}, max step {max_step!r}, "
+            f"t0 {t0!r}")
     t = t0
     step = _dp_step(len(y))
     samples = [(t, y)]

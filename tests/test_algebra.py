@@ -6,7 +6,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foliations.algebra import (
@@ -297,30 +297,50 @@ _COEFFICIENT = st.one_of(
     st.sampled_from([gr(10 ** 400), gr(0, -(10 ** 309)), gr(1, -1)]))
 
 
+def _coefficients_overflow(fun) -> bool:
+    try:
+        (fun.numerator if isinstance(fun, ChartFunction) else fun)._complex_terms
+    except EvaluationOverflowError:
+        return True
+    return False
+
+
 @st.composite
-def _function_and_point(draw):
+def _function_twin_and_point(draw):
+    """A function, its twin of the same shape (the same exponents, other
+    nonzero coefficients) and a point."""
     n = draw(st.integers(1, 3))
     vars = ("x", "y", "z")[:n]
     exps = st.tuples(*[st.integers(0, 4)] * n)
     terms = draw(st.dictionaries(exps, _COEFFICIENT, max_size=6))
     fun = Poly.make(vars, terms)
+    nonzero = _COEFFICIENT.filter(lambda c: not c.is_zero())
+    twin = Poly.make(vars, {e: draw(nonzero) for e in fun.terms})
     if draw(st.booleans()):
-        fun = ChartFunction.make(fun, draw(st.tuples(*[st.integers(-3, 3)] * n)))
-    return fun, tuple(draw(_COORDINATE) for _ in range(n))
+        monomial = draw(st.tuples(*[st.integers(-3, 3)] * n))
+        fun, twin = ChartFunction.make(fun, monomial), ChartFunction.make(twin, monomial)
+    return fun, twin, tuple(draw(_COORDINATE) for _ in range(n))
 
 
 class TestEvalComplex:
     @settings(max_examples=400, deadline=None)
-    @given(_function_and_point())
+    @given(_function_twin_and_point())
+    @example((make_poly(V2, {(2, 0): 3, (0, 1): 1}),
+              make_poly(V2, {(2, 0): gr("1/7", 2), (0, 1): -5}), (0.5 - 2j, 3.0)))
     def test_compiled_evaluator_matches_term_loop_bit_for_bit(self, case):
-        fun, point = case
-        reference = (_reference_chart_eval if isinstance(fun, ChartFunction)
-                     else _reference_poly_eval)
-        assert (_outcome(type(fun).eval_complex, fun, point)
-                == _outcome(reference, fun, point))
-        wrong_length = point + (1.0,)
-        assert (_outcome(type(fun).eval_complex, fun, wrong_length)
-                == (StructuralError, "point dimension mismatch"))
+        fun, twin, point = case
+        for f in (fun, twin):
+            reference = (_reference_chart_eval if isinstance(f, ChartFunction)
+                         else _reference_poly_eval)
+            assert (_outcome(type(f).eval_complex, f, point)
+                    == _outcome(reference, f, point))
+            wrong_length = point + (1.0,)
+            assert (_outcome(type(f).eval_complex, f, wrong_length)
+                    == (StructuralError, "point dimension mismatch"))
+        # one source text, so one code object, whatever the coefficients;
+        # a coefficient with no double is written as a raise instead
+        shared = fun._evaluator.__code__ is twin._evaluator.__code__
+        assert shared == (_coefficients_overflow(fun) == _coefficients_overflow(twin))
 
     def test_sum_longer_than_one_compiled_expression(self):
         # 3375 terms: as one expression the sum exceeds the compiler's

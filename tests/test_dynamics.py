@@ -434,6 +434,14 @@ class TestDescent:
             trace_descent(upoly({2: 1}), upoly({1: 1}), 0.0, 0.5, 5e-324)
         assert len(trace_descent(upoly({2: 1}), upoly({1: 1}), 0.0, 0.5, 1e-320).samples) > 1
 
+    def test_first_step_below_half_an_ulp_of_t0_rejected(self):
+        # span 3 ulp(1e10) over 64 is a nonzero step that leaves t = 1e10
+        # unchanged: every step stayed there until the iteration cap
+        arc = CircularArc(0j, 0.1, 1e10, 1e10 + 3 * math.ulp(1e10))
+        message = r"step underflows to zero: span 5\.72.*, t0 10000000000\.0$"
+        with pytest.raises(DegenerateInputError, match=message):
+            lift_path(linear_saddle(3), "x", arc, [0.01])
+
     def test_iteration_cap_names_itself(self, monkeypatch):
         # a descent needs at least 64 steps; running out of iterations is
         # not a singularity of the form
