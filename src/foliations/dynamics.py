@@ -9,6 +9,10 @@ at hundredfold tighter tolerances, quadrature of the holonomy form
 ``(H/F) dx`` cross-validated against lifts, and tracing of the real
 trajectories on which that form has prescribed phase.
 
+Both forms are analytic near their paths, so they are integrated by
+globally adaptive Gauss-Kronrod quadrature, which converges geometrically
+on such integrands; its error is an estimate, not a bound.
+
 A lift evaluates its vector field through one function of its own:
 straight-line code that makes the operations of evaluating the base
 component and then each fiber component term by term, in the same order,
@@ -20,8 +24,7 @@ the Dormand-Prince stages, weight sums and error norm with the operations
 of loops over the tableau, one for one.  Every path gives its point and
 velocity at a time from one evaluation, :meth:`at` (one ``cos`` and
 ``sin``, one exponential or one segment lookup), which the lifts and the
-quadrature integrands call once per time; ``point`` and ``velocity`` are
-views of it.
+quadrature integrands call once per time.
 
 Conventions: lifting the base equation ``dz/dx = z H(x)/F(x)`` gives
 ``z = z0 * exp(int (H/F) dx)``; the derivative of the holonomy return map
@@ -33,14 +36,16 @@ from __future__ import annotations
 
 import cmath
 import functools
+import heapq
 import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .algebra import ChartFunction, Poly, _Source
+from .algebra import _OVERFLOW, ChartFunction, Poly, _Source
 from .errors import (
     DegenerateInputError,
+    EvaluationOverflowError,
     IterationCapError,
     NotApplicableError,
     SingularLiftError,
@@ -74,12 +79,6 @@ class Segment:
         d = self.z1 - self.z0
         return self.z0 + t * d, d
 
-    def point(self, t: float) -> complex:
-        return self.at(t)[0]
-
-    def velocity(self, t: float) -> complex:
-        return self.at(t)[1]
-
 
 @dataclass(frozen=True)
 class CircularArc:
@@ -98,12 +97,6 @@ class CircularArc:
         """(point, velocity) at parameter t, from one cos and one sin."""
         e = complex(math.cos(t), math.sin(t))
         return self.center + self.radius * e, 1j * self.radius * e
-
-    def point(self, t: float) -> complex:
-        return self.at(t)[0]
-
-    def velocity(self, t: float) -> complex:
-        return self.at(t)[1]
 
 
 @dataclass(frozen=True)
@@ -124,12 +117,6 @@ class LogSpiral:
         """(point, velocity) at parameter t, from one exponential."""
         p = self.anchor * cmath.exp(t / self.direction)
         return p, p / self.direction
-
-    def point(self, t: float) -> complex:
-        return self.at(t)[0]
-
-    def velocity(self, t: float) -> complex:
-        return self.at(t)[1]
 
 
 @dataclass(frozen=True)
@@ -152,12 +139,6 @@ class Polyline:
         d = self.points[k + 1] - self.points[k]
         return self.points[k] + (t - k) * d, d
 
-    def point(self, t: float) -> complex:
-        return self.at(t)[0]
-
-    def velocity(self, t: float) -> complex:
-        return self.at(t)[1]
-
 
 PathSpec = Segment | CircularArc | LogSpiral | Polyline
 
@@ -175,12 +156,30 @@ def half_circle(radius: float) -> CircularArc:
 # Adaptive quadrature
 # ---------------------------------------------------------------------------
 
-# bisection depth at which adaptive Simpson accepts an estimate as it is
+# bisection depth at which a panel is accepted with the error it has
 _QUADRATURE_MAX_DEPTH = 40
 
-# relative rounding floor of adaptive Simpson: a difference this small
-# against the integral of |f| over the interval is rounding, not error
+# relative rounding floor of a panel: an error this small against the
+# Kronrod integral of |f| over the panel is rounding, not error
 _QUADRATURE_ROUNDOFF = 50.0 * sys.float_info.epsilon
+
+# the 7-point Gauss and 15-point Kronrod rules on [-1, 1] (QUADPACK's qk15):
+# (node, Kronrod weight, Gauss weight) for the nodes +-x from the ends
+# inward, every second one a Gauss node, then the weights of the centre
+_GK15 = (
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+)
+_K15_CENTRE = 0.209482141084727828012999174891714
+_G7_CENTRE = 0.417959183673469387755102040816327
 
 
 def _check_tolerances(kind: str, rel_tol: float, abs_tol: float) -> None:
@@ -203,48 +202,54 @@ def adaptive_quadrature(
     abs_tol: float = DEFAULT_ABS_TOL,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> tuple[complex, float]:
-    """Adaptive Simpson integration of a complex integrand; (value, error).
+    """Globally adaptive Gauss-Kronrod integration of a complex integrand;
+    (value, error).
+
+    A panel's value is its 15-point Kronrod sum and its error ``|K15 - G7|``
+    against the embedded 7-point Gauss rule.  As in QUADPACK's QAG
+    (Piessens et al., 1983), the panel with the largest error is bisected
+    until the summed error meets ``max(abs_tol, rel_tol * |value|)``.  A
+    panel is not bisected at depth ``_QUADRATURE_MAX_DEPTH``, nor when its
+    error is within ``50 * eps`` of the Kronrod integral of ``|f|`` over it
+    (a relative tolerance alone on a zero integral is met by no estimate);
+    its error stays in the sum.  A sum that is not finite stops bisecting.
 
     A non-finite or negative tolerance, or two zero tolerances, raise
-    :class:`DegenerateInputError`: no estimate meets a NaN, negative or zero
-    tolerance, so every interval would be bisected to the depth limit.  An
-    interval is also accepted when its Simpson difference is within
-    ``50 * eps`` of the composite-Simpson integral of ``|f|`` over it: a
-    relative tolerance alone on an integral that is zero would otherwise
-    be met by no estimate either.
+    :class:`DegenerateInputError` before any evaluation: no estimate meets
+    them, so every panel would be bisected to the depth limit.
     """
     _check_tolerances("quadrature", rel_tol, abs_tol)
+    # panels as (-error, lo, hi, depth, value): the heap pops the largest error
+    open_, final = [], []
 
-    def simpson(x0, f0, x2, f2):
-        x1 = 0.5 * (x0 + x2)
-        f1 = f(x1)
-        return x1, f1, (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+    def panel(lo, hi, depth):
+        centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fc = f(centre)
+        kronrod, gauss, size = _K15_CENTRE * fc, _G7_CENTRE * fc, _K15_CENTRE * abs(fc)
+        for x, wk, wg in _GK15:
+            f1, f2 = f(centre - half * x), f(centre + half * x)
+            pair = f1 + f2
+            kronrod += wk * pair
+            gauss += wg * pair
+            size += wk * (abs(f1) + abs(f2))
+        value, err = half * kronrod, abs(half * (kronrod - gauss))
+        if depth < _QUADRATURE_MAX_DEPTH and err > _QUADRATURE_ROUNDOFF * abs(half) * size:
+            heapq.heappush(open_, (-err, lo, hi, depth, value))
+        else:   # at the depth cap, at the rounding floor, or NaN
+            final.append((-err, lo, hi, depth, value))
+        return value, err
 
-    def recurse(x0, f0, x2, f2, whole, x1, f1, tol, depth):
-        lm, flm, left = simpson(x0, f0, x1, f1)
-        rm, frm, right = simpson(x1, f1, x2, f2)
-        delta = left + right - whole
-        # a non-finite estimate never meets the tolerance: stop bisecting it
-        if depth >= _QUADRATURE_MAX_DEPTH or not cmath.isfinite(delta):
-            return left + right + delta / 15.0, abs(delta)
-        gap = abs(delta)
-        # the size of |f| on the interval is formed only past the tolerance
-        if gap <= 15.0 * tol or gap <= _QUADRATURE_ROUNDOFF * abs(x2 - x0) / 12.0 * (
-                abs(f0) + 4.0 * abs(flm) + 2.0 * abs(f1) + 4.0 * abs(frm) + abs(f2)):
-            return left + right + delta / 15.0, gap / 15.0
-        lv, le = recurse(x0, f0, x1, f1, left, lm, flm, tol / 2.0, depth + 1)
-        rv, re_ = recurse(x1, f1, x2, f2, right, rm, frm, tol / 2.0, depth + 1)
-        return lv + rv, le + re_
-
-    f0, f2 = f(a), f(b)
-    x1, f1, whole = simpson(a, f0, b, f2)
-    # first pass with the absolute tolerance, then tighten relative to size
-    value, err = recurse(a, f0, b, f2, whole, x1, f1,
-                         max(abs_tol, rel_tol * abs(whole)), 0)
-    tol = max(abs_tol, rel_tol * abs(value))
-    if err > tol:
-        value, err = recurse(a, f0, b, f2, whole, x1, f1, tol, 0)
-    return value, err
+    value, err = panel(a, b, 0)
+    while open_ and max(abs_tol, rel_tol * abs(value)) < err < math.inf:
+        neg_err, lo, hi, depth, whole = heapq.heappop(open_)
+        mid = 0.5 * (lo + hi)
+        left, left_err = panel(lo, mid, depth + 1)
+        right, right_err = panel(mid, hi, depth + 1)
+        value += left + right - whole
+        err += left_err + right_err + neg_err
+    # summed afresh from left to right, without the running sums' rounding
+    panels = sorted(open_ + final, key=lambda p: p[1])
+    return sum(p[4] for p in panels), sum(-p[0] for p in panels)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +273,9 @@ def time_form_integral(
     """Integral of the time form ``dx / X(x)`` along a path; (value, error).
 
     The path must avoid zeros of X: hitting one raises
-    :class:`SingularPathError`.
+    :class:`SingularPathError`; a value of X or of the integrand that is
+    not finite (complex arithmetic overflows without raising) raises
+    :class:`EvaluationOverflowError`.
     """
     evaluate = _univariate_eval(x_1d)
     at = path.at
@@ -278,7 +285,10 @@ def time_form_integral(
         w = evaluate(z)
         if abs(w) < ZERO_FLOOR:
             raise SingularPathError("path runs through a zero of the field")
-        return v / w
+        value = v / w
+        if not (cmath.isfinite(w) and cmath.isfinite(value)):
+            raise EvaluationOverflowError(_OVERFLOW)
+        return value
 
     a, b = path.t_range
     return adaptive_quadrature(integrand, a, b, abs_tol, rel_tol)
@@ -647,7 +657,8 @@ def omega1_integral(
     abs_tol: float = DEFAULT_ABS_TOL,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> tuple[complex, float]:
-    """Quadrature of the holonomy form ``(H/F) dx`` along a base path."""
+    """Quadrature of the holonomy form ``(H/F) dx`` along a base path;
+    overflow raises as in :func:`time_form_integral`."""
     fe = _univariate_eval(f)
     he = _univariate_eval(h)
     at = path.at
@@ -657,7 +668,10 @@ def omega1_integral(
         fv = fe(z)
         if abs(fv) < ZERO_FLOOR:
             raise SingularPathError("denominator vanished on the path")
-        return he(z) / fv * v
+        value = he(z) / fv * v
+        if not (cmath.isfinite(fv) and cmath.isfinite(value)):
+            raise EvaluationOverflowError(_OVERFLOW)
+        return value
 
     a, b = path.t_range
     return adaptive_quadrature(integrand, a, b, abs_tol, rel_tol)

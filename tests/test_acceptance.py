@@ -321,9 +321,8 @@ def test_criterion_12_lift_quadrature_agreement():
                 prefix = Segment(a, a + t * (b - a))
                 partial, _ = omega1_integral(f, h, prefix) if t > 0 else (0j, 0.0)
                 heights.append(abs(cmath.exp(-partial)))
-                z = path.point(t)
-                speed = (h.eval_complex((z,)) / f.eval_complex((z,))
-                         * path.velocity(t)).real
+                z, v = path.at(t)
+                speed = (h.eval_complex((z,)) / f.eval_complex((z,)) * v).real
                 positive_speed = positive_speed and speed > 0
             if positive_speed:
                 assert contracting

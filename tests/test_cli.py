@@ -424,11 +424,13 @@ class TestFlagValidation:
         ("x^2", ["descent", "--start", "1e308,0"]),
         ("x^2", ["timeform", "--path", "circle:1e200"]),
         ("x^3, -y^2 + x*y", ["holonomy", "--base", "x", "--loop-radius", "1e200"]),
-        ("x^3, -y^2 + x*y", ["holonomy", "--base", "x", "--fiber-seed", "1e200"])])
+        ("x^3, -y^2 + x*y", ["holonomy", "--base", "x", "--fiber-seed", "1e200"]),
+        ("x^2", ["timeform", "--path=arc:1e200:0.5:1.0"])])
     def test_overflow_error(self, tmp_path, field, argv):
         # finite but huge inputs overflow the first complex evaluation: a
-        # power raises, and a product or sum that gives inf (the fiber seed)
-        # is caught by the lift's finiteness check
+        # power of a real point raises, and a product or sum that gives inf
+        # or NaN (the fiber seed, a power of a point off the real axis) is
+        # caught by the finiteness check of the lift or of the integrand
         names = "x" if "y" not in field else "x, y"
         path = tmp_path / "huge.field"
         path.write_text(f"vars: {names}\nkind: field\n{field}\n", encoding="utf-8")

@@ -90,8 +90,8 @@ class TestTimeForm:
         assert abs(vu - vl) < 1e-6
 
     def test_nonfinite_integrand_stops_bisection(self):
-        # a NaN Simpson estimate is never within tolerance; bisecting it
-        # would evaluate the integrand about 2^41 times
+        # a NaN estimate is never within tolerance; bisecting it would
+        # evaluate the integrand about 2^41 times
         calls = []
 
         def integrand(t):
@@ -102,15 +102,15 @@ class TestTimeForm:
 
         value, err = adaptive_quadrature(integrand, 0.0, 1.0)
         assert cmath.isnan(value) and math.isnan(err)
-        assert len(calls) == 5
+        assert len(calls) == 15     # the nodes of one Gauss-Kronrod panel
 
     @pytest.mark.parametrize("tolerances, message", [
         ({"abs_tol": 0.0, "rel_tol": 0.0}, "tolerances must not both be zero"),
         ({"rel_tol": -1.0}, "relative tolerance must be nonnegative, got -1.0"),
         ({"abs_tol": -1e-10}, "absolute tolerance must be nonnegative, got -1e-10")])
     def test_tolerance_without_error_control_rejected(self, tolerances, message):
-        # no Simpson estimate meets such a tolerance, so every interval
-        # would be bisected to the depth limit (about 2^41 evaluations)
+        # no estimate meets such a tolerance, so every panel would be
+        # bisected to the depth limit (about 2^41 evaluations)
         calls = []
 
         def integrand(t):
@@ -135,8 +135,8 @@ class TestTimeForm:
             calls.append(t)
             if len(calls) > 10 ** 5:
                 raise AssertionError("bisection ran on below rounding")
-            z = path.point(t)
-            return path.velocity(t) / (z * z)
+            z, v = path.at(t)
+            return v / (z * z)
 
         value, err = adaptive_quadrature(integrand, *path.t_range, abs_tol=0.0)
         assert abs(value) < 1e-12 and err < 1e-12
@@ -499,9 +499,9 @@ class TestSecondJet:
 class TestPaths:
     def test_polyline(self):
         p = Polyline((0j, 1 + 0j, 1 + 1j))
-        assert p.point(0.5) == 0.5 + 0j
-        assert p.point(1.5) == 1 + 0.5j
-        assert p.velocity(1.2) == 1j
+        assert p.at(0.5)[0] == 0.5 + 0j
+        assert p.at(1.5)[0] == 1 + 0.5j
+        assert p.at(1.2)[1] == 1j
 
     def test_quadrature_of_polynomial(self):
         value, err = adaptive_quadrature(lambda t: t * t, 0.0, 1.0)
@@ -550,8 +550,9 @@ PATH_FORMULAS = [
 @given(data=st.data())
 def test_at_matches_point_and_velocity_formulas(paths, point, velocity, data):
     path = data.draw(paths)
-    a, b = sorted(path.t_range)
-    t = data.draw(st.floats(a, b))
+    # not sorted(): it keeps (0.0, -0.0) in that order, which hypothesis
+    # reads as an empty range
+    t = data.draw(st.floats(min(path.t_range), max(path.t_range)))
     z, v = path.at(t)
-    assert _bits(z) == _bits(point(path, t)) == _bits(path.point(t))
-    assert _bits(v) == _bits(velocity(path, t)) == _bits(path.velocity(t))
+    assert _bits(z) == _bits(point(path, t))
+    assert _bits(v) == _bits(velocity(path, t))
