@@ -102,12 +102,12 @@ def random_case(rng: random.Random):
             ends = [cmath.rect(rng.uniform(0.2, 1.5), rng.uniform(-math.pi, math.pi))
                     for _ in range(2)]
             path = Segment(*ends)
-            clearance = min(_distance(path, r) for r in poles) / abs(path.z1 - path.z0)
+            clearance = min(distance(path, r) for r in poles) / abs(path.z1 - path.z0)
         if clearance >= 0.25:
             return k, a, poly, path
 
 
-def _distance(segment: Segment, r: complex) -> float:
+def distance(segment: Segment, r: complex) -> float:
     d = segment.z1 - segment.z0
     s = min(1.0, max(0.0, ((r - segment.z0) * d.conjugate()).real / abs(d) ** 2))
     return abs(segment.z0 + s * d - r)
