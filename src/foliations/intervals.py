@@ -1,9 +1,19 @@
-"""Complex rectangle interval arithmetic and certified polynomial roots.
+"""Certified polynomial roots over Q(i), on Gaussian-integer rows and float rectangles.
 
-Rectangles ``[re_lo, re_hi] x [im_lo, im_hi]`` with outward-rounded float
-endpoints.  The one root pipeline is :func:`certified_roots`, which finds
-all complex roots of an exact univariate polynomial over Q(i): every root
-in Q(i) exactly, and each other root in an interval Newton rectangle.
+The one root pipeline is :func:`certified_roots`, which finds all complex
+roots of an exact univariate polynomial over Q(i): every root in Q(i)
+exactly, and each other root in an interval Newton rectangle
+``[re_lo, re_hi] x [im_lo, im_hi]`` with outward-rounded float endpoints.
+
+The exact stage works on *monic rows*, the form that
+``algebra._reduced_echelon`` keeps: a list of ``(re, im)`` int pairs, low to
+high, whose ints have no common factor and whose last pair is ``(den, 0)``
+with ``den > 0``; the row stands for the monic polynomial ``row / den``.
+That form is unique, so each square-free part, gcd and ``den`` is the one
+exact rational arithmetic gives.  A gcd takes pseudo-remainders over
+Z[i] and brings each back to its monic row, so no coefficient outgrows the
+exact monic remainder.  No :class:`GaussianRational` or ``Fraction`` is
+built before the roots are returned.
 
 Exactness rests on one fact: once denominators are cleared, f lies in
 Z[i][t] with some leading coefficient a, and a*r lies in Z[i] for every
@@ -13,6 +23,12 @@ without floats: every Q(i) root lifts from a root modulo a prime, and that
 lift leaves a single Gaussian-integer candidate, checked exactly.  The
 search is complete, with no cap, and also covers roots that float
 arithmetic cannot separate or certify.
+
+The certification stage runs on flat ``(re_lo, re_hi, im_lo, im_hi)``
+float tuples.  Every operation rounds outward by one ``nextafter`` step;
+:func:`_interval_eval` is the one interval-polynomial evaluator.  Boxes
+become :class:`ComplexInterval` values only in the returned
+:class:`CertifiedRoot` list.
 """
 
 from __future__ import annotations
@@ -20,22 +36,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import GR_ONE, GR_ZERO, GaussianRational
+from .algebra import GaussianRational, _make
 from .errors import DegenerateInputError, EvaluationOverflowError
 
 _UP = math.inf
 _DOWN = -math.inf
 _TOO_LARGE = "coefficient too large for a floating-point root certification"
 
-
-def _lo(x: float) -> float:
-    return math.nextafter(x, _DOWN)
-
-
-def _hi(x: float) -> float:
-    return math.nextafter(x, _UP)
+_next = math.nextafter
 
 
 @dataclass(frozen=True)
@@ -45,70 +54,6 @@ class Interval:
     lo: float
     hi: float
 
-    @staticmethod
-    def point(x: float) -> "Interval":
-        return Interval(x, x)
-
-    @staticmethod
-    def of_fraction(q: Fraction) -> "Interval":
-        try:
-            x = float(q)
-        except OverflowError:
-            raise EvaluationOverflowError(_TOO_LARGE) from None
-        lo, hi = x, x
-        if Fraction(x) > q:
-            lo = _lo(x)
-        elif Fraction(x) < q:
-            hi = _hi(x)
-        return Interval(lo, hi)
-
-    def __add__(self, o: "Interval") -> "Interval":
-        return Interval(_lo(self.lo + o.lo), _hi(self.hi + o.hi))
-
-    def __sub__(self, o: "Interval") -> "Interval":
-        return Interval(_lo(self.lo - o.hi), _hi(self.hi - o.lo))
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __mul__(self, o: "Interval") -> "Interval":
-        prods = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return Interval(_lo(min(prods)), _hi(max(prods)))
-
-    def square(self) -> "Interval":
-        if self.lo >= 0:
-            return Interval(_lo(self.lo * self.lo), _hi(self.hi * self.hi))
-        if self.hi <= 0:
-            return Interval(_lo(self.hi * self.hi), _hi(self.lo * self.lo))
-        m = max(-self.lo, self.hi)
-        return Interval(0.0, _hi(m * m))
-
-    def inv(self) -> "Interval":
-        if self.lo <= 0 <= self.hi:
-            raise ZeroDivisionError("interval straddles zero")
-        return Interval(_lo(1.0 / self.hi), _hi(1.0 / self.lo))
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    def straddles_zero(self) -> bool:
-        return self.lo <= 0.0 <= self.hi
-
-    def strict_subset(self, o: "Interval") -> bool:
-        return o.lo < self.lo and self.hi < o.hi
-
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def intersect(self, o: "Interval") -> "Interval | None":
-        lo, hi = max(self.lo, o.lo), min(self.hi, o.hi)
-        if lo > hi:
-            return None
-        return Interval(lo, hi)
-
 
 @dataclass(frozen=True)
 class ComplexInterval:
@@ -117,63 +62,15 @@ class ComplexInterval:
     re: Interval
     im: Interval
 
-    @staticmethod
-    def point(z: complex) -> "ComplexInterval":
-        return ComplexInterval(Interval.point(z.real), Interval.point(z.imag))
-
-    @staticmethod
-    def of_gaussian(g: GaussianRational) -> "ComplexInterval":
-        return ComplexInterval(Interval.of_fraction(g.re), Interval.of_fraction(g.im))
-
-    @staticmethod
-    def box(center: complex, radius: float) -> "ComplexInterval":
-        return ComplexInterval(
-            Interval(center.real - radius, center.real + radius),
-            Interval(center.imag - radius, center.imag + radius),
-        )
-
-    def __add__(self, o: "ComplexInterval") -> "ComplexInterval":
-        return ComplexInterval(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o: "ComplexInterval") -> "ComplexInterval":
-        return ComplexInterval(self.re - o.re, self.im - o.im)
-
-    def __mul__(self, o: "ComplexInterval") -> "ComplexInterval":
-        return ComplexInterval(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    def contains_zero(self) -> bool:
-        return self.re.straddles_zero() and self.im.straddles_zero()
-
-    def inv(self) -> "ComplexInterval":
-        # 1/w = conj(w) / |w|^2; requires 0 outside the rectangle
-        d = self.re.square() + self.im.square()
-        inv_d = d.inv()
-        return ComplexInterval(self.re * inv_d, (-self.im) * inv_d)
-
-    def contains(self, z: complex) -> bool:
-        return self.re.contains(z.real) and self.im.contains(z.imag)
-
-    def strict_subset(self, o: "ComplexInterval") -> bool:
-        return self.re.strict_subset(o.re) and self.im.strict_subset(o.im)
-
-    def intersect(self, o: "ComplexInterval") -> "ComplexInterval | None":
-        re = self.re.intersect(o.re)
-        im = self.im.intersect(o.im)
-        if re is None or im is None:
-            return None
-        return ComplexInterval(re, im)
-
     def mid(self) -> complex:
-        return complex(self.re.mid(), self.im.mid())
+        return complex(0.5 * (self.re.lo + self.re.hi), 0.5 * (self.im.lo + self.im.hi))
 
     def width(self) -> float:
-        return max(self.re.width(), self.im.width())
+        return max(self.re.hi - self.re.lo, self.im.hi - self.im.lo)
 
     def overlaps(self, o: "ComplexInterval") -> bool:
-        return self.intersect(o) is not None
+        return not (max(self.re.lo, o.re.lo) > min(self.re.hi, o.re.hi)
+                    or max(self.im.lo, o.im.lo) > min(self.im.hi, o.im.hi))
 
     def bounds(self) -> tuple[float, float, float, float]:
         """Serialization order: [re_lo, re_hi, im_lo, im_hi]."""
@@ -181,86 +78,96 @@ class ComplexInterval:
 
 
 # ---------------------------------------------------------------------------
-# Exact univariate helpers (coefficients over Q(i), dense low-to-high lists)
+# Monic rows over Z[i]
 # ---------------------------------------------------------------------------
 
-def poly_degree(c: list[GaussianRational]) -> int:
-    d = len(c) - 1
-    while d >= 0 and c[d].is_zero():
-        d -= 1
-    return d
+def _monic(row: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The monic row of a list of Gaussian integers whose last is nonzero."""
+    # divide by the lead x + yi: by |x| and its sign when real, else
+    # multiply by its conjugate, which makes the lead x^2 + y^2
+    x, y = row[-1]
+    if y:
+        row = [(a * x + b * y, b * x - a * y) for a, b in row]
+    elif x < 0:
+        row = [(-a, -b) for a, b in row]
+    g = math.gcd(*itertools.chain.from_iterable(row))
+    return row if g == 1 else [(a // g, b // g) for a, b in row]
 
 
-def poly_trim(c: list[GaussianRational]) -> list[GaussianRational]:
-    d = poly_degree(c)
-    return c[: d + 1] if d >= 0 else [GR_ZERO]
-
-def poly_eval(c: list[GaussianRational], x: GaussianRational) -> GaussianRational:
-    out = GR_ZERO
-    for coeff in reversed(c):
-        out = out * x + coeff
-    return out
+def _row(c: list[GaussianRational]) -> list[tuple[int, int]]:
+    """The monic row of a polynomial whose last coefficient is nonzero."""
+    abd = [z._abd for z in c]
+    den = math.lcm(*(d for _, _, d in abd))
+    return _monic([(a * (den // d), b * (den // d)) for a, b, d in abd])
 
 
-def poly_derivative(c: list[GaussianRational]) -> list[GaussianRational]:
-    if len(c) <= 1:
-        return [GR_ZERO]
-    return [ck * GaussianRational.of(k) for k, ck in enumerate(c) if k >= 1]
+def _pseudo_divmod(a, b):
+    """``(q, r)`` with ``lead**k * a == q * b + r`` and ``deg r < deg b``.
+
+    ``b``'s last pair is ``(lead, 0)`` with ``lead > 0``, and ``k`` is
+    ``deg a - deg b + 1``; ``q`` and ``r`` are Gaussian-integer lists, ``r``
+    with no zero last entry (empty for a zero remainder).
+    """
+    lead = b[-1][0]
+    n = len(b) - 1
+    r = list(a)
+    q = []  # high to low
+    for i in range(len(a) - len(b), -1, -1):
+        # lead * r - x t^i b, which cancels r's term of degree i + n
+        x, y = r.pop()
+        q = [(lead * u, lead * v) for u, v in q]
+        q.append((x, y))
+        r = [(lead * u, lead * v) for u, v in r[:i]] + [
+            (lead * u - x * s + y * w, lead * v - x * w - y * s)
+            for (u, v), (s, w) in zip(r[i:], b)]
+    while r and r[-1] == (0, 0):
+        r.pop()
+    return q[::-1], r
 
 
-def poly_monic(c: list[GaussianRational]) -> list[GaussianRational]:
-    c = poly_trim(c)
-    lead = c[-1]
-    if lead.is_zero():
-        raise DegenerateInputError("zero polynomial has no monic form")
-    return [ck / lead for ck in c]
+def _quotient(a, b):
+    """The monic row of ``a / b`` for monic rows ``b`` dividing ``a``."""
+    return _monic(_pseudo_divmod(a, b)[0])
 
 
-def poly_divmod(a: list[GaussianRational], b: list[GaussianRational]):
-    """Exact division with remainder over the field Q(i)."""
-    r = poly_trim(list(a))
-    b = poly_trim(list(b))
-    db = len(b) - 1
-    if b[db].is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [GR_ZERO] * max(0, len(r) - db)
-    for dr in range(len(r) - 1, db - 1, -1):
-        if r[dr].is_zero():
-            continue
-        coeff = q[dr - db] = r[dr] / b[db]
-        for k in range(db):
-            r[dr - db + k] = r[dr - db + k] - coeff * b[k]
-        r[dr] = GR_ZERO
-    return poly_trim(q), poly_trim(r)
+def _gcd(a, b):
+    """The monic row of the gcd of ``a`` and ``b``: nonzero Gaussian-integer
+    lists, ``b``'s last pair ``(lead, 0)`` with ``lead > 0``."""
+    while b:
+        r = _pseudo_divmod(a, b)[1]
+        a, b = b, _monic(r) if r else r
+    return _monic(a)
 
 
-def poly_gcd(a: list[GaussianRational], b: list[GaussianRational]) -> list[GaussianRational]:
-    """Monic gcd over Q(i) by the Euclidean algorithm."""
-    a, b = poly_trim(list(a)), poly_trim(list(b))
-    while poly_degree(b) >= 0:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if poly_degree(a) < 0:
-        return [GR_ZERO]
-    return poly_monic(a)
-
-
-def deflate(c: list[GaussianRational], root: GaussianRational) -> list[GaussianRational]:
-    """Divide exactly by (t - root); the root must be exact."""
-    q, r = poly_divmod(c, [-root, GR_ONE])
-    if poly_degree(r) >= 0:
-        raise DegenerateInputError("claimed root does not divide polynomial")
-    return q
+def _square_free_parts(p):
+    """``(part, m)`` pairs: each part a monic row holding the roots of
+    multiplicity m of the monic row ``p``."""
+    parts = []
+    mult = 1
+    while len(p) > 1:
+        g = _gcd(p, [(k * a, k * b) for k, (a, b) in enumerate(p) if k])
+        if len(g) == 1:  # p is square-free
+            parts.append((p, mult))
+            break
+        sqfree = _quotient(p, g)
+        # roots of sqfree that are not roots of g have multiplicity == mult
+        part = _quotient(sqfree, _gcd(sqfree, g))
+        if len(part) > 1:
+            parts.append((part, mult))
+        p = g
+        mult += 1
+    return parts
 
 
 # ---------------------------------------------------------------------------
 # Exact Q(i) roots: p-adic lifting onto Z[i]
 # ---------------------------------------------------------------------------
 
-def _round(z: GaussianRational) -> GaussianRational:
-    """The Gaussian integer nearest to ``z``."""
-    a, b, d = z._abd
-    return GaussianRational((2 * a + d) // (2 * d), (2 * b + d) // (2 * d))
+def _nearest(z: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
+    """The Gaussian integer nearest to ``z / w``, halves rounded up."""
+    (a, b), (c, e) = z, w
+    n = c * c + e * e
+    return (2 * (a * c + b * e) + n) // (2 * n), (2 * (b * c - a * e) + n) // (2 * n)
 
 
 def _eval_mod(h: list[int], x: int, m: int) -> int:
@@ -294,27 +201,44 @@ def _hensel(h: list[int], x: int, m: int) -> int:
     return x
 
 
-def _qi_roots(part: list[GaussianRational]) -> list[GaussianRational]:
-    """Every root in Q(i) of the monic square-free ``part``.
+def _deflate(g: list[tuple[int, int]], z: tuple[int, int]) -> list[tuple[int, int]] | None:
+    """``g / (s - z)`` for a monic ``g`` in Z[i][s] with the root ``z``, or
+    None when ``z`` is not a root."""
+    x, y = z
+    a, b = g[-1]
+    q = []
+    for c, e in reversed(g[:-1]):
+        q.append((a, b))
+        a, b = c + a * x - b * y, e + a * y + b * x
+    return None if a or b else q[::-1]
 
-    With D the lcm of the denominators, D*r runs over the Gaussian-integer
-    roots g of the monic G(s) = D**n part(s/D) in Z[i][s].  Cauchy's bound
-    |r| <= 1 + max |c_j| gives 4|g|**2 < L = 8 D**2 (1 + max |c_j|**2).
-    Take a prime p = 1 (mod 4) modulo which G is square-free, and
-    M = p**k > L.  Only a prime dividing the norm of the discriminant of G
-    fails, and each is rejected after a gcd mod p, so the primes tried cost
-    work polynomial in the input size.  Sending i to a square root iota of
-    -1 maps Z[i] onto Z/M with kernel pi**k, pi = gcd(p, iota - i).  Each
-    root of G mod p lifts to one root mod M (Hensel), and the element of
-    Z[i] nearest 0 that maps to it is the only candidate for g; it is kept
-    when part(g/D) == 0.
+
+def _qi_roots(part):
+    """``(roots, rest)`` for the square-free monic row ``part``.
+
+    With P = part / den the polynomial the row stands for, the Q(i) roots
+    of P are the g / den for the Gaussian-integer roots g, listed in
+    ``roots``, of the monic G(s) = den**n P(s/den) in Z[i][s].  ``rest`` is
+    G divided by every s - g: den**n' P'(s/den) for the P' that is left.
+    Cauchy's bound |r| <= 1 + max |c_j| on the roots r of P gives
+    4|g|**2 < L = 8 den**2 (1 + max |c_j|**2).  Take a prime p = 1 (mod 4)
+    modulo which G is square-free, and M = p**k > L.  Only a prime dividing
+    the norm of the discriminant of G fails, and each is rejected after a
+    gcd mod p, so the primes tried cost work polynomial in the input size.
+    Sending i to a square root iota of -1 maps Z[i] onto Z/M with kernel
+    pi**k, pi = gcd(p, iota - i).  Each root of G mod p lifts to one root
+    mod M (Hensel), and the element of Z[i] nearest 0 that maps to it is the
+    only candidate for g; it is kept when s - g divides G exactly.
     """
-    n = poly_degree(part)
+    n = len(part) - 1
     if n == 1:
-        return [-part[0]]
-    d = math.lcm(*(c._abd[2] for c in part))
-    g = [(c * GaussianRational.of(d ** (n - j)))._abd for j, c in enumerate(part)]
-    limit = 8 * d * d * (1 + max(c.norm2() for c in part))
+        a, b = part[0]
+        return [(-a, -b)], [(1, 0)]
+    den = part[-1][0]
+    g = [(a * den ** (n - 1 - j), b * den ** (n - 1 - j))
+         for j, (a, b) in enumerate(part[:-1])] + [(1, 0)]
+    # 8 den^2 (1 + max |c_j|^2), the c_j = part_j / den taking the lead 1 too
+    limit = 8 * den * den + 8 * max(a * a + b * b for a, b in part)
     p = 1
     while True:
         p += 4
@@ -322,28 +246,34 @@ def _qi_roots(part: list[GaussianRational]) -> list[GaussianRational]:
             continue
         w = next(x for x in range(2, p) if pow(x, p // 2, p) == p - 1)
         iota = pow(w, p // 4, p)  # a square root of -1 mod p
-        gp = [(a + iota * b) % p for a, b, _ in g]
+        gp = [(a + iota * b) % p for a, b in g]
         if _squarefree_mod(gp, p):
             break
-    roots = [x for x in range(p) if _eval_mod(gp, x, p) == 0]
-    if not roots:
-        return []
-    pi, q = GaussianRational.of(p), GaussianRational(iota, -1)
-    while not q.is_zero():
-        pi, q = q, pi - _round(pi / q) * q
+    residues = [x for x in range(p) if _eval_mod(gp, x, p) == 0]
+    if not residues:
+        return [], g
+    pi, q = (p, 0), (iota, -1)
+    while q != (0, 0):
+        u, v = _nearest(pi, q)
+        pi, q = q, (pi[0] - u * q[0] + v * q[1], pi[1] - u * q[1] - v * q[0])
     m, k = p, 1
     while m <= limit:
         m, k = m * p, k + 1
     iota = _hensel([1, 0, 1], iota, m)
-    gm = [(a + iota * b) % m for a, b, _ in g]
-    pik = pi ** k
-    out = []
-    for x in roots:
-        z = GaussianRational.of(_hensel(gm, x, m))
-        r = (z - _round(z / pik) * pik) / GaussianRational.of(d)
-        if poly_eval(part, r).is_zero():
-            out.append(r)
-    return out
+    gm = [(a + iota * b) % m for a, b in g]
+    c, e = 1, 0  # pi**k
+    for _ in range(k):
+        c, e = c * pi[0] - e * pi[1], c * pi[1] + e * pi[0]
+    roots = []
+    for x in residues:
+        z = _hensel(gm, x, m)
+        u, v = _nearest((z, 0), (c, e))
+        r = (z - u * c + v * e, -u * e - v * c)
+        rest = _deflate(g, r)
+        if rest is not None:
+            roots.append(r)
+            g = rest
+    return roots, g
 
 
 # ---------------------------------------------------------------------------
@@ -362,89 +292,146 @@ class CertifiedRoot:
     clustered: bool = False
 
 
-def _interval_eval(coeffs: list[ComplexInterval], x: ComplexInterval) -> ComplexInterval:
-    out = ComplexInterval.point(0j)
-    for ck in reversed(coeffs):
-        out = out * x + ck
-    return out
+def _endpoints(n: int, d: int) -> tuple[float, float]:
+    """The nearest float to ``n / d`` (``d > 0``), widened by one step
+    toward the exact value when it is not that float."""
+    try:
+        x = n / d  # int true division rounds correctly
+    except OverflowError:
+        raise EvaluationOverflowError(_TOO_LARGE) from None
+    xn, xd = x.as_integer_ratio()
+    if xn * d > n * xd:
+        return _next(x, _DOWN), x
+    if xn * d < n * xd:
+        return x, _next(x, _UP)
+    return x, x
 
 
-def _newton_certify(coeffs, dcoeffs, seed: complex, radius: float) -> ComplexInterval | None:
+def _rectangle(a: int, b: int, d: int) -> tuple[float, float, float, float]:
+    """The rectangle of ``(a + b*i) / d``, ``d > 0``."""
+    return _endpoints(a, d) + _endpoints(b, d)
+
+
+# Rectangles are (re_lo, re_hi, im_lo, im_hi) tuples.  Each sum, difference
+# and product of endpoints is rounded outward by one nextafter step, so each
+# result holds the exact one.
+
+def _mul(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+    """``[al, ah] * [bl, bh]``."""
+    p = (al * bl, al * bh, ah * bl, ah * bh)
+    return _next(min(p), _DOWN), _next(max(p), _UP)
+
+
+def _square(lo: float, hi: float) -> tuple[float, float]:
+    if lo >= 0:
+        return _next(lo * lo, _DOWN), _next(hi * hi, _UP)
+    if hi <= 0:
+        return _next(hi * hi, _DOWN), _next(lo * lo, _UP)
+    m = max(-lo, hi)
+    return 0.0, _next(m * m, _UP)
+
+
+def _cmul(a, b):
+    """The product of two rectangles."""
+    al, ah, ail, aih = a
+    bl, bh, bil, bih = b
+    pl, ph = _mul(al, ah, bl, bh)
+    ql, qh = _mul(ail, aih, bil, bih)
+    rl, rh = _mul(al, ah, bil, bih)
+    sl, sh = _mul(ail, aih, bl, bh)
+    return (_next(pl - qh, _DOWN), _next(ph - ql, _UP),
+            _next(rl + sl, _DOWN), _next(rh + sh, _UP))
+
+
+def _reciprocal(w):
+    """1 / w = conj(w) / |w|^2 on a rectangle; ``ZeroDivisionError`` when
+    the interval of |w|^2 holds 0."""
+    ul, uh, vl, vh = w
+    nl, nh = _square(ul, uh)
+    sl, sh = _square(vl, vh)
+    nl, nh = _next(nl + sl, _DOWN), _next(nh + sh, _UP)
+    if nl <= 0 <= nh:
+        raise ZeroDivisionError("rectangle meets zero")
+    nl, nh = _next(1.0 / nh, _DOWN), _next(1.0 / nl, _UP)
+    return _mul(ul, uh, nl, nh) + _mul(-vh, -vl, nl, nh)
+
+
+def _interval_eval(coeffs, box):
+    """Horner's rule on rectangles, starting from the zero rectangle: the
+    result holds the value at every point of ``box`` of every polynomial
+    whose coefficients, low to high, lie in the rectangles ``coeffs``."""
+    rl = rh = il = ih = 0.0
+    for cl, ch, dl, dh in reversed(coeffs):
+        rl, rh, il, ih = _cmul((rl, rh, il, ih), box)
+        rl, rh = _next(rl + cl, _DOWN), _next(rh + ch, _UP)
+        il, ih = _next(il + dl, _DOWN), _next(ih + dh, _UP)
+    return rl, rh, il, ih
+
+
+def _newton_certify(coeffs, dcoeffs, seed: complex, radius: float):
     """Interval Newton: certify and refine a unique simple root near ``seed``."""
-    box = ComplexInterval.box(seed, radius)
+    xl, xh = seed.real - radius, seed.real + radius
+    yl, yh = seed.imag - radius, seed.imag + radius
     certified = False
     for _ in range(80):
-        mid = box.mid()
+        mr, mi = 0.5 * (xl + xh), 0.5 * (yl + yh)
         try:
-            dp = _interval_eval(dcoeffs, box)
-            step = _interval_eval(coeffs, ComplexInterval.point(mid)) * dp.inv()
+            dp = _interval_eval(dcoeffs, (xl, xh, yl, yh))
+            sl, sh, tl, th = _cmul(_interval_eval(coeffs, (mr, mr, mi, mi)), _reciprocal(dp))
         except ZeroDivisionError:
             return None
-        newton = ComplexInterval.point(mid) - step
-        if newton.strict_subset(box):
+        # the Newton box mid - step, kept inside the box
+        nrl, nrh = _next(mr - sh, _DOWN), _next(mr - sl, _UP)
+        nil, nih = _next(mi - th, _DOWN), _next(mi - tl, _UP)
+        if xl < nrl and nrh < xh and yl < nil and nih < yh:
             certified = True
-        nxt = newton.intersect(box)
-        if nxt is None:
+        xl, xh = max(nrl, xl), min(nrh, xh)
+        yl, yh = max(nil, yl), min(nih, yh)
+        if xl > xh or yl > yh:
             return None
-        if certified and nxt.width() <= _WIDTH:
-            return nxt
-        box = nxt
+        if certified and max(xh - xl, yh - yl) <= _WIDTH:
+            return xl, xh, yl, yh
     return None
 
 
-def _square_free_parts(c: list[GaussianRational]) -> list[tuple[list[GaussianRational], int]]:
-    """``(part, m)`` pairs: each part monic, holding the roots of multiplicity m."""
-    parts = []
-    p = poly_monic(c)
-    mult = 1
-    while poly_degree(p) > 0:
-        g = poly_gcd(p, poly_derivative(p))
-        if poly_degree(g) == 0:  # p is square-free
-            parts.append((p, mult))
-            break
-        sqfree, _ = poly_divmod(p, g)
-        # roots of sqfree that are not roots of g have multiplicity == mult
-        part, _ = poly_divmod(sqfree, poly_gcd(sqfree, g))
-        if poly_degree(part) > 0:
-            parts.append((part, mult))
-        p = g
-        mult += 1
-    return parts
+def _box(xl: float, xh: float, yl: float, yh: float) -> ComplexInterval:
+    return ComplexInterval(Interval(xl, xh), Interval(yl, yh))
 
 
-def _certify(part: list[GaussianRational], m: int) -> list[CertifiedRoot]:
-    """Certified rectangles for the roots of the square-free ``part``."""
+def _certify(coeffs: list[tuple[int, int, int]], m: int) -> list[CertifiedRoot]:
+    """Certified rectangles for the roots of a square-free monic polynomial
+    with coefficients ``(a + b*i) / d``, low to high."""
     # NumPy is imported at its one use, so a root-find with every root in
     # Q(i) never loads it
     import numpy as np
 
     intervals: list[CertifiedRoot] = []
     try:
-        seeds = [p_.to_complex() for p_ in reversed(part)]
+        seeds = [complex(a / d, b / d) for a, b, d in reversed(coeffs)]
     except OverflowError:
         raise EvaluationOverflowError(_TOO_LARGE) from None
     approx = np.roots(seeds)
-    coeffs_iv = [ComplexInterval.of_gaussian(p_) for p_ in part]
-    dcoeffs_iv = [ComplexInterval.of_gaussian(p_) for p_ in poly_derivative(part)]
+    coeffs_iv = [_rectangle(a, b, d) for a, b, d in coeffs]
+    dcoeffs_iv = [_rectangle(k * a, k * b, d) for k, (a, b, d) in enumerate(coeffs) if k]
     boxes: list[ComplexInterval] = []
     for z in sorted(approx, key=lambda w: (w.real, w.imag)):
+        z = complex(z)
         box = None
         for radius in (1e-7, 1e-5, 1e-3, 1e-2, 1e-1):
-            box = _newton_certify(coeffs_iv, dcoeffs_iv, complex(z), radius)
+            box = _newton_certify(coeffs_iv, dcoeffs_iv, z, radius)
             if box is not None:
                 break
         if box is None:
             # certification failed: report a coarse box, flagged clustered
             intervals.append(CertifiedRoot(
-                ComplexInterval.box(complex(z), 1e-6), m, clustered=True))
+                _box(z.real - 1e-6, z.real + 1e-6, z.imag - 1e-6, z.imag + 1e-6),
+                m, clustered=True))
         else:
-            boxes.append(box)
-    clustered = any(
-        boxes[i].overlaps(boxes[j])
-        for i in range(len(boxes)) for j in range(i + 1, len(boxes)))
+            boxes.append(_box(*box))
+    clustered = any(a.overlaps(b) for a, b in itertools.combinations(boxes, 2))
     for box in boxes:
         intervals.append(CertifiedRoot(box, m, clustered=clustered))
-    if poly_degree(part) != len(approx):  # pragma: no cover - numpy contract
+    if len(coeffs) - 1 != len(approx):  # pragma: no cover - numpy contract
         raise DegenerateInputError("root count mismatch")
     return intervals
 
@@ -456,29 +443,38 @@ def certified_roots(c: list[GaussianRational]):
     ``(GaussianRational, multiplicity)``, sorted by (re, im), and
     ``intervals`` holds a :class:`CertifiedRoot` for each other root.
     A factor t**k is split off first (in a resolution it is the common
-    case, and the exact gcds below cost more than the rest).  The quotient
-    is split into square-free parts by repeated gcd with the derivative,
-    each holding the roots of one multiplicity; the Q(i) roots of a part
-    are found by :func:`_qi_roots` and divided out, and the rest are
-    certified from ``np.roots`` seeds by interval Newton rectangles of width
-    at most 1e-10, pairwise disjoint unless flagged clustered.  No float
-    decides exactness, so ``exact`` is complete: no rectangle, flagged
-    clustered or not, holds a root in Q(i).
+    case).  The monic row of the quotient is split into square-free parts
+    by repeated gcd with the derivative, each holding the roots of one
+    multiplicity; the Q(i) roots of a part are found by :func:`_qi_roots`
+    and divided out, and the rest are certified from ``np.roots`` seeds by
+    interval Newton rectangles of width at most 1e-10, pairwise disjoint
+    unless flagged clustered.  No float decides exactness, so ``exact`` is
+    complete: no rectangle, flagged clustered or not, holds a root in Q(i).
+    The exact roots are sorted by their ints over a common denominator and
+    become :class:`GaussianRational` values only here, on return.
     """
-    c = poly_trim(list(c))
-    if poly_degree(c) < 0:
+    d = len(c) - 1
+    while d >= 0 and c[d].is_zero():
+        d -= 1
+    if d < 0:
         raise DegenerateInputError("zero polynomial has every point as a root")
-    exact: list[GaussianRational] = []  # each root repeated by multiplicity
+    k = 0
+    while k < d and c[k].is_zero():
+        k += 1
+    exact = [(0, 0, 1, k)] if k else []  # (a, b, den, multiplicity)
     intervals: list[CertifiedRoot] = []
-    while poly_degree(c) > 0 and c[0].is_zero():
-        exact.append(GR_ZERO)
-        c = c[1:]
-    for part, m in _square_free_parts(c):
-        for r in _qi_roots(part):
-            exact += [r] * m
-            part = deflate(part, r)
-        if poly_degree(part) > 0:
-            intervals += _certify(part, m)
-    exact.sort(key=GaussianRational.sort_key)
-    return [(r, len(list(g))) for r, g in itertools.groupby(exact)], intervals
-
+    if k < d:
+        for part, m in _square_free_parts(_row(c[k:d + 1])):
+            den = part[-1][0]
+            roots, rest = _qi_roots(part)
+            exact += [(a, b, den, m) for a, b in roots]
+            n = len(rest) - 1
+            if n > 0:
+                # rest is den**n P(s/den) for the deflated P: its
+                # coefficient of s**j is den**(n - j) times P's
+                intervals += _certify(
+                    [(a, b, den ** (n - j)) for j, (a, b) in enumerate(rest)], m)
+    if len(exact) > 1:
+        lcm = math.lcm(*(r[2] for r in exact))
+        exact.sort(key=lambda r: (r[0] * (lcm // r[2]), r[1] * (lcm // r[2])))
+    return [(_make(a, b, den), m) for a, b, den, m in exact], intervals

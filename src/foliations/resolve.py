@@ -50,9 +50,9 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 
-from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, monomial_content
+from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, _make, monomial_content
 from .blowup import (POINT, BlowupSpec, TransformResult, _blown_vars, all_charts,
                      curve_center, weighted_blowup)
 from .classify import (
@@ -216,9 +216,10 @@ class ResolutionTree:
 def _common_roots(polys: list[Poly], var: str):
     """(exact roots, certified interval roots) shared by univariates in ``var``."""
     coeffs = polys[0].univariate_coeffs(var)
-    for p in polys[1:]:
-        coeffs = iv.poly_gcd(coeffs, p.univariate_coeffs(var))
-    if iv.poly_degree(coeffs) <= 0:
+    if len(polys) > 1:
+        row = reduce(iv._gcd, [iv._row(p.univariate_coeffs(var)) for p in polys])
+        coeffs = [_make(a, b, row[-1][0]) for a, b in row]
+    if len(coeffs) <= 1:
         return [], []
     exact, certified = iv.certified_roots(coeffs)
     return [r for r, _m in exact], certified
@@ -363,9 +364,9 @@ def _restrict_all_but(p: Poly, keep: str) -> Poly:
 
 
 def _interval_excludes_zero(p: Poly, var: str, root: iv.CertifiedRoot) -> bool:
-    coeffs = [iv.ComplexInterval.of_gaussian(c) for c in p.univariate_coeffs(var)]
-    value = iv._interval_eval(coeffs, root.box)
-    return not value.contains_zero()
+    coeffs = [iv._rectangle(*c._abd) for c in p.univariate_coeffs(var)]
+    re_lo, re_hi, im_lo, im_hi = iv._interval_eval(coeffs, root.box.bounds())
+    return not (re_lo <= 0.0 <= re_hi and im_lo <= 0.0 <= im_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +493,7 @@ def _divisor_points_2d(tree: ResolutionTree, child: TreeNode, first: bool):
     names = child.rep.chart.var_names
     other = names[1] if names[0] == divisor_var else names[0]
     points = [_classify_point(child, _lift_coords(child.rep.chart, divisor_var, r))
-              for r in sorted(exact, key=lambda g: g.sort_key())]
+              for r in exact]
     points += [_interval_point(child, divisor_var, other, c) for c in certified]
     return points, True
 

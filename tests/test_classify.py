@@ -96,11 +96,10 @@ class TestEigenSolve:
         from foliations import intervals as iv
         p = tpoly([-2, 0, 1])
         data = eigen_solve(p)
-        coeffs = [iv.ComplexInterval.of_gaussian(c)
-                  for c in p.univariate_coeffs("t")]
+        coeffs = [iv._rectangle(*c._abd) for c in p.univariate_coeffs("t")]
         for v, _ in data.roots:
-            value = iv._interval_eval(coeffs, v.box)
-            assert value.contains_zero()
+            re_lo, re_hi, im_lo, im_hi = iv._interval_eval(coeffs, v.box.bounds())
+            assert re_lo <= 0.0 <= re_hi and im_lo <= 0.0 <= im_hi
 
     def test_exact_roots_annihilate_exactly(self):
         p = tpoly([6, -5, -2, 1])  # (t-1)(t+2)(t-3)

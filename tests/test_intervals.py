@@ -8,12 +8,15 @@ from foliations import intervals
 from foliations.algebra import GR_ZERO, GaussianRational, gr
 from foliations.errors import DegenerateInputError
 from foliations.intervals import (
-    ComplexInterval,
-    Interval,
+    _cmul,
+    _deflate,
+    _endpoints,
+    _gcd,
+    _mul,
+    _pseudo_divmod,
+    _reciprocal,
+    _row,
     certified_roots,
-    deflate,
-    poly_divmod,
-    poly_gcd,
 )
 
 
@@ -23,38 +26,44 @@ def coeffs(*values):
 
 class TestIntervalArithmetic:
     def test_outward_rounding_contains_truth(self):
-        a = Interval.of_fraction(gr("1/3").re)
-        assert a.lo <= 1 / 3 <= a.hi
-        b = a * a
-        assert b.lo <= 1 / 9 <= b.hi
+        lo, hi = _endpoints(1, 3)
+        assert lo <= 1 / 3 <= hi and lo < hi
+        b = _mul(lo, hi, lo, hi)
+        assert b[0] <= 1 / 9 <= b[1]
 
     def test_inverse_requires_no_zero(self):
         with pytest.raises(ZeroDivisionError):
-            Interval(-1.0, 1.0).inv()
-        inv = Interval(2.0, 4.0).inv()
-        assert inv.lo <= 0.25 and 0.5 <= inv.hi
+            _reciprocal((-1.0, 1.0, 0.0, 0.0))
+        inv = _reciprocal((2.0, 4.0, 0.0, 0.0))
+        assert inv[0] <= 0.25 and 0.5 <= inv[1]
 
     def test_complex_multiplication_encloses(self):
-        z = ComplexInterval.box(1 + 1j, 1e-12)
-        w = z * z
-        assert w.contains((1 + 1j) ** 2)
+        z = (1 - 1e-12, 1 + 1e-12, 1 - 1e-12, 1 + 1e-12)
+        w = _cmul(z, z)
+        assert w[0] <= 0.0 <= w[1] and w[2] <= 2.0 <= w[3]
 
 
 class TestExactPolynomialHelpers:
     def test_divmod(self):
         # (t-1)(t+2) = t^2 + t - 2 divided by (t-1)
-        q, r = poly_divmod(coeffs(-2, 1, 1), coeffs(-1, 1))
-        assert q == coeffs(2, 1)
-        assert r == [GR_ZERO]
+        q, r = _pseudo_divmod(_row(coeffs(-2, 1, 1)), _row(coeffs(-1, 1)))
+        assert q == [(2, 0), (1, 0)]
+        assert r == []
 
     def test_gcd(self):
-        a = coeffs(-1, 0, 1)       # t^2 - 1
-        b = coeffs(1, 1)           # t + 1
-        assert poly_gcd(a, b) == coeffs(1, 1)
+        a = _row(coeffs(-1, 0, 1))       # t^2 - 1
+        b = _row(coeffs(1, 1))           # t + 1
+        assert _gcd(a, b) == [(1, 0), (1, 0)]
+
+    def test_gcd_is_the_monic_row(self):
+        # gcd((2t - 1)(t + i), 3(2t - 1)) = t - 1/2, the row (-1, 2) over 2
+        a = _row(coeffs(gr(0, -1), gr(-1, 2), 2))
+        b = _row(coeffs(-3, 6))
+        assert _gcd(a, b) == [(-1, 0), (2, 0)]
 
     def test_deflate_rejects_non_root(self):
-        with pytest.raises(DegenerateInputError):
-            deflate(coeffs(1, 1), gr(1))
+        assert _deflate([(1, 0), (1, 0)], (1, 0)) is None
+        assert _deflate([(1, 0), (1, 0)], (-1, 0)) == [(1, 0)]
 
 
 class TestRationalRoots:
@@ -142,11 +151,11 @@ class TestCertifiedRoots:
         # 1999 t^3 - 2 has no root in Q(i); deciding that takes O(degree)
         # exact evaluations, not one per divisor pair of 2 and 1999
         calls = []
-        real_eval = intervals.poly_eval
-        monkeypatch.setattr(intervals, "poly_eval",
-                            lambda c, x: calls.append(x) or real_eval(c, x))
+        real_deflate = intervals._deflate
+        monkeypatch.setattr(intervals, "_deflate",
+                            lambda g, z: calls.append(z) or real_deflate(g, z))
         assert certified_roots(coeffs(-2, 0, 0, 1999))[0] == []
-        assert len(calls) <= 2 * 3
+        assert 0 < len(calls) <= 2 * 3
 
     def test_rejected_primes_cost_little(self, monkeypatch):
         # t^2 - N/3^k, N the product of the first 200 primes p = 1 (mod 4):
