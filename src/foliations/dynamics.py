@@ -720,7 +720,9 @@ def trace_descent(
     :class:`DegenerateInputError`.  A zero or pole of the form met on the
     way, or a step size underflowing near one, raises
     :class:`SingularPathError`; running out of iterations raises
-    :class:`IterationCapError`.
+    :class:`IterationCapError`.  A value of F, of H or of the right-hand
+    side that is not finite raises :class:`EvaluationOverflowError`, as in
+    a lift.
     """
     if not -math.pi / 2 < theta < math.pi / 2:
         raise StructuralError("theta must lie strictly between -pi/2 and pi/2")
@@ -739,7 +741,10 @@ def trace_descent(
         fv, hv = fe(y[0]), he(y[0])
         if abs(hv) < ZERO_FLOOR or abs(fv) < ZERO_FLOOR:
             raise SingularLiftError("hit a singularity of the form")
-        return [phase * fv / hv]
+        value = phase * fv / hv
+        if not (cmath.isfinite(fv) and cmath.isfinite(hv) and cmath.isfinite(value)):
+            raise EvaluationOverflowError(_OVERFLOW)
+        return [value]
 
     try:
         samples, escaped = _rk45(rhs, 0.0, t_max, [start], rtol, atol,

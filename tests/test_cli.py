@@ -425,7 +425,8 @@ class TestFlagValidation:
         ("x^2", ["timeform", "--path", "circle:1e200"]),
         ("x^3, -y^2 + x*y", ["holonomy", "--base", "x", "--loop-radius", "1e200"]),
         ("x^3, -y^2 + x*y", ["holonomy", "--base", "x", "--fiber-seed", "1e200"]),
-        ("x^2", ["timeform", "--path=arc:1e200:0.5:1.0"])])
+        ("x^2", ["timeform", "--path=arc:1e200:0.5:1.0"]),
+        ("x^2", ["descent", "--start=1e200,1e200"])])
     def test_overflow_error(self, tmp_path, field, argv):
         # finite but huge inputs overflow the first complex evaluation: a
         # power of a real point raises, and a product or sum that gives inf

@@ -449,6 +449,13 @@ class TestDescent:
         with pytest.raises(IterationCapError, match="5 iterations reached"):
             trace_descent(upoly({2: 1}), upoly({0: 1}), 0.0, 0.5 + 0.5j, 1.0)
 
+    @pytest.mark.parametrize("start", [1e200 + 1e200j, 1e160 + 1e160j])
+    def test_nonfinite_right_hand_side_raises(self, start):
+        # x^2 off the real axis overflows to a NaN real part; every step
+        # was rejected with a NaN error until the iteration cap
+        with pytest.raises(EvaluationOverflowError, match="floating-point overflow"):
+            trace_descent(upoly({2: 1}), upoly({0: 1}), 0.0, start, 2.0)
+
     def test_theta_range_enforced(self):
         with pytest.raises(StructuralError):
             trace_descent(upoly({1: 1}), upoly({0: 1}), math.pi / 2, 0.5, 1.0)
