@@ -112,15 +112,18 @@ def _check_center(x: VectorField, spec: BlowupSpec, blown: list[str]) -> None:
     return
 
 
-def weighted_blowup(
-    x: VectorField,
-    spec: BlowupSpec,
-    divisor_label: str | None = None,
-    center_coords: tuple[str, ...] | None = None,
-) -> TransformResult:
-    """Transform ``x`` under one chart of a (possibly weighted) blow-up."""
-    chart = x.chart
-    blown = _blown_vars(chart, spec)
+def _over(num: dict, exps: tuple[int, ...]) -> dict:
+    """``num``'s terms divided by the monomial ``x**exps``, in their order;
+    ``num`` itself when every exponent is 0."""
+    if not any(exps):
+        return num
+    return {tuple(map(operator.sub, e, exps)): c for e, c in num.items()}
+
+
+def _validated(x: VectorField, spec: BlowupSpec) -> tuple[list[str], tuple[int, ...]]:
+    """The blown-up variables and weights of ``spec``, once the spec and then
+    the centre have passed every check a blow-up of ``x`` makes."""
+    blown = _blown_vars(x.chart, spec)
     weights = spec.weights if spec.weights is not None else tuple([1] * len(blown))
     if len(weights) != len(blown):
         raise StructuralError("one weight per blown-up variable required")
@@ -131,11 +134,47 @@ def weighted_blowup(
     if not 0 <= spec.chart_index < len(blown):
         raise StructuralError("chart index out of range")
     _check_center(x, spec, blown)
+    return blown, weights
 
+
+def weighted_blowup(
+    x: VectorField,
+    spec: BlowupSpec,
+    divisor_label: str | None = None,
+    center_coords: tuple[str, ...] | None = None,
+) -> TransformResult:
+    """Transform ``x`` under one chart of a (possibly weighted) blow-up."""
+    blown, weights = _validated(x, spec)
+    return _chart(x, spec.center, blown, weights, spec.chart_index,
+                  divisor_label, center_coords)
+
+
+def all_charts(
+    x: VectorField,
+    center: str = POINT,
+    weights: tuple[int, ...] | None = None,
+    divisor_label: str | None = None,
+    center_coords: tuple[str, ...] | None = None,
+) -> list[TransformResult]:
+    """All charts of one blow-up, in blown-variable order.
+
+    The centre is checked once, for all the charts, and raises what
+    :func:`weighted_blowup` raises on chart 0.
+    """
+    blown, weights = _validated(x, BlowupSpec(center, weights, 0))
+    return [_chart(x, center, blown, weights, idx, divisor_label, center_coords)
+            for idx in range(len(blown))]
+
+
+def _chart(x: VectorField, center: str, blown: list[str], weights: tuple[int, ...],
+           index: int, divisor_label: str | None,
+           center_coords: tuple[str, ...] | None) -> TransformResult:
+    """The transform of ``x`` in chart ``index`` of a validated blow-up."""
+    chart = x.chart
     names = chart.var_names
     n = len(names)
     weight_of = dict(zip(blown, weights))
-    v_name = blown[spec.chart_index]
+    v_name = blown[index]
     k = chart.var_index(v_name)
     wv = weight_of[v_name]
     top = max(weights)
@@ -183,7 +222,7 @@ def weighted_blowup(
     labels[k] = divisor_label
     if center_coords is None:
         center_coords = ("0",) * n
-    record = BlowupRecord(spec.center, tuple(center_coords), tuple(weights),
+    record = BlowupRecord(center, tuple(center_coords), tuple(weights),
                           v_name, divisor_label)
     new_chart = chart.extended(record, labels)
 
@@ -195,19 +234,22 @@ def weighted_blowup(
     multiplicity = content[k] - top
     pole_order = max(0, -multiplicity)
     # one division per component: the representative is the transform over
-    # x**content, the raw field the transform over v**top
+    # x**content, the raw field the transform over v**top; the
+    # representative's expanded component is the numerator over x**content
     parts = []
     for num, own in zip(numerators, owns):
         if not num:
-            parts.append((ChartFunction(Poly(names, num), (0,) * n),) * 2)
+            zero = Poly(names, num)
+            parts.append((ChartFunction(zero, (0,) * n),) * 2 + (zero,))
             continue
-        if any(own):
-            num = {tuple(map(operator.sub, e, own)): c for e, c in num.items()}
-        reduced = Poly(names, num)
-        parts.append((ChartFunction(reduced, tuple(map(operator.sub, own, content))),
-                      ChartFunction(reduced, own[:k] + (own[k] - top,) + own[k + 1:])))
-    rep_parts, field_parts = zip(*parts)
-    representative = VectorField(new_chart, rep_parts)
+        rest = tuple(map(operator.sub, own, content))
+        reduced = Poly(names, _over(num, own))
+        expanded = Poly(names, _over(num, content)) if any(rest) else reduced
+        parts.append((ChartFunction(reduced, rest),
+                      ChartFunction(reduced, own[:k] + (own[k] - top,) + own[k + 1:]),
+                      expanded))
+    rep_parts, field_parts, expansions = zip(*parts)
+    representative = VectorField._of_expansions(new_chart, rep_parts, expansions)
     field = VectorField(new_chart, field_parts)
 
     rep_v = representative.components[k]
@@ -223,21 +265,4 @@ def weighted_blowup(
         divisor_var=v_name,
         record=record,
     )
-
-
-def all_charts(
-    x: VectorField,
-    center: str = POINT,
-    weights: tuple[int, ...] | None = None,
-    divisor_label: str | None = None,
-    center_coords: tuple[str, ...] | None = None,
-) -> list[TransformResult]:
-    """All charts of one blow-up, in blown-variable order."""
-    probe = BlowupSpec(center, weights, 0)
-    count = len(_blown_vars(x.chart, probe))
-    out = []
-    for idx in range(count):
-        out.append(weighted_blowup(
-            x, BlowupSpec(center, weights, idx), divisor_label, center_coords))
-    return out
 

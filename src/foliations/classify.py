@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, _reduced_echelon
 from .errors import NotApplicableError, StructuralError
@@ -237,15 +236,17 @@ def siegel_test(eigenvalues) -> str:
         return POSITION_UNDECIDED
     if any(v.is_zero() for v in vals):
         return POSITION_SIEGEL_BOUNDARY
-    pts = [(v.re, v.im) for v in vals]
+    # the origin lies in the hull of some points iff it lies in the hull of
+    # any positive multiples of them, so (a + b*i)/d enters as the ints (a, b)
+    pts = [v._abd[:2] for v in vals]
     return POSITION_SIEGEL if _hull_contains_origin(pts) else POSITION_POINCARE
 
 
-def _cross(a, b) -> Fraction:
+def _cross(a, b) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _dot(a, b) -> Fraction:
+def _dot(a, b) -> int:
     return a[0] * b[0] + a[1] * b[1]
 
 
@@ -296,15 +297,49 @@ def _nilpotent_class(lp: LinearPart, cp: Poly) -> str | None:
     return CLASS_ZERO_LINEAR if lp.is_zero() else CLASS_NILPOTENT
 
 
+def _minor(a, b, c, d) -> tuple[int, int]:
+    """``a*d - b*c`` for Gaussian integers held as ``(re, im)`` int pairs."""
+    return (a[0] * d[0] - a[1] * d[1] - b[0] * c[0] + b[1] * c[1],
+            a[0] * d[1] + a[1] * d[0] - b[0] * c[1] - b[1] * c[0])
+
+
 def is_nilpotent(x: VectorField) -> bool:
     """True iff ``x`` vanishes at the origin with a nonzero nilpotent linear
-    part: the class :func:`classify_singularity` reports as nilpotent,
-    without solving for eigenvalues."""
+    part: the class :func:`classify_singularity` reports as nilpotent.
+
+    The degree-1 coefficients are read from ``polys()`` and scaled to
+    Gaussian integers over the lcm of their denominators.  The linear part
+    is nilpotent iff its characteristic polynomial is ``t**n``, that is iff
+    its trace, the sum of its principal 2x2 minors and its determinant are
+    all zero; no :class:`LinearPart`, characteristic polynomial or
+    eigenvalue is built.
+    """
     if not x.vanishes_at_origin():
         return False
-    lp = linear_part(x)
-    # a zero linear part needs no characteristic polynomial
-    return not lp.is_zero() and _nilpotent_class(lp, char_poly(lp)) == CLASS_NILPOTENT
+    n = x.chart.dim
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    abd = [[p.terms[e]._abd if e in p.terms else (0, 0, 1) for e in units]
+           for p in x.polys()]
+    scale = math.lcm(*(d for row in abd for _, _, d in row))
+    m = [[(a * (scale // d), b * (scale // d)) for a, b, d in row] for row in abd]
+    if not any(a or b for row in m for a, b in row):
+        return False
+    # the coefficients of t**(n-1), t**(n-2) and t**(n-3), up to sign
+    trace = [sum(m[i][i][part] for i in range(n)) for part in (0, 1)]
+    minors = [_minor(m[i][i], m[i][j], m[j][i], m[j][j])
+              for i, j in itertools.combinations(range(n), 2)]
+    if any(trace) or any(map(sum, zip(*minors))):
+        return False
+    if n < 3:
+        return True
+    cofactors = [_minor(m[1][1], m[1][2], m[2][1], m[2][2]),
+                 _minor(m[1][0], m[1][2], m[2][0], m[2][2]),
+                 _minor(m[1][0], m[1][1], m[2][0], m[2][1])]
+    det_re = det_im = 0
+    for sign, (a, b), (c, d) in zip((1, -1, 1), m[0], cofactors):
+        det_re += sign * (a * c - b * d)
+        det_im += sign * (a * d + b * c)
+    return not (det_re or det_im)
 
 
 def classify_singularity(x: VectorField) -> SingularityReport:

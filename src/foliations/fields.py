@@ -111,6 +111,16 @@ class VectorField:
     def make(chart: Chart, components) -> "VectorField":
         return VectorField(chart, _as_chart_functions(chart, components))
 
+    @staticmethod
+    def _of_expansions(chart: Chart, components: tuple[ChartFunction, ...],
+                       polys: tuple[Poly, ...]) -> "VectorField":
+        """The field whose ``polys()`` are ``polys``, for a caller that has
+        them already: ``polys[i]`` must equal ``components[i].expand()``,
+        term for term and in the same order."""
+        field = VectorField(chart, components)
+        field.__dict__["_polys"] = polys
+        return field
+
     def is_holomorphic(self) -> bool:
         return all(c.is_holomorphic() for c in self.components)
 

@@ -54,7 +54,7 @@ from functools import partial, reduce
 
 from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, _make, monomial_content
 from .blowup import (POINT, BlowupSpec, TransformResult, _blown_vars, all_charts,
-                     curve_center, weighted_blowup)
+                     curve_center)
 from .classify import (
     CLASS_NILPOTENT,
     SingularityReport,
@@ -660,9 +660,12 @@ def _divisor_candidates_3d(rep: VectorField, divisor_var: str):
         if all(p.constant_term().is_zero() for p in restricted):
             points.append((GR_ZERO, GR_ZERO))
 
-    unique = sorted({(a._abd, b._abd): (a, b) for a, b in points}.values(),
-                    key=lambda ab: (ab[0].re, ab[0].im, ab[1].re, ab[1].im))
-    candidates = [c for c in (full_coords(a, b) for a, b in unique)
+    # sorted by (re, im) of each coordinate, as ints over one denominator
+    unique = {(a._abd, b._abd): (a, b) for a, b in points}
+    den = math.lcm(*(d for pair in unique for _, _, d in pair))
+    order = sorted(unique, key=lambda pair: tuple(
+        v * (den // d) for a, b, d in pair for v in (a, b)))
+    candidates = [c for c in (full_coords(*unique[key]) for key in order)
                   if _invisible_in_earlier_charts(rep.chart, divisor_var, c)]
     return candidates, lines, nonrational, complete
 
@@ -688,9 +691,7 @@ def _probe_expansions(germ: VectorField, memo: dict) -> list:
     found = memo.get(key)
     if found is None:
         found = []
-        for idx in range(3):
-            result = weighted_blowup(germ, BlowupSpec(POINT, (1, 1, 1), idx),
-                                     divisor_label="probe")
+        for result in all_charts(germ, POINT, (1, 1, 1), "probe"):
             candidates, _lines, _nr, _complete = _divisor_candidates_3d(
                 result.representative, result.divisor_var)
             for coords in candidates:

@@ -16,8 +16,9 @@ The reference below is the probe and the blow-up written the direct way:
 The toolkit must agree with it: every probe report (match, ``n``, witness,
 cap, matched germ with its term order, chart and labels), every chart of
 every blow-up, the term order of each representative's ``polys()`` against
-``expand()`` of its components, and the error raised for an invalid centre by
-``all_charts`` and by a direct ``weighted_blowup`` on chart index 2.
+``expand()`` of its components, the singular points found on each 3-D
+chart's divisor, in their order, and the error raised for an invalid centre
+by ``all_charts`` and by a direct ``weighted_blowup`` on chart index 2.
 
 Germs are Sancho-Sanz members, the persistent-nilpotent fixtures, random
 nilpotent germs (conjugated strictly triangular linear parts with
@@ -63,6 +64,7 @@ from foliations.resolve import (
     _MAX_PROBE_GERMS,
     PersistentNilpotentReport,
     _common_roots,
+    _divisor_candidates_3d,
     _germ_key,
     _invisible_in_earlier_charts,
     _uses_only,
@@ -400,6 +402,10 @@ def assert_blowups_agree(x):
         else:
             assert chart_facts(ours) == chart_facts(ref), (center, weights)
             assert expanded_in_order(ours)
+            if x.chart.dim == 3:
+                assert ([_divisor_candidates_3d(r.representative, r.divisor_var) for r in ours]
+                        == [reference_divisor_candidates_3d(r.representative, r.divisor_var)
+                            for r in ref]), (center, weights)
         spec = BlowupSpec(center, weights, 2)
         try:
             direct = chart_facts([weighted_blowup(x, spec)])
@@ -569,6 +575,22 @@ def test_shared_memo_gives_the_reference_reports():
         assert (probe_facts(detect_persistent_nilpotent, x, 6, ours)
                 == probe_facts(reference_detect_persistent_nilpotent, x, 6, ref))
     assert [len(v) for v in ours.values()] == [len(v) for v in ref.values()]
+
+
+def test_divisor_points_keep_the_reference_order():
+    # (-3x + 10y) d/dx + (-2x + 6y) d/dy + 3z d/dz has eigenlines through
+    # (5, 2, 0) and (2, 1, 0): on the x chart of its point blow-up the
+    # divisor points y = 2/5 and y = 1/2, whose numerators are in the
+    # opposite order
+    x = VectorField.make(Chart.root(V3), [
+        make_poly(V3, {(1, 0, 0): -3, (0, 1, 0): 10}),
+        make_poly(V3, {(1, 0, 0): -2, (0, 1, 0): 6}),
+        make_poly(V3, {(0, 0, 1): 3})])
+    chart = all_charts(x)[0]
+    candidates = _divisor_candidates_3d(chart.representative, "x")[0]
+    assert [[c.text() for c in point] for point in candidates] == [
+        ["0", "2/5", "0"], ["0", "1/2", "0"]]
+    assert_blowups_agree(x)
 
 
 def test_invalid_centers_raise_the_reference_errors():

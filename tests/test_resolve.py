@@ -271,13 +271,13 @@ class TestPersistentDetection:
         # while making fewer blow-ups
         import foliations.resolve as resolve
         blowups = []
-        blowup = resolve.weighted_blowup
+        blowup = resolve.all_charts
 
         def counted(*args, **kwargs):
             blowups.append(args[0])
             return blowup(*args, **kwargs)
 
-        monkeypatch.setattr(resolve, "weighted_blowup", counted)
+        monkeypatch.setattr(resolve, "all_charts", counted)
         tree = resolve3(field, max_steps=12)
         probed = [germ_at(tree.nodes[point.node_id].rep, point.coords)
                   for _, point in tree.all_points()
