@@ -1,9 +1,11 @@
 """Blow-up transforms of vector fields.
 
 Supports one-point blow-ups, blow-ups along coordinate-axis curves in
-dimension 3, and weighted variants of both, through one entry point,
-:func:`weighted_blowup`.  Weights default to ones, which is the standard
-blow-up.
+dimension 3, and weighted variants of both.  :func:`weighted_blowup` gives
+one chart and :func:`all_charts` every chart of one blow-up; both check the
+spec and then the centre once per call, so the charts of one blow-up share
+one centre check, and build each chart with the same code.  Weights default
+to ones, which is the standard blow-up.
 
 For the chart in which the blown-up variable ``v`` carries weight ``w`` and
 another blown-up variable ``u`` carries weight ``w_u`` the substitution
@@ -21,9 +23,11 @@ the drift) together; the drift is folded into the ``u`` numerator in place.
 Each numerator's own monomial content comes from one scan, and their minimum
 is the transform's content: dividing each numerator once by its own content
 gives both the holomorphic, content-free representative and the raw field.
-The content's ``v`` exponent minus ``top`` is the vanishing order of the
-transform along the divisor; a transform with poles is reported with its
-pole order instead of being silently cleared.
+The representative is handed its expanded components, each numerator over
+the transform's content in the numerator's term order, so reading its
+``polys()`` expands nothing.  The content's ``v`` exponent minus ``top`` is
+the vanishing order of the transform along the divisor; a transform with
+poles is reported with its pole order instead of being silently cleared.
 """
 
 from __future__ import annotations

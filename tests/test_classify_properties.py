@@ -160,12 +160,6 @@ def test_is_nilpotent_equals_characteristic_polynomial_test(x):
     assert is_nilpotent(x) == by_char_poly(x)
 
 
-@given(conjugated_nilpotent_fields())
-@settings(max_examples=100, deadline=None)
-def test_conjugated_jordan_blocks_are_nilpotent_unless_zero(x):
-    assert is_nilpotent(x) == (not linear_part(x).is_zero())
-
-
 # ---------------------------------------------------------------------------
 # siegel_test against the Fraction hull test
 # ---------------------------------------------------------------------------
