@@ -373,16 +373,18 @@ _RK45_MAX_ITER = 200000
 def _dp_step(n: int) -> Callable[..., tuple[list[complex], float, list[complex]]]:
     """One Dormand-Prince step for a state of ``n`` components, compiled.
 
-    ``step(rhs, t, h, y, first, atol, rtol)`` returns ``(y5, err, last)``:
-    the order-5 state at ``t + h``, the largest component of the scaled
-    error (NaN if any is NaN) and ``rhs``'s value at the last stage.  The
+    ``step(rhs, t, h, y, first, atol, rtol, escape)`` returns
+    ``(y5, err, last, out)``: the order-5 state at ``t + h``, the largest
+    component of the scaled error (NaN if any is NaN), ``rhs``'s value at
+    the last stage, and whether some component of ``y5`` has modulus above
+    ``escape`` (never for a NaN, nor for ``escape = inf``).  The
     state and the stages are unpacked to names; component ``i`` of stage
     ``s`` is ``y_i + h * (0j + a * k_j_i + ...)`` over the nonzero entries
     of the tableau row in order, at time ``t + c_s * h``, and the weight sums
     also start from ``0j``: the operations of the loops over the tableau,
     one for one.
     """
-    source = _Source(("rhs", "t", "h", "y", "first", "atol", "rtol"))
+    source = _Source(("rhs", "t", "h", "y", "first", "atol", "rtol", "escape"))
     source.names.update(inf=math.inf)
 
     def names(prefix: str) -> str:
@@ -406,13 +408,15 @@ def _dp_step(n: int) -> Callable[..., tuple[list[complex], float, list[complex]]
         source.lines += [
             f"u{i} = y{i} + h * ({combination(_DP_W5, 'b', i)})",
             f"d = abs(u{i} - (y{i} + h * ({combination(_DP_W4, 'e', i)})))",
+            f"m{i} = abs(u{i})",
             "try:",
-            f"    r = d / (atol + rtol * max(abs(y{i}), abs(u{i})))",
+            f"    r = d / (atol + rtol * max(abs(y{i}), m{i}))",
             "except ZeroDivisionError:   # atol = 0 at a zero state: only 0 passes",
             "    r = d * inf if d else 0.0"]
         # the first component sets the error; a NaN error rejects the step
         source.lines += ["err = r"] if i == 0 else ["if r > err or r != r:", "    err = r"]
-    source.lines.append(f"return [{names('u')}], err, last")
+    out = " or ".join([f"m{i} > escape" for i in range(n)] or ["False"])
+    source.lines.append(f"return [{names('u')}], err, last, {out}")
     return source.compile()
 
 
@@ -461,6 +465,7 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
             f"t0 {t0!r}")
     t = t0
     step = _dp_step(len(y))
+    escape = math.inf if escape_radius is None else escape_radius
     samples = [(t, y)]
     escaped = False
     first = None    # rhs(t, y), carried over from the previous step
@@ -472,9 +477,9 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
             h = remaining
         if first is None:
             first = rhs(t, y)
-        y5, err, last = step(rhs, t, h, y, first, atol, rtol)
+        y5, err, last, out = step(rhs, t, h, y, first, atol, rtol, escape)
         if err <= 1.0:
-            if escape_radius is not None and any(abs(u) > escape_radius for u in y5):
+            if out:
                 escaped = True      # final stays the last in-domain sample
                 break
             t = t + h

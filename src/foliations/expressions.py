@@ -18,13 +18,24 @@ total degree of every product and power, are at most 32.
 
 Parsing a canonical rendering returns the identical object, making the
 canonical text a faithful interchange format.
+
+The parser computes on ints.  Tokens are plain tuples, a literal's value
+its canonical ``(a, b, d)`` triple for ``(a + b*i) / d``, and the grammar
+is evaluated on term dicts from exponent tuples to such triples, with the
+operations of :class:`~foliations.algebra.Poly` in the same order, so the
+terms come out in the order ``Poly`` arithmetic would give them.  One
+``Poly`` is built per component, with one
+:class:`~foliations.algebra.GaussianRational` per term; a parsed vector
+field keeps those polynomials as its expansions.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import math
+import operator
+import re
 
-from .algebra import GaussianRational, Poly, _make
+from .algebra import Poly, _raw
 from .errors import ParseError, StructuralError
 from .fields import Chart, OneForm, VectorField
 
@@ -36,13 +47,11 @@ KIND_FORM = "form"
 # bounds the term count
 _MAX_DEGREE = 32
 
-
-class Token(NamedTuple):
-    kind: str        # number, name, op, end
-    text: str
-    line: int
-    column: int
-    value: GaussianRational | None = None
+# ---------------------------------------------------------------------------
+# Tokens: ``(kind, text, column, value)`` tuples.  ``kind`` is "number",
+# "name", "end", or the operator character itself; a number's ``value`` is
+# its canonical ``(a, b, d)`` triple, ``(a + b*i) / d``.
+# ---------------------------------------------------------------------------
 
 
 def _int_literal(digits: str, line: int, col: int) -> int:
@@ -56,10 +65,11 @@ def _int_literal(digits: str, line: int, col: int) -> int:
 # literal digits are ASCII only: str.isdigit also accepts superscripts and
 # other scripts' digits
 _DIGITS = "0123456789"
+_I = (0, 1, 1)
 
 
-def _tokenize(text: str, line: int) -> list[Token]:
-    out: list[Token] = []
+def _tokenize(text: str, line: int) -> list[tuple]:
+    out = []
     i = 0
     n = len(text)
     while i < n:
@@ -69,177 +79,235 @@ def _tokenize(text: str, line: int) -> list[Token]:
             continue
         col = i + 1
         if ch in _DIGITS:
-            j = i
+            j = i + 1
             while j < n and text[j] in _DIGITS:
                 j += 1
             num = _int_literal(text[i:j], line, col)
             den = 1
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1] in _DIGITS:
-                j += 1
-                k = j
+            if j + 1 < n and text[j] == "/" and text[j + 1] in _DIGITS:
+                k = j + 2
                 while k < n and text[k] in _DIGITS:
                     k += 1
-                den = _int_literal(text[j:k], line, col)
+                den = _int_literal(text[j + 1:k], line, col)
                 if den == 0:
                     raise ParseError("zero denominator in literal", line, col)
                 j = k
+            g = math.gcd(num, den)
             if j < n and text[j] == "i":
                 j += 1
-                value = _make(0, num, den)
+                value = (0, num // g, den // g)
             else:
-                value = _make(num, 0, den)
-            out.append(Token("number", text[i:j], line, col, value))
+                value = (num // g, 0, den // g)
+            out.append(("number", text[i:j], col, value))
             i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             name = text[i:j]
-            if name == "i":
-                out.append(Token("number", name, line, col,
-                                 GaussianRational.i()))
-            else:
-                out.append(Token("name", name, line, col))
+            out.append(("number", name, col, _I) if name == "i"
+                       else ("name", name, col, None))
             i = j
-            continue
-        if ch in "+-*^()":
-            out.append(Token("op", ch, line, col))
+        elif ch in "+-*^()":
+            out.append((ch, ch, col, None))
             i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    out.append(Token("end", "", line, n + 1))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    out.append(("end", "", n + 1, None))
     return out
 
 
-def _check_degree(degree: int, tok: Token) -> None:
-    if degree > _MAX_DEGREE:
-        raise ParseError(f"total degree {degree} exceeds the limit {_MAX_DEGREE}",
-                         tok.line, tok.column)
+# ---------------------------------------------------------------------------
+# Term dicts: exponent tuple -> canonical (a, b, d) triple, with Poly's
+# operations in Poly's order, so keys come out in the order Poly's would
+# ---------------------------------------------------------------------------
+
+_ONE = (1, 0, 1)
 
 
-class _Parser:
-    """Recursive descent over one component expression."""
+def _reduced(a: int, b: int, d: int) -> tuple[int, int, int]:
+    g = math.gcd(a, b, d)
+    return (a // g, b // g, d // g) if g != 1 else (a, b, d)
 
-    def __init__(self, tokens: list[Token], vars: tuple[str, ...]):
-        self.tokens = tokens
-        self.pos = 0
-        self.vars = vars
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+def _scalar_sum(p: tuple, q: tuple) -> tuple | None:
+    """``p + q`` as a canonical triple, or None when it is zero."""
+    a, b, d = p
+    c, e, f = q
+    if d == f:
+        a, b = a + c, b + e
+    else:
+        a, b, d = a * f + c * d, b * f + e * d, d * f
+    return _reduced(a, b, d) if a or b else None
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
-    def expect_end(self) -> None:
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
+def _scalar_product(p: tuple, q: tuple) -> tuple:
+    a, b, d = p
+    c, e, f = q
+    return _reduced(a * c - b * e, a * e + b * c, d * f)
 
-    def parse_sum(self) -> Poly:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.next()
-            left = self.parse_product()
-            if tok.text == "-":
-                left = -left
-        else:
-            left = self.parse_product()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.next()
-                right = self.parse_product()
-                left = left + right if tok.text == "+" else left - right
-            else:
-                return left
 
-    def parse_product(self) -> Poly:
-        left = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.next()
-                right = self.parse_factor()
-                _check_degree(left.degree() + right.degree(), tok)
-                left = left * right
-            else:
-                return left
+def _accumulate(out: dict, e: tuple, c: tuple) -> None:
+    """``out[e] += c``, deleting the key when the sum is zero."""
+    old = out.get(e)
+    if old is None:
+        out[e] = c
+    elif (s := _scalar_sum(old, c)) is None:
+        del out[e]
+    else:
+        out[e] = s
 
-    def parse_factor(self) -> Poly:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.next()
-            return -self.parse_factor()
-        return self.parse_power()
 
-    def parse_power(self) -> Poly:
-        base = self.parse_atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.next()
-            exp_tok = self.next()
-            if exp_tok.kind != "number" or exp_tok.value._abd[1:] != (0, 1):
-                raise ParseError("exponent must be a nonnegative integer",
-                                 exp_tok.line, exp_tok.column)
-            k = exp_tok.value._abd[0]       # a literal is never negative
-            if k > _MAX_DEGREE:
-                raise ParseError(f"exponent {k} exceeds the limit {_MAX_DEGREE}",
-                                 exp_tok.line, exp_tok.column)
-            _check_degree(base.degree() * k, exp_tok)
-            return base ** k
-        return base
+def _sum(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for e, c in q.items():
+        _accumulate(out, e, c)
+    return out
 
-    def parse_atom(self) -> Poly:
-        tok = self.next()
-        if tok.kind == "number":
-            return Poly.constant(self.vars, tok.value)
-        if tok.kind == "name":
-            if tok.text not in self.vars:
-                raise ParseError(f"undeclared variable {tok.text!r}",
-                                 tok.line, tok.column)
-            return Poly.variable(self.vars, tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            inner = self.parse_sum()
-            close = self.next()
-            if close.kind != "op" or close.text != ")":
-                raise ParseError("expected ')'", close.line, close.column)
-            return inner
-        raise ParseError(
-            "expected a number, variable, or '('" if tok.kind == "end"
-            else f"unexpected {tok.text!r}", tok.line, tok.column)
 
+def _negated(p: dict) -> dict:
+    return {e: (-a, -b, d) for e, (a, b, d) in p.items()}
+
+
+def _product(p: dict, q: dict) -> dict:
+    # times one term: the keys stay distinct and in the other factor's order
+    one, many = (p, q) if len(p) == 1 else (q, p)
+    if len(one) == 1:
+        (e1, c1), = one.items()
+        if not any(e1):
+            return many if c1 == _ONE else {e: _scalar_product(c, c1)
+                                            for e, c in many.items()}
+        return {tuple(map(operator.add, e, e1)): _scalar_product(c, c1)
+                for e, c in many.items()}
+    out: dict = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            _accumulate(out, tuple(map(operator.add, ea, eb)), _scalar_product(ca, cb))
+    return out
+
+
+def _power(p: dict, k: int, one: dict) -> dict:
+    """Square-and-multiply from ``one``, the constant 1."""
+    out = one
+    while True:
+        if k & 1:
+            out = _product(out, p)
+        k >>= 1
+        if not k:
+            return out
+        p = _product(p, p)
+
+
+def _degree(p: dict) -> int:
+    """Total degree; -1 for the zero polynomial."""
+    return max(map(sum, p), default=-1)
+
+
+# ---------------------------------------------------------------------------
+# Grammar
+# ---------------------------------------------------------------------------
 
 def parse_expression(text: str, vars: tuple[str, ...], line: int = 1) -> Poly:
-    """Parse one polynomial expression over the declared variables."""
-    parser = _Parser(_tokenize(text, line), vars)
-    poly = parser.parse_sum()
-    parser.expect_end()
-    return poly
+    """Parse one polynomial expression over the declared variables.
+
+    Recursive descent over the tokens, each rule returning its term dict
+    and the index of the next token; one :class:`Poly` is built at the end.
+    """
+    toks = _tokenize(text, line)
+    zero = (0,) * len(vars)
+    units: dict = {}
+    for j, v in enumerate(vars):
+        units.setdefault(v, zero[:j] + (1,) + zero[j + 1:])
+    one = {zero: _ONE}
+
+    def check_degree(degree: int, col: int) -> None:
+        if degree > _MAX_DEGREE:
+            raise ParseError(f"total degree {degree} exceeds the limit {_MAX_DEGREE}",
+                             line, col)
+
+    def parse_sum(i: int) -> tuple[dict, int]:
+        sign = toks[i][0]
+        if sign == "+" or sign == "-":
+            left, i = parse_product(i + 1)
+            if sign == "-":
+                left = _negated(left)
+        else:
+            left, i = parse_product(i)
+        while (sign := toks[i][0]) == "+" or sign == "-":
+            right, i = parse_product(i + 1)
+            left = _sum(left, right if sign == "+" else _negated(right))
+        return left, i
+
+    def parse_product(i: int) -> tuple[dict, int]:
+        left, i = parse_factor(i)
+        while toks[i][0] == "*":
+            col = toks[i][2]
+            right, i = parse_factor(i + 1)
+            check_degree(_degree(left) + _degree(right), col)
+            left = _product(left, right)
+        return left, i
+
+    def parse_factor(i: int) -> tuple[dict, int]:
+        if toks[i][0] == "-":
+            value, i = parse_factor(i + 1)
+            return _negated(value), i
+        base, i = parse_atom(i)
+        if toks[i][0] != "^":
+            return base, i
+        kind, _, col, value = toks[i + 1]
+        if kind != "number" or value[1:] != (0, 1):
+            raise ParseError("exponent must be a nonnegative integer", line, col)
+        k = value[0]                    # a literal is never negative
+        if k > _MAX_DEGREE:
+            raise ParseError(f"exponent {k} exceeds the limit {_MAX_DEGREE}", line, col)
+        check_degree(_degree(base) * k, col)
+        return _power(base, k, one), i + 2
+
+    def parse_atom(i: int) -> tuple[dict, int]:
+        kind, name, col, value = toks[i]
+        if kind == "number":
+            return ({zero: value} if value[0] or value[1] else {}), i + 1
+        if kind == "name":
+            if name not in units:
+                raise ParseError(f"undeclared variable {name!r}", line, col)
+            return {units[name]: _ONE}, i + 1
+        if kind == "(":
+            inner, i = parse_sum(i + 1)
+            if toks[i][0] != ")":
+                raise ParseError("expected ')'", line, toks[i][2])
+            return inner, i + 1
+        raise ParseError("expected a number, variable, or '('" if kind == "end"
+                         else f"unexpected {name!r}", line, col)
+
+    terms, i = parse_sum(0)
+    kind, name, col, _ = toks[i]
+    if kind != "end":
+        raise ParseError(f"unexpected {name!r}", line, col)
+    return Poly(tuple(vars), {e: _raw(*c) for e, c in terms.items()})
+
+
+_SPLITTERS = re.compile(r"[(),]")
 
 
 def _split_components(body: list[tuple[str, int, str]]) -> list[str]:
     """The top-level comma-separated pieces of the body lines joined by
     spaces; an unbalanced ``)`` raises at its own line and column."""
+    joined = " ".join(part for part, _, _ in body)
     parts = []
     depth = 0
-    current = []
-    for offset, ch in enumerate(" ".join(part for part, _, _ in body)):
+    start = 0
+    for m in _SPLITTERS.finditer(joined):
+        ch = m.group()
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ParseError("unbalanced ')'", *_source_position(body, offset))
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
+                raise ParseError("unbalanced ')'", *_source_position(body, m.start()))
+        elif depth == 0:
+            parts.append(joined[start:m.start()])
+            start = m.end()
+    parts.append(joined[start:])
     return parts
 
 
@@ -302,19 +370,19 @@ def parse_field(text: str) -> VectorField | OneForm:
         raise ParseError(
             f"expected {len(vars)} components, found {len(pieces)}",
             first_line, 1)
-    components = []
+    polys = []
     start = 0  # offset of the piece in the joined text
     for piece in pieces:
         try:
-            components.append(parse_expression(piece, vars, first_line))
+            polys.append(parse_expression(piece, vars, first_line))
         except ParseError as exc:
             line, column = _source_position(body, start + exc.column - 1)
             raise ParseError(exc.reason, line, column) from None
         start += len(piece) + 1
     chart = Chart.root(vars)
     if kind == KIND_FIELD:
-        return VectorField.make(chart, components)
-    return OneForm.make(chart, components)
+        return VectorField._of_polys(chart, tuple(polys))
+    return OneForm.make(chart, polys)
 
 
 def render_field(obj: VectorField | OneForm) -> str:

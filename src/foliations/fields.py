@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
-from .algebra import GR_ZERO, ChartFunction, GaussianRational, Poly
+from .algebra import GR_ZERO, ChartFunction, GaussianRational, Poly, _make
 from .errors import (
     ChartMismatchError,
     NotApplicableError,
@@ -121,6 +121,14 @@ class VectorField:
         field.__dict__["_polys"] = polys
         return field
 
+    @staticmethod
+    def _of_polys(chart: Chart, polys: tuple[Poly, ...]) -> "VectorField":
+        """``VectorField.make(chart, polys)``, keeping ``polys`` as its
+        expansions, for polynomials on the chart's variables, one per
+        variable."""
+        return VectorField._of_expansions(
+            chart, tuple(ChartFunction.make(p) for p in polys), polys)
+
     def is_holomorphic(self) -> bool:
         return all(c.is_holomorphic() for c in self.components)
 
@@ -136,11 +144,17 @@ class VectorField:
         return tuple(c.expand() for c in self.components)
 
     @cached_property
-    def _graded_terms(self) -> tuple[list, ...]:
-        """Per component, its ``(degree, exponents, coefficient)`` terms in
-        ascending degree."""
-        return tuple(sorted((sum(e), e, c) for e, c in p.terms.items())
-                     for p in self.polys())
+    def _integer_terms(self) -> tuple[int, tuple[list, ...]]:
+        """``(L, terms)``: L the lcm of the coefficient denominators, and per
+        component of ``L.X`` its ``(degree, exponents, re, im)`` terms in
+        ascending degree, with Gaussian-integer coefficients ``re + im*i``."""
+        polys = self.polys()
+        scale = math.lcm(*(c._abd[2] for p in polys for c in p.terms.values()))
+
+        def scaled(e, a, b, d):
+            return sum(e), e, a * (scale // d), b * (scale // d)
+        return scale, tuple(sorted(scaled(e, *c._abd) for e, c in p.terms.items())
+                            for p in polys)
 
     def component(self, var: str) -> ChartFunction:
         return self.components[self.chart.var_index(var)]
@@ -235,26 +249,46 @@ def directional_derivative(x: VectorField, f: Poly, bound: int | None = None) ->
     With ``bound``, only the terms of total degree <= bound are formed: the
     result equals ``directional_derivative(x, f).jet_truncate(bound)``, and
     no product of higher degree is computed.
+
+    The sums run on Gaussian integers, ``(re, im)`` pairs of ints: X is
+    scaled by the lcm L of its denominators and F by the lcm M of its
+    own, the products are summed term by term, and each result term is
+    formed once as a :class:`GaussianRational` over ``L*M``.
     """
     if f.vars != x.chart.var_names:
         raise ChartMismatchError("function lives on a different chart")
+    scale, comps = x._integer_terms
+    f_scale = math.lcm(*(c._abd[2] for c in f.terms.values()))
     limit = math.inf if bound is None else bound
     out: dict = {}
     # components in ascending degree, so each term of dF/dx_i stops at the
     # first component term that would exceed the bound
-    for comp_terms, var in zip(x._graded_terms, x.chart.var_names):
-        for eb, cb in f.partial(var).terms.items():
+    for i, comp_terms in enumerate(comps):
+        for e, c in f.terms.items():
+            k = e[i]
+            if not k:
+                continue
+            eb = e[:i] + (k - 1,) + e[i + 1:]
+            a, b, d = c._abd
+            m = f_scale // d * k
+            fa, fb = a * m, b * m
             room = limit - sum(eb)
-            for da, ea, ca in comp_terms:
+            for da, ea, ca, cb in comp_terms:
                 if da > room:
                     break
-                e = tuple(map(operator.add, ea, eb))
-                s = out.get(e, GR_ZERO) + ca * cb
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-    return Poly(f.vars, out)
+                key = tuple(map(operator.add, ea, eb))
+                re = ca * fa - cb * fb
+                im = ca * fb + cb * fa
+                old = out.get(key)
+                if old is not None:
+                    re += old[0]
+                    im += old[1]
+                    if not (re or im):
+                        del out[key]
+                        continue
+                out[key] = (re, im)
+    den = scale * f_scale
+    return Poly(f.vars, {e: _make(a, b, den) for e, (a, b) in out.items()})
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:

@@ -22,8 +22,12 @@ combination of its monomials' images, formed through degree d+1 for an
 order-d solution (its residual check in all degrees up to d, then the next
 block).  Solutions are kept as primitive Gaussian-integer vectors, since
 only their span matters; the canonical order-N basis is converted to
-:class:`GaussianRational` once, and checked again with
-:func:`~foliations.fields.directional_derivative`.
+:class:`GaussianRational` once.  Each of its elements is then checked
+again, independently of the table: ``X . F`` through degree N is
+recomputed from X and F themselves by
+:func:`~foliations.fields.directional_derivative`, which multiplies
+Gaussian integers (X and F each scaled by the lcm of its own
+denominators), and must vanish.
 
 Factorizations are caller-supplied: multivariate polynomial factorization
 is deliberately out of scope, and the quotient construction only needs the
@@ -146,10 +150,7 @@ def _image_table(x: VectorField, n: int) -> dict:
     ``{degree: {exponents: (re, im)}}`` holding degrees up to n, where L is
     the lcm of the coefficient denominators of X, so every value is a
     Gaussian integer."""
-    graded = x._graded_terms
-    scale = math.lcm(*(c._abd[2] for comp in graded for _, _, c in comp))
-    comps = [[(da, ea, c._abd[0] * (scale // c._abd[2]), c._abd[1] * (scale // c._abd[2]))
-              for da, ea, c in comp] for comp in graded]
+    _, comps = x._integer_terms
     table = {}
     for k in range(1, n + 1):
         for m in _monomials(len(comps), k):
@@ -204,8 +205,10 @@ def formal_first_integral(x: VectorField, n: int = 8) -> JetSolutionSpace:
     ``G + H`` with G an order-(d-1) solution and H homogeneous of degree d
     whose degree-d parts of ``X . G + X . H`` cancel.  At every degree,
     every new basis element's residual is checked to vanish in all degrees
-    up to d; the canonical order-n basis is checked again by exact
-    multiplication in Q(i).  Orders from 2 to 32 are accepted.
+    up to d; each element of the canonical order-n basis is checked again
+    with :func:`~foliations.fields.directional_derivative` through degree
+    n, exactly and independently of the solver's image table.  Orders from
+    2 to 32 are accepted.
     """
     if not x.is_holomorphic():
         raise NotApplicableError("formal solving needs a holomorphic field")

@@ -235,7 +235,7 @@ def singular_points_on_divisor(rep: VectorField, divisor_var: str):
         raise NotApplicableError("divisor point enumeration is two-dimensional here")
     names = rep.chart.var_names
     other = names[1] if names[0] == divisor_var else names[0]
-    restricted = [comp.expand().restrict(divisor_var, 0) for comp in rep.components]
+    restricted = [p.restrict(divisor_var, 0) for p in rep.polys()]
     nonzero = [p for p in restricted if not p.is_zero()]
     if not nonzero:
         return [], [], True
@@ -255,8 +255,8 @@ def germ_at(rep: VectorField, coords) -> VectorField:
     offsets = dict(zip(rep.chart.var_names, coords))
     labels = [label if c.is_zero() else None
               for label, c in zip(rep.chart.divisor_labels, coords)]
-    return VectorField.make(rep.chart.with_labels(labels),
-                            [p.shift(offsets) for p in rep.polys()])
+    return VectorField._of_polys(rep.chart.with_labels(labels),
+                                 tuple(p.shift(offsets) for p in rep.polys()))
 
 
 def _eigenvalue_ratios(germ: VectorField) -> dict[str, GaussianRational]:
@@ -381,7 +381,7 @@ def _prepare_input(x: VectorField, tree: ResolutionTree) -> VectorField:
     if any(content):
         tree.diagnostics.append(
             "input had a monomial zero divisor; working with its representative")
-    return VectorField.make(x.chart, reduced)
+    return VectorField._of_polys(x.chart, tuple(reduced))
 
 
 def _resolve(x: VectorField, max_steps: int, blow_up, divisor_points,
@@ -683,9 +683,9 @@ def _probe_expansions(germ: VectorField, memo: dict) -> list:
     on the divisor of the point blow-up of ``germ``, chart by chart.
 
     The sub-germs' components depend on the germ's components alone, so
-    ``memo`` keeps them per :func:`_germ_key`; their charts are rebuilt
-    from the germ's chart as the blow-up labelled ``probe`` and
-    :func:`germ_at` make them.
+    ``memo`` keeps them, with their expansions, per :func:`_germ_key`;
+    their charts are rebuilt from the germ's chart as the blow-up labelled
+    ``probe`` and :func:`germ_at` make them.
     """
     key = _germ_key(germ)
     found = memo.get(key)
@@ -697,15 +697,16 @@ def _probe_expansions(germ: VectorField, memo: dict) -> list:
             for coords in candidates:
                 sub = germ_at(result.representative, coords)
                 if _is_nilpotent_germ(sub):
-                    found.append((result.divisor_var, coords, sub.components))
+                    found.append((result.divisor_var, coords, sub.components, sub.polys()))
         memo[key] = found
     chart = germ.chart
     out = []
-    for var, coords, components in found:
+    for var, coords, components, polys in found:
         record = BlowupRecord(POINT, ("0",) * 3, (1, 1, 1), var, "probe")
         labels = ["probe" if name == var else label if c.is_zero() else None
                   for name, label, c in zip(chart.var_names, chart.divisor_labels, coords)]
-        out.append((var, coords, VectorField(chart.extended(record, labels), components)))
+        out.append((var, coords, VectorField._of_expansions(
+            chart.extended(record, labels), components, polys)))
     return out
 
 
