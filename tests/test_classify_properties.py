@@ -9,6 +9,10 @@ conjugated nilpotent (Jordan) linear parts and zero linear parts.  The
 examples below include linear parts where exactly one of the three
 conditions fails, so a test that skips one of them is caught.
 
+``char_poly`` must give, term for term and in the same order, the
+polynomial of ``reference_char_poly``, the direct ``GaussianRational``
+computation kept here, on the same random linear parts.
+
 ``siegel_test`` takes each eigenvalue ``(a + b*i)/d`` as the int point
 ``(a, b)``, a positive multiple of it; it must equal the same hull test on
 ``Fraction`` points, kept here as ``fraction_siegel_test``, on random
@@ -23,7 +27,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from foliations.algebra import GR_ZERO, GaussianRational, Poly
+from foliations.algebra import GR_ONE, GR_ZERO, GaussianRational, Poly
 from foliations.classify import (
     CLASS_NILPOTENT,
     POSITION_POINCARE,
@@ -34,7 +38,7 @@ from foliations.classify import (
     is_nilpotent,
     siegel_test,
 )
-from foliations.fields import Chart, VectorField, linear_part
+from foliations.fields import Chart, LinearPart, VectorField, linear_part
 
 NAMES = ("x", "y", "z")
 
@@ -158,6 +162,60 @@ I = GaussianRational(0, 1)
 @example(field_of(gr_rows([[0]]), [(0, (2,), GaussianRational.of(1))]))
 def test_is_nilpotent_equals_characteristic_polynomial_test(x):
     assert is_nilpotent(x) == by_char_poly(x)
+
+
+# ---------------------------------------------------------------------------
+# char_poly against the direct GaussianRational computation
+# ---------------------------------------------------------------------------
+
+def reference_char_poly(lp: LinearPart) -> Poly:
+    """det(t I - L) by the trace, the principal 2x2 minors and the
+    determinant, each formed on ``GaussianRational`` entries."""
+    n = lp.dim
+    a = lp.entries
+
+    def det(rows: list[list[GaussianRational]]) -> GaussianRational:
+        if len(rows) == 1:
+            return rows[0][0]
+        if len(rows) == 2:
+            return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+        d = GR_ZERO
+        sign = GR_ONE
+        for j in range(3):
+            minor = [[rows[1][k] for k in range(3) if k != j],
+                     [rows[2][k] for k in range(3) if k != j]]
+            d = d + sign * rows[0][j] * det(minor)
+            sign = -sign
+        return d
+
+    tr = GR_ZERO
+    for i in range(n):
+        tr = tr + a[i][i]
+    if n == 1:
+        coeffs = [-a[0][0], GR_ONE]
+    elif n == 2:
+        dt = det([list(a[0]), list(a[1])])
+        coeffs = [dt, -tr, GR_ONE]
+    else:
+        dt = det([list(r) for r in a])
+        sec = GR_ZERO
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            sec = sec + (a[i][i] * a[j][j] - a[i][j] * a[j][i])
+        coeffs = [-dt, sec, -tr, GR_ONE]
+    terms = {(k,): c for k, c in enumerate(coeffs) if not c.is_zero()}
+    return Poly(("t",), terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(random_fields(), conjugated_nilpotent_fields(), zero_linear_fields()))
+@example(field_of(gr_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])))
+@example(field_of(gr_rows([["1/2", "1/3"], ["-3/4", "-1/2"]])))
+@example(field_of(gr_rows([[I, "1/7", 0], ["2/3", -I, 1], [0, "-5/2", "1/4"]])))
+def test_char_poly_matches_reference(x):
+    lp = linear_part(x)
+    got, expected = char_poly(lp), reference_char_poly(lp)
+    assert got.vars == expected.vars
+    assert list(got.terms.items()) == list(expected.terms.items())
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 ``char_poly`` is checked against sympy's charpoly on 1x1 to 3x3 matrices
 with entries in Q(i), non-real ones included, with numerators and
-denominators up to 10**6.  ``resonance_rank`` is checked against the rank
+denominators up to 10**6.  ``is_nilpotent`` is checked on the linear fields
+of such matrices, and of matrices conjugated to strictly upper triangular
+ones, against "sympy's charpoly is lam**n and the matrix is nonzero".
+``resonance_rank`` is checked against the rank
 of the real and imaginary parts as a sympy matrix, on vectors of length
 1 to 3 whose small entries make zeros, repeats and relations common.
 """
@@ -12,12 +15,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from foliations.algebra import GaussianRational
-from foliations.classify import char_poly, resonance_rank
-from foliations.fields import LinearPart
+from foliations.algebra import GaussianRational, Poly
+from foliations.classify import char_poly, is_nilpotent, resonance_rank
+from foliations.fields import Chart, LinearPart, VectorField
 
 BOUND = 10 ** 6
 
@@ -45,6 +48,52 @@ def test_char_poly_matches_sympy(rows):
     ours = char_poly(LinearPart(tuple(tuple(row) for row in rows))).univariate_coeffs("t")
     assert [_to_sympy(c) for c in reversed(ours)] == [
         sympy.expand(c) for c in expected.all_coeffs()]
+
+
+def _from_sympy(z) -> GaussianRational:
+    re, im = (sympy.Rational(part) for part in z.as_real_imag())
+    return GaussianRational(Fraction(re.p, re.q), Fraction(im.p, im.q))
+
+
+@st.composite
+def conjugated_nilpotent(draw):
+    """``P N P**-1`` for a strictly upper triangular ``N`` and an invertible
+    ``P`` drawn from ``matrices()``, computed in sympy."""
+    p = draw(matrices())
+    n = len(p)
+    sp = sympy.Matrix([[_to_sympy(z) for z in row] for row in p])
+    if sp.det() == 0:
+        sp = sympy.eye(n)
+    nil = sympy.Matrix(n, n, lambda i, j: _to_sympy(draw(entries)) if j > i else 0)
+    m = sp * nil * sp.inv()
+    return [[_from_sympy(sympy.expand(m[i, j])) for j in range(n)] for i in range(n)]
+
+
+def _linear_field(rows) -> VectorField:
+    n = len(rows)
+    names = ("x", "y", "z")[:n]
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return VectorField.make(Chart.root(names), [
+        Poly.make(names, dict(zip(units, row))) for row in rows])
+
+
+def _gr(*parts) -> GaussianRational:
+    return GaussianRational(*map(Fraction, parts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(matrices(), conjugated_nilpotent()))
+@example([[_gr(0)] * 3 for _ in range(3)])
+@example([[_gr("1/2"), _gr("1/3")], [_gr("-3/4"), _gr("-1/2")]])
+@example([[_gr(0), _gr(0), _gr(1)], [_gr(1), _gr(0), _gr(0)], [_gr(0), _gr(1), _gr(0)]])
+@example([[_gr(1), _gr(0), _gr(0)], [_gr(0), _gr(-1), _gr(0)], [_gr(0), _gr(0), _gr(0)]])
+@example([[_gr(0, "1/999983"), _gr("1/2")], [_gr("2/999983") / _gr(999983), _gr(0, "-1/999983")]])
+def test_is_nilpotent_matches_sympy(rows):
+    lam = sympy.Symbol("lam")
+    m = sympy.Matrix([[_to_sympy(z) for z in row] for row in rows])
+    coeffs = [sympy.expand(c) for c in m.charpoly(lam).all_coeffs()]
+    expected = coeffs == [1] + [0] * len(rows) and not m.is_zero_matrix
+    assert is_nilpotent(_linear_field(rows)) == expected
 
 
 small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))

@@ -14,10 +14,15 @@ same message, line and column.  Texts are drawn valid and invalid: sums,
 products, powers of sums that cancel, fractions, ``i`` literals, Unicode
 digits, over-long literals and unbalanced parentheses.  Every fixture file
 is also compared component by component through ``parse_field``.
+
+``Poly``'s own ``+``, ``-``, ``*`` and ``**`` must give the reference
+arithmetic's terms in the same dict order, on random polynomials with
+non-trivial denominators and terms that cancel.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
@@ -437,3 +442,55 @@ def test_reference_pow_is_square_and_multiply():
         for _ in range(k):
             q = reference_mul(q, p)
         assert reference_pow(p, k) == q
+
+
+# ---------------------------------------------------------------------------
+# Poly arithmetic against the reference
+# ---------------------------------------------------------------------------
+
+_coefficients = st.sampled_from([
+    GaussianRational.of(c) for c in (1, 1, -1, -1, 2, -3, "1/2", "-1/3", "3/4", "10/7")]
+    + [GaussianRational(0, 1), GaussianRational(1, -1), GaussianRational(Fraction(1, 6), 2),
+       GaussianRational(Fraction(-5, 4), Fraction(7, 10 ** 20 + 39))])
+
+
+@st.composite
+def _polys(draw, vars):
+    exps = st.tuples(*[st.integers(0, 2)] * len(vars))
+    return Poly.make(vars, dict(draw(st.lists(st.tuples(exps, _coefficients), max_size=6))))
+
+
+@st.composite
+def _poly_pairs(draw):
+    """``(p, q)`` on one variable list; ``q`` often repeats some of ``p``'s
+    terms, negated or scaled by -1/2, before its own, so sums cancel."""
+    vars = draw(_VARS)
+    p = draw(_polys(vars))
+    q = draw(_polys(vars))
+    if p.terms and draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(list(p.terms)), unique=True))
+        factor = draw(st.sampled_from([GaussianRational.of(-1), GaussianRational.of("-1/2")]))
+        q = Poly.make(vars, {**{e: p.terms[e] * factor for e in keys}, **q.terms})
+    return p, q
+
+
+def _same(r: Poly, expected: Poly) -> None:
+    assert r.vars == expected.vars
+    assert list(r.terms.items()) == list(expected.terms.items())
+
+
+X, Y = Poly.variable(("x", "y"), "x"), Poly.variable(("x", "y"), "y")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly_pairs(), st.integers(0, 4))
+@example((X + Y, X - Y), 2)
+@example((X.scale("1/2") + Y.scale("1/3"), X.scale("-1/2") + Y.scale("2/3")), 3)
+@example((X - Y + Poly.constant(("x", "y"), 1), X + Y), 4)
+def test_poly_arithmetic_matches_reference(pair, k):
+    p, q = pair
+    _same(p + q, reference_add(p, q))
+    _same(p - q, reference_add(p, reference_neg(q)))
+    _same(p * q, reference_mul(p, q))
+    _same(q * p, reference_mul(q, p))
+    _same(p ** k, reference_pow(p, k))
