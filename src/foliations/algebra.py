@@ -18,6 +18,13 @@ Three layers, all immutable and exact:
   coordinate hypersurfaces.  Construction fully extracts the monomial content
   of the numerator, so equality is again decidable.
 
+One polynomial arithmetic runs on ints: term dicts from exponent tuples to
+canonical ``(a, b, d)`` triples, added, negated, multiplied and raised to
+powers by the ``_terms_*`` functions.  :class:`Poly`'s ``+``, ``*`` and
+``**`` read their operands' triples, run it, and build one
+:class:`GaussianRational` per result term; the expression parser runs it on
+the triples of its literals.
+
 Floating-point evaluation (``eval_complex``) runs straight-line code that
 :class:`_Source` writes for each object, with the operations of a
 term-by-term evaluation in the same order, and compiles once per source
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -260,6 +268,14 @@ GR_ZERO = _raw(0, 0, 1)
 GR_ONE = _raw(1, 0, 1)
 
 
+def _scaled(values: Iterable[GaussianRational]) -> tuple[int, list[tuple[int, int]]]:
+    """``(s, pairs)``: s the lcm of the denominators of ``values``, and each
+    value times s as a Gaussian-integer ``(re, im)`` int pair."""
+    abd = [v._abd for v in values]
+    s = math.lcm(*(d for _, _, d in abd))
+    return s, [(a * (s // d), b * (s // d)) for a, b, d in abd]
+
+
 def gr(value, im=None) -> GaussianRational:
     """Shorthand constructor: gr(2), gr('1/2'), gr(1, 2) == 1+2i."""
     if im is None:
@@ -273,6 +289,95 @@ def gr(value, im=None) -> GaussianRational:
 
 def _grlex_key(exps: Exponents) -> tuple:
     return (sum(exps), exps)
+
+
+# Term dicts: exponent tuple -> canonical ``(a, b, d)`` triple.  The one
+# polynomial arithmetic, behind Poly's ``+``, ``*`` and ``**`` and the
+# expression parser; a zero sum deletes its key, so keys come out in the
+# order of the loops below.
+
+_ONE = (1, 0, 1)
+
+
+def _reduced(a: int, b: int, d: int) -> tuple[int, int, int]:
+    g = math.gcd(a, b, d)
+    return (a // g, b // g, d // g) if g != 1 else (a, b, d)
+
+
+def _triple_sum(p: tuple, q: tuple) -> tuple | None:
+    """``p + q`` as a canonical triple, or None when it is zero."""
+    a, b, d = p
+    c, e, f = q
+    if d == f:
+        a, b = a + c, b + e
+    else:
+        a, b, d = a * f + c * d, b * f + e * d, d * f
+    return _reduced(a, b, d) if a or b else None
+
+
+def _triple_product(p: tuple, q: tuple) -> tuple:
+    a, b, d = p
+    c, e, f = q
+    return _reduced(a * c - b * e, a * e + b * c, d * f)
+
+
+def _accumulate(out: dict, e: Exponents, c: tuple) -> None:
+    """``out[e] += c``, deleting the key when the sum is zero."""
+    old = out.get(e)
+    if old is None:
+        out[e] = c
+    elif (s := _triple_sum(old, c)) is None:
+        del out[e]
+    else:
+        out[e] = s
+
+
+def _terms_sum(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for e, c in q.items():
+        _accumulate(out, e, c)
+    return out
+
+
+def _terms_negated(p: dict) -> dict:
+    return {e: (-a, -b, d) for e, (a, b, d) in p.items()}
+
+
+def _terms_product(p: dict, q: dict) -> dict:
+    # times one term: the keys stay distinct and in the other factor's order
+    one, many = (p, q) if len(p) == 1 else (q, p)
+    if len(one) == 1:
+        (e1, c1), = one.items()
+        if not any(e1):
+            return many if c1 == _ONE else {e: _triple_product(c, c1)
+                                            for e, c in many.items()}
+        return {tuple(map(operator.add, e, e1)): _triple_product(c, c1)
+                for e, c in many.items()}
+    out: dict = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            _accumulate(out, tuple(map(operator.add, ea, eb)), _triple_product(ca, cb))
+    return out
+
+
+def _terms_power(p: dict, k: int, one: dict) -> dict:
+    """``p ** k`` by square-and-multiply from ``one``, the constant 1."""
+    out = one
+    while True:
+        if k & 1:
+            out = _terms_product(out, p)
+        k >>= 1
+        if not k:
+            return out
+        p = _terms_product(p, p)
+
+
+def _triples(p: "Poly") -> dict:
+    return {e: c._abd for e, c in p.terms.items()}
+
+
+def _of_triples(vars: tuple[str, ...], terms: dict) -> "Poly":
+    return Poly(vars, {e: _raw(*c) for e, c in terms.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,14 +477,7 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_same_vars(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, GR_ZERO) + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return Poly(self.vars, out)
+        return _of_triples(self.vars, _terms_sum(_triples(self), _triples(other)))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -389,35 +487,13 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_same_vars(other)
-        # times one term: the keys stay distinct and in the other factor's
-        # order, as the double loop below would leave them
-        one, many = (self, other) if len(self.terms) == 1 else (other, self)
-        if len(one.terms) == 1:
-            (e1, c1), = one.terms.items()
-            return Poly(self.vars, {tuple(x + y for x, y in zip(e, e1)): c * c1
-                                    for e, c in many.terms.items()})
-        out: dict[Exponents, GaussianRational] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, GR_ZERO) + ca * cb
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Poly(self.vars, out)
+        return _of_triples(self.vars, _terms_product(_triples(self), _triples(other)))
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise StructuralError("negative polynomial power")
-        out = Poly.constant(self.vars, GR_ONE)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        one = {(0,) * len(self.vars): _ONE}
+        return _of_triples(self.vars, _terms_power(_triples(self), k, one))
 
     def scale(self, c) -> "Poly":
         c = GaussianRational.of(c)

@@ -16,10 +16,17 @@ return ``undecided`` instead.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
-from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, _reduced_echelon
+from .algebra import (
+    GR_ONE,
+    GR_ZERO,
+    GaussianRational,
+    Poly,
+    _make,
+    _reduced_echelon,
+    _scaled,
+)
 from .errors import NotApplicableError, StructuralError
 from .fields import LinearPart, VectorField, linear_part
 from .intervals import CertifiedRoot, certified_roots
@@ -120,43 +127,54 @@ class SingularityReport:
 # ---------------------------------------------------------------------------
 
 def char_poly(lp: LinearPart) -> Poly:
-    """Exact monic characteristic polynomial det(t I - L) in the variable t."""
+    """Exact monic characteristic polynomial det(t I - L) in the variable t.
+
+    L is scaled to Gaussian integers over the lcm s of its denominators;
+    the coefficient of ``t**(n-k)`` is ``(-1)**k * e_k / s**k``, where e_k
+    is the k-th elementary symmetric function of the eigenvalues of ``s*L``
+    (:func:`_symmetric_functions`), so no ``GaussianRational`` is
+    multiplied.
+    """
     n = lp.dim
     if n > 3:
         raise StructuralError("only dimensions up to 3 are supported")
-    a = lp.entries
-
-    def det(rows: list[list[GaussianRational]]) -> GaussianRational:
-        if len(rows) == 1:
-            return rows[0][0]
-        if len(rows) == 2:
-            return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-        d = GR_ZERO
-        sign = GR_ONE
-        for j in range(3):
-            minor = [[rows[1][k] for k in range(3) if k != j],
-                     [rows[2][k] for k in range(3) if k != j]]
-            d = d + sign * rows[0][j] * det(minor)
-            sign = -sign
-        return d
-
-    # expand det(tI - L) by evaluating the coefficient of each power of t
-    # symbolically: treat entries as constants of a univariate polynomial.
-    # For n <= 3 use the explicit trace / second-symmetric / det formulas.
-    tr = lp.trace()
-    if n == 1:
-        coeffs = [-a[0][0], GR_ONE]
-    elif n == 2:
-        dt = det([list(a[0]), list(a[1])])
-        coeffs = [dt, -tr, GR_ONE]
-    else:
-        dt = det([list(r) for r in a])
-        sec = GR_ZERO
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            sec = sec + (a[i][i] * a[j][j] - a[i][j] * a[j][i])
-        coeffs = [-dt, sec, -tr, GR_ONE]
-    terms = {(k,): c for k, c in enumerate(coeffs) if not c.is_zero()}
+    s, pairs = _scaled(c for row in lp.entries for c in row)
+    e = list(_symmetric_functions([pairs[i * n:i * n + n] for i in range(n)]))
+    terms = {}
+    for k in range(n, 0, -1):
+        a, b = e[k - 1]
+        if a or b:
+            sign = -1 if k & 1 else 1
+            terms[(n - k,)] = _make(sign * a, sign * b, s ** k)
+    terms[(n,)] = GR_ONE
     return Poly((_T,), terms)
+
+
+def _minor(a, b, c, d) -> tuple[int, int]:
+    """``a*d - b*c`` for Gaussian integers held as ``(re, im)`` int pairs."""
+    return (a[0] * d[0] - a[1] * d[1] - b[0] * c[0] + b[1] * c[1],
+            a[0] * d[1] + a[1] * d[0] - b[0] * c[1] - b[1] * c[0])
+
+
+def _symmetric_functions(m):
+    """Yield e_1, ..., e_n of the eigenvalues of an n x n matrix ``m`` of
+    Gaussian-integer ``(re, im)`` pairs, n <= 3, as such pairs: e_k is the
+    sum of the principal k x k minors, so
+    ``det(t I - m) = sum_k (-1)**k e_k t**(n-k)`` with ``e_0 = 1``."""
+    n = len(m)
+    yield tuple(map(sum, zip(*(m[i][i] for i in range(n)))))
+    if n > 1:
+        yield tuple(map(sum, zip(*(_minor(m[i][i], m[i][j], m[j][i], m[j][j])
+                                   for i, j in itertools.combinations(range(n), 2)))))
+    if n > 2:
+        cofactors = [_minor(m[1][1], m[1][2], m[2][1], m[2][2]),
+                     _minor(m[1][0], m[1][2], m[2][0], m[2][2]),
+                     _minor(m[1][0], m[1][1], m[2][0], m[2][1])]
+        det_re = det_im = 0
+        for sign, (a, b), (c, d) in zip((1, -1, 1), m[0], cofactors):
+            det_re += sign * (a * c - b * d)
+            det_im += sign * (a * d + b * c)
+        yield det_re, det_im
 
 
 def eigen_solve(p: Poly) -> EigenData:
@@ -189,10 +207,9 @@ def resonance_rank(eigenvalues) -> int | str:
     vals = list(eigenvalues)
     if not all(isinstance(v, GaussianRational) for v in vals):
         return UNDECIDED
-    abd = [v._abd for v in vals]
-    scale = math.lcm(*(d for _, _, d in abd))
-    rows = [{j: (a * (scale // d), 0) for j, (a, _, d) in enumerate(abd) if a},
-            {j: (b * (scale // d), 0) for j, (_, b, d) in enumerate(abd) if b}]
+    _, pairs = _scaled(vals)
+    rows = [{j: (a, 0) for j, (a, _) in enumerate(pairs) if a},
+            {j: (b, 0) for j, (_, b) in enumerate(pairs) if b}]
     return len(vals) - len(_reduced_echelon(rows))
 
 
@@ -297,12 +314,6 @@ def _nilpotent_class(lp: LinearPart, cp: Poly) -> str | None:
     return CLASS_ZERO_LINEAR if lp.is_zero() else CLASS_NILPOTENT
 
 
-def _minor(a, b, c, d) -> tuple[int, int]:
-    """``a*d - b*c`` for Gaussian integers held as ``(re, im)`` int pairs."""
-    return (a[0] * d[0] - a[1] * d[1] - b[0] * c[0] + b[1] * c[1],
-            a[0] * d[1] + a[1] * d[0] - b[0] * c[1] - b[1] * c[0])
-
-
 def is_nilpotent(x: VectorField) -> bool:
     """True iff ``x`` vanishes at the origin with a nonzero nilpotent linear
     part: the class :func:`classify_singularity` reports as nilpotent.
@@ -310,36 +321,20 @@ def is_nilpotent(x: VectorField) -> bool:
     The degree-1 coefficients are read from ``polys()`` and scaled to
     Gaussian integers over the lcm of their denominators.  The linear part
     is nilpotent iff its characteristic polynomial is ``t**n``, that is iff
-    its trace, the sum of its principal 2x2 minors and its determinant are
-    all zero; no :class:`LinearPart`, characteristic polynomial or
-    eigenvalue is built.
+    every elementary symmetric function of its eigenvalues
+    (:func:`_symmetric_functions`, as in :func:`char_poly`) is zero, and the
+    test stops at the first nonzero one; no
+    :class:`LinearPart`, characteristic polynomial or eigenvalue is built.
     """
     if not x.vanishes_at_origin():
         return False
     n = x.chart.dim
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    abd = [[p.terms[e]._abd if e in p.terms else (0, 0, 1) for e in units]
-           for p in x.polys()]
-    scale = math.lcm(*(d for row in abd for _, _, d in row))
-    m = [[(a * (scale // d), b * (scale // d)) for a, b, d in row] for row in abd]
-    if not any(a or b for row in m for a, b in row):
+    _, pairs = _scaled(p.terms.get(e, GR_ZERO) for p in x.polys() for e in units)
+    if not any(a or b for a, b in pairs):
         return False
-    # the coefficients of t**(n-1), t**(n-2) and t**(n-3), up to sign
-    trace = [sum(m[i][i][part] for i in range(n)) for part in (0, 1)]
-    minors = [_minor(m[i][i], m[i][j], m[j][i], m[j][j])
-              for i, j in itertools.combinations(range(n), 2)]
-    if any(trace) or any(map(sum, zip(*minors))):
-        return False
-    if n < 3:
-        return True
-    cofactors = [_minor(m[1][1], m[1][2], m[2][1], m[2][2]),
-                 _minor(m[1][0], m[1][2], m[2][0], m[2][2]),
-                 _minor(m[1][0], m[1][1], m[2][0], m[2][1])]
-    det_re = det_im = 0
-    for sign, (a, b), (c, d) in zip((1, -1, 1), m[0], cofactors):
-        det_re += sign * (a * c - b * d)
-        det_im += sign * (a * d + b * c)
-    return not (det_re or det_im)
+    m = [pairs[i * n:i * n + n] for i in range(n)]
+    return not any(a or b for a, b in _symmetric_functions(m))
 
 
 def classify_singularity(x: VectorField) -> SingularityReport:

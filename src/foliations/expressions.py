@@ -21,10 +21,11 @@ canonical text a faithful interchange format.
 
 The parser computes on ints.  Tokens are plain tuples, a literal's value
 its canonical ``(a, b, d)`` triple for ``(a + b*i) / d``, and the grammar
-is evaluated on term dicts from exponent tuples to such triples, with the
-operations of :class:`~foliations.algebra.Poly` in the same order, so the
-terms come out in the order ``Poly`` arithmetic would give them.  One
-``Poly`` is built per component, with one
+is evaluated on term dicts from exponent tuples to such triples with the
+term-dict arithmetic of :mod:`foliations.algebra`, the one that
+:class:`~foliations.algebra.Poly`'s ``+``, ``*`` and ``**`` run, so the
+terms come out in the order ``Poly`` arithmetic gives them.  One ``Poly``
+is built per component, with one
 :class:`~foliations.algebra.GaussianRational` per term; a parsed vector
 field keeps those polynomials as its expansions.
 """
@@ -32,10 +33,17 @@ field keeps those polynomials as its expansions.
 from __future__ import annotations
 
 import math
-import operator
 import re
 
-from .algebra import Poly, _raw
+from .algebra import (
+    _ONE,
+    Poly,
+    _of_triples,
+    _terms_negated,
+    _terms_power,
+    _terms_product,
+    _terms_sum,
+)
 from .errors import ParseError, StructuralError
 from .fields import Chart, OneForm, VectorField
 
@@ -117,87 +125,6 @@ def _tokenize(text: str, line: int) -> list[tuple]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Term dicts: exponent tuple -> canonical (a, b, d) triple, with Poly's
-# operations in Poly's order, so keys come out in the order Poly's would
-# ---------------------------------------------------------------------------
-
-_ONE = (1, 0, 1)
-
-
-def _reduced(a: int, b: int, d: int) -> tuple[int, int, int]:
-    g = math.gcd(a, b, d)
-    return (a // g, b // g, d // g) if g != 1 else (a, b, d)
-
-
-def _scalar_sum(p: tuple, q: tuple) -> tuple | None:
-    """``p + q`` as a canonical triple, or None when it is zero."""
-    a, b, d = p
-    c, e, f = q
-    if d == f:
-        a, b = a + c, b + e
-    else:
-        a, b, d = a * f + c * d, b * f + e * d, d * f
-    return _reduced(a, b, d) if a or b else None
-
-
-def _scalar_product(p: tuple, q: tuple) -> tuple:
-    a, b, d = p
-    c, e, f = q
-    return _reduced(a * c - b * e, a * e + b * c, d * f)
-
-
-def _accumulate(out: dict, e: tuple, c: tuple) -> None:
-    """``out[e] += c``, deleting the key when the sum is zero."""
-    old = out.get(e)
-    if old is None:
-        out[e] = c
-    elif (s := _scalar_sum(old, c)) is None:
-        del out[e]
-    else:
-        out[e] = s
-
-
-def _sum(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for e, c in q.items():
-        _accumulate(out, e, c)
-    return out
-
-
-def _negated(p: dict) -> dict:
-    return {e: (-a, -b, d) for e, (a, b, d) in p.items()}
-
-
-def _product(p: dict, q: dict) -> dict:
-    # times one term: the keys stay distinct and in the other factor's order
-    one, many = (p, q) if len(p) == 1 else (q, p)
-    if len(one) == 1:
-        (e1, c1), = one.items()
-        if not any(e1):
-            return many if c1 == _ONE else {e: _scalar_product(c, c1)
-                                            for e, c in many.items()}
-        return {tuple(map(operator.add, e, e1)): _scalar_product(c, c1)
-                for e, c in many.items()}
-    out: dict = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            _accumulate(out, tuple(map(operator.add, ea, eb)), _scalar_product(ca, cb))
-    return out
-
-
-def _power(p: dict, k: int, one: dict) -> dict:
-    """Square-and-multiply from ``one``, the constant 1."""
-    out = one
-    while True:
-        if k & 1:
-            out = _product(out, p)
-        k >>= 1
-        if not k:
-            return out
-        p = _product(p, p)
-
-
 def _degree(p: dict) -> int:
     """Total degree; -1 for the zero polynomial."""
     return max(map(sum, p), default=-1)
@@ -230,12 +157,12 @@ def parse_expression(text: str, vars: tuple[str, ...], line: int = 1) -> Poly:
         if sign == "+" or sign == "-":
             left, i = parse_product(i + 1)
             if sign == "-":
-                left = _negated(left)
+                left = _terms_negated(left)
         else:
             left, i = parse_product(i)
         while (sign := toks[i][0]) == "+" or sign == "-":
             right, i = parse_product(i + 1)
-            left = _sum(left, right if sign == "+" else _negated(right))
+            left = _terms_sum(left, right if sign == "+" else _terms_negated(right))
         return left, i
 
     def parse_product(i: int) -> tuple[dict, int]:
@@ -244,13 +171,13 @@ def parse_expression(text: str, vars: tuple[str, ...], line: int = 1) -> Poly:
             col = toks[i][2]
             right, i = parse_factor(i + 1)
             check_degree(_degree(left) + _degree(right), col)
-            left = _product(left, right)
+            left = _terms_product(left, right)
         return left, i
 
     def parse_factor(i: int) -> tuple[dict, int]:
         if toks[i][0] == "-":
             value, i = parse_factor(i + 1)
-            return _negated(value), i
+            return _terms_negated(value), i
         base, i = parse_atom(i)
         if toks[i][0] != "^":
             return base, i
@@ -261,7 +188,7 @@ def parse_expression(text: str, vars: tuple[str, ...], line: int = 1) -> Poly:
         if k > _MAX_DEGREE:
             raise ParseError(f"exponent {k} exceeds the limit {_MAX_DEGREE}", line, col)
         check_degree(_degree(base) * k, col)
-        return _power(base, k, one), i + 2
+        return _terms_power(base, k, one), i + 2
 
     def parse_atom(i: int) -> tuple[dict, int]:
         kind, name, col, value = toks[i]
@@ -283,7 +210,7 @@ def parse_expression(text: str, vars: tuple[str, ...], line: int = 1) -> Poly:
     kind, name, col, _ = toks[i]
     if kind != "end":
         raise ParseError(f"unexpected {name!r}", line, col)
-    return Poly(tuple(vars), {e: _raw(*c) for e, c in terms.items()})
+    return _of_triples(tuple(vars), terms)
 
 
 _SPLITTERS = re.compile(r"[(),]")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
-from .algebra import GR_ZERO, ChartFunction, GaussianRational, Poly, _make
+from .algebra import ChartFunction, GaussianRational, Poly, _make, _scaled
 from .errors import (
     ChartMismatchError,
     NotApplicableError,
@@ -149,11 +149,9 @@ class VectorField:
         component of ``L.X`` its ``(degree, exponents, re, im)`` terms in
         ascending degree, with Gaussian-integer coefficients ``re + im*i``."""
         polys = self.polys()
-        scale = math.lcm(*(c._abd[2] for p in polys for c in p.terms.values()))
-
-        def scaled(e, a, b, d):
-            return sum(e), e, a * (scale // d), b * (scale // d)
-        return scale, tuple(sorted(scaled(e, *c._abd) for e, c in p.terms.items())
+        scale, pairs = _scaled(c for p in polys for c in p.terms.values())
+        pairs = iter(pairs)
+        return scale, tuple(sorted((sum(e), e, *next(pairs)) for e in p.terms)
                             for p in polys)
 
     def component(self, var: str) -> ChartFunction:
@@ -183,6 +181,9 @@ class VectorField:
         return all(c.is_zero() for c in self.components)
 
     def render(self) -> str:
+        # a holomorphic component renders as its expansion
+        if self.is_holomorphic():
+            return ", ".join(p.render() for p in self.polys())
         return ", ".join(c.render() for c in self.components)
 
 
@@ -227,12 +228,6 @@ class LinearPart:
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
-    def trace(self) -> GaussianRational:
-        t = GR_ZERO
-        for i in range(self.dim):
-            t = t + self.entries[i][i]
-        return t
-
 
 def _require_shared_chart(a, b) -> None:
     if a.chart != b.chart:
@@ -258,20 +253,18 @@ def directional_derivative(x: VectorField, f: Poly, bound: int | None = None) ->
     if f.vars != x.chart.var_names:
         raise ChartMismatchError("function lives on a different chart")
     scale, comps = x._integer_terms
-    f_scale = math.lcm(*(c._abd[2] for c in f.terms.values()))
+    f_scale, f_pairs = _scaled(f.terms.values())
     limit = math.inf if bound is None else bound
     out: dict = {}
     # components in ascending degree, so each term of dF/dx_i stops at the
     # first component term that would exceed the bound
     for i, comp_terms in enumerate(comps):
-        for e, c in f.terms.items():
+        for e, (a, b) in zip(f.terms, f_pairs):
             k = e[i]
             if not k:
                 continue
             eb = e[:i] + (k - 1,) + e[i + 1:]
-            a, b, d = c._abd
-            m = f_scale // d * k
-            fa, fb = a * m, b * m
+            fa, fb = a * k, b * k
             room = limit - sum(eb)
             for da, ea, ca, cb in comp_terms:
                 if da > room:

@@ -37,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebra import GaussianRational, _make
+from .algebra import GaussianRational, _make, _scaled
 from .errors import DegenerateInputError, EvaluationOverflowError
 
 _UP = math.inf
@@ -96,9 +96,7 @@ def _monic(row: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 def _row(c: list[GaussianRational]) -> list[tuple[int, int]]:
     """The monic row of a polynomial whose last coefficient is nonzero."""
-    abd = [z._abd for z in c]
-    den = math.lcm(*(d for _, _, d in abd))
-    return _monic([(a * (den // d), b * (den // d)) for a, b, d in abd])
+    return _monic(_scaled(c)[1])
 
 
 def _pseudo_divmod(a, b):

@@ -316,44 +316,29 @@ def _classify_point(node: TreeNode, coords) -> SingularPoint:
 
 def _interval_point(node: TreeNode, divisor_var: str, other: str,
                     root: iv.CertifiedRoot) -> SingularPoint:
-    """Record a non-rational divisor point; prove elementarity if possible."""
+    """Record a non-rational point on the divisor of a 2-D chart; prove it
+    elementary if possible."""
     chart = node.rep.chart
-    iv_idx = chart.var_index(divisor_var)
-    boxes = []
-    for name in chart.var_names:
-        if name == other:
-            boxes.append(root.box.bounds())
-        else:
-            boxes.append((0.0, 0.0, 0.0, 0.0))
+    names = chart.var_names
+    boxes = tuple(root.box.bounds() if name == other else (0.0, 0.0, 0.0, 0.0)
+                  for name in names)
     # trace and determinant of the Jacobian along the divisor, as exact
     # univariate polynomials in the free coordinate
-    names = chart.var_names
-    polys = node.rep.polys()
-    jac = [[polys[i].partial(names[j]) for j in range(len(names))]
-           for i in range(len(names))]
-    on_divisor = []
-    for row in jac:
-        on_divisor.append([_restrict_all_but(p, other) for p in row])
-    n = len(names)
-    trace = Poly.zero(names)
-    for i in range(n):
-        trace = trace + on_divisor[i][i]
-    provable = _interval_excludes_zero(trace, other, root)
-    if not provable and n == 2:
-        det = on_divisor[0][0] * on_divisor[1][1] - on_divisor[0][1] * on_divisor[1][0]
-        provable = _interval_excludes_zero(det, other, root)
-    label = chart.divisor_labels[iv_idx]
-    point = SingularPoint(
+    (a, b), (c, d) = [[p.partial(v).restrict(divisor_var, 0) for v in names]
+                      for p in node.rep.polys()]
+    provable = (_interval_excludes_zero(a + d, other, root)
+                or _interval_excludes_zero(a * d - b * c, other, root))
+    label = chart.divisor_labels[chart.var_index(divisor_var)]
+    return SingularPoint(
         node_id=node.id,
         coords=None,
-        box=tuple(boxes),
+        box=boxes,
         on_components=(label,) if label else (),
         report=None,
         status=POINT_ELEMENTARY if provable else POINT_NONRATIONAL,
         note="elementary (certified: nonzero eigenvalue)" if provable
         else "non-rational divisor point left unprocessed",
     )
-    return point
 
 
 def _restrict_all_but(p: Poly, keep: str) -> Poly:
@@ -374,7 +359,7 @@ def _interval_excludes_zero(p: Poly, var: str, root: iv.CertifiedRoot) -> bool:
 # ---------------------------------------------------------------------------
 
 def _prepare_input(x: VectorField, tree: ResolutionTree) -> VectorField:
-    polys = [c.expand() for c in x.components]
+    polys = x.polys()
     if all(p.is_zero() for p in polys):
         raise DegenerateInputError("cannot resolve the zero field")
     content, reduced = monomial_content(polys)
