@@ -181,7 +181,8 @@ class VectorField:
         return all(c.is_zero() for c in self.components)
 
     def render(self) -> str:
-        # a holomorphic component renders as its expansion
+        # ChartFunction.render of a holomorphic component renders its
+        # expansion, which polys() holds already
         if self.is_holomorphic():
             return ", ".join(p.render() for p in self.polys())
         return ", ".join(c.render() for c in self.components)

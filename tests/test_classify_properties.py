@@ -7,7 +7,10 @@ must equal the characteristic-polynomial test
 and 3-D linear-plus-quadratic fields with Gaussian-rational entries,
 conjugated nilpotent (Jordan) linear parts and zero linear parts.  The
 examples below include linear parts where exactly one of the three
-conditions fails, so a test that skips one of them is caught.
+conditions fails, so a test that skips one of them is caught.  Both sides
+read the same elementary symmetric functions
+(``classify._symmetric_functions``), so ``tests/test_classify_sympy.py``
+also checks ``is_nilpotent`` against sympy.
 
 ``char_poly`` must give, term for term and in the same order, the
 polynomial of ``reference_char_poly``, the direct ``GaussianRational``
