@@ -20,10 +20,13 @@ Three layers, all immutable and exact:
 
 One polynomial arithmetic runs on ints: term dicts from exponent tuples to
 canonical ``(a, b, d)`` triples, added, negated, multiplied and raised to
-powers by the ``_terms_*`` functions.  :class:`Poly`'s ``+``, ``*`` and
-``**`` read their operands' triples, run it, and build one
-:class:`GaussianRational` per result term; the expression parser runs it on
-the triples of its literals.
+powers by the ``_terms_*`` functions.  :class:`Poly`'s ``+``, ``-``,
+negation, ``*``, ``**``, ``scale``, ``partial``, ``restrict``, ``shift``
+and ``laurent_substitute`` read their operands' triples, run it, and build
+one :class:`GaussianRational` per result term; the expression parser runs
+it on the triples of its literals.  ``blowup._chart`` folds its drift on
+:class:`GaussianRational` values in place: it passes most coefficients
+through untouched, and unpacking them into triples measured slower.
 
 Floating-point evaluation (``eval_complex``) runs straight-line code that
 :class:`_Source` writes for each object, with the operations of a
@@ -292,7 +295,7 @@ def _grlex_key(exps: Exponents) -> tuple:
 
 
 # Term dicts: exponent tuple -> canonical ``(a, b, d)`` triple.  The one
-# polynomial arithmetic, behind Poly's ``+``, ``*`` and ``**`` and the
+# polynomial arithmetic, behind Poly's coefficient arithmetic and the
 # expression parser; a zero sum deletes its key, so keys come out in the
 # order of the loops below.
 
@@ -322,7 +325,8 @@ def _triple_product(p: tuple, q: tuple) -> tuple:
 
 
 def _accumulate(out: dict, e: Exponents, c: tuple) -> None:
-    """``out[e] += c``, deleting the key when the sum is zero."""
+    """``out[e] += c``, deleting the key when the sum is zero; a new key
+    takes ``c`` as given, even a zero ``c``."""
     old = out.get(e)
     if old is None:
         out[e] = c
@@ -370,6 +374,14 @@ def _terms_power(p: dict, k: int, one: dict) -> dict:
         if not k:
             return out
         p = _terms_product(p, p)
+
+
+def _triple_powers(a: tuple, k: int) -> list[tuple]:
+    """``[a**0, a**1, ..., a**k]`` as canonical triples."""
+    out = [_ONE]
+    for _ in range(k):
+        out.append(_triple_product(out[-1], a))
+    return out
 
 
 def _triples(p: "Poly") -> dict:
@@ -480,10 +492,12 @@ class Poly:
         return _of_triples(self.vars, _terms_sum(_triples(self), _triples(other)))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check_same_vars(other)
+        return _of_triples(self.vars, _terms_sum(_triples(self),
+                                                 _terms_negated(_triples(other))))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _of_triples(self.vars, _terms_negated(_triples(self)))
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_same_vars(other)
@@ -499,7 +513,9 @@ class Poly:
         c = GaussianRational.of(c)
         if c.is_zero():
             return Poly.zero(self.vars)
-        return Poly(self.vars, {e: k * c for e, k in self.terms.items()})
+        c = c._abd
+        return _of_triples(self.vars, {e: _triple_product(k, c)
+                                       for e, k in _triples(self).items()})
 
     def times_monomial(self, exps: Exponents) -> "Poly":
         """``self`` times the monomial with exponents ``exps`` (all >= 0).
@@ -517,14 +533,9 @@ class Poly:
     def partial(self, var: str) -> "Poly":
         """Exact formal partial derivative with respect to ``var``."""
         i = self.var_index(var)
-        out: dict[Exponents, GaussianRational] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            out[tuple(ne)] = c * _raw(e[i], 0, 1)
-        return Poly(self.vars, out)
+        return _of_triples(self.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]:
+                                       _triple_product(c, (e[i], 0, 1))
+                                       for e, c in _triples(self).items() if e[i]})
 
     def jet_truncate(self, n: int) -> "Poly":
         """Keep only the terms of total degree <= n (n >= 0)."""
@@ -541,24 +552,20 @@ class Poly:
     def restrict(self, var: str, value=0) -> "Poly":
         """Substitute ``var := value`` for an exact constant value."""
         i = self.var_index(var)
+        if value:
+            value = GaussianRational.of(value)
         if not value:
             # at zero exactly the terms free of ``var`` survive, unchanged
             return Poly(self.vars, {e: c for e, c in self.terms.items() if not e[i]})
-        value = GaussianRational.of(value)
-        out: dict[Exponents, GaussianRational] = {}
-        for e, c in self.terms.items():
-            coeff = c * value ** e[i] if e[i] else c
-            if coeff.is_zero():
-                continue
-            ne = list(e)
-            ne[i] = 0
-            key = tuple(ne)
-            s = out.get(key, GR_ZERO) + coeff
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Poly(self.vars, out)
+        terms = _triples(self)
+        powers = _triple_powers(value._abd, max((e[i] for e in terms), default=0))
+        out: dict = {}
+        for e, c in terms.items():
+            if e[i]:
+                c = _triple_product(c, powers[e[i]])
+                e = e[:i] + (0,) + e[i + 1:]
+            _accumulate(out, e, c)
+        return _of_triples(self.vars, out)
 
     def shift(self, offsets: Mapping[str, "GaussianRational | int | Fraction"]) -> "Poly":
         """Translate coordinates: substitute ``x := x + a`` for each entry.
@@ -566,30 +573,24 @@ class Poly:
         Each term ``c * x**k`` expands into one dict as
         ``sum_j C(k, j) * a**(k - j) * c * x**j``, highest ``j`` first.
         """
-        p = self
+        p = _triples(self)
         for name, a in offsets.items():
             a = GaussianRational.of(a)
             if a.is_zero():
                 continue
-            i = p.var_index(name)
-            rows: dict[int, list[GaussianRational]] = {}
-            out: dict[Exponents, GaussianRational] = {}
-            for e, c in p.terms.items():
+            i = self.var_index(name)
+            powers = _triple_powers(a._abd, max((e[i] for e in p), default=0))
+            rows: dict[int, list[tuple]] = {}
+            out: dict = {}
+            for e, c in p.items():
                 k = e[i]
                 if k not in rows:   # C(k, j) * a**(k - j) for j = k, ..., 0
-                    rows[k] = [a ** (k - j) * _raw(math.comb(k, j), 0, 1)
+                    rows[k] = [_triple_product(powers[k - j], (math.comb(k, j), 0, 1))
                                for j in range(k, -1, -1)]
-                ne = list(e)
                 for j, b in zip(range(k, -1, -1), rows[k]):
-                    ne[i] = j
-                    key = tuple(ne)
-                    s = out.get(key, GR_ZERO) + c * b
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-            p = Poly(p.vars, out)
-        return p
+                    _accumulate(out, e[:i] + (j,) + e[i + 1:], _triple_product(c, b))
+            p = out
+        return _of_triples(self.vars, p)
 
     def substitute_monomials(
         self, assignment: Mapping[str, tuple["GaussianRational | int | Fraction", Sequence[int]]]
@@ -610,46 +611,40 @@ class Poly:
     ) -> "ChartFunction":
         """Like :meth:`substitute_monomials` but exponents may be negative."""
         n = len(self.vars)
-        images: list[tuple[GaussianRational, Exponents]] = []
+        images: list[tuple[tuple, Exponents]] = []
         for j, name in enumerate(self.vars):
             if name in assignment:
                 c, exps = assignment[name]
                 exps = tuple(exps)
                 if len(exps) != n:
                     raise StructuralError("monomial exponent vector has wrong length")
-                images.append((GaussianRational.of(c), exps))
+                images.append((GaussianRational.of(c)._abd, exps))
             else:
-                e = [0] * n
-                e[j] = 1
-                images.append((GR_ONE, tuple(e)))
+                images.append((_ONE, tuple(int(t == j) for t in range(n))))
         for name in assignment:
             if name not in self.vars:
                 raise StructuralError(f"unknown variable {name!r} for {self.vars}")
-        out: dict[Exponents, GaussianRational] = {}
+        terms = _triples(self)
+        powers = [_triple_powers(cj, max((e[j] for e in terms), default=0))
+                  for j, (cj, _) in enumerate(images)]
+        out: dict = {}
         min_exps = [0] * n
-        for e, c in self.terms.items():
-            coeff = c
+        for e, c in terms.items():
             exps = [0] * n
             for j, k in enumerate(e):
                 if k == 0:
                     continue
-                cj, ej = images[j]
-                coeff = coeff * cj ** k
+                c = _triple_product(c, powers[j][k])
+                ej = images[j][1]
                 for t in range(n):
                     exps[t] += ej[t] * k
-            if coeff.is_zero():
+            if not (c[0] or c[1]):
                 continue
-            key = tuple(exps)
-            for t in range(n):
-                min_exps[t] = min(min_exps[t], exps[t])
-            s = out.get(key, GR_ZERO) + coeff
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        shift = tuple(min(0, m) for m in min_exps)
-        num = Poly(self.vars, {tuple(x - s for x, s in zip(e, shift)): c
-                               for e, c in out.items()})
+            min_exps = list(map(min, min_exps, exps))
+            _accumulate(out, tuple(exps), c)
+        shift = tuple(min_exps)
+        num = _of_triples(self.vars, {tuple(x - s for x, s in zip(e, shift)): c
+                                      for e, c in out.items()})
         return ChartFunction.make(num, shift)
 
     # -- evaluation ----------------------------------------------------------

@@ -52,7 +52,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial, reduce
 
-from .algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, _make, monomial_content
+from .algebra import (GR_ONE, GR_ZERO, GaussianRational, Poly, _make, _scaled,
+                      monomial_content)
 from .blowup import (POINT, BlowupSpec, TransformResult, _blown_vars, all_charts,
                      curve_center)
 from .classify import (
@@ -645,12 +646,12 @@ def _divisor_candidates_3d(rep: VectorField, divisor_var: str):
         if all(p.constant_term().is_zero() for p in restricted):
             points.append((GR_ZERO, GR_ZERO))
 
-    # sorted by (re, im) of each coordinate, as ints over one denominator
-    unique = {(a._abd, b._abd): (a, b) for a, b in points}
-    den = math.lcm(*(d for pair in unique for _, _, d in pair))
-    order = sorted(unique, key=lambda pair: tuple(
-        v * (den // d) for a, b, d in pair for v in (a, b)))
-    candidates = [c for c in (full_coords(*unique[key]) for key in order)
+    # sorted by (re, im) of each coordinate, as ints over one denominator;
+    # the points are distinct, so no two keys tie
+    unique = list({(a._abd, b._abd): (a, b) for a, b in points}.values())
+    _, ints = _scaled(v for pair in unique for v in pair)
+    keys = [a + b for a, b in zip(ints[::2], ints[1::2])]
+    candidates = [c for c in (full_coords(*pair) for _, pair in sorted(zip(keys, unique)))
                   if _invisible_in_earlier_charts(rep.chart, divisor_var, c)]
     return candidates, lines, nonrational, complete
 

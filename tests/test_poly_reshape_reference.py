@@ -160,7 +160,7 @@ _COEFFICIENTS = [
     GaussianRational(Fraction(-5, 4), Fraction(7, 10 ** 20 + 39))]
 _coefficients = st.sampled_from(_COEFFICIENTS)
 
-_values = st.one_of(_coefficients, st.just(GR_ZERO), st.sampled_from([0, 2, "-1/2"]))
+_values = st.one_of(_coefficients, st.sampled_from([GR_ZERO, 0, "0", 2, "-1/2"]))
 
 
 @st.composite
