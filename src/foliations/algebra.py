@@ -552,7 +552,7 @@ class Poly:
     def restrict(self, var: str, value=0) -> "Poly":
         """Substitute ``var := value`` for an exact constant value."""
         i = self.var_index(var)
-        if value:
+        if value:  # a text such as "0" is zero only once coerced
             value = GaussianRational.of(value)
         if not value:
             # at zero exactly the terms free of ``var`` survive, unchanged
