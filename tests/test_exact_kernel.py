@@ -1,7 +1,12 @@
 """The exact row reduction and the formal solver that runs on it.
 
 ``algebra._reduced_echelon`` is compared with sympy's ``Matrix.rref`` on
-random sparse Q(i) matrices with zero, duplicate and non-real rows.  The
+random sparse Q(i) matrices with zero, duplicate and non-real rows, and on
+matrices whose rows often have a single entry, which lands on a fresh
+column, on a column that a stored row holds beside its pivot, or on a
+pivot.  On the latter it is also compared, row for row, with a reference
+copied here: the reduction in which every row, single-entry or not, is
+normalised and removed from the stored rows by the general update.  The
 formal solver must give the same space for ``c*X`` as for ``X``, which
 exercises the scaling of X to Gaussian-integer coefficients, and both of
 its residual checks must catch a corrupted kernel row.
@@ -18,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foliations.integrals as integrals
-from foliations.algebra import GaussianRational, Poly, _reduced_echelon
+from foliations.algebra import GaussianRational, Poly, _primitive, _reduced_echelon
 from foliations.corpus import saddle_node_family
 from foliations.errors import StructuralError
 from foliations.fields import Chart, VectorField
@@ -61,13 +66,78 @@ def to_sympy(c: GaussianRational):
         + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
 
 
-@settings(max_examples=150, deadline=None)
-@given(matrices())
-def test_reduced_echelon_matches_sympy_rref(matrix):
-    ncols, rows = matrix
+def reference_reduced_echelon(rows):
+    """The row reduction with no single-entry path: each remaining row is made
+    monic at its leading column, and removed from the stored rows that hold
+    that column, by the general update."""
+    done = {}
+    for r in rows:
+        hits = [c for c in r if c in done]
+        if hits:
+            scale = math.lcm(*(done[c][0] for c in hits))
+            out = {j: (scale * a, scale * b) for j, (a, b) in r.items() if j not in done}
+            for c in hits:
+                den, row = done[c]
+                m = scale // den
+                fa, fb = r[c]
+                fa *= m
+                fb *= m
+                for j, (a, b) in row.items():
+                    if j != c:
+                        x, y = out.get(j, (0, 0))
+                        out[j] = (x - fa * a + fb * b, y - fa * b - fb * a)
+            r = {j: v for j, v in out.items() if v != (0, 0)}
+        if not r:
+            continue
+        p = min(r)
+        x, y = r[p]
+        if y:
+            den = x * x + y * y
+            row = {j: (a * x + b * y, b * x - a * y) for j, (a, b) in r.items()}
+        else:
+            den = abs(x)
+            row = r if x > 0 else {j: (-a, -b) for j, (a, b) in r.items()}
+        den, row = _primitive(den, row)
+        for c, (oden, orow) in list(done.items()):
+            f = orow.get(p)
+            if f is None:
+                continue
+            fa, fb = f
+            out = {j: (den * a, den * b) for j, (a, b) in orow.items() if j != p}
+            for j, (a, b) in row.items():
+                if j != p:
+                    x, y = out.get(j, (0, 0))
+                    out[j] = (x - fa * a + fb * b, y - fa * b - fb * a)
+            done[c] = _primitive(oden * den, {j: v for j, v in out.items() if v != (0, 0)})
+        done[p] = (den, row)
+    return [(c, *done[c]) for c in sorted(done)]
+
+
+@st.composite
+def unit_row_matrices(draw):
+    """``(ncols, rows)``: up to 8 rows over up to 8 columns, most of them a
+    single entry placed on a fresh column, on a column that a stored row of
+    the reduction so far holds beside its pivot, or on a pivot."""
+    ncols = draw(st.integers(1, 8))
+    rows: list[dict] = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["fresh", "held", "pivot", "random"]))
+        if kind == "random":
+            rows.append(draw(st.dictionaries(st.integers(0, ncols - 1), nonzero,
+                                             min_size=1, max_size=ncols)))
+            continue
+        reduced = reference_reduced_echelon([gaussian_integer_row(r) for r in rows])
+        pivots = {c for c, _, _ in reduced}
+        held = {j for _, _, row in reduced for j in row} - pivots
+        columns = {"fresh": set(range(ncols)) - pivots - held, "held": held,
+                   "pivot": pivots}[kind] or set(range(ncols))
+        rows.append({draw(st.sampled_from(sorted(columns))): draw(nonzero)})
+    return ncols, rows
+
+
+def assert_matches_sympy_rref(ncols, rows, reduced):
     expected, pivots = sympy.Matrix(
         [[to_sympy(row[j]) if j in row else 0 for j in range(ncols)] for row in rows]).rref()
-    reduced = _reduced_echelon([gaussian_integer_row(r) for r in rows])
     assert [c for c, _, _ in reduced] == list(pivots)
     for k, (c, den, row) in enumerate(reduced):
         assert den > 0 and row[c] == (den, 0)
@@ -77,6 +147,24 @@ def test_reduced_echelon_matches_sympy_rref(matrix):
             a, b = row.get(j, (0, 0))
             assert expected[k, j].as_real_imag() == (sympy.Rational(a, den),
                                                      sympy.Rational(b, den))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_reduced_echelon_matches_sympy_rref(matrix):
+    ncols, rows = matrix
+    assert_matches_sympy_rref(ncols, rows,
+                              _reduced_echelon([gaussian_integer_row(r) for r in rows]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_row_matrices())
+def test_single_entry_rows_match_sympy_rref_and_reference(matrix):
+    ncols, rows = matrix
+    int_rows = [gaussian_integer_row(r) for r in rows]
+    reduced = _reduced_echelon(int_rows)
+    assert_matches_sympy_rref(ncols, rows, reduced)
+    assert reduced == reference_reduced_echelon(int_rows)
 
 
 @st.composite
