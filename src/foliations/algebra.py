@@ -1026,7 +1026,11 @@ def _reduced_echelon(rows):
     then removed from the stored rows that hold that column.  Every stored
     row is the exact reduced row, so its ints are no larger than those of
     its rational entries over their common denominator; each row update
-    ends in one gcd over the row.
+    ends in one gcd over the row.  A row left with a single entry, at
+    column p, is a unit row: it is stored as ``(1, {p: (1, 0)})`` without
+    normalising, and removing it from a stored row only deletes that row's
+    entry at p before the gcd, which is what the general update computes
+    for it.  Most rows of the formal solver's blocks are unit rows.
     """
     done = {}  # pivot column -> (den, row)
     for r in rows:
@@ -1047,6 +1051,15 @@ def _reduced_echelon(rows):
                         out[j] = (x - fa * a + fb * b, y - fa * b - fb * a)
             r = {j: v for j, v in out.items() if v != (0, 0)}
         if not r:
+            continue
+        if len(r) == 1:
+            # a unit row is monic as it stands, and removing it from a stored
+            # row deletes that row's entry in its column
+            (p,) = r
+            for c, (oden, orow) in list(done.items()):
+                if p in orow:
+                    done[c] = _primitive(oden, {j: v for j, v in orow.items() if j != p})
+            done[p] = (1, {p: (1, 0)})
             continue
         p = min(r)
         # divide by r[p] = x + yi: by |x| and its sign when real, else

@@ -17,7 +17,14 @@ The solver runs on Gaussian integers, ``(re, im)`` pairs of ints.  It
 scales X by the lcm L of its coefficient denominators (``L.X`` has the
 first integrals of X) and builds one image table per call: for every
 monomial of degree 1..N, its image under ``L.X`` through degree N, split by
-degree.  The block rows read the table, and a solution's image is the
+degree.  Every monomial in the solver is one int, its packed key
+``sum(e_i * B**(k-1-i))`` in base ``B = N + 1``: the table, the block
+rows, the solution vectors and the canonical basis's columns are keyed by
+it.  No monomial the solver stores has degree above N, so no exponent
+reaches B, and a product of monomials whose degrees add up to at most N is
+the sum of their keys, with no carry; ``d/dx_i`` subtracts the place value
+``B**(k-1-i)``.  Exponent tuples come back only when the canonical basis is
+built.  The block rows read the table, and a solution's image is the
 combination of its monomials' images, formed through degree d+1 for an
 order-d solution (its residual check in all degrees up to d, then the next
 block).  Solutions are kept as primitive Gaussian-integer vectors, since
@@ -90,7 +97,10 @@ class JetSolutionSpace:
     the order-(d-1) basis by degree-d terms with one block elimination per
     degree over Gaussian integers, reading the images of monomials from one
     table per call, and brings only the order-N basis to canonical form,
-    the only step that forms :class:`GaussianRational` coefficients.
+    the only step that forms :class:`GaussianRational` coefficients or
+    exponent tuples.  Until then a monomial is its packed key, one int with
+    one base ``N + 1`` digit per exponent: a monomial of degree at most N
+    has no exponent above N.
     """
 
     degree: int
@@ -116,6 +126,25 @@ def _monomials(k: int, d: int) -> tuple[tuple[int, ...], ...]:
     if k == 1:
         return ((d,),)
     return tuple((a,) + rest for a in range(d + 1) for rest in _monomials(k - 1, d - a))
+
+
+def _places(k: int, n: int) -> tuple[int, ...]:
+    """Place values ``B**(k-1-i)`` of the packed keys for order ``n``, with
+    base ``B = n + 1``: no exponent of a monomial of degree at most n
+    exceeds n, so a sum of such keys whose monomials' degrees add up to at
+    most n carries no digit."""
+    return tuple((n + 1) ** (k - 1 - i) for i in range(k))
+
+
+def _pack(e, places) -> int:
+    return sum(map(operator.mul, e, places))
+
+
+@functools.cache
+def _packed_monomials(k: int, n: int, d: int) -> tuple[int, ...]:
+    """The packed keys of ``_monomials(k, d)`` for order ``n``, in that order."""
+    places = _places(k, n)
+    return tuple(_pack(m, places) for m in _monomials(k, d))
 
 
 def _nullspace(rows, ncols):
@@ -146,30 +175,34 @@ def _add_scaled(out: dict, terms: dict, fa: int, fb: int) -> None:
 
 
 def _image_table(x: VectorField, n: int) -> dict:
-    """``(L.X) . m`` for every monomial m of degree 1..n, as a map from m to
-    ``{degree: {exponents: (re, im)}}`` holding degrees up to n, where L is
-    the lcm of the coefficient denominators of X, so every value is a
-    Gaussian integer."""
+    """``(L.X) . m`` for every monomial m of degree 1..n, as a map from the
+    packed key of m to ``{degree: {packed key: (re, im)}}`` holding degrees
+    up to n, where L is the lcm of the coefficient denominators of X, so
+    every value is a Gaussian integer.  A term's key is the sum of the keys
+    of a component term and of ``m / x_i``; the place value of ``x_i`` is
+    subtracted from m's key for ``d/dx_i``."""
     _, comps = x._integer_terms
+    k = len(comps)
+    places = _places(k, n)
+    comps = [[(da, _pack(ea, places), ca, cb) for da, ea, ca, cb in comp] for comp in comps]
     table = {}
-    for k in range(1, n + 1):
-        for m in _monomials(len(comps), k):
+    for d in range(1, n + 1):
+        for m, key in zip(_monomials(k, d), _packed_monomials(k, n, d)):
             image: dict = {}
-            for i, comp in enumerate(comps):
-                p = m[i]
+            for p, place, comp in zip(m, places, comps):
                 if not p:
                     continue
-                base = m[:i] + (p - 1,) + m[i + 1:]
+                base = key - place
                 # components in ascending degree: stop past degree n
                 for da, ea, ca, cb in comp:
-                    if k - 1 + da > n:
+                    if d - 1 + da > n:
                         break
-                    part = image.setdefault(k - 1 + da, {})
-                    e = tuple(map(operator.add, ea, base))
+                    part = image.setdefault(d - 1 + da, {})
+                    e = ea + base
                     a, b = part.get(e, (0, 0))
                     part[e] = (a + p * ca, b + p * cb)
-            table[m] = {deg: {e: v for e, v in part.items() if v != (0, 0)}
-                        for deg, part in sorted(image.items())}
+            table[key] = {deg: {e: v for e, v in part.items() if v != (0, 0)}
+                          for deg, part in sorted(image.items())}
     return table
 
 
@@ -187,11 +220,13 @@ def _image(table: dict, f: dict, top: int) -> dict:
 
 
 def _canonical_basis(names, n: int, basis: list[dict]) -> list[Poly]:
-    """The unique reduced echelon basis of the span of ``basis``: reduced in
-    ascending grlex column order, the row with the highest pivot monomial
-    first."""
-    order = [e for d in range(1, n + 1) for e in _monomials(len(names), d)]
-    col_of = {e: j for j, e in enumerate(order)}
+    """The unique reduced echelon basis of the span of ``basis``, whose
+    polynomials are keyed by packed monomials: reduced in ascending grlex
+    column order, the row with the highest pivot monomial first."""
+    k = len(names)
+    order = [e for d in range(1, n + 1) for e in _monomials(k, d)]
+    col_of = {key: j for j, key in enumerate(
+        itertools.chain.from_iterable(_packed_monomials(k, n, d) for d in range(1, n + 1)))}
     reduced = _reduced_echelon([{col_of[e]: v for e, v in f.items()} for f in basis])
     return [Poly.make(names, {order[j]: _make(a, b, den) for j, (a, b) in row.items()})
             for _, den, row in reversed(reduced)]
@@ -224,7 +259,7 @@ def formal_first_integral(x: VectorField, n: int = 8) -> JetSolutionSpace:
     basis: list[dict] = []  # order-(d-1) solutions, Gaussian-integer terms
     tops: list[dict] = []   # degree-d terms of (L.X) . f for f in basis
     for d in range(1, n + 1):
-        degree_d = _monomials(len(names), d)
+        degree_d = _packed_monomials(len(names), n, d)
         row_of = {e: i for i, e in enumerate(degree_d)}
         rows = [{} for _ in degree_d]
         # X(0) = 0, so (L.X) . m has order >= d for a degree-d monomial m

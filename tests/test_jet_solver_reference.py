@@ -14,7 +14,9 @@ germs with Q(i) coefficients, non-real ones among them, whose linear part
 is generic, nilpotent or zero, at jet orders 2 to 7.  One 3-D germ runs at
 order 32, the solver's cap, where monomials such as ``z^32`` and
 ``x^32`` have a coordinate at the top of the range every key covers, and
-must agree there too.
+must agree there too; its packed image table, read back as base-33
+digits, must be the reference table, so no key carries into the next
+coordinate and no two monomials share a key.
 """
 
 from __future__ import annotations
@@ -173,17 +175,40 @@ def test_formal_first_integral_matches_reference(germ):
             == reference_formal_first_integral(x, n).to_json())
 
 
-def test_order_32_keys_at_the_top_of_the_range():
+def order_32_germ() -> VectorField:
     # x' = x + xz, y' = -y + x^2 z, z' = 0: every z^k is a first integral,
     # so z^32 is a basis element, and the table holds keys such as x^32
     # (the image of x^32) with a coordinate equal to the order
     names = ("x", "y", "z")
-    x = VectorField.make(Chart.root(names), [
+    return VectorField.make(Chart.root(names), [
         Poly.make(names, {(1, 0, 0): gr(1), (1, 0, 1): gr(1)}),
         Poly.make(names, {(0, 1, 0): gr(-1), (2, 0, 1): gr(1)}),
         Poly.zero(names),
     ])
+
+
+def test_order_32_keys_at_the_top_of_the_range():
+    x = order_32_germ()
     space = integrals.formal_first_integral(x, integrals._MAX_JET_ORDER)
     assert space.to_json() == reference_formal_first_integral(
         x, integrals._MAX_JET_ORDER).to_json()
     assert "z^32" in space.to_json()["basis"]
+
+
+def test_packed_image_table_unpacks_to_the_reference_table():
+    # base n + 1 digits, most significant first: a key that carried or two
+    # monomials sharing a key would unpack to a different table
+    x, n = order_32_germ(), integrals._MAX_JET_ORDER
+
+    def unpack(key: int) -> tuple[int, ...]:
+        digits = []
+        for _ in range(3):
+            key, e = divmod(key, n + 1)
+            digits.append(e)
+        assert key == 0
+        return tuple(reversed(digits))
+
+    packed = integrals._image_table(x, n)
+    assert {unpack(m): {deg: {unpack(e): v for e, v in part.items()}
+                        for deg, part in image.items()}
+            for m, image in packed.items()} == reference_image_table(x, n)
