@@ -2,8 +2,8 @@
 
 Everything here is floating point, driven by the exact objects of the other
 modules: time-form integrals ``int dx / X(x)`` along paths, the
-one-dimensional semicompleteness verdict (exact vanishing order rule with a
-corroborating integral), leaf-path lifting by an adaptive embedded
+one-dimensional semicompleteness verdict (exact vanishing order and residue
+rules with a corroborating integral), leaf-path lifting by an adaptive embedded
 Runge-Kutta 5(4) pair whose error estimate compares the lift with a re-run
 at hundredfold tighter tolerances, quadrature of the holonomy form
 ``(H/F) dx`` cross-validated against lifts, and tracing of the real
@@ -302,7 +302,9 @@ NOT_SEMICOMPLETE = "not_semicomplete"
 class SemicompletenessVerdict:
     verdict: str
     order: int
-    evidence_integral: complex | None       # vanishing loop integral, order >= 3
+    # order >= 3: the vanishing arc integral; order 2 with a nonzero
+    # residue: the circle integral, 2*pi*i times the residue
+    evidence_integral: complex | None
     evidence_radius: float | None
 
     def to_json(self) -> dict:
@@ -316,14 +318,21 @@ class SemicompletenessVerdict:
 
 
 def semicomplete_order_test(x_1d: Poly, radius: float = 0.1) -> SemicompletenessVerdict:
-    """One-dimensional semicompleteness by the vanishing-order rule.
+    """One-dimensional semicompleteness by the vanishing-order and residue
+    rules.
 
-    Order at most 2 at the origin is semicomplete; order k >= 3 is not, and
-    the verdict attaches the vanishing integral of the time form over an
-    open arc of angle 2*pi/(k-1) as numeric corroboration.  The exact order
-    rule is authoritative; the integral is evidence only.  A zero or
-    non-finite radius (no arc) raises :class:`DegenerateInputError`, whatever
-    the order.
+    Order 1 at the origin is semicomplete; order k >= 3 is not, and the
+    verdict attaches the vanishing integral of the time form over an open
+    arc of angle 2*pi/(k-1) as numeric corroboration.  An order-2 germ
+    ``a2*x^2 + a3*x^3 + ...`` is semicomplete exactly when the residue
+    ``-a3/a2^2`` of the time form ``dx / X`` at 0 is zero (Rebelo 1996):
+    going once round a small circle adds the time ``2*pi*i`` times the
+    residue and brings a solution back to its start, which a short straight
+    time path to the same time does not.  With a nonzero residue the
+    verdict attaches the integral of the time form over the full circle of
+    the given radius.  The exact rules are authoritative; the integrals are
+    evidence only.  A zero or non-finite radius (no arc) raises
+    :class:`DegenerateInputError`, whatever the order.
     """
     if radius == 0 or not math.isfinite(radius):
         raise DegenerateInputError(f"loop radius must be finite and nonzero, got {radius!r}")
@@ -334,8 +343,12 @@ def semicomplete_order_test(x_1d: Poly, radius: float = 0.1) -> Semicompleteness
     if not x_1d.constant_term().is_zero():
         raise NotApplicableError("field does not vanish at the origin")
     order = int(x_1d.order())
-    if order <= 2:
+    # the residue -a3/a2^2 is zero exactly when x^3 has no term
+    if order == 1 or (order == 2 and (3,) not in x_1d.terms):
         return SemicompletenessVerdict(SEMICOMPLETE, order, None, None)
+    if order == 2:
+        value, _err = time_form_integral(x_1d, full_circle(radius))
+        return SemicompletenessVerdict(NOT_SEMICOMPLETE, order, value, radius)
     arc = CircularArc(0j, radius, 0.0, 2.0 * math.pi / (order - 1))
     value, _err = time_form_integral(x_1d, arc)
     return SemicompletenessVerdict(NOT_SEMICOMPLETE, order, value, radius)

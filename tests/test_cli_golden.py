@@ -48,13 +48,15 @@ FIXTURE_COMMANDS_3D = {
     "blowup_curve_z_chart1": ["blowup", "--center", "curve:z", "--chart", "1"],
     "blowup_curve_z_w21": ["blowup", "--center", "curve:z", "--weights", "2,1"],
 }
-# one-variable fields for the semicompleteness rule: orders 2, 3 and 5 (the
-# last with a non-real coefficient) and one that does not vanish at 0
+# one-variable fields for the semicompleteness rules: orders 2, 3 and 5 (the
+# last with a non-real coefficient), order 2 with a nonzero residue, and one
+# that does not vanish at 0
 ONE_VARIABLE = {
     "order2": "x^2",
     "order3": "x^3 - 2*x^4",
     "order5": "1/2*x^5 + i*x^6",
     "nonvanishing": "1 + x",
+    "order2_residue": "x^2 + x^3",
 }
 
 

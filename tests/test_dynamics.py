@@ -53,6 +53,13 @@ def upoly(terms) -> Poly:
     return make_poly(V1, {(k,): c for k, c in terms.items()})
 
 
+# nonzero Gaussian rationals whose parts have denominators 1..3 and
+# numerators -4..4, so 1/3 <= |c| <= 4*sqrt(2)
+gaussian_coefficients = st.builds(
+    gr, st.fractions(-4, 4, max_denominator=3), st.fractions(-4, 4, max_denominator=3)).filter(
+    lambda c: not c.is_zero())
+
+
 class TestTimeForm:
     def test_cubic_half_circle_vanishes(self):
         value, err = time_form_integral(upoly({3: 1}), half_circle(0.1))
@@ -152,6 +159,36 @@ class TestSemicomplete:
         v4 = semicomplete_order_test(upoly({4: 1}))
         assert v4.verdict == NOT_SEMICOMPLETE
         assert abs(v4.evidence_integral) < 1e-9
+
+    def test_order_two_with_a_nonzero_residue_is_not_semicomplete(self):
+        # x^2 + x^3: the residue of dx/f at 0 is -a3/a2^2 = -1, and the
+        # integral of the time form over the circle is 2*pi*i times it
+        v = semicomplete_order_test(upoly({2: 1, 3: 1}))
+        assert (v.verdict, v.order, v.evidence_radius) == (NOT_SEMICOMPLETE, 2, 0.1)
+        assert abs(v.evidence_integral + 2j * math.pi) < 1e-9
+        # a term of degree 4 or more leaves the residue zero
+        v = semicomplete_order_test(upoly({2: 3, 4: 1, 5: gr(0, 1)}))
+        assert (v.verdict, v.evidence_integral) == (SEMICOMPLETE, None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.one_of(st.just(gr(0)), gaussian_coefficients), min_size=3, max_size=3),
+           gaussian_coefficients)
+    def test_order_two_verdict_matches_the_sympy_residue(self, higher, a2):
+        # f = a2 x^2 + a3 x^3 + a4 x^4 + a5 x^5; the other zeros of f lie
+        # outside |x| = 1/(1 + 12*sqrt(2)) > 0.01 (Cauchy's bound), so the
+        # circle integral is 2*pi*i times the residue of 1/f at 0
+        import sympy
+
+        f = upoly({2: a2, **{k: c for k, c in zip((3, 4, 5), higher) if not c.is_zero()}})
+        t = sympy.Symbol("t")
+        expr = sum(sympy.Rational(c.re.numerator, c.re.denominator) * t ** e[0]
+                   + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator) * t ** e[0]
+                   for e, c in f.terms.items())
+        residue = complex(sympy.residue(1 / expr, t, 0))
+        v = semicomplete_order_test(f, radius=0.01)
+        assert v.verdict == (SEMICOMPLETE if residue == 0 else NOT_SEMICOMPLETE)
+        if residue:
+            assert abs(v.evidence_integral - 2j * math.pi * residue) < 1e-7 * abs(residue)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateInputError):
