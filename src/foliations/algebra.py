@@ -1030,7 +1030,7 @@ def _reduced_echelon(rows):
     column p, is a unit row: it is stored as ``(1, {p: (1, 0)})`` without
     normalising, and removing it from a stored row only deletes that row's
     entry at p before the gcd, which is what the general update computes
-    for it.  Most rows of the formal solver's blocks are unit rows.
+    for it.  Most rows of the formal solver's blocks have a single entry.
     """
     done = {}  # pivot column -> (den, row)
     for r in rows:
