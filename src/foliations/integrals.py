@@ -10,8 +10,11 @@ Formal solving uses the structure of the jet system: since X(0) = 0, the
 image ``X . m`` of a degree-k monomial has order at least k, so the system
 is block lower-triangular by degree.  Degree d eliminates only the block
 whose rows are the degree-d monomials and whose columns are the degree-d
-images of the order-(d-1) solutions followed by those of the new degree-d
-monomials, instead of the whole order-d system.
+images of the new degree-d monomials followed by those of the order-(d-1)
+solutions, instead of the whole order-d system.  A monomial's image has
+few terms and a solution's image many; with the monomials first, the
+pivots fall on the sparse columns where they can, and the nullspace
+vectors combine fewer old solutions.
 
 The solver runs on Gaussian integers, ``(re, im)`` pairs of ints.  It
 scales X by the lcm L of its coefficient denominators (``L.X`` has the
@@ -263,18 +266,18 @@ def formal_first_integral(x: VectorField, n: int = 8) -> JetSolutionSpace:
         row_of = {e: i for i, e in enumerate(degree_d)}
         rows = [{} for _ in degree_d]
         # X(0) = 0, so (L.X) . m has order >= d for a degree-d monomial m
-        for j, image in enumerate(tops + [table[m].get(d, {}) for m in degree_d]):
+        for j, image in enumerate([table[m].get(d, {}) for m in degree_d] + tops):
             for e, v in image.items():
                 rows[row_of[e]][j] = v
-        old = len(basis)
+        new = len(degree_d)
         solutions = []
-        for vec in _nullspace(rows, old + len(degree_d)):
+        for vec in _nullspace(rows, new + len(basis)):
             terms: dict = {}
             for j, (a, b) in vec.items():
-                if j < old:
-                    _add_scaled(terms, basis[j], a, b)
+                if j < new:
+                    terms[degree_d[j]] = (a, b)
                 else:
-                    terms[degree_d[j - old]] = (a, b)
+                    _add_scaled(terms, basis[j - new], a, b)
             terms = {e: v for e, v in terms.items() if v != (0, 0)}
             g = math.gcd(*itertools.chain.from_iterable(terms.values()))
             solutions.append({e: (a // g, b // g) for e, (a, b) in terms.items()})
