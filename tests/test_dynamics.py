@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -177,8 +178,6 @@ class TestSemicomplete:
         # f = a2 x^2 + a3 x^3 + a4 x^4 + a5 x^5; the other zeros of f lie
         # outside |x| = 1/(1 + 12*sqrt(2)) > 0.01 (Cauchy's bound), so the
         # circle integral is 2*pi*i times the residue of 1/f at 0
-        import sympy
-
         f = upoly({2: a2, **{k: c for k, c in zip((3, 4, 5), higher) if not c.is_zero()}})
         t = sympy.Symbol("t")
         expr = sum(sympy.Rational(c.re.numerator, c.re.denominator) * t ** e[0]
