@@ -9,6 +9,9 @@ The reference below is the probe and the blow-up written the direct way:
 - ``reference_is_nilpotent`` decides nilpotency from the exact
   characteristic polynomial of the linear part;
 - ``reference_divisor_candidates_3d`` sorts its points by ``Fraction`` keys;
+- the memo key, the univariate test and the earlier-chart test of the
+  object-based probe are kept here as ``_germ_key``, ``_uses_only`` and
+  ``_invisible_in_earlier_charts``;
 - ``reference_probe_expansions`` and ``reference_detect_persistent_nilpotent``
   follow nilpotent divisor points through the reference blow-ups, one call
   per chart.
@@ -65,9 +68,6 @@ from foliations.resolve import (
     PersistentNilpotentReport,
     _common_roots,
     _divisor_candidates_3d,
-    _germ_key,
-    _invisible_in_earlier_charts,
-    _uses_only,
     detect_persistent_nilpotent,
     germ_at,
     match_persistent_normal_form,
@@ -203,6 +203,30 @@ def reference_all_charts(x, center=POINT, weights=None, divisor_label=None,
 # ---------------------------------------------------------------------------
 # The reference probe
 # ---------------------------------------------------------------------------
+
+def _germ_key(germ):
+    """The chart variables and exact components of a germ, hashable."""
+    return (germ.chart.var_names,) + tuple(
+        (f.monomial_exponents, tuple((e, c._abd) for e, c in f.numerator.terms.items()))
+        for f in germ.components)
+
+
+def _uses_only(p, var):
+    used = p.used_vars()
+    return used == () or used == (var,)
+
+
+def _invisible_in_earlier_charts(chart, divisor_var, coords):
+    """True when a divisor point has a zero coordinate in every variable
+    blown up before ``divisor_var``: no earlier chart of the blow-up shows
+    it."""
+    for name in _blown_vars(chart, BlowupSpec(chart.history[-1].center)):
+        if name == divisor_var:
+            break
+        if not coords[chart.var_names.index(name)].is_zero():
+            return False
+    return True
+
 
 def reference_is_nilpotent(x):
     if not x.vanishes_at_origin():
