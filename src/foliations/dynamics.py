@@ -331,7 +331,10 @@ def semicomplete_order_test(x_1d: Poly, radius: float = 0.1) -> Semicompleteness
     time path to the same time does not.  With a nonzero residue the
     verdict attaches the integral of the time form over the full circle of
     the given radius.  The exact rules are authoritative; the integrals are
-    evidence only.  A zero or non-finite radius (no arc) raises
+    evidence only.  When the circle or arc runs through another zero of the
+    field, as the zero -1/10 of ``x^2 + 10*x^3`` lies on the circle of radius
+    0.1, the verdict stands and carries no evidence: its integral and radius
+    are None.  A zero or non-finite radius (no arc) raises
     :class:`DegenerateInputError`, whatever the order.
     """
     if radius == 0 or not math.isfinite(radius):
@@ -346,11 +349,12 @@ def semicomplete_order_test(x_1d: Poly, radius: float = 0.1) -> Semicompleteness
     # the residue -a3/a2^2 is zero exactly when x^3 has no term
     if order == 1 or (order == 2 and (3,) not in x_1d.terms):
         return SemicompletenessVerdict(SEMICOMPLETE, order, None, None)
-    if order == 2:
-        value, _err = time_form_integral(x_1d, full_circle(radius))
-        return SemicompletenessVerdict(NOT_SEMICOMPLETE, order, value, radius)
-    arc = CircularArc(0j, radius, 0.0, 2.0 * math.pi / (order - 1))
-    value, _err = time_form_integral(x_1d, arc)
+    path = (full_circle(radius) if order == 2
+            else CircularArc(0j, radius, 0.0, 2.0 * math.pi / (order - 1)))
+    try:
+        value, _err = time_form_integral(x_1d, path)
+    except SingularPathError:
+        return SemicompletenessVerdict(NOT_SEMICOMPLETE, order, None, None)
     return SemicompletenessVerdict(NOT_SEMICOMPLETE, order, value, radius)
 
 

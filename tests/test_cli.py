@@ -219,6 +219,19 @@ class TestSubcommands:
         assert code == 1
         assert json.loads(out)["verdict"] == "not_semicomplete"
 
+    @pytest.mark.parametrize("expr", ["x^2 + 10*x^3", "x^3 + 10*x^4"])
+    def test_dynamics_semicomplete_path_through_another_zero(self, tmp_path, expr):
+        # the evidence circle or arc of the default radius 0.1 runs through
+        # the zero -1/10: the verdict is printed, with null evidence
+        path = tmp_path / "other_zero.field"
+        path.write_text(f"vars: x\nkind: field\n{expr}\n", encoding="utf-8")
+        code, out = run_cli("dynamics", "semicomplete", str(path))
+        assert code == 1
+        data = json.loads(out)
+        assert data["verdict"] == "not_semicomplete"
+        assert data["evidence_integral"] is None and data["evidence_radius"] is None
+        validate(load_schema("dynamics_outputs.schema.json"), data)
+
     def test_dynamics_timeform(self, tmp_path):
         path = tmp_path / "cubic.field"
         path.write_text("vars: x\nkind: field\nx^3\n", encoding="utf-8")

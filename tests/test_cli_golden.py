@@ -49,14 +49,17 @@ FIXTURE_COMMANDS_3D = {
     "blowup_curve_z_w21": ["blowup", "--center", "curve:z", "--weights", "2,1"],
 }
 # one-variable fields for the semicompleteness rules: orders 2, 3 and 5 (the
-# last with a non-real coefficient), order 2 with a nonzero residue, and one
-# that does not vanish at 0
+# last with a non-real coefficient), order 2 with a nonzero residue, one
+# that does not vanish at 0, and orders 2 and 3 whose evidence circle or arc
+# of the default radius runs through their other zero, -1/10
 ONE_VARIABLE = {
     "order2": "x^2",
     "order3": "x^3 - 2*x^4",
     "order5": "1/2*x^5 + i*x^6",
     "nonvanishing": "1 + x",
     "order2_residue": "x^2 + x^3",
+    "order2_residue_zero_on_circle": "x^2 + 10*x^3",
+    "order3_zero_on_arc": "x^3 + 10*x^4",
 }
 
 

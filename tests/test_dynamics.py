@@ -189,6 +189,17 @@ class TestSemicomplete:
         if residue:
             assert abs(v.evidence_integral - 2j * math.pi * residue) < 1e-7 * abs(residue)
 
+    @pytest.mark.parametrize("terms, order", [({2: 1, 3: 10}, 2), ({3: 1, 4: 10}, 3)])
+    def test_evidence_path_through_another_zero_keeps_the_verdict(self, terms, order):
+        # x^2 + 10*x^3 and x^3 + 10*x^4 vanish at -1/10, on the circle and at
+        # the end of the arc of radius 0.1: the exact verdict stands, with
+        # no evidence integral
+        v = semicomplete_order_test(upoly(terms))
+        assert (v.verdict, v.order, v.evidence_integral, v.evidence_radius) == (
+            NOT_SEMICOMPLETE, order, None, None)
+        # a radius whose path misses the zero keeps the evidence
+        assert semicomplete_order_test(upoly(terms), radius=0.05).evidence_radius == 0.05
+
     def test_degenerate(self):
         with pytest.raises(DegenerateInputError):
             semicomplete_order_test(Poly.zero(V1))
