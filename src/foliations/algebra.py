@@ -20,13 +20,14 @@ Three layers, all immutable and exact:
 
 One polynomial arithmetic runs on ints: term dicts from exponent tuples to
 canonical ``(a, b, d)`` triples, added, negated, multiplied and raised to
-powers by the ``_terms_*`` functions.  :class:`Poly`'s ``+``, ``-``,
-negation, ``*``, ``**``, ``scale``, ``partial``, ``restrict``, ``shift``
-and ``laurent_substitute`` read their operands' triples, run it, and build
-one :class:`GaussianRational` per result term; the expression parser runs
-it on the triples of its literals.  ``blowup._chart`` folds its drift on
-:class:`GaussianRational` values in place: it passes most coefficients
-through untouched, and unpacking them into triples measured slower.
+powers, restricted and shifted by the ``_terms_*`` functions.
+:class:`Poly`'s ``+``, ``-``, negation, ``*``, ``**``, ``scale``,
+``partial``, ``restrict``, ``shift`` and ``laurent_substitute`` read their
+operands' triples, run it, and build one :class:`GaussianRational` per
+result term; the expression parser runs it on the triples of its literals.
+The blow-up transform (``blowup._terms_blowup``) and the
+persistent-nilpotent probe in ``resolve`` run on the same term dicts: the
+probe builds objects only for the germ it matches.
 
 Floating-point evaluation (``eval_complex``) runs straight-line code that
 :class:`_Source` writes for each object, with the operations of a
@@ -274,7 +275,11 @@ GR_ONE = _raw(1, 0, 1)
 def _scaled(values: Iterable[GaussianRational]) -> tuple[int, list[tuple[int, int]]]:
     """``(s, pairs)``: s the lcm of the denominators of ``values``, and each
     value times s as a Gaussian-integer ``(re, im)`` int pair."""
-    abd = [v._abd for v in values]
+    return _scaled_triples([v._abd for v in values])
+
+
+def _scaled_triples(abd: list[tuple[int, int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    """:func:`_scaled` of values given as their ``(a, b, d)`` triples."""
     s = math.lcm(*(d for _, _, d in abd))
     return s, [(a * (s // d), b * (s // d)) for a, b, d in abd]
 
@@ -299,6 +304,7 @@ def _grlex_key(exps: Exponents) -> tuple:
 # expression parser; a zero sum deletes its key, so keys come out in the
 # order of the loops below.
 
+_ZERO = (0, 0, 1)
 _ONE = (1, 0, 1)
 
 
@@ -382,6 +388,43 @@ def _triple_powers(a: tuple, k: int) -> list[tuple]:
     for _ in range(k):
         out.append(_triple_product(out[-1], a))
     return out
+
+
+def _terms_restricted(p: dict, i: int, value: tuple = _ZERO) -> dict:
+    """``p`` with ``x_i := value``, a canonical triple.  At zero exactly the
+    terms free of ``x_i`` survive, unchanged, whatever their coefficients."""
+    if not (value[0] or value[1]):
+        return {e: c for e, c in p.items() if not e[i]}
+    powers = _triple_powers(value, max((e[i] for e in p), default=0))
+    out: dict = {}
+    for e, c in p.items():
+        if e[i]:
+            c = _triple_product(c, powers[e[i]])
+            e = e[:i] + (0,) + e[i + 1:]
+        _accumulate(out, e, c)
+    return out
+
+
+def _terms_shifted(p: dict, offsets: Iterable[tuple[int, tuple]]) -> dict:
+    """``p`` with ``x_i := x_i + a`` for each ``(i, a)``, ``a`` a nonzero
+    canonical triple, in turn.
+
+    Each term ``c * x_i**k`` expands into one dict as
+    ``sum_j C(k, j) * a**(k - j) * c * x_i**j``, highest ``j`` first.
+    """
+    for i, a in offsets:
+        powers = _triple_powers(a, max((e[i] for e in p), default=0))
+        rows: dict[int, list[tuple]] = {}
+        out: dict = {}
+        for e, c in p.items():
+            k = e[i]
+            if k not in rows:   # C(k, j) * a**(k - j) for j = k, ..., 0
+                rows[k] = [_triple_product(powers[k - j], (math.comb(k, j), 0, 1))
+                           for j in range(k, -1, -1)]
+            for j, b in zip(range(k, -1, -1), rows[k]):
+                _accumulate(out, e[:i] + (j,) + e[i + 1:], _triple_product(c, b))
+        p = out
+    return p
 
 
 def _triples(p: "Poly") -> dict:
@@ -555,42 +598,18 @@ class Poly:
         if value:  # a text such as "0" is zero only once coerced
             value = GaussianRational.of(value)
         if not value:
-            # at zero exactly the terms free of ``var`` survive, unchanged
-            return Poly(self.vars, {e: c for e, c in self.terms.items() if not e[i]})
-        terms = _triples(self)
-        powers = _triple_powers(value._abd, max((e[i] for e in terms), default=0))
-        out: dict = {}
-        for e, c in terms.items():
-            if e[i]:
-                c = _triple_product(c, powers[e[i]])
-                e = e[:i] + (0,) + e[i + 1:]
-            _accumulate(out, e, c)
-        return _of_triples(self.vars, out)
+            return Poly(self.vars, _terms_restricted(self.terms, i))
+        return _of_triples(self.vars, _terms_restricted(_triples(self), i, value._abd))
 
     def shift(self, offsets: Mapping[str, "GaussianRational | int | Fraction"]) -> "Poly":
-        """Translate coordinates: substitute ``x := x + a`` for each entry.
-
-        Each term ``c * x**k`` expands into one dict as
-        ``sum_j C(k, j) * a**(k - j) * c * x**j``, highest ``j`` first.
-        """
-        p = _triples(self)
+        """Translate coordinates: substitute ``x := x + a`` for each entry
+        (:func:`_terms_shifted`)."""
+        steps = []
         for name, a in offsets.items():
             a = GaussianRational.of(a)
-            if a.is_zero():
-                continue
-            i = self.var_index(name)
-            powers = _triple_powers(a._abd, max((e[i] for e in p), default=0))
-            rows: dict[int, list[tuple]] = {}
-            out: dict = {}
-            for e, c in p.items():
-                k = e[i]
-                if k not in rows:   # C(k, j) * a**(k - j) for j = k, ..., 0
-                    rows[k] = [_triple_product(powers[k - j], (math.comb(k, j), 0, 1))
-                               for j in range(k, -1, -1)]
-                for j, b in zip(range(k, -1, -1), rows[k]):
-                    _accumulate(out, e[:i] + (j,) + e[i + 1:], _triple_product(c, b))
-            p = out
-        return _of_triples(self.vars, p)
+            if not a.is_zero():
+                steps.append((self.var_index(name), a._abd))
+        return _of_triples(self.vars, _terms_shifted(_triples(self), steps))
 
     def substitute_monomials(
         self, assignment: Mapping[str, tuple["GaussianRational | int | Fraction", Sequence[int]]]

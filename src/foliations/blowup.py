@@ -17,25 +17,32 @@ times ``v**top`` is a polynomial numerator:
     u' * v**top  =  X_u(sub) * v**(top-w_u) - (w_u/w) * u * X_v(sub) * v**(top-w)
     z' * v**top  =  X_z(sub) * v**top          (z free on a curve center)
 
-Each numerator is one dict built in one pass over the component's exponent
-keys, which does the substitution and the power of ``v`` (and of ``u`` for
-the drift) together; the drift is folded into the ``u`` numerator in place.
-Each numerator's own monomial content comes from one scan, and their minimum
-is the transform's content: dividing each numerator once by its own content
-gives both the holomorphic, content-free representative and the raw field.
-The representative is handed its expanded components, each numerator over
-the transform's content in the numerator's term order, so reading its
-``polys()`` expands nothing.  The content's ``v`` exponent minus ``top`` is
-the vanishing order of the transform along the divisor; a transform with
-poles is reported with its pole order instead of being silently cleared.
+One transform, :func:`_terms_blowup`, computes the numerators on term dicts
+of ``(a, b, d)`` int triples, for every centre and weight: each numerator is
+one dict built in one pass over the component's exponent keys, which does
+the substitution and the power of ``v`` (and of ``u`` for the drift)
+together; the drift is folded into the ``u`` numerator in place.  Each
+numerator's own monomial content comes from one scan, and their minimum is
+the transform's content.  :func:`_chart` builds the chart's objects from
+them, one :class:`GaussianRational` per term: dividing each numerator once
+by its own content gives both the holomorphic, content-free representative
+and the raw field.  The representative is handed its expanded components,
+each numerator over the transform's content in the numerator's term order,
+so reading its ``polys()`` expands nothing.  The persistent-nilpotent probe
+in ``resolve`` calls :func:`_terms_blowup` directly and builds no object.
+The content's ``v`` exponent minus ``top`` is the vanishing order of the
+transform along the divisor; a transform with poles is reported with its
+pole order instead of being silently cleared.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import Sequence
 
-from .algebra import ChartFunction, Poly, _make
+from .algebra import (ChartFunction, Poly, _accumulate, _raw, _reduced, _triple_product,
+                      _triples)
 from .errors import InvalidCenterError, NotApplicableError, StructuralError
 from .fields import BlowupRecord, Chart, VectorField
 
@@ -170,6 +177,49 @@ def all_charts(
             for idx in range(len(blown))]
 
 
+def _terms_blowup(comps: Sequence[dict], k: int, row: tuple[int, ...]):
+    """The transform of the components ``comps`` (term dicts of ``(a, b, d)``
+    triples) in the chart whose divisor variable has index ``k``, for the
+    blow-up giving variable ``j`` weight ``row[j]`` (0 off the centre).
+
+    Returns ``(numerators, owns, content)``: each transformed component times
+    ``v**top`` as a term dict, each numerator's own monomial content (``()``
+    for a zero one) and the transform's content, their minimum.
+    """
+    wv = row[k]
+    top = max(row)
+
+    def key_map(p: dict, shift: int, bump: int | None = None) -> list[tuple[int, ...]]:
+        """``p``'s exponents after the substitution, times ``v**shift`` (and ``bump``)."""
+        keys = []
+        for e in p:
+            key = list(e)
+            key[k] = sum(map(operator.mul, row, e)) + shift
+            if bump is not None:
+                key[bump] += 1
+            keys.append(tuple(key))
+        return keys
+
+    numerators = []
+    for i, p in enumerate(comps):
+        keys = key_map(p, top - row[i] + (i == k))
+        if i == k and wv != 1:
+            factor = (1, 0, wv)
+            num = {e: _triple_product(c, factor) for e, c in zip(keys, p.values())}
+        else:
+            num = dict(zip(keys, p.values()))
+        if i != k and row[i]:
+            # fold in the drift term by term; a sum of zero drops its key
+            factor = _reduced(-row[i], 0, wv)
+            for e, c in zip(key_map(comps[k], top - wv, i), comps[k].values()):
+                _accumulate(num, e, _triple_product(c, factor))
+        numerators.append(num)
+    if not any(numerators):
+        raise NotApplicableError("transform of the zero field")
+    owns = [tuple(map(min, zip(*num))) if num else () for num in numerators]
+    return numerators, owns, tuple(map(min, zip(*filter(None, owns))))
+
+
 def _chart(x: VectorField, center: str, blown: list[str], weights: tuple[int, ...],
            index: int, divisor_label: str | None,
            center_coords: tuple[str, ...] | None) -> TransformResult:
@@ -180,43 +230,7 @@ def _chart(x: VectorField, center: str, blown: list[str], weights: tuple[int, ..
     weight_of = dict(zip(blown, weights))
     v_name = blown[index]
     k = chart.var_index(v_name)
-    wv = weight_of[v_name]
     top = max(weights)
-    # the new v exponent is this weighted sum of the old exponents
-    v_row = tuple(weight_of.get(name, 0) for name in names)
-    polys = x.polys()
-
-    def key_map(p: Poly, shift: int, bump: int | None = None) -> list[tuple[int, ...]]:
-        """``p``'s exponents after the substitution, times ``v**shift`` (and ``bump``)."""
-        keys = []
-        for e in p.terms:
-            key = list(e)
-            key[k] = sum(map(operator.mul, v_row, e)) + shift
-            if bump is not None:
-                key[bump] += 1
-            keys.append(tuple(key))
-        return keys
-
-    # each transformed component times v**top, as a numerator's terms
-    numerators = []
-    for i, (name, p) in enumerate(zip(names, polys)):
-        keys = key_map(p, top - weight_of.get(name, 0) + (i == k))
-        if i == k and wv != 1:
-            factor = _make(1, 0, wv)
-            num = {e: c * factor for e, c in zip(keys, p.terms.values())}
-        else:
-            num = dict(zip(keys, p.terms.values()))
-        if i != k and name in weight_of:
-            # fold in the drift term by term; a sum of zero drops its key
-            factor = _make(-weight_of[name], 0, wv)
-            for e, c in zip(key_map(polys[k], top - wv, i), polys[k].terms.values()):
-                c = c * factor
-                s = num[e] + c if e in num else c
-                if s:
-                    num[e] = s
-                else:
-                    del num[e]
-        numerators.append(num)
 
     # divisor labels: the chart variable cuts the new component; strict
     # transforms of previously labelled hypersurfaces keep their labels
@@ -230,11 +244,9 @@ def _chart(x: VectorField, center: str, blown: list[str], weights: tuple[int, ..
                           v_name, divisor_label)
     new_chart = chart.extended(record, labels)
 
-    if not any(numerators):
-        raise NotApplicableError("transform of the zero field")
-    # each numerator's own monomial content, and the transform's
-    owns = [tuple(map(min, zip(*num))) if num else () for num in numerators]
-    content = tuple(map(min, zip(*filter(None, owns))))
+    numerators, owns, content = _terms_blowup(
+        [_triples(p) for p in x.polys()], k,
+        tuple(weight_of.get(name, 0) for name in names))
     multiplicity = content[k] - top
     pole_order = max(0, -multiplicity)
     # one division per component: the representative is the transform over
@@ -246,6 +258,7 @@ def _chart(x: VectorField, center: str, blown: list[str], weights: tuple[int, ..
             zero = Poly(names, num)
             parts.append((ChartFunction(zero, (0,) * n),) * 2 + (zero,))
             continue
+        num = {e: _raw(*c) for e, c in num.items()}
         rest = tuple(map(operator.sub, own, content))
         reduced = Poly(names, _over(num, own))
         expanded = Poly(names, _over(num, content)) if any(rest) else reduced
@@ -269,4 +282,3 @@ def _chart(x: VectorField, center: str, blown: list[str], weights: tuple[int, ..
         divisor_var=v_name,
         record=record,
     )
-

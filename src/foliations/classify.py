@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from .algebra import (
+    _ZERO,
     GR_ONE,
     GR_ZERO,
     GaussianRational,
@@ -26,6 +28,8 @@ from .algebra import (
     _make,
     _reduced_echelon,
     _scaled,
+    _scaled_triples,
+    _triples,
 )
 from .errors import NotApplicableError, StructuralError
 from .fields import LinearPart, VectorField, linear_part
@@ -316,21 +320,29 @@ def _nilpotent_class(lp: LinearPart, cp: Poly) -> str | None:
 
 def is_nilpotent(x: VectorField) -> bool:
     """True iff ``x`` vanishes at the origin with a nonzero nilpotent linear
-    part: the class :func:`classify_singularity` reports as nilpotent.
+    part: the class :func:`classify_singularity` reports as nilpotent.  It
+    runs :func:`_nilpotent_terms` on the triples of ``polys()``."""
+    return x.is_holomorphic() and _nilpotent_terms([_triples(p) for p in x.polys()])
 
-    The degree-1 coefficients are read from ``polys()`` and scaled to
-    Gaussian integers over the lcm of their denominators.  The linear part
-    is nilpotent iff its characteristic polynomial is ``t**n``, that is iff
-    every elementary symmetric function of its eigenvalues
-    (:func:`_symmetric_functions`, as in :func:`char_poly`) is zero, and the
-    test stops at the first nonzero one; no
-    :class:`LinearPart`, characteristic polynomial or eigenvalue is built.
+
+def _nilpotent_terms(comps: Sequence[dict]) -> bool:
+    """:func:`is_nilpotent` of the polynomial field whose components are the
+    term dicts ``comps`` of ``(a, b, d)`` triples.
+
+    The degree-1 coefficients are scaled to Gaussian integers over the lcm
+    of their denominators.  The linear part is nilpotent iff its
+    characteristic polynomial is ``t**n``, that is iff every elementary
+    symmetric function of its eigenvalues (:func:`_symmetric_functions`, as
+    in :func:`char_poly`) is zero, and the test stops at the first nonzero
+    one; no :class:`LinearPart`, characteristic polynomial or eigenvalue is
+    built.
     """
-    if not x.vanishes_at_origin():
+    n = len(comps)
+    origin = (0,) * n
+    if any(origin in t for t in comps):
         return False
-    n = x.chart.dim
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    _, pairs = _scaled(p.terms.get(e, GR_ZERO) for p in x.polys() for e in units)
+    _, pairs = _scaled_triples([t.get(e, _ZERO) for t in comps for e in units])
     if not any(a or b for a, b in pairs):
         return False
     m = [pairs[i * n:i * n + n] for i in range(n)]

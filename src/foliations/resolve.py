@@ -27,7 +27,13 @@ The dimensions differ in three places, which they pass to the skeleton:
   follow a chain of point blow-ups; the escape starts from the germ the
   probe matched, whose chain divisors become the components ``E{n}pre``.
   The probes of one resolution share a memo of the germs they expanded, so
-  no point blow-up one of them made is made again.
+  no point blow-up one of them made is made again.  The probe runs on term
+  dicts of ``(a, b, d)`` int triples from the germ's ``polys()`` to its
+  verdict: its blow-ups (``blowup._terms_blowup``), divisor points,
+  recentring, nilpotency tests and normal-form matches build no object,
+  and only the germ it matches becomes a field.  The driver finds 3-D
+  divisor points, and both dimensions their common roots, with the same
+  triple functions.
 * **The divisor points of a new chart, and whether that list is
   complete.**  Dimension 2 enumerates the whole divisor in the first chart
   and only the origin in the second.  Dimension 3 solves the restricted
@@ -52,18 +58,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial, reduce
 
-from .algebra import (GR_ONE, GR_ZERO, GaussianRational, Poly, _make, _scaled,
+from .algebra import (_ONE, _ZERO, GR_ZERO, GaussianRational, Poly, _make, _of_triples, _raw,
+                      _scaled_triples, _terms_restricted, _terms_shifted, _triples,
                       monomial_content)
-from .blowup import (POINT, BlowupSpec, TransformResult, _blown_vars, all_charts,
-                     curve_center)
-from .classify import (
-    CLASS_NILPOTENT,
-    SingularityReport,
-    classify_singularity,
-    is_nilpotent,
-)
-from .errors import DegenerateInputError, FoliationError, NotApplicableError, StructuralError
-from .fields import BlowupRecord, Chart, VectorField, linear_part
+from .blowup import (POINT, BlowupSpec, TransformResult, _blown_vars, _over, _terms_blowup,
+                     all_charts, curve_center)
+from .classify import CLASS_NILPOTENT, SingularityReport, _nilpotent_terms, classify_singularity
+from .errors import DegenerateInputError, NotApplicableError, StructuralError
+from .fields import BlowupRecord, VectorField, linear_part
 from . import intervals as iv
 from .jsontext import dumps
 
@@ -216,10 +218,22 @@ class ResolutionTree:
 
 def _common_roots(polys: list[Poly], var: str):
     """(exact roots, certified interval roots) shared by univariates in ``var``."""
-    coeffs = polys[0].univariate_coeffs(var)
-    if len(polys) > 1:
-        row = reduce(iv._gcd, [iv._row(p.univariate_coeffs(var)) for p in polys])
+    return _terms_common_roots([_triples(p) for p in polys], polys[0].var_index(var))
+
+
+def _terms_common_roots(comps: list[dict], i: int):
+    """:func:`_common_roots` of term dicts of triples univariate in ``x_i``."""
+    rows = []
+    for t in comps:
+        row = [_ZERO] * (max((e[i] for e in t), default=0) + 1)
+        for e, c in t.items():
+            row[e[i]] = c
+        rows.append(row)
+    if len(rows) > 1:
+        row = reduce(iv._gcd, [iv._monic(_scaled_triples(r)[1]) for r in rows])
         coeffs = [_make(a, b, row[-1][0]) for a, b in row]
+    else:
+        coeffs = [_raw(*c) for c in rows[0]]
     if len(coeffs) <= 1:
         return [], []
     exact, certified = iv.certified_roots(coeffs)
@@ -289,14 +303,6 @@ def _eigenvalue_ratios(germ: VectorField) -> dict[str, GaussianRational]:
     return out
 
 
-def _on_components(chart: Chart, coords) -> tuple[str, ...]:
-    out = []
-    for label, c in zip(chart.divisor_labels, coords):
-        if label is not None and c.is_zero():
-            out.append(label)
-    return tuple(out)
-
-
 def _classify_point(node: TreeNode, coords) -> SingularPoint:
     germ = germ_at(node.rep, coords)
     report = classify_singularity(germ)
@@ -306,7 +312,8 @@ def _classify_point(node: TreeNode, coords) -> SingularPoint:
         node_id=node.id,
         coords=tuple(coords),
         box=None,
-        on_components=_on_components(node.rep.chart, coords),
+        on_components=tuple(label for label, c in zip(node.rep.chart.divisor_labels, coords)
+                            if label is not None and c.is_zero()),
         report=report,
         status=status,
     )
@@ -340,13 +347,6 @@ def _interval_point(node: TreeNode, divisor_var: str, other: str,
         note="elementary (certified: nonzero eigenvalue)" if provable
         else "non-rational divisor point left unprocessed",
     )
-
-
-def _restrict_all_but(p: Poly, keep: str) -> Poly:
-    for v in p.vars:
-        if v != keep:
-            p = p.restrict(v, 0)
-    return p
 
 
 def _interval_excludes_zero(p: Poly, var: str, root: iv.CertifiedRoot) -> bool:
@@ -478,17 +478,11 @@ def _divisor_points_2d(tree: ResolutionTree, child: TreeNode, first: bool):
     exact, certified, _ = singular_points_on_divisor(child.rep, divisor_var)
     names = child.rep.chart.var_names
     other = names[1] if names[0] == divisor_var else names[0]
-    points = [_classify_point(child, _lift_coords(child.rep.chart, divisor_var, r))
+    points = [_classify_point(child, tuple(GR_ZERO if name == divisor_var else r
+                                           for name in names))
               for r in exact]
     points += [_interval_point(child, divisor_var, other, c) for c in certified]
     return points, True
-
-
-def _lift_coords(chart: Chart, divisor_var: str, root: GaussianRational):
-    coords = []
-    for name in chart.var_names:
-        coords.append(GR_ZERO if name == divisor_var else root)
-    return tuple(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +510,15 @@ class PersistentNilpotentReport:
     capped: bool = False
 
 
-def _order_in_var(p: Poly, var: str) -> float:
-    q = _restrict_all_but(p, var)
-    if q.is_zero():
-        return math.inf
-    return min(e[q.var_index(var)] for e in q.terms)
+def _uses_only(t, i: int) -> bool:
+    """True when no term key of ``t`` has a nonzero exponent but at ``i``."""
+    return all(sum(e) == e[i] for e in t)
+
+
+def _axis_order(t, i: int) -> float:
+    """The lowest exponent of ``x_i`` among the term keys of ``t`` in ``x_i``
+    alone, the constant included; +inf when there is none."""
+    return min((e[i] for e in t if sum(e) == e[i]), default=math.inf)
 
 
 def match_persistent_normal_form(x: VectorField) -> dict | None:
@@ -528,55 +526,71 @@ def match_persistent_normal_form(x: VectorField) -> dict | None:
 
     Tries all coordinate role assignments; reports the witness dictionary
     (roles, n, orders, and whether the ``> 2n`` axis-order conditions hold)
-    or None.
+    or None.  It runs :func:`_terms_match` on the triples of ``polys()``.
     """
     if x.chart.dim != 3 or not x.is_holomorphic():
         return None
-    polys = x.polys()
-    names = x.chart.var_names
+    return _terms_match(tuple(_triples(p) for p in x.polys()), x.chart.var_names)
+
+
+def _terms_match(germ: tuple[dict, ...], names: tuple[str, ...]) -> dict | None:
+    """:func:`match_persistent_normal_form` of the 3-D germ whose components
+    are the term dicts ``germ`` of triples, on the variables ``names``."""
     for ix, iy, iz in itertools.permutations(range(3)):
-        comp_x, comp_y, comp_z = polys[ix], polys[iy], polys[iz]
+        comp_x, comp_y, comp_z = germ[ix], germ[iy], germ[iz]
         # d/dZ component: exactly Z^n with n >= 2
-        if len(comp_z.terms) != 1:
+        if len(comp_z) != 1:
             continue
-        (exps, coeff), = comp_z.terms.items()
+        (exps, coeff), = comp_z.items()
         n = exps[iz]
-        if coeff != GR_ONE or sum(exps) != n or n < 2:
+        if coeff != _ONE or sum(exps) != n or n < 2:
             continue
-        f = comp_x - Poly.variable(names, names[iy])
-        if f.order() < 2:
+        # f = comp_x - Y has order >= 2 iff comp_x holds Y with coefficient 1
+        # and no other term of order below 2; then f is comp_x without Y
+        y = tuple(int(j == iy) for j in range(3))
+        if comp_x.get(y) != _ONE:
             continue
-        if comp_y.order() < 2:
+        f_order = min((sum(e) for e in comp_x if e != y), default=math.inf)
+        g_order = min(map(sum, comp_y), default=math.inf)
+        if f_order < 2 or g_order < 2:
             continue
-        f_axis = _order_in_var(f, names[iz])
-        g_axis = _order_in_var(comp_y, names[iz])
-        strict = f_axis > 2 * n and g_axis > 2 * n
+        f_axis = _axis_order(comp_x, iz)
+        g_axis = _axis_order(comp_y, iz)
         return {
             "roles": {"x": names[ix], "y": names[iy], "z": names[iz]},
             "n": n,
-            "f_order": int(f.order()) if f.order() != math.inf else None,
-            "g_order": int(comp_y.order()) if comp_y.order() != math.inf else None,
-            "f_axis_order": None if f_axis == math.inf else int(f_axis),
-            "g_axis_order": None if g_axis == math.inf else int(g_axis),
-            "z_orders_exceed_2n": strict,
+            "f_order": None if f_order == math.inf else f_order,
+            "g_order": None if g_order == math.inf else g_order,
+            "f_axis_order": None if f_axis == math.inf else f_axis,
+            "g_axis_order": None if g_axis == math.inf else g_axis,
+            "z_orders_exceed_2n": f_axis > 2 * n and g_axis > 2 * n,
         }
     return None
 
 
-def _is_nilpotent_germ(germ: VectorField) -> bool:
-    try:
-        return is_nilpotent(germ)
-    except FoliationError:
-        return False
-
-
-def _uses_only(p: Poly, var: str) -> bool:
-    used = p.used_vars()
-    return used == () or used == (var,)
-
-
 def _divisor_candidates_3d(rep: VectorField, divisor_var: str):
-    """Singular points of the representative on a 3-D divisor chart.
+    """Singular points of the representative on a 3-D divisor chart, as
+    :func:`_terms_divisor_candidates` finds them from the triples of
+    ``polys()``, with exact coordinates."""
+    chart = rep.chart
+    names = chart.var_names
+    # a point with a nonzero coordinate in a variable blown up before the
+    # divisor variable shows, scaled, in that variable's chart already
+    earlier = []
+    for name in _blown_vars(chart, BlowupSpec(chart.history[-1].center)):
+        if name == divisor_var:
+            break
+        earlier.append(names.index(name))
+    candidates, lines, nonrational, complete = _terms_divisor_candidates(
+        names, [_triples(p) for p in rep.polys()], names.index(divisor_var), earlier)
+    return ([tuple(_raw(*c) for c in coords) for coords in candidates],
+            lines, nonrational, complete)
+
+
+def _terms_divisor_candidates(names: tuple[str, ...], comps: list[dict], k: int,
+                              earlier) -> tuple[list, list[str], int, bool]:
+    """Singular points on the divisor ``{x_k = 0}`` of a 3-D chart whose
+    representative has the components ``comps``, term dicts of triples.
 
     The restricted system is solved exactly whenever some component is
     univariate in one of the two divisor coordinates (then every common
@@ -585,115 +599,111 @@ def _divisor_candidates_3d(rep: VectorField, divisor_var: str):
     Otherwise the caller is told the enumeration is incomplete.
 
     Returns ``(candidates, singular_lines, nonrational, complete)`` where
-    candidates are exact points (full chart coordinates) not already seen
-    from an earlier chart of the same blow-up, singular_lines
-    describe one-dimensional singular components found on the divisor, and
+    candidates are exact points (full chart coordinates, as triples) with a
+    zero coordinate at each index in ``earlier``, singular_lines describe
+    one-dimensional singular components found on the divisor, and
     nonrational counts certified-interval roots that could not be followed.
     """
-    names = rep.chart.var_names
-    polys = rep.polys()
-    others = [v for v in names if v != divisor_var]
-    u1, u2 = others
-    restricted = [p.restrict(divisor_var, 0) for p in polys]
-    nonzero = [p for p in restricted if not p.is_zero()]
-    points: list[tuple[GaussianRational, GaussianRational]] = []
+    u1, u2 = [j for j in range(3) if j != k]
+    restricted = [_terms_restricted(t, k) for t in comps]
+    nonzero = [t for t in restricted if t]
+    points: list[tuple[tuple, tuple]] = []
     lines: list[str] = []
     nonrational = 0
     complete = True
 
-    def full_coords(a: GaussianRational, b: GaussianRational):
-        values = {u1: a, u2: b, divisor_var: GR_ZERO}
-        return tuple(values[name] for name in names)
+    def constant(t: dict) -> bool:
+        return len(t) == 1 and not any(next(iter(t)))
 
-    if any(p.degree() == 0 for p in nonzero):
+    if any(map(constant, nonzero)):
         return [], [], 0, True  # a nonvanishing component: no zeros at all
 
-    def solve_with_pivot(pivot_var: str, other_var: str):
+    def solve_with_pivot(pivot: int, other: int):
         nonlocal nonrational
-        pivot_comps = [p for p in nonzero if _uses_only(p, pivot_var)]
-        exact, certified = _common_roots(pivot_comps, pivot_var)
+        exact, certified = _terms_common_roots(
+            [t for t in nonzero if _uses_only(t, pivot)], pivot)
         nonrational += len(certified)
         for r in exact:
-            sliced = [p.restrict(pivot_var, r) for p in restricted]
-            sliced_nonzero = [p for p in sliced if not p.is_zero()]
-            if not sliced_nonzero:
+            a = r._abd
+            sliced = [s for s in (_terms_restricted(t, pivot, a) for t in restricted) if s]
+            if not sliced:
                 # the whole line {pivot = r} on the divisor is singular
-                lines.append(f"{other_var}-line through {pivot_var}={r.text()}")
-                points.append((r, GR_ZERO) if pivot_var == u1 else (GR_ZERO, r))
+                lines.append(f"{names[other]}-line through {names[pivot]}={r.text()}")
+                points.append((a, _ZERO) if pivot == u1 else (_ZERO, a))
                 continue
-            if any(p.degree() == 0 for p in sliced_nonzero):
+            if any(map(constant, sliced)):
                 continue
-            sub_exact, sub_certified = _common_roots(sliced_nonzero, other_var)
+            sub_exact, sub_certified = _terms_common_roots(sliced, other)
             nonrational += len(sub_certified)
-            for s in sub_exact:
-                points.append((r, s) if pivot_var == u1 else (s, r))
+            for b in sub_exact:
+                points.append((a, b._abd) if pivot == u1 else (b._abd, a))
 
-    if any(_uses_only(p, u1) for p in nonzero):
+    if any(_uses_only(t, u1) for t in nonzero):
         solve_with_pivot(u1, u2)
-    elif any(_uses_only(p, u2) for p in nonzero):
+    elif any(_uses_only(t, u2) for t in nonzero):
         solve_with_pivot(u2, u1)
-    elif len(nonzero) == 1 and len(nonzero[0].terms) == 1:
+    elif len(nonzero) == 1 and len(nonzero[0]) == 1:
         # single monomial component: zero set is a union of coordinate lines
-        (exps, _coeff), = nonzero[0].terms.items()
-        for name, e in zip(names, exps):
-            if e > 0 and name != divisor_var:
-                lines.append(f"{name}-axis")
-        points.append((GR_ZERO, GR_ZERO))
+        (exps,) = nonzero[0]
+        lines += [f"{names[j]}-axis" for j, e in enumerate(exps) if e > 0 and j != k]
+        points.append((_ZERO, _ZERO))
     else:
         # genuinely bivariate system: fall back to the origin candidate and
         # report that the enumeration may be missing points
         complete = False
-        if all(p.constant_term().is_zero() for p in restricted):
-            points.append((GR_ZERO, GR_ZERO))
+        if all((0, 0, 0) not in t for t in restricted):
+            points.append((_ZERO, _ZERO))
 
     # sorted by (re, im) of each coordinate, as ints over one denominator;
     # the points are distinct, so no two keys tie
-    unique = list({(a._abd, b._abd): (a, b) for a, b in points}.values())
-    _, ints = _scaled(v for pair in unique for v in pair)
+    unique = list(dict.fromkeys(points))
+    _, ints = _scaled_triples([v for pair in unique for v in pair])
     keys = [a + b for a, b in zip(ints[::2], ints[1::2])]
-    candidates = [c for c in (full_coords(*pair) for _, pair in sorted(zip(keys, unique)))
-                  if _invisible_in_earlier_charts(rep.chart, divisor_var, c)]
+    candidates = []
+    for _, (a, b) in sorted(zip(keys, unique)):
+        coords = [a, b]
+        coords.insert(k, _ZERO)
+        if not any(coords[j][0] or coords[j][1] for j in earlier):
+            candidates.append(tuple(coords))
     return candidates, lines, nonrational, complete
 
 
-def _germ_key(germ: VectorField) -> tuple:
-    """The chart variables and exact components of a germ, hashable without
-    building a ``Fraction``."""
-    return (germ.chart.var_names,) + tuple(
-        (f.monomial_exponents, tuple((e, c._abd) for e, c in f.numerator.terms.items()))
-        for f in germ.components)
+def _probe_expansions(names: tuple[str, ...], germ: tuple[dict, ...], memo: dict) -> list:
+    """``(divisor index, coords, sub-germ)`` for each nilpotent singular
+    point on the divisor of the point blow-up of ``germ``, chart by chart;
+    the germs are tuples of term dicts of triples, the coordinates triples.
 
-
-def _probe_expansions(germ: VectorField, memo: dict) -> list:
-    """``(divisor var, coords, sub-germ)`` for each nilpotent singular point
-    on the divisor of the point blow-up of ``germ``, chart by chart.
-
-    The sub-germs' components depend on the germ's components alone, so
-    ``memo`` keeps them, with their expansions, per :func:`_germ_key`;
-    their charts are rebuilt from the germ's chart as the blow-up labelled
-    ``probe`` and :func:`germ_at` make them.
+    The sub-germs depend on the germ's components alone, so ``memo`` keeps
+    them per germ, keyed by its terms in their order.
     """
-    key = _germ_key(germ)
+    key = tuple(tuple(t.items()) for t in germ)
     found = memo.get(key)
     if found is None:
         found = []
-        for result in all_charts(germ, POINT, (1, 1, 1), "probe"):
-            candidates, _lines, _nr, _complete = _divisor_candidates_3d(
-                result.representative, result.divisor_var)
-            for coords in candidates:
-                sub = germ_at(result.representative, coords)
-                if _is_nilpotent_germ(sub):
-                    found.append((result.divisor_var, coords, sub.components, sub.polys()))
+        for k in range(3):
+            numerators, _owns, content = _terms_blowup(germ, k, (1, 1, 1))
+            rep = [_over(num, content) for num in numerators]
+            for coords in _terms_divisor_candidates(names, rep, k, range(k))[0]:
+                offsets = [(j, c) for j, c in enumerate(coords) if c[0] or c[1]]
+                sub = tuple(_terms_shifted(t, offsets) for t in rep)
+                if _nilpotent_terms(sub):
+                    found.append((k, coords, sub))
         memo[key] = found
-    chart = germ.chart
-    out = []
-    for var, coords, components, polys in found:
-        record = BlowupRecord(POINT, ("0",) * 3, (1, 1, 1), var, "probe")
-        labels = ["probe" if name == var else label if c.is_zero() else None
-                  for name, label, c in zip(chart.var_names, chart.divisor_labels, coords)]
-        out.append((var, coords, VectorField._of_expansions(
-            chart.extended(record, labels), components, polys)))
-    return out
+    return found
+
+
+def _matched_germ(x: VectorField, germ: tuple[dict, ...], chain: list) -> VectorField:
+    """The probe's ``germ``, reached from ``x`` through ``chain``, as a field
+    on ``x``'s chart extended by the chain's blow-ups, labelled ``probe``."""
+    if not chain:
+        return x
+    chart = x.chart
+    for k, coords in chain:
+        record = BlowupRecord(POINT, ("0",) * 3, (1, 1, 1), chart.var_names[k], "probe")
+        labels = ["probe" if j == k else None if c[0] or c[1] else label
+                  for j, (label, c) in enumerate(zip(chart.divisor_labels, coords))]
+        chart = chart.extended(record, labels)
+    return VectorField._of_polys(chart, tuple(_of_triples(chart.var_names, t) for t in germ))
 
 
 def detect_persistent_nilpotent(
@@ -711,33 +721,39 @@ def detect_persistent_nilpotent(
     blow-ups can always raise them.  Probes that pass the same ``memo``
     dict share their blow-ups: a germ one of them expanded is not blown up
     again.
+
+    The germs are term dicts of triples from ``x.polys()`` to the match:
+    the blow-ups, divisor points, recentring, nilpotency tests and matches
+    build no object, and only a matched germ becomes a field again.
     """
     if x.chart.dim != 3:
         raise NotApplicableError("persistent-nilpotent detection is three-dimensional")
-    if not _is_nilpotent_germ(x):
+    start = tuple(_triples(p) for p in x.polys()) if x.is_holomorphic() else None
+    if start is None or not _nilpotent_terms(start):
         raise NotApplicableError("field does not have a nilpotent linear part")
     if memo is None:
         memo = {}
 
+    names = x.chart.var_names
     examined = 0
-    queue: deque[tuple[VectorField, list, int]] = deque([(x, [], 0)])
+    queue: deque[tuple[tuple[dict, ...], list, int]] = deque([(start, [], 0)])
     while queue:
         if examined == _MAX_PROBE_GERMS:
             return PersistentNilpotentReport(False, capped=True)
         germ, chain, depth = queue.popleft()
         examined += 1
-        witness = match_persistent_normal_form(germ)
+        witness = _terms_match(germ, names)
         if witness is not None:
-            witness = dict(witness)
             witness["chain"] = [
-                {"chart_var": var, "coords": [c.text() for c in coords]}
-                for var, coords in chain]
+                {"chart_var": names[k], "coords": [_raw(*c).text() for c in coords]}
+                for k, coords in chain]
             witness["stage"] = depth
-            return PersistentNilpotentReport(True, witness["n"], witness, germ)
+            return PersistentNilpotentReport(True, witness["n"], witness,
+                                             _matched_germ(x, germ, chain))
         if depth >= probe_budget:
             continue
-        queue.extend((sub, chain + [(var, coords)], depth + 1)
-                     for var, coords, sub in _probe_expansions(germ, memo))
+        queue.extend((sub, chain + [(k, coords)], depth + 1)
+                     for k, coords, sub in _probe_expansions(names, germ, memo))
     return PersistentNilpotentReport(False)
 
 
@@ -748,8 +764,8 @@ def detect_persistent_nilpotent(
 def _singular_axis_center(germ: VectorField) -> str | None:
     """First coordinate axis contained in the singular set, if any."""
     polys = germ.polys()
-    for axis in germ.chart.var_names:
-        if all(_restrict_all_but(p, axis).is_zero() for p in polys):
+    for i, axis in enumerate(germ.chart.var_names):
+        if all(_axis_order(p.terms, i) == math.inf for p in polys):
             return axis
     return None
 
@@ -866,23 +882,6 @@ def _budget_3d(tree: ResolutionTree, *, allow_weighted: bool) -> None:
         # everything left is detected persistent-nilpotent work that
         # the budget prevented the weight-2 escape from finishing
         tree.status = STATUS_PERSISTENT_PENDING
-
-
-def _invisible_in_earlier_charts(chart: Chart, divisor_var: str, coords) -> bool:
-    """True when a divisor point is not already covered by an earlier chart.
-
-    In the chart where variable ``w`` (blown up before ``divisor_var``) is
-    the divisor coordinate, a point with nonzero ``w`` coordinate appears
-    with coordinates scaled by 1/w; only points with that coordinate equal
-    to zero are genuinely new in this chart.
-    """
-    for name in _blown_vars(chart, BlowupSpec(chart.history[-1].center)):
-        if name == divisor_var:
-            break
-        i = chart.var_names.index(name)
-        if not coords[i].is_zero():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import foliations.resolve as resolve
 from foliations.algebra import Poly, gr
 from foliations.classify import CLASS_NILPOTENT
 from foliations.corpus import (
@@ -31,6 +34,7 @@ from foliations.resolve import (
 )
 
 from conftest import make_poly
+import test_probe_reference as reference
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
@@ -248,13 +252,13 @@ class TestPersistentDetection:
         # takes 7 germs, not 13
         import foliations.resolve as resolve
         calls = []
-        match = resolve.match_persistent_normal_form
+        match = resolve._terms_match
 
-        def counted(germ):
+        def counted(germ, names):
             calls.append(germ)
-            return match(germ)
+            return match(germ, names)
 
-        monkeypatch.setattr(resolve, "match_persistent_normal_form", counted)
+        monkeypatch.setattr(resolve, "_terms_match", counted)
         report = detect_persistent_nilpotent(sancho_sanz_field(1, 1, 1), 6)
         assert not report.matched and not report.capped
         assert len(calls) == 7
@@ -268,16 +272,19 @@ class TestPersistentDetection:
     def test_shared_memo_gives_the_fresh_report(self, monkeypatch, field):
         # the probes of one resolution, run in the driver's order: each gives
         # with the memo the earlier probes filled the report it gives alone,
-        # while making fewer blow-ups
+        # while making fewer blow-ups; the probe makes each chart of a
+        # blow-up with one call of the shared transform kernel
+        import foliations.blowup as blowup_module
         import foliations.resolve as resolve
         blowups = []
-        blowup = resolve.all_charts
+        kernel = blowup_module._terms_blowup
 
         def counted(*args, **kwargs):
             blowups.append(args[0])
-            return blowup(*args, **kwargs)
+            return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(resolve, "all_charts", counted)
+        monkeypatch.setattr(blowup_module, "_terms_blowup", counted)
+        monkeypatch.setattr(resolve, "_terms_blowup", counted)
         tree = resolve3(field, max_steps=12)
         probed = [germ_at(tree.nodes[point.node_id].rep, point.coords)
                   for _, point in tree.all_points()
@@ -320,6 +327,46 @@ class TestPersistentDetection:
         tree = resolve3(field, max_steps=1)
         assert ("node 0: persistent-nilpotent probe stopped after 3 germs "
                 "without a verdict") in tree.diagnostics
+
+    # (-x + y) d/dx + (y^2 - x + y) d/dy + y^2 d/dz: no match, 9 germs at
+    # probe budget 3
+    BRANCHING = VectorField.make(Chart.root(V3), [
+        make_poly(V3, {(1, 0, 0): -1, (0, 1, 0): 1}),
+        make_poly(V3, {(0, 2, 0): 1, (1, 0, 0): -1, (0, 1, 0): 1}),
+        make_poly(V3, {(0, 2, 0): 1})])
+
+    @pytest.mark.parametrize("cap", [3, 7])
+    def test_probe_cap_stops_where_the_reference_stops(self, cap):
+        # the cap counts germs in breadth-first order: with the same cap the
+        # probe and the object-based reference give the same report, so they
+        # take the same germs in the same order.  Sancho-Sanz(1, 1, 1) takes
+        # exactly 7 germs at budget 6, so a cap of 7 just does not stop it
+        capped = []
+        germs = dict(reference.FIXTURES, branching=self.BRANCHING)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(resolve, "_MAX_PROBE_GERMS", cap)
+            mp.setattr(reference, "_MAX_PROBE_GERMS", cap)
+            for name, x in sorted(germs.items()):
+                for budget in range(7):
+                    facts = reference.probe_facts(detect_persistent_nilpotent, x, budget)
+                    assert facts == reference.probe_facts(
+                        reference.reference_detect_persistent_nilpotent, x, budget)
+                    if facts[3]:
+                        capped.append((name, budget))
+        expected = {3: {("branching", b) for b in range(2, 7)}
+                    | {(f"sancho_sanz_{v}", b) for v in ("111", "i") for b in range(3, 7)},
+                    7: {("branching", b) for b in range(3, 7)}}
+        assert set(capped) == expected[cap]
+
+    @settings(max_examples=40, deadline=None)
+    @given(reference.nilpotent_germs(), st.integers(0, 3), st.sampled_from([3, 7]))
+    def test_probe_cap_matches_the_reference_on_nilpotent_germs(self, x, budget, cap):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(resolve, "_MAX_PROBE_GERMS", cap)
+            mp.setattr(reference, "_MAX_PROBE_GERMS", cap)
+            assert (reference.probe_facts(detect_persistent_nilpotent, x, budget)
+                    == reference.probe_facts(
+                        reference.reference_detect_persistent_nilpotent, x, budget))
 
 
 class TestResolve3:
