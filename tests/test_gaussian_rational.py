@@ -6,7 +6,9 @@ with real and non-real parts, zero parts and large denominators, and every
 operation of :class:`GaussianRational` must agree with ``Ref`` exactly,
 including ``==``, ``hash``, ``text()``, ``sort_key()`` and ``to_complex()``,
 while every result stays in canonical form: ``(a + b*i) / d`` with
-``d > 0`` and ``gcd(a, b, d) == 1``.
+``d > 0`` and ``gcd(a, b, d) == 1``.  The int-triple kernel under those
+operations, ``_triple_sum``, ``_triple_product``, ``_reduced`` and
+``_make``, is held to the same reference directly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foliations.algebra import GaussianRational, gr
+from foliations.algebra import GaussianRational, _make, _reduced, _triple_product, _triple_sum, gr
 
 
 @dataclass(frozen=True)
@@ -77,9 +79,15 @@ def both(pair):
     return GaussianRational(*args), Ref(re, im)
 
 
-def check(z: GaussianRational, ref: Ref):
-    a, b, d = z._abd
+def canonical(t: tuple) -> tuple:
+    a, b, d = t
+    assert type(t) is tuple and len(t) == 3
     assert d > 0 and math.gcd(a, b, d) == 1
+    return t
+
+
+def check(z: GaussianRational, ref: Ref):
+    canonical(z._abd)
     assert type(z.re) is Fraction and type(z.im) is Fraction
     assert (z.re, z.im) == (ref.re, ref.im)
     assert z == GaussianRational(ref.re, ref.im)
@@ -135,3 +143,54 @@ def test_coercion_and_constants():
             delattr(z, name)
     assert z == gr(1, 2)
     assert copy.deepcopy(z) == z and pickle.loads(pickle.dumps(z)) == z
+
+
+# real values and unit denominators often, so every fast path of the triple
+# kernel runs, as well as the general paths
+integers = st.integers(-50, 50).map(Fraction)
+kernel_pairs = st.one_of(
+    st.tuples(integers, st.just(Fraction(0))),
+    st.tuples(integers, integers),
+    st.tuples(rationals, st.just(Fraction(0))),
+    pairs,
+)
+
+
+def triple(pair) -> tuple:
+    """The canonical ``(a, b, d)`` of a Fraction pair, over the lcm of its
+    denominators."""
+    re, im = pair
+    d = math.lcm(re.denominator, im.denominator)
+    return (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
+
+
+def value(t: tuple) -> Ref:
+    a, b, d = t
+    return Ref(Fraction(a, d), Fraction(b, d))
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_pairs, kernel_pairs, st.integers(1, 30))
+def test_triple_kernel_matches_fraction_pairs(p, q, k):
+    x, y = triple(p), triple(q)
+    rx, ry = Ref(*p), Ref(*q)
+    assert canonical(x) == x and canonical(y) == y
+    total = _triple_sum(x, y)
+    if (rx + ry) == Ref(Fraction(0), Fraction(0)):
+        assert total is None
+    else:
+        assert value(canonical(total)) == rx + ry
+    assert value(canonical(_triple_product(x, y))) == rx * ry
+    # a common factor k of all three ints is divided out
+    a, b, d = x
+    assert canonical(_reduced(a * k, b * k, d * k)) == x
+    assert canonical(_reduced(a, b, d)) == x
+    check(_make(a * k, b * k, d * k), rx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(1, 10**6))
+def test_reduced_and_make_match_fractions(a, b, d):
+    ref = Ref(Fraction(a, d), Fraction(b, d))
+    assert value(canonical(_reduced(a, b, d))) == ref
+    check(_make(a, b, d), ref)
