@@ -6,8 +6,7 @@ Three layers, all immutable and exact:
   imaginary parts.  Every coefficient in the package lives here, so equality
   of derived objects is decidable.  A value ``(a + b*i) / d`` is stored as
   three ints with ``d > 0`` and ``gcd(a, b, d) == 1``; this form is unique,
-  so equality compares ints, and each ring operation is a few int products
-  and at most one gcd; real operands skip the imaginary cross products.
+  so equality compares ints.
 * :class:`Poly` -- sparse multivariate polynomials in up to three declared
   variables, stored as a map from exponent tuples to nonzero coefficients.
   The canonical term order is graded lexicographic in the declared variable
@@ -18,9 +17,16 @@ Three layers, all immutable and exact:
   coordinate hypersurfaces.  Construction fully extracts the monomial content
   of the numerator, so equality is again decidable.
 
-One polynomial arithmetic runs on ints: term dicts from exponent tuples to
-canonical ``(a, b, d)`` triples, added, negated, multiplied and raised to
-powers, restricted and shifted by the ``_terms_*`` functions.
+One Q(i) arithmetic runs on those triples: ``_triple_sum``,
+``_triple_product`` and ``_reduced`` add, multiply and reduce them, each
+with a few int products and at most one gcd.  A sum over a unit common
+denominator and a product of two real integers skip the gcd, and a real
+factor skips the imaginary cross products.  :class:`GaussianRational`'s
+``+``, ``-``, ``*`` and ``**`` read their operands' triples, call it and
+wrap the result once.  One polynomial arithmetic runs on the same kernel:
+term dicts from exponent tuples to canonical triples, added, negated,
+multiplied and raised to powers, restricted and shifted by the
+``_terms_*`` functions.
 :class:`Poly`'s ``+``, ``-``, negation, ``*``, ``**``, ``scale``,
 ``partial``, ``restrict``, ``shift`` and ``laurent_substitute`` read their
 operands' triples, run it, and build one :class:`GaussianRational` per
@@ -140,39 +146,20 @@ class GaussianRational:
         return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        a, b, d = self._abd
-        c, e, f = other._abd
-        if d == f:
-            if d == 1:
-                return _raw(a + c, b + e, 1)
-            return _make(a + c, b + e, d)
-        return _make(a * f + c * d, b * f + e * d, d * f)
+        s = _triple_sum(self._abd, other._abd)
+        return GR_ZERO if s is None else _raw(*s)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        a, b, d = self._abd
         c, e, f = other._abd
-        if d == f:
-            if d == 1:
-                return _raw(a - c, b - e, 1)
-            return _make(a - c, b - e, d)
-        return _make(a * f - c * d, b * f - e * d, d * f)
+        s = _triple_sum(self._abd, (-c, -e, f))
+        return GR_ZERO if s is None else _raw(*s)
 
     def __neg__(self) -> "GaussianRational":
         a, b, d = self._abd
         return _raw(-a, -b, d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        a, b, d = self._abd
-        c, e, f = other._abd
-        if b == 0:
-            if e == 0:
-                if d == 1 and f == 1:
-                    return _raw(a * c, 0, 1)
-                return _make(a * c, 0, d * f)
-            return _make(a * c, a * e, d * f)
-        if e == 0:
-            return _make(a * c, b * c, d * f)
-        return _make(a * c - b * e, a * e + b * c, d * f)
+        return _raw(*_triple_product(self._abd, other._abd))
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
         a, b, d = self._abd
@@ -189,14 +176,8 @@ class GaussianRational:
     def __pow__(self, k: int) -> "GaussianRational":
         if k < 0:
             return GR_ONE / self ** (-k)
-        out = GR_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        # a scalar is a term dict in no variables
+        return _raw(*_terms_power({(): self._abd}, k, {(): _ONE})[()])
 
     def conjugate(self) -> "GaussianRational":
         a, b, d = self._abd
@@ -249,10 +230,7 @@ def _raw(a: int, b: int, d: int) -> GaussianRational:
 
 def _make(a: int, b: int, d: int) -> GaussianRational:
     """``(a + b*i) / d`` for any ``d > 0``, reduced to canonical form."""
-    g = math.gcd(a, b, d)
-    z = _new(GaussianRational)
-    _set_abd(z, (a // g, b // g, d // g) if g != 1 else (a, b, d))
-    return z
+    return _raw(*_reduced(a, b, d))
 
 
 def _ratio_text(n: int, d: int) -> str:
@@ -299,10 +277,12 @@ def _grlex_key(exps: Exponents) -> tuple:
     return (sum(exps), exps)
 
 
-# Term dicts: exponent tuple -> canonical ``(a, b, d)`` triple.  The one
-# polynomial arithmetic, behind Poly's coefficient arithmetic and the
-# expression parser; a zero sum deletes its key, so keys come out in the
-# order of the loops below.
+# Canonical ``(a, b, d)`` triples: the one Q(i) addition, multiplication
+# and reduction, behind GaussianRational's operators and every term dict.
+# Term dicts: exponent tuple -> canonical triple.  The one polynomial
+# arithmetic, behind Poly's coefficient arithmetic and the expression
+# parser; a zero sum deletes its key, so keys come out in the order of the
+# loops below.
 
 _ZERO = (0, 0, 1)
 _ONE = (1, 0, 1)
@@ -314,19 +294,32 @@ def _reduced(a: int, b: int, d: int) -> tuple[int, int, int]:
 
 
 def _triple_sum(p: tuple, q: tuple) -> tuple | None:
-    """``p + q`` as a canonical triple, or None when it is zero."""
+    """``p + q`` as a canonical triple, or None when it is zero; over a unit
+    common denominator the sum needs no gcd."""
     a, b, d = p
     c, e, f = q
     if d == f:
         a, b = a + c, b + e
+        if d == 1:
+            return (a, b, 1) if a or b else None
     else:
         a, b, d = a * f + c * d, b * f + e * d, d * f
     return _reduced(a, b, d) if a or b else None
 
 
 def _triple_product(p: tuple, q: tuple) -> tuple:
+    """``p * q`` as a canonical triple; a real factor skips the cross
+    products, and a product of two real integers the gcd."""
     a, b, d = p
     c, e, f = q
+    if b == 0:
+        if e == 0:
+            if d == 1 and f == 1:
+                return (a * c, 0, 1)
+            return _reduced(a * c, 0, d * f)
+        return _reduced(a * c, a * e, d * f)
+    if e == 0:
+        return _reduced(a * c, b * c, d * f)
     return _reduced(a * c - b * e, a * e + b * c, d * f)
 
 
@@ -427,6 +420,14 @@ def _terms_shifted(p: dict, offsets: Iterable[tuple[int, tuple]]) -> dict:
     return p
 
 
+def _over(num: dict, exps: Exponents) -> dict:
+    """``num``'s terms divided by the monomial ``x**exps``, in their order;
+    ``num`` itself when every exponent is 0."""
+    if not any(exps):
+        return num
+    return {tuple(map(operator.sub, e, exps)): c for e, c in num.items()}
+
+
 def _triples(p: "Poly") -> dict:
     return {e: c._abd for e, c in p.terms.items()}
 
@@ -474,16 +475,6 @@ class Poly:
         e = [0] * len(vars)
         e[vars.index(name)] = 1
         return Poly(vars, {tuple(e): GR_ONE})
-
-    @staticmethod
-    def monomial(vars: Sequence[str], coeff, exps: Sequence[int]) -> "Poly":
-        c = GaussianRational.of(coeff)
-        if c.is_zero():
-            return Poly.zero(vars)
-        exps = tuple(exps)
-        if any(e < 0 for e in exps):
-            raise StructuralError("polynomial monomials need nonnegative exponents")
-        return Poly(tuple(vars), {exps: c})
 
     # -- structure ----------------------------------------------------------
 
@@ -564,7 +555,8 @@ class Poly:
         """``self`` times the monomial with exponents ``exps`` (all >= 0).
 
         The term keys are shifted in their existing order and no coefficient
-        is touched, so the result equals ``self * Poly.monomial(vars, 1, exps)``.
+        is touched, so the result equals ``self`` times the one-term
+        polynomial ``x**exps`` with coefficient 1.
         """
         if not any(exps):
             return self
@@ -686,16 +678,6 @@ class Poly:
             raise StructuralError("point dimension mismatch")
         return self._evaluator(*point)
 
-    def divide_monomial(self, exps: Exponents) -> "Poly":
-        """Exact division by the monomial with exponent vector ``exps``."""
-        out = {}
-        for e, c in self.terms.items():
-            ne = tuple(x - d for x, d in zip(e, exps))
-            if any(x < 0 for x in ne):
-                raise StructuralError("monomial does not divide polynomial")
-            out[ne] = c
-        return Poly(self.vars, out)
-
     # -- univariate helpers ---------------------------------------------------
 
     def used_vars(self) -> tuple[str, ...]:
@@ -781,8 +763,7 @@ def monomial_content(components: Iterable[Poly]) -> tuple[Exponents, list[Poly]]
     exps = tuple(map(min, zip(*(e for p in nonzero for e in p.terms))))
     if not any(exps):
         return exps, comps
-    reduced = [p if p.is_zero() else p.divide_monomial(exps) for p in comps]
-    return exps, reduced
+    return exps, [Poly(p.vars, _over(p.terms, exps)) for p in comps]
 
 
 # ---------------------------------------------------------------------------

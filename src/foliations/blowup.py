@@ -41,8 +41,8 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import (ChartFunction, Poly, _accumulate, _raw, _reduced, _triple_product,
-                      _triples)
+from .algebra import (ChartFunction, Poly, _accumulate, _over, _raw, _reduced,
+                      _triple_product, _triples)
 from .errors import InvalidCenterError, NotApplicableError, StructuralError
 from .fields import BlowupRecord, Chart, VectorField
 
@@ -121,14 +121,6 @@ def _check_center(x: VectorField, spec: BlowupSpec, blown: list[str]) -> None:
             raise InvalidCenterError(
                 f"axis of {free!r} is not invariant: component {var} survives")
     return
-
-
-def _over(num: dict, exps: tuple[int, ...]) -> dict:
-    """``num``'s terms divided by the monomial ``x**exps``, in their order;
-    ``num`` itself when every exponent is 0."""
-    if not any(exps):
-        return num
-    return {tuple(map(operator.sub, e, exps)): c for e, c in num.items()}
 
 
 def _validated(x: VectorField, spec: BlowupSpec) -> tuple[list[str], tuple[int, ...]]:

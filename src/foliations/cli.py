@@ -30,7 +30,7 @@ import functools
 import math
 import sys
 
-from .errors import DegenerateInputError, FoliationError, ParseError
+from .errors import DegenerateInputError, FoliationError, NotApplicableError, ParseError
 from .expressions import parse_expression, parse_field, render_field
 from .fields import OneForm, VectorField
 from .jsontext import dumps
@@ -141,10 +141,12 @@ def _cmd_resolve(args) -> int:
     field = _load_field(args.file)
     if field.chart.dim == 2:
         tree = seidenberg_resolve(field, max_steps=args.max_steps)
-    else:
+    elif field.chart.dim == 3:
         tree = resolve3(field, max_steps=args.max_steps,
                         probe_budget=args.probe_budget,
                         allow_weighted=not args.standard_only)
+    else:
+        raise NotApplicableError("resolution needs a field in two or three variables")
     text = emit_tree(tree, "dot" if args.dot else "json")
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return EXIT_OK if tree.status == STATUS_RESOLVED else EXIT_NEGATIVE

@@ -81,8 +81,7 @@ V3 = ("x", "y", "z")
 
 
 def _poly(vars, terms) -> Poly:
-    return Poly.make(vars, {e: gr(c) if not isinstance(c, GaussianRational) else c
-                            for e, c in terms.items()})
+    return Poly.make(vars, {e: gr(c) for e, c in terms.items()})
 
 
 def chart2() -> Chart:
@@ -125,7 +124,7 @@ def commuting_pair(a) -> tuple[VectorField, VectorField]:
         Poly.zero(V3), _poly(V3, {(0, 1, 1): 1}), _poly(V3, {(0, 0, 2): 1})])
     y = VectorField.make(chart3(), [
         _poly(V3, {(2, 0, 0): 1}),
-        Poly.make(V3, {(1, 1, 0): GaussianRational.of(a) if not isinstance(a, GaussianRational) else a}),
+        Poly.make(V3, {(1, 1, 0): GaussianRational.of(a)}),
         Poly.zero(V3)])
     return x, y
 

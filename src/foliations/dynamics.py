@@ -672,6 +672,9 @@ def loop_lift_ratio(
 # Holonomy form quadrature and descent tracing
 # ---------------------------------------------------------------------------
 
+# radius of the disc about 0 whose exit ends a descent with ``domain_exit``
+_DESCENT_RADIUS = 10.0
+
 def omega1_integral(
     f: Poly,
     h: Poly,
@@ -730,17 +733,16 @@ def trace_descent(
     t_max: float,
     rtol: float = DEFAULT_REL_TOL,
     atol: float = DEFAULT_ABS_TOL,
-    domain_radius: float = 10.0,
 ) -> Trajectory:
     """Trace the oriented trajectory with ``(H/F) dx . phi' == exp(i theta)``.
 
     For theta = 0 these are the curves on which the holonomy form is real
     and positive (steepest holonomy contraction); |theta| < pi/2 rotates the
     family.  Tracing stops at ``t_max``, at singularities of the form, or on
-    leaving the domain disc.  A non-finite start, a negative ``t_max`` and
-    the tolerances and spans ``_rk45`` rejects raise
-    :class:`DegenerateInputError`.  A zero or pole of the form met on the
-    way, or a step size underflowing near one, raises
+    leaving the disc of radius ``_DESCENT_RADIUS`` about 0.  A non-finite
+    start, a negative ``t_max`` and the tolerances and spans ``_rk45``
+    rejects raise :class:`DegenerateInputError`.  A zero or pole of the
+    form met on the way, or a step size underflowing near one, raises
     :class:`SingularPathError`; running out of iterations raises
     :class:`IterationCapError`.  A value of F, of H or of the right-hand
     side that is not finite raises :class:`EvaluationOverflowError`, as in
@@ -771,7 +773,7 @@ def trace_descent(
     try:
         samples, escaped = _rk45(rhs, 0.0, t_max, [start], rtol, atol,
                                  max_step=t_max / 64.0,
-                                 escape_radius=domain_radius)
+                                 escape_radius=_DESCENT_RADIUS)
         if escaped:
             stop_reason = "domain_exit"
     except IterationCapError:

@@ -58,10 +58,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial, reduce
 
-from .algebra import (_ONE, _ZERO, GR_ZERO, GaussianRational, Poly, _make, _of_triples, _raw,
-                      _scaled_triples, _terms_restricted, _terms_shifted, _triples,
+from .algebra import (_ONE, _ZERO, GR_ZERO, GaussianRational, Poly, _make, _of_triples, _over,
+                      _raw, _scaled_triples, _terms_restricted, _terms_shifted, _triples,
                       monomial_content)
-from .blowup import (POINT, BlowupSpec, TransformResult, _blown_vars, _over, _terms_blowup,
+from .blowup import (POINT, BlowupSpec, TransformResult, _blown_vars, _terms_blowup,
                      all_charts, curve_center)
 from .classify import CLASS_NILPOTENT, SingularityReport, _nilpotent_terms, classify_singularity
 from .errors import DegenerateInputError, NotApplicableError, StructuralError

@@ -132,6 +132,16 @@ class TestSubcommands:
         assert data["status"] == "resolved"
         assert data["weighted_steps"] == 1
 
+    def test_resolve_one_variable_field(self, tmp_path):
+        path = tmp_path / "line.field"
+        path.write_text("vars: x\n2*x^2\n", encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli("resolve", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.getvalue() == "error: resolution needs a field in two or three variables\n"
+
     def test_blowup(self):
         code, out = run_cli("blowup", fixture("radial2.field"))
         assert code == 0
