@@ -639,7 +639,6 @@ class Poly:
         powers = [_triple_powers(cj, max((e[j] for e in terms), default=0))
                   for j, (cj, _) in enumerate(images)]
         out: dict = {}
-        min_exps = [0] * n
         for e, c in terms.items():
             exps = [0] * n
             for j, k in enumerate(e):
@@ -651,12 +650,9 @@ class Poly:
                     exps[t] += ej[t] * k
             if not (c[0] or c[1]):
                 continue
-            min_exps = list(map(min, min_exps, exps))
             _accumulate(out, tuple(exps), c)
-        shift = tuple(min_exps)
-        num = _of_triples(self.vars, {tuple(x - s for x, s in zip(e, shift)): c
-                                      for e, c in out.items()})
-        return ChartFunction.make(num, shift)
+        # make divides out the monomial content, negative exponents included
+        return ChartFunction.make(_of_triples(self.vars, out))
 
     # -- evaluation ----------------------------------------------------------
 

@@ -60,8 +60,10 @@ class EigenData:
     """Characteristic polynomial plus its roots.
 
     ``roots`` pairs each value with its multiplicity; a value is either an
-    exact :class:`GaussianRational` or a :class:`CertifiedRoot` rectangle of
-    width at most ``1e-10`` (pairwise disjoint unless flagged clustered).
+    exact :class:`GaussianRational` or a :class:`CertifiedRoot`, whose
+    ``box`` is the float rectangle ``(re_lo, re_hi, im_lo, im_hi)`` of width
+    at most ``1e-10`` (pairwise disjoint unless flagged clustered) that
+    :meth:`to_json` prints as the interval's ``value``.
     """
 
     char_poly: Poly
@@ -93,7 +95,7 @@ class EigenData:
                 assert isinstance(v, CertifiedRoot)
                 out.append({
                     "type": "interval",
-                    "value": list(v.box.bounds()),
+                    "value": list(v.box),
                     "multiplicity": m,
                     "clustered": v.clustered,
                 })

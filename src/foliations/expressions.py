@@ -308,7 +308,7 @@ def parse_field(text: str) -> VectorField | OneForm:
         start += len(piece) + 1
     chart = Chart.root(vars)
     if kind == KIND_FIELD:
-        return VectorField._of_polys(chart, tuple(polys))
+        return VectorField.make(chart, polys)
     return OneForm.make(chart, polys)
 
 

@@ -109,7 +109,15 @@ class VectorField:
 
     @staticmethod
     def make(chart: Chart, components) -> "VectorField":
-        return VectorField(chart, _as_chart_functions(chart, components))
+        """The field of ``Poly`` or ``ChartFunction`` components, one per
+        chart variable.  When every component is a ``Poly``, the field keeps
+        them as its ``polys()``: ``ChartFunction.make(p).expand()`` is ``p``
+        term for term."""
+        components = tuple(components)
+        functions = _as_chart_functions(chart, components)
+        if all(isinstance(c, Poly) for c in components):
+            return VectorField._of_expansions(chart, functions, components)
+        return VectorField(chart, functions)
 
     @staticmethod
     def _of_expansions(chart: Chart, components: tuple[ChartFunction, ...],
@@ -120,14 +128,6 @@ class VectorField:
         field = VectorField(chart, components)
         field.__dict__["_polys"] = polys
         return field
-
-    @staticmethod
-    def _of_polys(chart: Chart, polys: tuple[Poly, ...]) -> "VectorField":
-        """``VectorField.make(chart, polys)``, keeping ``polys`` as its
-        expansions, for polynomials on the chart's variables, one per
-        variable."""
-        return VectorField._of_expansions(
-            chart, tuple(ChartFunction.make(p) for p in polys), polys)
 
     def is_holomorphic(self) -> bool:
         return all(c.is_holomorphic() for c in self.components)

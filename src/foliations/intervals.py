@@ -26,9 +26,8 @@ arithmetic cannot separate or certify.
 
 The certification stage runs on flat ``(re_lo, re_hi, im_lo, im_hi)``
 float tuples.  Every operation rounds outward by one ``nextafter`` step;
-:func:`_interval_eval` is the one interval-polynomial evaluator.  Boxes
-become :class:`ComplexInterval` values only in the returned
-:class:`CertifiedRoot` list.
+:func:`_interval_eval` is the one interval-polynomial evaluator.  The
+returned :class:`CertifiedRoot` values keep these tuples as their boxes.
 """
 
 from __future__ import annotations
@@ -45,36 +44,6 @@ _DOWN = -math.inf
 _TOO_LARGE = "coefficient too large for a floating-point root certification"
 
 _next = math.nextafter
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed real interval with float endpoints."""
-
-    lo: float
-    hi: float
-
-
-@dataclass(frozen=True)
-class ComplexInterval:
-    """Axis-aligned rectangle in the complex plane."""
-
-    re: Interval
-    im: Interval
-
-    def mid(self) -> complex:
-        return complex(0.5 * (self.re.lo + self.re.hi), 0.5 * (self.im.lo + self.im.hi))
-
-    def width(self) -> float:
-        return max(self.re.hi - self.re.lo, self.im.hi - self.im.lo)
-
-    def overlaps(self, o: "ComplexInterval") -> bool:
-        return not (max(self.re.lo, o.re.lo) > min(self.re.hi, o.re.hi)
-                    or max(self.im.lo, o.im.lo) > min(self.im.hi, o.im.hi))
-
-    def bounds(self) -> tuple[float, float, float, float]:
-        """Serialization order: [re_lo, re_hi, im_lo, im_hi]."""
-        return (self.re.lo, self.re.hi, self.im.lo, self.im.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +252,13 @@ _WIDTH = 1e-10  # every certified rectangle is refined to at most this width
 
 @dataclass(frozen=True)
 class CertifiedRoot:
-    """A rectangle certified to contain exactly one root (of the sqfree part)."""
+    """A rectangle ``(re_lo, re_hi, im_lo, im_hi)`` of floats certified to
+    contain exactly one root of the square-free part, unless ``clustered``:
+    a clustered box is either a coarse box around a seed that interval
+    Newton could not certify, or a certified box that overlaps another, and
+    proves nothing about how many roots it holds."""
 
-    box: ComplexInterval
+    box: tuple[float, float, float, float]
     multiplicity: int
     clustered: bool = False
 
@@ -392,8 +365,10 @@ def _newton_certify(coeffs, dcoeffs, seed: complex, radius: float):
     return None
 
 
-def _box(xl: float, xh: float, yl: float, yh: float) -> ComplexInterval:
-    return ComplexInterval(Interval(xl, xh), Interval(yl, yh))
+def _overlap(a, b) -> bool:
+    """Whether two rectangles share a point."""
+    return (max(a[0], b[0]) <= min(a[1], b[1])
+            and max(a[2], b[2]) <= min(a[3], b[3]))
 
 
 def _certify(coeffs: list[tuple[int, int, int]], m: int) -> list[CertifiedRoot]:
@@ -411,7 +386,7 @@ def _certify(coeffs: list[tuple[int, int, int]], m: int) -> list[CertifiedRoot]:
     approx = np.roots(seeds)
     coeffs_iv = [_rectangle(a, b, d) for a, b, d in coeffs]
     dcoeffs_iv = [_rectangle(k * a, k * b, d) for k, (a, b, d) in enumerate(coeffs) if k]
-    boxes: list[ComplexInterval] = []
+    boxes = []
     for z in sorted(approx, key=lambda w: (w.real, w.imag)):
         z = complex(z)
         box = None
@@ -422,11 +397,11 @@ def _certify(coeffs: list[tuple[int, int, int]], m: int) -> list[CertifiedRoot]:
         if box is None:
             # certification failed: report a coarse box, flagged clustered
             intervals.append(CertifiedRoot(
-                _box(z.real - 1e-6, z.real + 1e-6, z.imag - 1e-6, z.imag + 1e-6),
+                (z.real - 1e-6, z.real + 1e-6, z.imag - 1e-6, z.imag + 1e-6),
                 m, clustered=True))
         else:
-            boxes.append(_box(*box))
-    clustered = any(a.overlaps(b) for a, b in itertools.combinations(boxes, 2))
+            boxes.append(box)
+    clustered = any(_overlap(a, b) for a, b in itertools.combinations(boxes, 2))
     for box in boxes:
         intervals.append(CertifiedRoot(box, m, clustered=clustered))
     if len(coeffs) - 1 != len(approx):  # pragma: no cover - numpy contract

@@ -58,8 +58,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial, reduce
 
-from .algebra import (_ONE, _ZERO, GR_ZERO, GaussianRational, Poly, _make, _of_triples, _over,
-                      _raw, _scaled_triples, _terms_restricted, _terms_shifted, _triples,
+from .algebra import (_ONE, _ZERO, GR_ZERO, GaussianRational, Poly, _of_triples, _over, _raw,
+                      _scaled_triples, _terms_restricted, _terms_shifted, _triples,
                       monomial_content)
 from .blowup import (POINT, BlowupSpec, TransformResult, _blown_vars, _terms_blowup,
                      all_charts, curve_center)
@@ -231,7 +231,9 @@ def _terms_common_roots(comps: list[dict], i: int):
         rows.append(row)
     if len(rows) > 1:
         row = reduce(iv._gcd, [iv._monic(_scaled_triples(r)[1]) for r in rows])
-        coeffs = [_make(a, b, row[-1][0]) for a, b in row]
+        # the Gaussian-integer row is den times the monic gcd, and
+        # certified_roots brings it back to the same monic row
+        coeffs = [_raw(a, b, 1) for a, b in row]
     else:
         coeffs = [_raw(*c) for c in rows[0]]
     if len(coeffs) <= 1:
@@ -270,8 +272,8 @@ def germ_at(rep: VectorField, coords) -> VectorField:
     offsets = dict(zip(rep.chart.var_names, coords))
     labels = [label if c.is_zero() else None
               for label, c in zip(rep.chart.divisor_labels, coords)]
-    return VectorField._of_polys(rep.chart.with_labels(labels),
-                                 tuple(p.shift(offsets) for p in rep.polys()))
+    return VectorField.make(rep.chart.with_labels(labels),
+                            (p.shift(offsets) for p in rep.polys()))
 
 
 def _eigenvalue_ratios(germ: VectorField) -> dict[str, GaussianRational]:
@@ -325,17 +327,27 @@ def _classify_point(node: TreeNode, coords) -> SingularPoint:
 def _interval_point(node: TreeNode, divisor_var: str, other: str,
                     root: iv.CertifiedRoot) -> SingularPoint:
     """Record a non-rational point on the divisor of a 2-D chart; prove it
-    elementary if possible."""
+    elementary if possible.
+
+    A clustered rectangle proves nothing: it may hold several roots, or a
+    root that another rectangle holds too, so its point is left
+    unprocessed."""
     chart = node.rep.chart
     names = chart.var_names
-    boxes = tuple(root.box.bounds() if name == other else (0.0, 0.0, 0.0, 0.0)
+    boxes = tuple(root.box if name == other else (0.0, 0.0, 0.0, 0.0)
                   for name in names)
-    # trace and determinant of the Jacobian along the divisor, as exact
-    # univariate polynomials in the free coordinate
-    (a, b), (c, d) = [[p.partial(v).restrict(divisor_var, 0) for v in names]
-                      for p in node.rep.polys()]
-    provable = (_interval_excludes_zero(a + d, other, root)
-                or _interval_excludes_zero(a * d - b * c, other, root))
+    if root.clustered:
+        provable = False
+        note = "clustered rectangle left unprocessed: it certifies no single root"
+    else:
+        # trace and determinant of the Jacobian along the divisor, as exact
+        # univariate polynomials in the free coordinate
+        (a, b), (c, d) = [[p.partial(v).restrict(divisor_var, 0) for v in names]
+                          for p in node.rep.polys()]
+        provable = (_interval_excludes_zero(a + d, other, root)
+                    or _interval_excludes_zero(a * d - b * c, other, root))
+        note = ("elementary (certified: nonzero eigenvalue)" if provable
+                else "non-rational divisor point left unprocessed")
     label = chart.divisor_labels[chart.var_index(divisor_var)]
     return SingularPoint(
         node_id=node.id,
@@ -344,14 +356,13 @@ def _interval_point(node: TreeNode, divisor_var: str, other: str,
         on_components=(label,) if label else (),
         report=None,
         status=POINT_ELEMENTARY if provable else POINT_NONRATIONAL,
-        note="elementary (certified: nonzero eigenvalue)" if provable
-        else "non-rational divisor point left unprocessed",
+        note=note,
     )
 
 
 def _interval_excludes_zero(p: Poly, var: str, root: iv.CertifiedRoot) -> bool:
     coeffs = [iv._rectangle(*c._abd) for c in p.univariate_coeffs(var)]
-    re_lo, re_hi, im_lo, im_hi = iv._interval_eval(coeffs, root.box.bounds())
+    re_lo, re_hi, im_lo, im_hi = iv._interval_eval(coeffs, root.box)
     return not (re_lo <= 0.0 <= re_hi and im_lo <= 0.0 <= im_hi)
 
 
@@ -367,7 +378,7 @@ def _prepare_input(x: VectorField, tree: ResolutionTree) -> VectorField:
     if any(content):
         tree.diagnostics.append(
             "input had a monomial zero divisor; working with its representative")
-    return VectorField._of_polys(x.chart, tuple(reduced))
+    return VectorField.make(x.chart, reduced)
 
 
 def _resolve(x: VectorField, max_steps: int, blow_up, divisor_points,
@@ -703,7 +714,7 @@ def _matched_germ(x: VectorField, germ: tuple[dict, ...], chain: list) -> Vector
         labels = ["probe" if j == k else None if c[0] or c[1] else label
                   for j, (label, c) in enumerate(zip(chart.divisor_labels, coords))]
         chart = chart.extended(record, labels)
-    return VectorField._of_polys(chart, tuple(_of_triples(chart.var_names, t) for t in germ))
+    return VectorField.make(chart, (_of_triples(chart.var_names, t) for t in germ))
 
 
 def detect_persistent_nilpotent(

@@ -79,11 +79,18 @@ class TestEigenSolve:
         boxes = [v for v, _ in data.roots]
         assert all(isinstance(v, CertifiedRoot) for v in boxes)
         import math
-        mids = sorted(b.box.mid().real for b in boxes)
+        # each box is the float tuple (re_lo, re_hi, im_lo, im_hi) that
+        # to_json prints as the interval's value
+        assert all(type(b.box) is tuple and len(b.box) == 4
+                   and all(type(x) is float for x in b.box) for b in boxes)
+        assert [r["value"] for r in data.to_json()] == [list(b.box) for b in boxes]
+        mids = sorted(0.5 * (b.box[0] + b.box[1]) for b in boxes)
         assert abs(mids[0] + math.sqrt(2)) < 1e-9
         assert abs(mids[1] - math.sqrt(2)) < 1e-9
-        assert all(b.box.width() <= 1e-10 for b in boxes)
-        assert not boxes[0].box.overlaps(boxes[1].box)
+        assert all(max(re_hi - re_lo, im_hi - im_lo) <= 1e-10
+                   for re_lo, re_hi, im_lo, im_hi in (b.box for b in boxes))
+        (a_lo, a_hi, ai_lo, ai_hi), (b_lo, b_hi, bi_lo, bi_hi) = boxes[0].box, boxes[1].box
+        assert max(a_lo, b_lo) > min(a_hi, b_hi) or max(ai_lo, bi_lo) > min(ai_hi, bi_hi)
 
     def test_gaussian_root(self):
         # (t - i)(t + 2i) = t^2 + i t + 2
@@ -98,7 +105,7 @@ class TestEigenSolve:
         data = eigen_solve(p)
         coeffs = [iv._rectangle(*c._abd) for c in p.univariate_coeffs("t")]
         for v, _ in data.roots:
-            re_lo, re_hi, im_lo, im_hi = iv._interval_eval(coeffs, v.box.bounds())
+            re_lo, re_hi, im_lo, im_hi = iv._interval_eval(coeffs, v.box)
             assert re_lo <= 0.0 <= re_hi and im_lo <= 0.0 <= im_hi
 
     def test_exact_roots_annihilate_exactly(self):

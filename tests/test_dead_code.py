@@ -1,13 +1,16 @@
 """Dead-code guard over ``src/foliations``, with the standard ``ast`` only.
 
 Every name a module imports must be used in that module or listed in its
-``__all__``, and every module-level private name must be referenced from
-another top-level statement of the package.
+``__all__``, every module-level private name must be referenced from
+another top-level statement of the package, and every private method,
+property or cached property of a class must be referenced from outside its
+own definition.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import foliations
@@ -59,4 +62,24 @@ def test_every_private_name_is_referenced():
     dead = [name for i, stmt in enumerate(statements) for name in _defined(stmt)
             if name.startswith("_") and not name.startswith("__")
             and not any(name in refs for j, refs in enumerate(references) if j != i)]
+    assert dead == []
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often ``node`` loads each name or reads each attribute."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute)
+                   or (isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)))
+
+
+def test_every_private_member_is_referenced():
+    reads = sum((_reads(tree) for tree in TREES.values()), Counter())
+    dead = [f"{module}: {cls.name}.{member.name}"
+            for module, tree in TREES.items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for member in cls.body
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and member.name.startswith("_") and not member.name.startswith("__")
+            and reads[member.name] == _reads(member)[member.name]]
     assert dead == []

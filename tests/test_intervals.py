@@ -93,10 +93,12 @@ class TestCertifiedRoots:
         assert not exact
         assert len(intervals) == 2
         for c in intervals:
-            assert c.box.width() <= 1e-10
+            re_lo, re_hi, im_lo, im_hi = c.box
+            assert max(re_hi - re_lo, im_hi - im_lo) <= 1e-10
             assert not c.clustered
-        assert not intervals[0].box.overlaps(intervals[1].box)
-        mids = sorted(c.box.mid().real for c in intervals)
+        (a_lo, a_hi, ai_lo, ai_hi), (b_lo, b_hi, bi_lo, bi_hi) = (c.box for c in intervals)
+        assert max(a_lo, b_lo) > min(a_hi, b_hi) or max(ai_lo, bi_lo) > min(ai_hi, bi_hi)
+        mids = sorted(0.5 * (c.box[0] + c.box[1]) for c in intervals)
         assert abs(mids[0] + math.sqrt(2)) < 1e-9
 
     def test_mixed_exact_and_certified(self):

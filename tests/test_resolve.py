@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import random
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 import foliations.resolve as resolve
 from foliations.algebra import Poly, gr
 from foliations.classify import CLASS_NILPOTENT
+from foliations.cli import main
 from foliations.corpus import (
     complete_nilpotent_field,
     cusp_hamiltonian,
@@ -18,6 +21,7 @@ from foliations.corpus import (
     sancho_sanz_field,
 )
 from foliations.errors import NotApplicableError
+from foliations.expressions import parse_field
 from foliations.blowup import POINT
 from foliations.fields import BlowupRecord, Chart, VectorField
 from foliations.resolve import (
@@ -153,6 +157,23 @@ class TestSeidenberg:
             assert again.klass == point.report.klass
             if again.klass != "regular":
                 assert again.is_elementary()
+
+    def test_clustered_rectangle_certifies_nothing(self, tmp_path):
+        # the divisor of the first chart carries y^2 - 2e-18, whose roots
+        # +-sqrt(2)*1e-9 lie closer together than the smallest Newton
+        # radius: each comes back in a coarse clustered box holding both
+        text = "vars: x, y\nx^2, -2/1000000000000000000*x^2 + x*y + y^2\n"
+        tree = seidenberg_resolve(parse_field(text))
+        points = tree.nodes[1].singular_points
+        assert len(points) == 2
+        for p in points:
+            assert p.coords is None and p.status == POINT_NONRATIONAL
+            assert p.note == "clustered rectangle left unprocessed: it certifies no single root"
+        assert tree.status == STATUS_BUDGET
+        path = tmp_path / "clustered.field"
+        path.write_text(text, encoding="utf-8")
+        with redirect_stdout(io.StringIO()):
+            assert main(["resolve", str(path)]) == 1
 
     def test_determinism_byte_identical(self):
         a = emit_tree(seidenberg_resolve(cusp_hamiltonian(2)))

@@ -377,7 +377,7 @@ def certified_roots(c):
     """``intervals.certified_roots`` with each rectangle as ``reference_roots``
     gives it."""
     exact, rectangles = intervals.certified_roots(c)
-    return exact, [(r.box.bounds(), r.multiplicity, r.clustered) for r in rectangles]
+    return exact, [(r.box, r.multiplicity, r.clustered) for r in rectangles]
 
 
 def outcome(roots, c):
