@@ -79,7 +79,7 @@ def test_every_private_member_is_referenced():
             for module, tree in TREES.items()
             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
             for member in cls.body
-            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if isinstance(member, ast.FunctionDef)
             and member.name.startswith("_") and not member.name.startswith("__")
             and reads[member.name] == _reads(member)[member.name]]
     assert dead == []
