@@ -8,9 +8,9 @@ Three layers, all immutable and exact:
   three ints with ``d > 0`` and ``gcd(a, b, d) == 1``; this form is unique,
   so equality compares ints.
 * :class:`Poly` -- sparse multivariate polynomials in up to three declared
-  variables, stored as a map from exponent tuples to nonzero coefficients.
-  The canonical term order is graded lexicographic in the declared variable
-  order.
+  variables, stored as a map from exponent tuples to the canonical triples
+  of their nonzero coefficients.  The canonical term order is graded
+  lexicographic in the declared variable order.
 * :class:`ChartFunction` -- a polynomial numerator times a signed monomial
   ``prod(x_i ** e_i)`` whose exponents may be negative.  This is exactly the
   class of functions produced by blow-up transforms: poles only along
@@ -26,14 +26,14 @@ factor skips the imaginary cross products.  :class:`GaussianRational`'s
 wrap the result once.  One polynomial arithmetic runs on the same kernel:
 term dicts from exponent tuples to canonical triples, added, negated,
 multiplied and raised to powers, restricted and shifted by the
-``_terms_*`` functions.
-:class:`Poly`'s ``+``, ``-``, negation, ``*``, ``**``, ``scale``,
-``partial``, ``restrict``, ``shift`` and ``laurent_substitute`` read their
-operands' triples, run it, and build one :class:`GaussianRational` per
-result term; the expression parser runs it on the triples of its literals.
-The blow-up transform (``blowup._terms_blowup``) and the
-persistent-nilpotent probe in ``resolve`` run on the same term dicts: the
-probe builds objects only for the germ it matches.
+``_terms_*`` functions.  A :class:`Poly` stores such a term dict, so its
+``+``, ``-``, negation, ``*``, ``**``, ``scale``, ``partial``,
+``restrict``, ``shift`` and ``laurent_substitute`` run it on their
+operands' dicts and store the result as it comes (:func:`_poly`); a
+:class:`GaussianRational` per term is built only when ``terms`` is read.
+The expression parser runs it on the triples of its literals, and the
+blow-up transform (``blowup._terms_blowup``) and the persistent-nilpotent
+probe in ``resolve`` on the term dicts of their fields.
 
 Floating-point evaluation (``eval_complex``) runs straight-line code that
 :class:`_Source` writes for each object, with the operations of a
@@ -61,7 +61,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from types import CodeType
+from types import CodeType, MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -250,14 +250,10 @@ GR_ZERO = _raw(0, 0, 1)
 GR_ONE = _raw(1, 0, 1)
 
 
-def _scaled(values: Iterable[GaussianRational]) -> tuple[int, list[tuple[int, int]]]:
-    """``(s, pairs)``: s the lcm of the denominators of ``values``, and each
-    value times s as a Gaussian-integer ``(re, im)`` int pair."""
-    return _scaled_triples([v._abd for v in values])
-
-
-def _scaled_triples(abd: list[tuple[int, int, int]]) -> tuple[int, list[tuple[int, int]]]:
-    """:func:`_scaled` of values given as their ``(a, b, d)`` triples."""
+def _scaled(abd: list[tuple[int, int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    """``(s, pairs)``: s the lcm of the denominators of the values whose
+    ``(a, b, d)`` triples are ``abd``, and each value times s as a
+    Gaussian-integer ``(re, im)`` int pair."""
     s = math.lcm(*(d for _, _, d in abd))
     return s, [(a * (s // d), b * (s // d)) for a, b, d in abd]
 
@@ -428,44 +424,51 @@ def _over(num: dict, exps: Exponents) -> dict:
     return {tuple(map(operator.sub, e, exps)): c for e, c in num.items()}
 
 
-def _triples(p: "Poly") -> dict:
-    return {e: c._abd for e, c in p.terms.items()}
-
-
-def _of_triples(vars: tuple[str, ...], terms: dict) -> "Poly":
-    return Poly(vars, {e: _raw(*c) for e, c in terms.items()})
-
-
-@dataclass(frozen=True, eq=False)
 class Poly:
     """Sparse exact polynomial over Q(i) in an ordered tuple of variables.
 
-    ``terms`` maps exponent tuples to nonzero coefficients; the zero
-    polynomial has no terms.  Instances are treated as immutable: the terms
-    dict is never modified after construction.
+    A polynomial stores ``vars`` and one term dict, ``_abd``, from exponent
+    tuples to the canonical ``(a, b, d)`` triples of its nonzero
+    coefficients; the zero polynomial has no terms.  ``Poly(vars, terms)``
+    takes :class:`GaussianRational` coefficients and stores their triples in
+    the same key order, and ``terms`` is a read-only view of the term dict
+    with :class:`GaussianRational` values, in that order, built on its first
+    read.  Instances are immutable: assigning or deleting any attribute
+    raises ``AttributeError``.
     """
 
-    vars: tuple[str, ...]
-    terms: Mapping[Exponents, GaussianRational]
+    def __init__(self, vars: tuple[str, ...],
+                 terms: Mapping[Exponents, GaussianRational]) -> None:
+        self.__dict__.update(vars=vars, _abd={e: c._abd for e, c in terms.items()})
+
+    def __setattr__(self, *args):
+        raise AttributeError("Poly is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _poly, (self.vars, self._abd)
+
+    def __repr__(self) -> str:
+        return f"Poly(vars={self.vars!r}, terms={dict(self.terms)!r})"
+
+    @cached_property
+    def terms(self) -> Mapping[Exponents, GaussianRational]:
+        return MappingProxyType({e: _raw(*c) for e, c in self._abd.items()})
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def make(vars: Sequence[str], terms: Mapping[Exponents, GaussianRational]) -> "Poly":
-        vars = tuple(vars)
-        clean = {e: c for e, c in terms.items() if not c.is_zero()}
-        return Poly(vars, clean)
+        return _poly(tuple(vars), {e: c._abd for e, c in terms.items() if not c.is_zero()})
 
     @staticmethod
     def zero(vars: Sequence[str]) -> "Poly":
-        return Poly(tuple(vars), {})
+        return _poly(tuple(vars), {})
 
     @staticmethod
     def constant(vars: Sequence[str], c) -> "Poly":
-        c = GaussianRational.of(c)
-        if c.is_zero():
-            return Poly.zero(vars)
-        return Poly(tuple(vars), {(0,) * len(vars): c})
+        return Poly.make(vars, {(0,) * len(vars): GaussianRational.of(c)})
 
     @staticmethod
     def variable(vars: Sequence[str], name: str) -> "Poly":
@@ -474,7 +477,7 @@ class Poly:
             raise StructuralError(f"unknown variable {name!r} for {vars}")
         e = [0] * len(vars)
         e[vars.index(name)] = 1
-        return Poly(vars, {tuple(e): GR_ONE})
+        return _poly(vars, {tuple(e): _ONE})
 
     # -- structure ----------------------------------------------------------
 
@@ -484,19 +487,15 @@ class Poly:
                 f"variable lists differ: {self.vars} vs {other.vars}")
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._abd
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self._abd), default=-1)
 
     def order(self) -> float:
         """Lowest total degree of a term; +inf for the zero polynomial."""
-        if not self.terms:
-            return math.inf
-        return min(sum(e) for e in self.terms)
+        return min(map(sum, self._abd), default=math.inf)
 
     def var_index(self, name: str) -> int:
         try:
@@ -505,51 +504,46 @@ class Poly:
             raise StructuralError(f"unknown variable {name!r} for {self.vars}") from None
 
     def coefficient(self, exps: Sequence[int]) -> GaussianRational:
-        return self.terms.get(tuple(exps), GR_ZERO)
+        c = self._abd.get(tuple(exps))
+        return GR_ZERO if c is None else _raw(*c)
 
     def constant_term(self) -> GaussianRational:
-        return self.terms.get((0,) * len(self.vars), GR_ZERO)
-
-    def sorted_terms(self) -> list[tuple[Exponents, GaussianRational]]:
-        """Terms in descending graded-lexicographic order (canonical)."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        return self.coefficient((0,) * len(self.vars))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.vars == other.vars and dict(self.terms) == dict(other.terms)
+        return self.vars == other.vars and self._abd == other._abd
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_same_vars(other)
-        return _of_triples(self.vars, _terms_sum(_triples(self), _triples(other)))
+        return _poly(self.vars, _terms_sum(self._abd, other._abd))
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check_same_vars(other)
-        return _of_triples(self.vars, _terms_sum(_triples(self),
-                                                 _terms_negated(_triples(other))))
+        return _poly(self.vars, _terms_sum(self._abd, _terms_negated(other._abd)))
 
     def __neg__(self) -> "Poly":
-        return _of_triples(self.vars, _terms_negated(_triples(self)))
+        return _poly(self.vars, _terms_negated(self._abd))
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_same_vars(other)
-        return _of_triples(self.vars, _terms_product(_triples(self), _triples(other)))
+        return _poly(self.vars, _terms_product(self._abd, other._abd))
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise StructuralError("negative polynomial power")
         one = {(0,) * len(self.vars): _ONE}
-        return _of_triples(self.vars, _terms_power(_triples(self), k, one))
+        return _poly(self.vars, _terms_power(self._abd, k, one))
 
     def scale(self, c) -> "Poly":
         c = GaussianRational.of(c)
         if c.is_zero():
             return Poly.zero(self.vars)
         c = c._abd
-        return _of_triples(self.vars, {e: _triple_product(k, c)
-                                       for e, k in _triples(self).items()})
+        return _poly(self.vars, {e: _triple_product(k, c) for e, k in self._abd.items()})
 
     def times_monomial(self, exps: Exponents) -> "Poly":
         """``self`` times the monomial with exponents ``exps`` (all >= 0).
@@ -560,38 +554,36 @@ class Poly:
         """
         if not any(exps):
             return self
-        return Poly(self.vars, {tuple(x + k for x, k in zip(e, exps)): c
-                                for e, c in self.terms.items()})
+        return _poly(self.vars, {tuple(x + k for x, k in zip(e, exps)): c
+                                 for e, c in self._abd.items()})
 
     # -- calculus and reshaping ---------------------------------------------
 
     def partial(self, var: str) -> "Poly":
         """Exact formal partial derivative with respect to ``var``."""
         i = self.var_index(var)
-        return _of_triples(self.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]:
-                                       _triple_product(c, (e[i], 0, 1))
-                                       for e, c in _triples(self).items() if e[i]})
+        return _poly(self.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]:
+                                 _triple_product(c, (e[i], 0, 1))
+                                 for e, c in self._abd.items() if e[i]})
 
     def jet_truncate(self, n: int) -> "Poly":
         """Keep only the terms of total degree <= n (n >= 0)."""
         if n < 0:
             raise StructuralError("jet order must be nonnegative")
-        return Poly(self.vars, {e: c for e, c in self.terms.items() if sum(e) <= n})
+        return _poly(self.vars, {e: c for e, c in self._abd.items() if sum(e) <= n})
 
     def homogeneous_component(self, d: int) -> "Poly":
         """The exact degree-d homogeneous part."""
         if d < 0:
             raise StructuralError("degree must be nonnegative")
-        return Poly(self.vars, {e: c for e, c in self.terms.items() if sum(e) == d})
+        return _poly(self.vars, {e: c for e, c in self._abd.items() if sum(e) == d})
 
     def restrict(self, var: str, value=0) -> "Poly":
         """Substitute ``var := value`` for an exact constant value."""
         i = self.var_index(var)
         if value:  # a text such as "0" is zero only once coerced
             value = GaussianRational.of(value)
-        if not value:
-            return Poly(self.vars, _terms_restricted(self.terms, i))
-        return _of_triples(self.vars, _terms_restricted(_triples(self), i, value._abd))
+        return _poly(self.vars, _terms_restricted(self._abd, i, value._abd if value else _ZERO))
 
     def shift(self, offsets: Mapping[str, "GaussianRational | int | Fraction"]) -> "Poly":
         """Translate coordinates: substitute ``x := x + a`` for each entry
@@ -601,7 +593,7 @@ class Poly:
             a = GaussianRational.of(a)
             if not a.is_zero():
                 steps.append((self.var_index(name), a._abd))
-        return _of_triples(self.vars, _terms_shifted(_triples(self), steps))
+        return _poly(self.vars, _terms_shifted(self._abd, steps))
 
     def substitute_monomials(
         self, assignment: Mapping[str, tuple["GaussianRational | int | Fraction", Sequence[int]]]
@@ -635,7 +627,7 @@ class Poly:
         for name in assignment:
             if name not in self.vars:
                 raise StructuralError(f"unknown variable {name!r} for {self.vars}")
-        terms = _triples(self)
+        terms = self._abd
         powers = [_triple_powers(cj, max((e[j] for e in terms), default=0))
                   for j, (cj, _) in enumerate(images)]
         out: dict = {}
@@ -652,7 +644,7 @@ class Poly:
                 continue
             _accumulate(out, tuple(exps), c)
         # make divides out the monomial content, negative exponents included
-        return ChartFunction.make(_of_triples(self.vars, out))
+        return ChartFunction.make(_poly(self.vars, out))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -660,8 +652,8 @@ class Poly:
     def _complex_terms(self) -> tuple[tuple[complex, tuple[tuple[int, int], ...]], ...]:
         """``(c.to_complex(), nonzero (index, power) pairs)`` per term, in term order."""
         try:
-            return tuple((c.to_complex(), tuple((j, k) for j, k in enumerate(e) if k))
-                         for e, c in self.terms.items())
+            return tuple((complex(a / d, b / d), tuple((j, k) for j, k in enumerate(e) if k))
+                         for e, (a, b, d) in self._abd.items())
         except OverflowError:
             raise EvaluationOverflowError(_COEFFICIENT_TOO_LARGE) from None
 
@@ -678,7 +670,7 @@ class Poly:
 
     def used_vars(self) -> tuple[str, ...]:
         used = [False] * len(self.vars)
-        for e in self.terms:
+        for e in self._abd:
             for j, k in enumerate(e):
                 if k:
                     used[j] = True
@@ -687,26 +679,27 @@ class Poly:
     def univariate_coeffs(self, var: str) -> list[GaussianRational]:
         """Dense coefficient list c[0..d] when the poly involves only ``var``."""
         i = self.var_index(var)
-        for e in self.terms:
+        for e in self._abd:
             for j, k in enumerate(e):
                 if k and j != i:
                     raise StructuralError("polynomial is not univariate in " + var)
-        if not self.terms:
+        if not self._abd:
             return [GR_ZERO]
-        d = max(e[i] for e in self.terms)
+        d = max(e[i] for e in self._abd)
         out = [GR_ZERO] * (d + 1)
-        for e, c in self.terms.items():
-            out[e[i]] = c
+        for e, c in self._abd.items():
+            out[e[i]] = _raw(*c)
         return out
 
     # -- rendering -------------------------------------------------------------
 
     def render(self) -> str:
         """Canonical text: ordered terms, explicit '*', '^' powers, 'i' unit."""
-        if not self.terms:
+        if not self._abd:
             return "0"
         parts: list[str] = []
-        for n, (e, c) in enumerate(self.sorted_terms()):
+        terms = sorted(self._abd.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        for n, (e, c) in enumerate(terms):
             sign, body = _term_text(self.vars, e, c)
             if n == 0:
                 parts.append(body if sign > 0 else "-" + body)
@@ -718,12 +711,20 @@ class Poly:
         return self.render()
 
 
-def _term_text(vars: tuple[str, ...], exps: Exponents, c: GaussianRational) -> tuple[int, str]:
+def _poly(vars: tuple[str, ...], abd: dict) -> Poly:
+    """The :class:`Poly` whose term dict is ``abd``, exponent tuples to
+    nonzero canonical triples, taken as given."""
+    p = _new(Poly)
+    p.__dict__.update(vars=vars, _abd=abd)
+    return p
+
+
+def _term_text(vars: tuple[str, ...], exps: Exponents, c: tuple) -> tuple[int, str]:
     """Return (sign, unsigned text) of one term for canonical rendering."""
     factors = [f"{v}^{k}" if k > 1 else v for v, k in zip(vars, exps) if k]
     # pure-real and pure-imaginary coefficients can absorb an overall sign;
     # with one part zero the other is already in lowest terms
-    a, b, d = c._abd
+    a, b, d = c
     if b == 0:
         sign = 1 if a > 0 else -1
         coeff_txt = None if abs(a) == d == 1 and factors else _ratio_text(abs(a), d)
@@ -732,7 +733,7 @@ def _term_text(vars: tuple[str, ...], exps: Exponents, c: GaussianRational) -> t
         coeff_txt = _imag_text(_ratio_text(abs(b), d))
     else:
         sign = 1
-        coeff_txt = f"({c.text()})"
+        coeff_txt = f"({_raw(a, b, d).text()})"
     pieces = ([coeff_txt] if coeff_txt else []) + factors
     return sign, "*".join(pieces) if pieces else "1"
 
@@ -756,10 +757,10 @@ def monomial_content(components: Iterable[Poly]) -> tuple[Exponents, list[Poly]]
     for p in nonzero[1:]:
         if p.vars != vars:
             raise StructuralError("components live on different variable lists")
-    exps = tuple(map(min, zip(*(e for p in nonzero for e in p.terms))))
+    exps = tuple(map(min, zip(*(e for p in nonzero for e in p._abd))))
     if not any(exps):
         return exps, comps
-    return exps, [Poly(p.vars, _over(p.terms, exps)) for p in comps]
+    return exps, [_poly(p.vars, _over(p._abd, exps)) for p in comps]
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +890,7 @@ class ChartFunction:
             f"{v}^{e}" if e != 1 else v
             for v, e in zip(self.vars, self.monomial_exponents) if e)
         num = self.numerator.render()
-        if len(self.numerator.terms) > 1:
+        if len(self.numerator._abd) > 1:
             num = f"({num})"
         return f"{mono}*{num}" if mono else num
 

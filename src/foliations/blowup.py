@@ -23,13 +23,12 @@ one dict built in one pass over the component's exponent keys, which does
 the substitution and the power of ``v`` (and of ``u`` for the drift)
 together; the drift is folded into the ``u`` numerator in place.  Each
 numerator's own monomial content comes from one scan, and their minimum is
-the transform's content.  :func:`_chart` builds the chart's objects from
-them, one :class:`GaussianRational` per term: dividing each numerator once
-by its own content gives both the holomorphic, content-free representative
-and the raw field.  The representative is handed its expanded components,
+the transform's content.  :func:`_chart` builds the chart's polynomials on
+them as they come: dividing each numerator once by its own content gives
+both the holomorphic, content-free representative and the raw field.  The representative is handed its expanded components,
 each numerator over the transform's content in the numerator's term order,
 so reading its ``polys()`` expands nothing.  The persistent-nilpotent probe
-in ``resolve`` calls :func:`_terms_blowup` directly and builds no object.
+in ``resolve`` calls :func:`_terms_blowup` directly and builds no field.
 The content's ``v`` exponent minus ``top`` is the vanishing order of the
 transform along the divisor; a transform with poles is reported with its
 pole order instead of being silently cleared.
@@ -41,8 +40,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import (ChartFunction, Poly, _accumulate, _over, _raw, _reduced,
-                      _triple_product, _triples)
+from .algebra import ChartFunction, _accumulate, _over, _poly, _reduced, _triple_product
 from .errors import InvalidCenterError, NotApplicableError, StructuralError
 from .fields import BlowupRecord, Chart, VectorField
 
@@ -237,7 +235,7 @@ def _chart(x: VectorField, center: str, blown: list[str], weights: tuple[int, ..
     new_chart = chart.extended(record, labels)
 
     numerators, owns, content = _terms_blowup(
-        [_triples(p) for p in x.polys()], k,
+        [p._abd for p in x.polys()], k,
         tuple(weight_of.get(name, 0) for name in names))
     multiplicity = content[k] - top
     pole_order = max(0, -multiplicity)
@@ -247,13 +245,12 @@ def _chart(x: VectorField, center: str, blown: list[str], weights: tuple[int, ..
     parts = []
     for num, own in zip(numerators, owns):
         if not num:
-            zero = Poly(names, num)
+            zero = _poly(names, num)
             parts.append((ChartFunction(zero, (0,) * n),) * 2 + (zero,))
             continue
-        num = {e: _raw(*c) for e, c in num.items()}
         rest = tuple(map(operator.sub, own, content))
-        reduced = Poly(names, _over(num, own))
-        expanded = Poly(names, _over(num, content)) if any(rest) else reduced
+        reduced = _poly(names, _over(num, own))
+        expanded = _poly(names, _over(num, content)) if any(rest) else reduced
         parts.append((ChartFunction(reduced, rest),
                       ChartFunction(reduced, own[:k] + (own[k] - top,) + own[k + 1:]),
                       expanded))

@@ -20,16 +20,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import (
+    _ONE,
     _ZERO,
     GR_ONE,
     GR_ZERO,
     GaussianRational,
     Poly,
-    _make,
+    _poly,
+    _reduced,
     _reduced_echelon,
     _scaled,
-    _scaled_triples,
-    _triples,
 )
 from .errors import NotApplicableError, StructuralError
 from .fields import LinearPart, VectorField, linear_part
@@ -144,16 +144,16 @@ def char_poly(lp: LinearPart) -> Poly:
     n = lp.dim
     if n > 3:
         raise StructuralError("only dimensions up to 3 are supported")
-    s, pairs = _scaled(c for row in lp.entries for c in row)
+    s, pairs = _scaled([c._abd for row in lp.entries for c in row])
     e = list(_symmetric_functions([pairs[i * n:i * n + n] for i in range(n)]))
     terms = {}
     for k in range(n, 0, -1):
         a, b = e[k - 1]
         if a or b:
             sign = -1 if k & 1 else 1
-            terms[(n - k,)] = _make(sign * a, sign * b, s ** k)
-    terms[(n,)] = GR_ONE
-    return Poly((_T,), terms)
+            terms[(n - k,)] = _reduced(sign * a, sign * b, s ** k)
+    terms[(n,)] = _ONE
+    return _poly((_T,), terms)
 
 
 def _minor(a, b, c, d) -> tuple[int, int]:
@@ -213,7 +213,7 @@ def resonance_rank(eigenvalues) -> int | str:
     vals = list(eigenvalues)
     if not all(isinstance(v, GaussianRational) for v in vals):
         return UNDECIDED
-    _, pairs = _scaled(vals)
+    _, pairs = _scaled([v._abd for v in vals])
     rows = [{j: (a, 0) for j, (a, _) in enumerate(pairs) if a},
             {j: (b, 0) for j, (_, b) in enumerate(pairs) if b}]
     return len(vals) - len(_reduced_echelon(rows))
@@ -315,7 +315,7 @@ def second_jet_check(x: VectorField) -> bool:
 def _nilpotent_class(lp: LinearPart, cp: Poly) -> str | None:
     """The class of a linear part whose characteristic polynomial ``cp`` is
     ``t**n`` (nilpotent, or zero), else None."""
-    if cp != Poly((_T,), {(lp.dim,): GR_ONE}):
+    if cp._abd != {(lp.dim,): _ONE}:
         return None
     return CLASS_ZERO_LINEAR if lp.is_zero() else CLASS_NILPOTENT
 
@@ -323,8 +323,8 @@ def _nilpotent_class(lp: LinearPart, cp: Poly) -> str | None:
 def is_nilpotent(x: VectorField) -> bool:
     """True iff ``x`` vanishes at the origin with a nonzero nilpotent linear
     part: the class :func:`classify_singularity` reports as nilpotent.  It
-    runs :func:`_nilpotent_terms` on the triples of ``polys()``."""
-    return x.is_holomorphic() and _nilpotent_terms([_triples(p) for p in x.polys()])
+    runs :func:`_nilpotent_terms` on the term dicts of ``polys()``."""
+    return x.is_holomorphic() and _nilpotent_terms([p._abd for p in x.polys()])
 
 
 def _nilpotent_terms(comps: Sequence[dict]) -> bool:
@@ -344,7 +344,7 @@ def _nilpotent_terms(comps: Sequence[dict]) -> bool:
     if any(origin in t for t in comps):
         return False
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    _, pairs = _scaled_triples([t.get(e, _ZERO) for t in comps for e in units])
+    _, pairs = _scaled([t.get(e, _ZERO) for t in comps for e in units])
     if not any(a or b for a, b in pairs):
         return False
     m = [pairs[i * n:i * n + n] for i in range(n)]

@@ -347,7 +347,7 @@ def semicomplete_order_test(x_1d: Poly, radius: float = 0.1) -> Semicompleteness
         raise NotApplicableError("field does not vanish at the origin")
     order = int(x_1d.order())
     # the residue -a3/a2^2 is zero exactly when x^3 has no term
-    if order == 1 or (order == 2 and (3,) not in x_1d.terms):
+    if order == 1 or (order == 2 and (3,) not in x_1d._abd):
         return SemicompletenessVerdict(SEMICOMPLETE, order, None, None)
     path = (full_circle(radius) if order == 2
             else CircularArc(0j, radius, 0.0, 2.0 * math.pi / (order - 1)))

@@ -25,8 +25,7 @@ is evaluated on term dicts from exponent tuples to such triples with the
 term-dict arithmetic of :mod:`foliations.algebra`, the one that
 :class:`~foliations.algebra.Poly`'s ``+``, ``*`` and ``**`` run, so the
 terms come out in the order ``Poly`` arithmetic gives them.  One ``Poly``
-is built per component, with one
-:class:`~foliations.algebra.GaussianRational` per term; a parsed vector
+is built per component, on its term dict as it stands; a parsed vector
 field keeps those polynomials as its expansions.
 """
 
@@ -38,7 +37,7 @@ import re
 from .algebra import (
     _ONE,
     Poly,
-    _of_triples,
+    _poly,
     _terms_negated,
     _terms_power,
     _terms_product,
@@ -210,7 +209,7 @@ def parse_expression(text: str, vars: tuple[str, ...], line: int = 1) -> Poly:
     kind, name, col, _ = toks[i]
     if kind != "end":
         raise ParseError(f"unexpected {name!r}", line, col)
-    return _of_triples(tuple(vars), terms)
+    return _poly(tuple(vars), terms)
 
 
 _SPLITTERS = re.compile(r"[(),]")

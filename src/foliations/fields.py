@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
-from .algebra import ChartFunction, GaussianRational, Poly, _make, _scaled
+from .algebra import ChartFunction, GaussianRational, Poly, _poly, _reduced, _scaled
 from .errors import (
     ChartMismatchError,
     NotApplicableError,
@@ -149,9 +149,9 @@ class VectorField:
         component of ``L.X`` its ``(degree, exponents, re, im)`` terms in
         ascending degree, with Gaussian-integer coefficients ``re + im*i``."""
         polys = self.polys()
-        scale, pairs = _scaled(c for p in polys for c in p.terms.values())
+        scale, pairs = _scaled([c for p in polys for c in p._abd.values()])
         pairs = iter(pairs)
-        return scale, tuple(sorted((sum(e), e, *next(pairs)) for e in p.terms)
+        return scale, tuple(sorted((sum(e), e, *next(pairs)) for e in p._abd)
                             for p in polys)
 
     def component(self, var: str) -> ChartFunction:
@@ -249,18 +249,18 @@ def directional_derivative(x: VectorField, f: Poly, bound: int | None = None) ->
     The sums run on Gaussian integers, ``(re, im)`` pairs of ints: X is
     scaled by the lcm L of its denominators and F by the lcm M of its
     own, the products are summed term by term, and each result term is
-    formed once as a :class:`GaussianRational` over ``L*M``.
+    reduced once to a canonical triple over ``L*M``.
     """
     if f.vars != x.chart.var_names:
         raise ChartMismatchError("function lives on a different chart")
     scale, comps = x._integer_terms
-    f_scale, f_pairs = _scaled(f.terms.values())
+    f_scale, f_pairs = _scaled(list(f._abd.values()))
     limit = math.inf if bound is None else bound
     out: dict = {}
     # components in ascending degree, so each term of dF/dx_i stops at the
     # first component term that would exceed the bound
     for i, comp_terms in enumerate(comps):
-        for e, (a, b) in zip(f.terms, f_pairs):
+        for e, (a, b) in zip(f._abd, f_pairs):
             k = e[i]
             if not k:
                 continue
@@ -282,7 +282,7 @@ def directional_derivative(x: VectorField, f: Poly, bound: int | None = None) ->
                         continue
                 out[key] = (re, im)
     den = scale * f_scale
-    return Poly(f.vars, {e: _make(a, b, den) for e, (a, b) in out.items()})
+    return _poly(f.vars, {e: _reduced(a, b, den) for e, (a, b) in out.items()})
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:

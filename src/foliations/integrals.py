@@ -31,8 +31,8 @@ built.  The block rows read the table, and a solution's image is the
 combination of its monomials' images, formed through degree d+1 for an
 order-d solution (its residual check in all degrees up to d, then the next
 block).  Solutions are kept as primitive Gaussian-integer vectors, since
-only their span matters; the canonical order-N basis is converted to
-:class:`GaussianRational` once.  Each of its elements is then checked
+only their span matters; the canonical order-N basis is reduced to
+canonical ``(a, b, d)`` coefficient triples once.  Each of its elements is then checked
 again, independently of the table: ``X . F`` through degree N is
 recomputed from X and F themselves by
 :func:`~foliations.fields.directional_derivative`, which multiplies
@@ -52,7 +52,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .algebra import GR_ONE, Poly, _make, _reduced_echelon
+from .algebra import _ONE, GR_ONE, Poly, _poly, _reduced, _reduced_echelon
 from .errors import NotApplicableError, StructuralError
 from .fields import VectorField, directional_derivative
 
@@ -100,7 +100,7 @@ class JetSolutionSpace:
     the order-(d-1) basis by degree-d terms with one block elimination per
     degree over Gaussian integers, reading the images of monomials from one
     table per call, and brings only the order-N basis to canonical form,
-    the only step that forms :class:`GaussianRational` coefficients or
+    the only step that forms coefficient triples over a denominator or
     exponent tuples.  Until then a monomial is its packed key, one int with
     one base ``N + 1`` digit per exponent: a monomial of degree at most N
     has no exponent above N.
@@ -231,7 +231,7 @@ def _canonical_basis(names, n: int, basis: list[dict]) -> list[Poly]:
     col_of = {key: j for j, key in enumerate(
         itertools.chain.from_iterable(_packed_monomials(k, n, d) for d in range(1, n + 1)))}
     reduced = _reduced_echelon([{col_of[e]: v for e, v in f.items()} for f in basis])
-    return [Poly.make(names, {order[j]: _make(a, b, den) for j, (a, b) in row.items()})
+    return [_poly(names, {order[j]: _reduced(a, b, den) for j, (a, b) in row.items()})
             for _, den, row in reversed(reduced)]
 
 
@@ -388,9 +388,9 @@ def meromorphic_quotient(f: FactoredFunction, g: FactoredFunction,
 
 
 def _as_coordinate(p: Poly) -> str | None:
-    if len(p.terms) != 1:
+    if len(p._abd) != 1:
         return None
-    (exps, coeff), = p.terms.items()
-    if coeff != GR_ONE or sum(exps) != 1:
+    (exps, coeff), = p._abd.items()
+    if coeff != _ONE or sum(exps) != 1:
         return None
     return p.vars[exps.index(1)]

@@ -65,7 +65,7 @@ def _monic(row: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 def _row(c: list[GaussianRational]) -> list[tuple[int, int]]:
     """The monic row of a polynomial whose last coefficient is nonzero."""
-    return _monic(_scaled(c)[1])
+    return _monic(_scaled([v._abd for v in c])[1])
 
 
 def _pseudo_divmod(a, b):

@@ -58,9 +58,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial, reduce
 
-from .algebra import (_ONE, _ZERO, GR_ZERO, GaussianRational, Poly, _of_triples, _over, _raw,
-                      _scaled_triples, _terms_restricted, _terms_shifted, _triples,
-                      monomial_content)
+from .algebra import (_ONE, _ZERO, GR_ZERO, GaussianRational, Poly, _over, _poly, _raw,
+                      _scaled, _terms_restricted, _terms_shifted, monomial_content)
 from .blowup import (POINT, BlowupSpec, TransformResult, _blown_vars, _terms_blowup,
                      all_charts, curve_center)
 from .classify import CLASS_NILPOTENT, SingularityReport, _nilpotent_terms, classify_singularity
@@ -218,7 +217,7 @@ class ResolutionTree:
 
 def _common_roots(polys: list[Poly], var: str):
     """(exact roots, certified interval roots) shared by univariates in ``var``."""
-    return _terms_common_roots([_triples(p) for p in polys], polys[0].var_index(var))
+    return _terms_common_roots([p._abd for p in polys], polys[0].var_index(var))
 
 
 def _terms_common_roots(comps: list[dict], i: int):
@@ -230,7 +229,7 @@ def _terms_common_roots(comps: list[dict], i: int):
             row[e[i]] = c
         rows.append(row)
     if len(rows) > 1:
-        row = reduce(iv._gcd, [iv._monic(_scaled_triples(r)[1]) for r in rows])
+        row = reduce(iv._gcd, [iv._monic(_scaled(r)[1]) for r in rows])
         # the Gaussian-integer row is den times the monic gcd, and
         # certified_roots brings it back to the same monic row
         coeffs = [_raw(a, b, 1) for a, b in row]
@@ -537,11 +536,11 @@ def match_persistent_normal_form(x: VectorField) -> dict | None:
 
     Tries all coordinate role assignments; reports the witness dictionary
     (roles, n, orders, and whether the ``> 2n`` axis-order conditions hold)
-    or None.  It runs :func:`_terms_match` on the triples of ``polys()``.
+    or None.  It runs :func:`_terms_match` on the term dicts of ``polys()``.
     """
     if x.chart.dim != 3 or not x.is_holomorphic():
         return None
-    return _terms_match(tuple(_triples(p) for p in x.polys()), x.chart.var_names)
+    return _terms_match(tuple(p._abd for p in x.polys()), x.chart.var_names)
 
 
 def _terms_match(germ: tuple[dict, ...], names: tuple[str, ...]) -> dict | None:
@@ -581,7 +580,7 @@ def _terms_match(germ: tuple[dict, ...], names: tuple[str, ...]) -> dict | None:
 
 def _divisor_candidates_3d(rep: VectorField, divisor_var: str):
     """Singular points of the representative on a 3-D divisor chart, as
-    :func:`_terms_divisor_candidates` finds them from the triples of
+    :func:`_terms_divisor_candidates` finds them from the term dicts of
     ``polys()``, with exact coordinates."""
     chart = rep.chart
     names = chart.var_names
@@ -593,7 +592,7 @@ def _divisor_candidates_3d(rep: VectorField, divisor_var: str):
             break
         earlier.append(names.index(name))
     candidates, lines, nonrational, complete = _terms_divisor_candidates(
-        names, [_triples(p) for p in rep.polys()], names.index(divisor_var), earlier)
+        names, [p._abd for p in rep.polys()], names.index(divisor_var), earlier)
     return ([tuple(_raw(*c) for c in coords) for coords in candidates],
             lines, nonrational, complete)
 
@@ -668,7 +667,7 @@ def _terms_divisor_candidates(names: tuple[str, ...], comps: list[dict], k: int,
     # sorted by (re, im) of each coordinate, as ints over one denominator;
     # the points are distinct, so no two keys tie
     unique = list(dict.fromkeys(points))
-    _, ints = _scaled_triples([v for pair in unique for v in pair])
+    _, ints = _scaled([v for pair in unique for v in pair])
     keys = [a + b for a, b in zip(ints[::2], ints[1::2])]
     candidates = []
     for _, (a, b) in sorted(zip(keys, unique)):
@@ -714,7 +713,7 @@ def _matched_germ(x: VectorField, germ: tuple[dict, ...], chain: list) -> Vector
         labels = ["probe" if j == k else None if c[0] or c[1] else label
                   for j, (label, c) in enumerate(zip(chart.divisor_labels, coords))]
         chart = chart.extended(record, labels)
-    return VectorField.make(chart, (_of_triples(chart.var_names, t) for t in germ))
+    return VectorField.make(chart, (_poly(chart.var_names, t) for t in germ))
 
 
 def detect_persistent_nilpotent(
@@ -739,7 +738,7 @@ def detect_persistent_nilpotent(
     """
     if x.chart.dim != 3:
         raise NotApplicableError("persistent-nilpotent detection is three-dimensional")
-    start = tuple(_triples(p) for p in x.polys()) if x.is_holomorphic() else None
+    start = tuple(p._abd for p in x.polys()) if x.is_holomorphic() else None
     if start is None or not _nilpotent_terms(start):
         raise NotApplicableError("field does not have a nilpotent linear part")
     if memo is None:
@@ -776,7 +775,7 @@ def _singular_axis_center(germ: VectorField) -> str | None:
     """First coordinate axis contained in the singular set, if any."""
     polys = germ.polys()
     for i, axis in enumerate(germ.chart.var_names):
-        if all(_axis_order(p.terms, i) == math.inf for p in polys):
+        if all(_axis_order(p._abd, i) == math.inf for p in polys):
             return axis
     return None
 
