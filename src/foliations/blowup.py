@@ -25,9 +25,10 @@ together; the drift is folded into the ``u`` numerator in place.  Each
 numerator's own monomial content comes from one scan, and their minimum is
 the transform's content.  :func:`_chart` builds the chart's polynomials on
 them as they come: dividing each numerator once by its own content gives
-both the holomorphic, content-free representative and the raw field.  The representative is handed its expanded components,
-each numerator over the transform's content in the numerator's term order,
-so reading its ``polys()`` expands nothing.  The persistent-nilpotent probe
+both the holomorphic, content-free representative and the raw field.  The
+representative is handed its expanded components, each numerator over the
+transform's content in the numerator's term order, so reading its
+``polys()`` expands nothing.  The persistent-nilpotent probe
 in ``resolve`` calls :func:`_terms_blowup` directly and builds no field.
 The content's ``v`` exponent minus ``top`` is the vanishing order of the
 transform along the divisor; a transform with poles is reported with its

@@ -32,9 +32,9 @@ combination of its monomials' images, formed through degree d+1 for an
 order-d solution (its residual check in all degrees up to d, then the next
 block).  Solutions are kept as primitive Gaussian-integer vectors, since
 only their span matters; the canonical order-N basis is reduced to
-canonical ``(a, b, d)`` coefficient triples once.  Each of its elements is then checked
-again, independently of the table: ``X . F`` through degree N is
-recomputed from X and F themselves by
+canonical ``(a, b, d)`` coefficient triples once.  Each of its elements is
+then checked again, independently of the table: ``X . F`` through degree N
+is recomputed from X and F themselves by
 :func:`~foliations.fields.directional_derivative`, which multiplies
 Gaussian integers (X and F each scaled by the lcm of its own
 denominators), and must vanish.
