@@ -40,7 +40,8 @@ Floating-point evaluation (``eval_complex``) runs straight-line code that
 term-by-term evaluation in the same order, and compiles once per source
 text: the text carries no coefficient, only names bound per object, so one
 code object serves every function of one monomial shape.  Lifts compile
-their right-hand side from the same generator.
+their right-hand side, paths their point and velocity, and the integrator
+its loop from the same generator.
 
 One exact sparse row reduction, :func:`_reduced_echelon`, serves the formal
 first-integral solver and the resonance rank.  It works on Gaussian
@@ -982,8 +983,10 @@ class _Source:
         return self.names.pop("f")
 
 
-# source texts kept compiled; one field shape makes one text per use
-# (an evaluator or a lift), and the dynamics workload's 2,000 items make 10
+# source texts kept compiled; one field shape makes one text per use (an
+# evaluator, or a lift along one kind of path), each kind of path one for its
+# point and velocity, and each state length one integration loop: the
+# dynamics workload's 2,000 items make 11
 _CODE_CACHE_SIZE = 1024
 
 

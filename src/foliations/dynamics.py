@@ -14,17 +14,20 @@ globally adaptive Gauss-Kronrod quadrature, which converges geometrically
 on such integrands; its error is an estimate, not a bound.
 
 A lift evaluates its vector field through one function of its own:
-straight-line code that makes the operations of evaluating the base
-component and then each fiber component term by term, in the same order,
-so every value is bit for bit that of ``eval_complex``.  The code is
-compiled once per source text, since the text carries no coefficient:
-lifts of fields of one monomial shape share it.  Each integration
-step is likewise one compiled function per state length (``_dp_step``):
-the Dormand-Prince stages, weight sums and error norm with the operations
-of loops over the tableau, one for one.  Every path gives its point and
-velocity at a time from one evaluation, :meth:`at` (one ``cos`` and
-``sin``, one exponential or one segment lookup), which the lifts and the
-quadrature integrands call once per time.
+straight-line code that computes the path's point and velocity, then makes
+the operations of evaluating the base component and then each fiber
+component term by term, in the same order, so every value is bit for bit
+that of ``eval_complex``.  The code is compiled once per source text, since
+the text carries no coefficient: lifts of fields of one monomial shape
+along paths of one kind share it.  Each path is given as source: its
+point and velocity at a time are a few lines (one ``cos`` and ``sin``, one
+exponential or one segment lookup), which its :attr:`at` compiles for the
+quadrature integrands and a lift writes into its right-hand side, so each
+formula exists once.  The whole integration loop is likewise one compiled
+function per state length (``_dp_loop``): the Dormand-Prince stages, weight
+sums, error norm and step control with the operations of loops over the
+tableau, one for one, with the state and the stages held in names and
+passed to the right-hand side as positional scalars.
 
 Conventions: lifting the base equation ``dz/dx = z H(x)/F(x)`` gives
 ``z = z0 * exp(int (H/F) dx)``; the derivative of the holonomy return map
@@ -63,8 +66,26 @@ ZERO_FLOOR = 1e-13
 # Paths
 # ---------------------------------------------------------------------------
 
+class _Path:
+    """A path given as source: :meth:`_write` appends the lines that set a
+    point and its velocity at the parameter ``t``.  :attr:`at` compiles
+    those lines; a lift writes them into its right-hand side instead of
+    calling :attr:`at`, so each path formula exists once."""
+
+    def _write(self, source: _Source, point: str, velocity: str) -> None:
+        raise NotImplementedError
+
+    @functools.cached_property
+    def at(self) -> Callable[[float], tuple[complex, complex]]:
+        """(point, velocity) at a parameter t."""
+        source = _Source(("t",))
+        self._write(source, "z", "v")
+        source.lines.append("return z, v")
+        return source.compile()
+
+
 @dataclass(frozen=True)
-class Segment:
+class Segment(_Path):
     """Straight path from z0 to z1, parameter in [0, 1]."""
 
     z0: complex
@@ -74,14 +95,14 @@ class Segment:
     def t_range(self) -> tuple[float, float]:
         return (0.0, 1.0)
 
-    def at(self, t: float) -> tuple[complex, complex]:
-        """(point, velocity) at parameter t."""
-        d = self.z1 - self.z0
-        return self.z0 + t * d, d
+    def _write(self, source: _Source, point: str, velocity: str) -> None:
+        source.names.update(seg_z0=self.z0, seg_z1=self.z1)
+        source.lines += [f"{velocity} = seg_z1 - seg_z0",
+                         f"{point} = seg_z0 + t * {velocity}"]
 
 
 @dataclass(frozen=True)
-class CircularArc:
+class CircularArc(_Path):
     """Arc ``center + radius * exp(i t)`` for t from angle0 to angle1."""
 
     center: complex
@@ -93,14 +114,17 @@ class CircularArc:
     def t_range(self) -> tuple[float, float]:
         return (self.angle0, self.angle1)
 
-    def at(self, t: float) -> tuple[complex, complex]:
-        """(point, velocity) at parameter t, from one cos and one sin."""
-        e = complex(math.cos(t), math.sin(t))
-        return self.center + self.radius * e, 1j * self.radius * e
+    def _write(self, source: _Source, point: str, velocity: str) -> None:
+        # one cos and one sin per time
+        source.names.update(arc_center=self.center, arc_radius=self.radius,
+                            cos=math.cos, sin=math.sin)
+        source.lines += ["arc_e = complex(cos(t), sin(t))",
+                         f"{point} = arc_center + arc_radius * arc_e",
+                         f"{velocity} = 1j * arc_radius * arc_e"]
 
 
 @dataclass(frozen=True)
-class LogSpiral:
+class LogSpiral(_Path):
     """``anchor * exp(t / direction)``; descends to 0 as t -> -inf when
     Re(1/direction) > 0."""
 
@@ -113,14 +137,16 @@ class LogSpiral:
     def t_range(self) -> tuple[float, float]:
         return (self.t0, self.t1)
 
-    def at(self, t: float) -> tuple[complex, complex]:
-        """(point, velocity) at parameter t, from one exponential."""
-        p = self.anchor * cmath.exp(t / self.direction)
-        return p, p / self.direction
+    def _write(self, source: _Source, point: str, velocity: str) -> None:
+        # one exponential per time
+        source.names.update(spiral_anchor=self.anchor, spiral_direction=self.direction,
+                            exp=cmath.exp)
+        source.lines += [f"{point} = spiral_anchor * exp(t / spiral_direction)",
+                         f"{velocity} = {point} / spiral_direction"]
 
 
 @dataclass(frozen=True)
-class Polyline:
+class Polyline(_Path):
     """Piecewise segments through the given points, unit parameter each."""
 
     points: tuple[complex, ...]
@@ -133,11 +159,12 @@ class Polyline:
     def t_range(self) -> tuple[float, float]:
         return (0.0, float(len(self.points) - 1))
 
-    def at(self, t: float) -> tuple[complex, complex]:
-        """(point, velocity) at parameter t, on the segment ``int(t)``."""
-        k = min(int(t), len(self.points) - 2)
-        d = self.points[k + 1] - self.points[k]
-        return self.points[k] + (t - k) * d, d
+    def _write(self, source: _Source, point: str, velocity: str) -> None:
+        # on the segment int(t), the last one past the end
+        source.names.update(poly_points=self.points, poly_last=len(self.points) - 2)
+        source.lines += ["poly_k = min(int(t), poly_last)",
+                         f"{velocity} = poly_points[poly_k + 1] - poly_points[poly_k]",
+                         f"{point} = poly_points[poly_k] + (t - poly_k) * {velocity}"]
 
 
 PathSpec = Segment | CircularArc | LogSpiral | Polyline
@@ -387,53 +414,88 @@ _RK45_MAX_ITER = 200000
 
 
 @functools.cache
-def _dp_step(n: int) -> Callable[..., tuple[list[complex], float, list[complex]]]:
-    """One Dormand-Prince step for a state of ``n`` components, compiled.
+def _dp_loop(n: int) -> Callable[..., tuple[list[tuple[float, tuple[complex, ...]]], bool]]:
+    """The iteration loop of :func:`_rk45` for a state of ``n`` components,
+    compiled.
 
-    ``step(rhs, t, h, y, first, atol, rtol, escape)`` returns
-    ``(y5, err, last, out)``: the order-5 state at ``t + h``, the largest
-    component of the scaled error (NaN if any is NaN), ``rhs``'s value at
-    the last stage, and whether some component of ``y5`` has modulus above
-    ``escape`` (never for a NaN, nor for ``escape = inf``).  The
-    state and the stages are unpacked to names; component ``i`` of stage
-    ``s`` is ``y_i + h * (0j + a * k_j_i + ...)`` over the nonzero entries
-    of the tableau row in order, at time ``t + c_s * h``, and the weight sums
-    also start from ``0j``: the operations of the loops over the tableau,
-    one for one.
+    ``loop(rhs, t, t1, h, y, direction, span, max_step, atol, rtol, escape,
+    max_iter)`` integrates from ``t`` with the first step ``h``: ``y`` is
+    the state tuple, ``escape`` the escape radius (``inf`` for none) and
+    ``max_iter`` the iteration cap, read by the caller on each call.  It
+    returns ``(samples, escaped)`` and raises what :func:`_rk45` raises in
+    the loop.  The state, the stages and the error terms are names, never
+    lists: component ``i`` of stage ``s`` is ``y_i + h * (0j + a * k_j_i +
+    ...)`` over the nonzero entries of the tableau row in order, at time
+    ``t + c_s * h``, and the weight sums also start from ``0j``.  These are
+    the operations of loops over the tableau, one for one.  The tableau
+    entries are written as float literals, which ``repr`` gives exactly.
     """
-    source = _Source(("rhs", "t", "h", "y", "first", "atol", "rtol", "escape"))
-    source.names.update(inf=math.inf)
+    source = _Source(("rhs", "t", "t1", "h", "y", "direction", "span", "max_step",
+                      "atol", "rtol", "escape", "max_iter"))
+    source.names.update(inf=math.inf, SingularLiftError=SingularLiftError,
+                        IterationCapError=IterationCapError)
 
-    def names(prefix: str) -> str:
-        return ", ".join(f"{prefix}{i}" for i in range(n))
+    def state(prefix: str) -> str:
+        return "".join(f"{prefix}{i}, " for i in range(n))
 
-    def combination(weights, prefix: str, i: int) -> str:
-        terms = []
-        for j, a in weights:
-            source.names[f"{prefix}{j}"] = a
-            terms.append(f"{prefix}{j} * k{j}_{i}")
-        return " + ".join(["0j"] + terms)
+    def combination(weights, i: int) -> str:
+        return " + ".join(["0j"] + [f"{a!r} * k{j}_{i}" for j, a in weights])
 
-    source.lines += [f"[{names('y')}] = y", f"[{names('k0_')}] = first"]
+    source.lines += [
+        f"[{state('y')}] = y",
+        "samples = [(t, y)]",
+        "escaped = False",
+        # the first stage of the first step; a later step's first stage is
+        # the last stage of the step accepted before it
+        "if max_iter > 0:",
+        f"    [{state('k0_')}] = rhs(t, {state('y')})",
+        "for _ in range(max_iter):",
+        "    remaining = t1 - t",
+        "    if remaining * direction <= 1e-14 * span:",
+        "        break",
+        "    if abs(h) >= abs(remaining):",
+        "        h = remaining",
+    ]
     for s, (c, row) in enumerate(zip(_DP_C[1:], _DP_ROWS), start=1):
-        source.names[f"c{s}"] = c
-        args = ", ".join(f"y{i} + h * ({combination(row, f'a{s}_', i)})" for i in range(n))
-        last = " = last" if s == len(_DP_ROWS) else ""
-        source.lines.append(f"[{names(f'k{s}_')}]{last} = rhs(t + c{s} * h, [{args}])")
-    source.lines.append("err = 0.0")
+        args = "".join(f"y{i} + h * ({combination(row, i)}), " for i in range(n))
+        source.lines.append(f"    [{state(f'k{s}_')}] = rhs(t + {c!r} * h, {args})")
+    source.lines.append("    err = 0.0")
     for i in range(n):
         source.lines += [
-            f"u{i} = y{i} + h * ({combination(_DP_W5, 'b', i)})",
-            f"d = abs(u{i} - (y{i} + h * ({combination(_DP_W4, 'e', i)})))",
-            f"m{i} = abs(u{i})",
-            "try:",
-            f"    r = d / (atol + rtol * max(abs(y{i}), m{i}))",
-            "except ZeroDivisionError:   # atol = 0 at a zero state: only 0 passes",
-            "    r = d * inf if d else 0.0"]
+            f"    u{i} = y{i} + h * ({combination(_DP_W5, i)})",
+            f"    d = abs(u{i} - (y{i} + h * ({combination(_DP_W4, i)})))",
+            f"    m{i} = abs(u{i})",
+            "    try:",
+            f"        r = d / (atol + rtol * max(abs(y{i}), m{i}))",
+            "    except ZeroDivisionError:   # atol = 0 at a zero state: only 0 passes",
+            "        r = d * inf if d else 0.0"]
         # the first component sets the error; a NaN error rejects the step
-        source.lines += ["err = r"] if i == 0 else ["if r > err or r != r:", "    err = r"]
+        source.lines += ["    err = r"] if i == 0 else ["    if r > err or r != r:", "        err = r"]
+    # a NaN modulus never escapes, and none escapes an infinite radius
     out = " or ".join([f"m{i} > escape" for i in range(n)] or ["False"])
-    source.lines.append(f"return [{names('u')}], err, last, {out}")
+    last = len(_DP_ROWS)
+    source.lines += [
+        "    if err <= 1.0:",
+        f"        if {out}:",
+        "            escaped = True      # the last sample stays the last in-domain one",
+        "            break",
+        "        t = t + h",
+        f"        [{state('y')}] = {state('u') or '()'}",
+        f"        samples.append((t, ({state('u')})))",
+        f"        [{state('k0_')}] = {state(f'k{last}_') or '()'}",
+        "    factor = 0.9 * (err ** -0.2) if err > 0 else 5.0",
+        "    h = h * min(5.0, max(0.2, factor))",
+        "    if abs(h) > max_step:",
+        "        h = direction * max_step",
+        "    if err > 1.0 and abs(h) < 1e-15 * max(1.0, abs(t)):",
+        '        raise SingularLiftError("step size underflow (singular right-hand side?)")',
+        "else:",
+        "    if (t1 - t) * direction > 1e-14 * span:",
+        "        raise IterationCapError(",
+        '            f"RK45 stopped at t = {t:.6g} before t1 = {t1:.6g}: "',
+        '            f"{max_iter} iterations reached")',
+        "return samples, escaped",
+    ]
     return source.compile()
 
 
@@ -442,8 +504,9 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
           escape_radius: float | None = None):
     """Adaptive Dormand-Prince integration of a complex system.
 
-    The state and the stages are lists of Python ``complex``; ``rhs(t, y)``
-    returns one.  Returns ``(samples, escaped)`` with samples at every
+    The state is a tuple of Python ``complex``; ``rhs(t, y0, y1, ...)``
+    takes its components as positional scalars and returns a tuple.
+    Returns ``(samples, escaped)`` with samples ``(t, state)`` at every
     accepted step; raises IterationCapError (a SingularLiftError) if
     ``_RK45_MAX_ITER`` iterations end before ``t1`` without an escape,
     SingularLiftError when the step size of a rejected step underflows, and
@@ -459,20 +522,21 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
     is the next step's first stage; a rejected step keeps its first stage.
     One integration therefore calls ``rhs`` 6 times per iteration plus once.
 
-    Each step is one call of the straight-line function :func:`_dp_step`
-    compiles for the state's length.  The step sequence, and so every
-    output, depends on the last bit of each stage and error value; the
-    golden digests pin CPython's complex arithmetic.  The compiled step and
-    a lift's compiled ``rhs`` make the operations of loops over the tableau
-    and of evaluating the components one by one, in the same order, so
-    compiling them moves no bit.
+    The whole iteration loop is one straight-line function that
+    :func:`_dp_loop` compiles once per state length; the cap
+    ``_RK45_MAX_ITER`` is read on each call and passed in.  The step
+    sequence, and so every output, depends on the last bit of each stage
+    and error value; the golden digests pin CPython's complex arithmetic.
+    The compiled loop and a lift's compiled ``rhs`` make the operations of
+    loops over the tableau and of evaluating the components one by one, in
+    the same order, so compiling them moves no bit.
     """
     if not math.isfinite(t1):
         raise DegenerateInputError(f"integration end time must be finite, got {t1!r}")
     _check_tolerances("integration", rtol, atol)
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
-    y = [complex(v) for v in y0]
+    y = tuple(complex(v) for v in y0)
     if span == 0:
         return [(t0, y)], False
     h = direction * min(max_step, span / 64.0)
@@ -480,41 +544,9 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
         raise DegenerateInputError(
             f"integration step underflows to zero: span {span!r}, max step {max_step!r}, "
             f"t0 {t0!r}")
-    t = t0
-    step = _dp_step(len(y))
     escape = math.inf if escape_radius is None else escape_radius
-    samples = [(t, y)]
-    escaped = False
-    first = None    # rhs(t, y), carried over from the previous step
-    for _ in range(_RK45_MAX_ITER):
-        remaining = t1 - t
-        if remaining * direction <= 1e-14 * span:
-            break
-        if abs(h) >= abs(remaining):
-            h = remaining
-        if first is None:
-            first = rhs(t, y)
-        y5, err, last, out = step(rhs, t, h, y, first, atol, rtol, escape)
-        if err <= 1.0:
-            if out:
-                escaped = True      # final stays the last in-domain sample
-                break
-            t = t + h
-            y = y5
-            samples.append((t, y))
-            first = last
-        factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
-        h = h * min(5.0, max(0.2, factor))
-        if abs(h) > max_step:
-            h = direction * max_step
-        if err > 1.0 and abs(h) < 1e-15 * max(1.0, abs(t)):
-            raise SingularLiftError("step size underflow (singular right-hand side?)")
-    else:
-        if (t1 - t) * direction > 1e-14 * span:
-            raise IterationCapError(
-                f"RK45 stopped at t = {t:.6g} before t1 = {t1:.6g}: "
-                f"{_RK45_MAX_ITER} iterations reached")
-    return samples, escaped
+    return _dp_loop(len(y))(rhs, t0, t1, h, y, direction, span, max_step, atol, rtol,
+                            escape, _RK45_MAX_ITER)
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +613,11 @@ def lift_path(
     ``complex`` fiber values, whose products and sums overflow to ``inf``
     without raising; a base speed or fiber velocity that is not finite
     raises :class:`EvaluationOverflowError`.
+
+    The right-hand side is compiled per lift: it takes the fiber values as
+    positional scalars, computes the path's point and velocity from the
+    path's own source lines (never through :attr:`at`), and returns the
+    fiber velocities as a tuple, as :func:`_rk45` expects.
     """
     chart = x.chart
     b = chart.var_index(base_var)
@@ -589,14 +626,13 @@ def lift_path(
         raise StructuralError("one fiber value per non-base variable required")
     if not all(cmath.isfinite(v) for v in fiber):
         raise DegenerateInputError(f"fiber values must be finite, got {list(fiber)!r}")
-    # rhs(t, y): the fiber values unpacked to their coordinates, the base
-    # point, the base component, its floor, then the fibers in chart order
+    # rhs(t, y_j, ...): the fiber values are the coordinates x_j; then the
+    # path's point and velocity, the base component, its floor, and the
+    # fibers in chart order
     fibers = [j for j in range(chart.dim) if j != b]
     velocities = [f"w{j}" for j in fibers]
-    source = _Source(("t", "y"))
-    if fibers:
-        source.lines.append(", ".join(f"x{j}" for j in fibers) + ", = y")
-    source.lines.append(f"x{b}, v = at(t)")
+    source = _Source(("t", *(f"x{j}" for j in fibers)))
+    path._write(source, f"x{b}", "v")
     source.evaluate(x.components[b], "speed")
     source.lines += ["if abs(speed) < ZERO_FLOOR:",
                      "    raise SingularLiftError(VANISHED)",
@@ -609,28 +645,27 @@ def lift_path(
     finite = " and ".join(f"isfinite({v})" for v in ["speed"] + velocities)
     source.lines += [f"if not ({finite}):",
                      "    raise EvaluationOverflowError(OVERFLOW)",
-                     f"return [{', '.join(velocities)}]"]
-    source.names.update(at=path.at, isfinite=cmath.isfinite,
+                     f"return ({''.join(f'{w}, ' for w in velocities)})"]
+    source.names.update(isfinite=cmath.isfinite,
                         ZERO_FLOOR=ZERO_FLOOR, SingularLiftError=SingularLiftError,
                         VANISHED="base component vanished along the lift")
     rhs = source.compile()
 
     t0, t1 = path.t_range
     max_step = abs(t1 - t0) / max(min_samples, 1)
-    y0 = [complex(v) for v in fiber]
-    samples, escaped = _rk45(rhs, t0, t1, y0, rtol, atol, max_step, escape_radius)
+    samples, escaped = _rk45(rhs, t0, t1, fiber, rtol, atol, max_step, escape_radius)
     final = samples[-1][1]
     if escaped:
         est = None
     else:
-        tight, _ = _rk45(rhs, t0, t1, y0, rtol / 100.0, atol / 100.0,
+        tight, _ = _rk45(rhs, t0, t1, fiber, rtol / 100.0, atol / 100.0,
                          max_step / 2.0, escape_radius)
         est = max((abs(u - v) for u, v in zip(final, tight[-1][1])), default=0.0)
     return LiftResult(
         base_var=base_var,
         fiber_vars=fiber_vars,
-        samples=tuple((t, tuple(y)) for t, y in samples),
-        final=tuple(final),
+        samples=tuple(samples),
+        final=final,
         est_error=est,
         escaped=escaped,
     )
@@ -648,8 +683,12 @@ def loop_lift_ratio(
 
     For a linearizable saddle this estimates the derivative of the holonomy
     return map of the separatrix ``{others = 0}``.  The error is the lift's
-    estimate (see :func:`lift_path`) over ``|fiber_seed|``, so it bounds the
-    ratio's error on the same scale as the ratio.  A field without a fiber
+    error estimate (see :func:`lift_path`) over ``|fiber_seed|``: an
+    estimate of the lift's error on the same scale as the ratio, not a bound
+    on the ratio's distance from the derivative.  The ratio is taken at a
+    finite seed, so the holonomy's nonlinearity also moves it, and no lift
+    estimate sees that: on ``x + x^2, -2*y`` with base ``y`` the ratio is
+    -0.98039 against the derivative -1, with an error of 2.4e-10.  A field without a fiber
     variable raises :class:`StructuralError`; a zero or non-finite radius or
     fiber seed (no loop, or no ratio final/initial) raises
     :class:`DegenerateInputError`.
@@ -761,14 +800,14 @@ def trace_descent(
     phase = complex(math.cos(theta), math.sin(theta))
 
     stop_reason = "t_max"
-    def rhs(t: float, y: list[complex]) -> list[complex]:
-        fv, hv = fe(y[0]), he(y[0])
+    def rhs(t: float, y: complex) -> tuple[complex]:
+        fv, hv = fe(y), he(y)
         if abs(hv) < ZERO_FLOOR or abs(fv) < ZERO_FLOOR:
             raise SingularLiftError("hit a singularity of the form")
         value = phase * fv / hv
         if not (cmath.isfinite(fv) and cmath.isfinite(hv) and cmath.isfinite(value)):
             raise EvaluationOverflowError(_OVERFLOW)
-        return [value]
+        return (value,)
 
     try:
         samples, escaped = _rk45(rhs, 0.0, t_max, [start], rtol, atol,

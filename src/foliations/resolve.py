@@ -215,13 +215,9 @@ class ResolutionTree:
 # Root finding on the divisor
 # ---------------------------------------------------------------------------
 
-def _common_roots(polys: list[Poly], var: str):
-    """(exact roots, certified interval roots) shared by univariates in ``var``."""
-    return _terms_common_roots([p._abd for p in polys], polys[0].var_index(var))
-
-
 def _terms_common_roots(comps: list[dict], i: int):
-    """:func:`_common_roots` of term dicts of triples univariate in ``x_i``."""
+    """(exact roots, certified interval roots) shared by term dicts of
+    triples univariate in ``x_i``."""
     rows = []
     for t in comps:
         row = [_ZERO] * (max((e[i] for e in t), default=0) + 1)
@@ -255,7 +251,8 @@ def singular_points_on_divisor(rep: VectorField, divisor_var: str):
     nonzero = [p for p in restricted if not p.is_zero()]
     if not nonzero:
         return [], [], True
-    exact, certified = _common_roots(nonzero, other)
+    exact, certified = _terms_common_roots([p._abd for p in nonzero],
+                                           nonzero[0].var_index(other))
     return exact, certified, False
 
 

@@ -289,8 +289,8 @@ class TestLifts:
         # is reached instead of returning NaN samples
         monkeypatch.setattr(dynamics, "_RK45_MAX_ITER", 50)
 
-        def rhs(t, y):
-            return [-y[0], complex(math.nan, 0.0) if t > 0.5 else 0j]
+        def rhs(t, y0, y1):
+            return -y0, complex(math.nan, 0.0) if t > 0.5 else 0j
 
         with pytest.raises(SingularLiftError, match="50 iterations"):
             dynamics._rk45(rhs, 0.0, 1.0, [1.0, 0.0], 1e-8, 1e-10, 0.125)
@@ -306,9 +306,9 @@ class TestLifts:
         def counting_rk45(rhs, *args, **kwargs):
             calls.append(0)
 
-            def counted(t, y):
+            def counted(t, *y):
                 calls[-1] += 1
-                return rhs(t, y)
+                return rhs(t, *y)
 
             return rk45(counted, *args, **kwargs)
 

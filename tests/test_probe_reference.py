@@ -8,7 +8,9 @@ The reference below is the probe and the blow-up written the direct way:
   first read;
 - ``reference_is_nilpotent`` decides nilpotency from the exact
   characteristic polynomial of the linear part;
-- ``reference_divisor_candidates_3d`` sorts its points by ``Fraction`` keys;
+- ``reference_divisor_candidates_3d`` sorts its points by ``Fraction`` keys
+  and finds common roots by ``reference_common_roots``: the gcd over Q(i)
+  and its factors, by sympy;
 - the memo key, the univariate test and the earlier-chart test of the
   object-based probe are kept here as ``_germ_key``, ``_uses_only`` and
   ``_invisible_in_earlier_charts``;
@@ -37,6 +39,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -66,7 +69,6 @@ from foliations.fields import BlowupRecord, Chart, VectorField, linear_part
 from foliations.resolve import (
     _MAX_PROBE_GERMS,
     PersistentNilpotentReport,
-    _common_roots,
     _divisor_candidates_3d,
     detect_persistent_nilpotent,
     germ_at,
@@ -242,6 +244,33 @@ def _reference_is_nilpotent_germ(germ):
         return False
 
 
+def _to_sympy(c):
+    return sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
+        c.im.numerator, c.im.denominator)
+
+
+def reference_common_roots(polys, var):
+    """The roots shared by univariates in ``var``: (their Q(i) roots sorted
+    by (re, im), the number of their other roots), from the gcd over Q(i)
+    and its irreducible factors."""
+    i, s = polys[0].var_index(var), sympy.Symbol(var)
+    gcd = None
+    for p in polys:
+        q = sympy.Poly(sum(_to_sympy(c) * s ** e[i] for e, c in p.terms.items()), s,
+                       domain=sympy.QQ_I)
+        gcd = q if gcd is None else gcd.gcd(q)
+    exact, others = [], 0
+    for factor, _multiplicity in gcd.factor_list()[1]:
+        if factor.degree() > 1:
+            others += factor.degree()
+            continue
+        a, b = factor.all_coeffs()
+        re, im = sympy.expand(-b / a).as_real_imag()
+        exact.append(GaussianRational(Fraction(int(re.p), int(re.q)),
+                                      Fraction(int(im.p), int(im.q))))
+    return sorted(exact, key=lambda r: (r.re, r.im)), others
+
+
 def reference_divisor_candidates_3d(rep, divisor_var):
     names = rep.chart.var_names
     polys = rep.polys()
@@ -263,8 +292,8 @@ def reference_divisor_candidates_3d(rep, divisor_var):
     def solve_with_pivot(pivot_var, other_var):
         nonlocal nonrational
         pivot_comps = [p for p in nonzero if _uses_only(p, pivot_var)]
-        exact, certified = _common_roots(pivot_comps, pivot_var)
-        nonrational += len(certified)
+        exact, others = reference_common_roots(pivot_comps, pivot_var)
+        nonrational += others
         for r in exact:
             sliced = [p.restrict(pivot_var, r) for p in restricted]
             sliced_nonzero = [p for p in sliced if not p.is_zero()]
@@ -274,8 +303,8 @@ def reference_divisor_candidates_3d(rep, divisor_var):
                 continue
             if any(p.degree() == 0 for p in sliced_nonzero):
                 continue
-            sub_exact, sub_certified = _common_roots(sliced_nonzero, other_var)
-            nonrational += len(sub_certified)
+            sub_exact, sub_others = reference_common_roots(sliced_nonzero, other_var)
+            nonrational += sub_others
             for s in sub_exact:
                 points.append((r, s) if pivot_var == u1 else (s, r))
 

@@ -7,18 +7,35 @@ equal it over random complex linear and quadratic systems of one to four
 components, with zero states under ``atol = 0`` (the ``ZeroDivisionError``
 branch of the error ratio), NaN components (rejected steps) and escape
 radii.
+
+``reference_lift`` is ``lift_path`` on ``reference_rk45``, with a
+right-hand side that evaluates each component by ``Poly.eval_complex`` and
+the path formulas written out: every lift of a random 2-D or 3-D
+polynomial field along a segment, an arc, a logarithmic spiral or a
+polyline must equal it bit for bit, or raise the same error (the base
+component vanishing, a floating-point overflow, the iteration cap).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foliations import dynamics
-from foliations.errors import DegenerateInputError, IterationCapError, SingularLiftError
+from foliations.algebra import _OVERFLOW, Poly, gr
+from foliations.dynamics import CircularArc, LogSpiral, Polyline, Segment, lift_path
+from foliations.errors import (
+    DegenerateInputError,
+    EvaluationOverflowError,
+    IterationCapError,
+    SingularLiftError,
+)
+from foliations.fields import Chart, VectorField
 
 # iterations per integration here: a system that rejects every step or
 # never escapes ends at this cap in both integrators
@@ -115,6 +132,13 @@ def reference_rk45(rhs, t0, t1, y0, rtol, atol, max_step, escape_radius=None):
     return samples, escaped
 
 
+def rk45(rhs, *args):
+    """``dynamics._rk45`` driven by a hand-written ``rhs(t, y)`` of lists,
+    through a thin adapter to its convention: the state as positional
+    scalars, a tuple returned."""
+    return dynamics._rk45(lambda t, *y: tuple(rhs(t, list(y))), *args)
+
+
 def _bits(x: float) -> tuple[float, float]:
     """``x`` with the sign of zero made visible to ``==``."""
     return x, math.copysign(1.0, x)
@@ -182,7 +206,7 @@ def systems(draw):
 def test_rk45_matches_reference(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_RK45_MAX_ITER", MAX_ITER)
-        assert outcome(dynamics._rk45, *case) == outcome(reference_rk45, *case)
+        assert outcome(rk45, *case) == outcome(reference_rk45, *case)
 
 
 @pytest.mark.parametrize("y0", [[0j], [0j, 0j, 0j], [1.0, 0j]])
@@ -193,8 +217,8 @@ def test_zero_state_without_absolute_tolerance(y0):
         return [-y[0]] + [0j] * (len(y) - 1)
 
     case = (rhs, 0.0, 1.0, y0, 1e-8, 0.0, 0.25)
-    assert outcome(dynamics._rk45, *case) == outcome(reference_rk45, *case)
-    assert outcome(dynamics._rk45, *case)[1] is False
+    assert outcome(rk45, *case) == outcome(reference_rk45, *case)
+    assert outcome(rk45, *case)[1] is False
 
 
 def test_nan_component_ends_at_cap(monkeypatch):
@@ -206,7 +230,7 @@ def test_nan_component_ends_at_cap(monkeypatch):
     case = (rhs, 0.0, 1.0, [1.0, 0.0], 1e-8, 1e-10, 0.125)
     expected = outcome(reference_rk45, *case)
     assert expected[0] is IterationCapError
-    assert outcome(dynamics._rk45, *case) == expected
+    assert outcome(rk45, *case) == expected
 
 
 def test_escape_matches_reference():
@@ -216,4 +240,147 @@ def test_escape_matches_reference():
     case = (rhs, 0.0, 2.0, [1.0, 0.5j], 1e-8, 1e-10, 0.05, 10.0)
     expected = outcome(reference_rk45, *case)
     assert expected[1] is True
-    assert outcome(dynamics._rk45, *case) == expected
+    assert outcome(rk45, *case) == expected
+
+
+# ---------------------------------------------------------------------------
+# Lifts
+# ---------------------------------------------------------------------------
+
+def reference_point(path, t):
+    """(point, velocity) of a path at the parameter t."""
+    if isinstance(path, Segment):
+        d = path.z1 - path.z0
+        return path.z0 + t * d, d
+    if isinstance(path, CircularArc):
+        e = complex(math.cos(t), math.sin(t))
+        return path.center + path.radius * e, 1j * path.radius * e
+    if isinstance(path, LogSpiral):
+        p = path.anchor * cmath.exp(t / path.direction)
+        return p, p / path.direction
+    k = min(int(t), len(path.points) - 2)
+    d = path.points[k + 1] - path.points[k]
+    return path.points[k] + (t - k) * d, d
+
+
+def reference_lift(x, base_var, path, fiber, rtol, atol, escape_radius, min_samples):
+    """``lift_path`` as (samples, est_error, escaped), on ``reference_rk45``."""
+    b = x.chart.var_index(base_var)
+    fibers = [j for j in range(x.chart.dim) if j != b]
+
+    def rhs(t, y):
+        z, v = reference_point(path, t)
+        point = list(y)
+        point.insert(b, z)
+        speed = x.components[b].eval_complex(point)
+        if abs(speed) < dynamics.ZERO_FLOOR:
+            raise SingularLiftError("base component vanished along the lift")
+        vel = v / speed
+        out = [x.components[j].eval_complex(point) * vel for j in fibers]
+        if not all(cmath.isfinite(w) for w in [speed, *out]):
+            raise EvaluationOverflowError(_OVERFLOW)
+        return out
+
+    t0, t1 = path.t_range
+    max_step = abs(t1 - t0) / max(min_samples, 1)
+    samples, escaped = reference_rk45(rhs, t0, t1, fiber, rtol, atol, max_step,
+                                      escape_radius)
+    if escaped:
+        return samples, None, True
+    tight, _ = reference_rk45(rhs, t0, t1, fiber, rtol / 100.0, atol / 100.0,
+                              max_step / 2.0, escape_radius)
+    final = samples[-1][1]
+    return samples, max((abs(u - v) for u, v in zip(final, tight[-1][1])), default=0.0), False
+
+
+def lift_outcome(lift, *args):
+    """Samples as (t, re, im) bits, the error estimate's bits and the escape
+    flag, or the raised error."""
+    try:
+        samples, est, escaped = lift(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ([(_bits(t), [(_bits(z.real), _bits(z.imag)) for z in y]) for t, y in samples],
+            None if est is None else _bits(est), escaped)
+
+
+def toolkit_lift(*args):
+    result = lift_path(*args)
+    return result.samples, result.est_error, result.escaped
+
+
+points = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+paths = st.one_of(
+    st.builds(Segment, points, points),
+    st.builds(CircularArc, points, st.floats(0.05, 1.0), st.floats(-3.0, 3.0),
+              st.floats(-3.0, 3.0)),
+    st.builds(LogSpiral, points.filter(lambda z: abs(z) > 0.05),
+              points.filter(lambda z: abs(z) > 0.2), st.floats(-2.0, 2.0),
+              st.floats(-2.0, 2.0)),
+    st.builds(Polyline, st.lists(points, min_size=2, max_size=4).map(tuple)))
+coefficients_q = st.builds(lambda a, b, d: gr(Fraction(a, d), Fraction(b, d)),
+                           st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 3))
+# rare: a coefficient past the float range, which raises on evaluation, and
+# fiber values whose squares overflow
+HUGE_COEFFICIENT = gr(10 ** 400)
+HUGE_FIBERS = (1e160 + 1e160j, 1e200 + 0j)
+
+
+@st.composite
+def lifts(draw):
+    """(field, base_var, path, fiber, rtol, atol, escape_radius, min_samples)
+    for a random 2-D or 3-D polynomial field of degree at most 2; the base
+    component mostly has a nonzero constant term."""
+    vars_ = draw(st.sampled_from([("x", "y"), ("x", "y", "z")]))
+    n = len(vars_)
+    exponents = st.tuples(*[st.integers(0, 2)] * n)
+    components = [draw(st.dictionaries(exponents, coefficients_q, max_size=3))
+                  for _ in vars_]
+    b = draw(st.integers(0, n - 1))
+    if draw(st.integers(0, 7)):
+        components[b][(0,) * n] = draw(coefficients_q.filter(lambda c: not c.is_zero()))
+    if not draw(st.integers(0, 15)):
+        components[draw(st.integers(0, n - 1))][draw(exponents)] = HUGE_COEFFICIENT
+    field = VectorField.make(Chart.root(vars_),
+                             [Poly.make(vars_, terms) for terms in components])
+    fiber = [draw(points) for _ in range(n - 1)]
+    if not draw(st.integers(0, 7)):
+        fiber[0] = draw(st.sampled_from(HUGE_FIBERS))
+    return (field, vars_[b], draw(paths), fiber,
+            draw(st.sampled_from([1e-6, 1e-9, 1e-3])),
+            draw(st.sampled_from([1e-8, 1e-12, 0.0])),
+            draw(st.sampled_from([10.0, 1e300])),
+            draw(st.sampled_from([4, 16, 64])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lifts(), st.sampled_from([MAX_ITER, 40]))
+def test_lift_matches_reference(case, cap):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_RK45_MAX_ITER", cap)
+        assert lift_outcome(toolkit_lift, *case) == lift_outcome(reference_lift, *case)
+
+
+V2, V3 = ("x", "y"), ("x", "y", "z")
+
+
+@pytest.mark.parametrize("components, base, path, fiber, escape, error, cap", [
+    # x vanishes at the segment's start
+    ([{(1, 0): 1}, {(0, 1): 1}], "x", Segment(0j, 0.5), [1.0], 10.0, SingularLiftError,
+     MAX_ITER),
+    # y*z overflows at y = z = 1e200
+    ([{(0, 1, 1): 1}, {(0, 1, 0): 1}, {(0, 0, 1): -1}], "x", CircularArc(0j, 0.1, 0.0, 6.0),
+     [1e200, 1e200], 1e300, EvaluationOverflowError, MAX_ITER),
+    # a polyline of three unit segments at 4 samples each needs 12 steps
+    ([{(1, 0): 1}, {(0, 1): -3}], "y", Polyline((0.1, 0.2j, -0.1, -0.2j)), [0.01], 10.0,
+     IterationCapError, 10)])
+def test_lift_errors_match_reference(monkeypatch, components, base, path, fiber, escape,
+                                     error, cap):
+    monkeypatch.setattr(dynamics, "_RK45_MAX_ITER", cap)
+    vars_ = V2 if len(components) == 2 else V3
+    field = VectorField.make(Chart.root(vars_), [
+        Poly.make(vars_, {e: gr(c) for e, c in terms.items()}) for terms in components])
+    case = (field, base, path, fiber, 1e-8, 1e-10, escape, 4)
+    expected = lift_outcome(reference_lift, *case)
+    assert expected[0] is error
+    assert lift_outcome(toolkit_lift, *case) == expected
