@@ -917,7 +917,9 @@ class _Source:
     which earlier lines must bind.  Its operations are those of a
     term-by-term evaluation, in the same order: each numerator term is its
     complex coefficient times its variable powers in variable order, and the
-    terms are added to ``0j`` in term order; then each nonzero monomial
+    terms are added to ``0j`` in term order (a bare first coefficient is
+    added to ``0j`` once, when the source is written, and the sum starts
+    from the name bound to that value); then each nonzero monomial
     exponent, in variable order, multiplies in its power after the pole
     check of a negative one.  An ``x_j ** k`` is computed where it is first
     used and read back by name after that.  An ``OverflowError`` becomes
@@ -958,20 +960,27 @@ class _Source:
         except EvaluationOverflowError:
             self.lines.append("raise EvaluationOverflowError(COEFFICIENT_TOO_LARGE) from None")
             return
-        products = []
-        for c, powers in terms:
+        products, total = [], "0j"
+        for index, (c, powers) in enumerate(terms):
             name = f"c{len(self.names)}"
+            if index == 0 and not powers:
+                # a bare first coefficient: its sum with 0j is made here, once
+                self.names[name] = 0j + c
+                total = name
+                continue
             self.names[name] = c
             products.append("*".join([name] + [self._power(j, k) for j, k in powers]))
-        body, total = [], "0j"
+        body = []
         for i in range(0, len(products), _TERMS_PER_LINE):
             body.append(f"{out} = {' + '.join([total] + products[i:i + _TERMS_PER_LINE])}")
             total = out
-        body = body or [f"{out} = 0j"]
         for j, e in monomial:
             if e < 0:
                 body += [f"if x{j} == 0:", "    raise PoleEvaluationError(POLE)"]
-            body.append(f"{out} = {out} * {self._power(j, e)}")
+            body.append(f"{out} = {total} * {self._power(j, e)}")
+            total = out
+        if total != out:
+            body.append(f"{out} = {total}")
         self.lines += ["try:", *(f"    {line}" for line in body),
                        "except (OverflowError, ZeroDivisionError):",
                        "    raise EvaluationOverflowError(OVERFLOW) from None"]

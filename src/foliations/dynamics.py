@@ -27,7 +27,12 @@ formula exists once.  The whole integration loop is likewise one compiled
 function per state length (``_dp_loop``): the Dormand-Prince stages, weight
 sums, error norm and step control with the operations of loops over the
 tableau, one for one, with the state and the stages held in names and
-passed to the right-hand side as positional scalars.
+passed to the right-hand side as positional scalars.  No value is made
+twice: a step forms its order-5 state once, passes it to its last stage
+and stores those same objects when it is accepted; values fixed per path
+or per term, such as an arc's ``1j * radius`` or a constant numerator's
+sum with ``0j``, are made once, when the source is written.  Each of these
+keeps the operands and order of the operation it replaces, so no bit moves.
 
 Conventions: lifting the base equation ``dz/dx = z H(x)/F(x)`` gives
 ``z = z0 * exp(int (H/F) dx)``; the derivative of the holonomy return map
@@ -115,12 +120,13 @@ class CircularArc(_Path):
         return (self.angle0, self.angle1)
 
     def _write(self, source: _Source, point: str, velocity: str) -> None:
-        # one cos and one sin per time
+        # one cos and one sin per time; ``1j * radius * e`` multiplies from
+        # the left, so its first product is made here, once
         source.names.update(arc_center=self.center, arc_radius=self.radius,
-                            cos=math.cos, sin=math.sin)
+                            arc_turn=1j * self.radius, cos=math.cos, sin=math.sin)
         source.lines += ["arc_e = complex(cos(t), sin(t))",
                          f"{point} = arc_center + arc_radius * arc_e",
-                         f"{velocity} = 1j * arc_radius * arc_e"]
+                         f"{velocity} = arc_turn * arc_e"]
 
 
 @dataclass(frozen=True)
@@ -429,6 +435,13 @@ def _dp_loop(n: int) -> Callable[..., tuple[list[tuple[float, tuple[complex, ...
     ``t + c_s * h``, and the weight sums also start from ``0j``.  These are
     the operations of loops over the tableau, one for one.  The tableau
     entries are written as float literals, which ``repr`` gives exactly.
+
+    No value is computed twice.  The last tableau row is the order-5
+    weights, so the order-5 state ``u_i`` is formed once, before the last
+    stage, and passed to it; an accepted step stores those same objects.
+    ``t + h`` serves both ``c = 1`` stages and the accepted time (``1.0 *
+    h`` is ``h`` exactly), ``1e-14 * span`` is taken once per call, and
+    ``abs(y_i)`` is carried over from the accepted step's ``m_i``.
     """
     source = _Source(("rhs", "t", "t1", "h", "y", "direction", "span", "max_step",
                       "atol", "rtol", "escape", "max_iter"))
@@ -441,46 +454,55 @@ def _dp_loop(n: int) -> Callable[..., tuple[list[tuple[float, tuple[complex, ...
     def combination(weights, i: int) -> str:
         return " + ".join(["0j"] + [f"{a!r} * k{j}_{i}" for j, a in weights])
 
+    def stage(s: int, c: float, args: str) -> str:
+        time = "t_h" if c == 1.0 else f"t + {c!r} * h"
+        return f"    [{state(f'k{s}_')}] = rhs({time}, {args})"
+
+    last = len(_DP_ROWS)
     source.lines += [
         f"[{state('y')}] = y",
+        *(f"a{i} = abs(y{i})" for i in range(n)),
         "samples = [(t, y)]",
         "escaped = False",
+        "floor = 1e-14 * span",
         # the first stage of the first step; a later step's first stage is
         # the last stage of the step accepted before it
         "if max_iter > 0:",
         f"    [{state('k0_')}] = rhs(t, {state('y')})",
         "for _ in range(max_iter):",
         "    remaining = t1 - t",
-        "    if remaining * direction <= 1e-14 * span:",
+        "    if remaining * direction <= floor:",
         "        break",
         "    if abs(h) >= abs(remaining):",
         "        h = remaining",
+        "    t_h = t + h",
     ]
-    for s, (c, row) in enumerate(zip(_DP_C[1:], _DP_ROWS), start=1):
-        args = "".join(f"y{i} + h * ({combination(row, i)}), " for i in range(n))
-        source.lines.append(f"    [{state(f'k{s}_')}] = rhs(t + {c!r} * h, {args})")
-    source.lines.append("    err = 0.0")
+    for s, (c, row) in enumerate(zip(_DP_C[1:last], _DP_ROWS[:-1]), start=1):
+        source.lines.append(stage(s, c, "".join(
+            f"y{i} + h * ({combination(row, i)}), " for i in range(n))))
+    # the last row is the order-5 weights: its stage takes the order-5 state
+    source.lines += [f"    u{i} = y{i} + h * ({combination(_DP_W5, i)})" for i in range(n)]
+    source.lines += [stage(last, _DP_C[last], state("u")), "    err = 0.0"]
     for i in range(n):
         source.lines += [
-            f"    u{i} = y{i} + h * ({combination(_DP_W5, i)})",
             f"    d = abs(u{i} - (y{i} + h * ({combination(_DP_W4, i)})))",
             f"    m{i} = abs(u{i})",
             "    try:",
-            f"        r = d / (atol + rtol * max(abs(y{i}), m{i}))",
+            f"        r = d / (atol + rtol * max(a{i}, m{i}))",
             "    except ZeroDivisionError:   # atol = 0 at a zero state: only 0 passes",
             "        r = d * inf if d else 0.0"]
         # the first component sets the error; a NaN error rejects the step
         source.lines += ["    err = r"] if i == 0 else ["    if r > err or r != r:", "        err = r"]
     # a NaN modulus never escapes, and none escapes an infinite radius
     out = " or ".join([f"m{i} > escape" for i in range(n)] or ["False"])
-    last = len(_DP_ROWS)
     source.lines += [
         "    if err <= 1.0:",
         f"        if {out}:",
         "            escaped = True      # the last sample stays the last in-domain one",
         "            break",
-        "        t = t + h",
+        "        t = t_h",
         f"        [{state('y')}] = {state('u') or '()'}",
+        f"        [{state('a')}] = {state('m') or '()'}",
         f"        samples.append((t, ({state('u')})))",
         f"        [{state('k0_')}] = {state(f'k{last}_') or '()'}",
         "    factor = 0.9 * (err ** -0.2) if err > 0 else 5.0",
@@ -490,7 +512,7 @@ def _dp_loop(n: int) -> Callable[..., tuple[list[tuple[float, tuple[complex, ...
         "    if err > 1.0 and abs(h) < 1e-15 * max(1.0, abs(t)):",
         '        raise SingularLiftError("step size underflow (singular right-hand side?)")',
         "else:",
-        "    if (t1 - t) * direction > 1e-14 * span:",
+        "    if (t1 - t) * direction > floor:",
         "        raise IterationCapError(",
         '            f"RK45 stopped at t = {t:.6g} before t1 = {t1:.6g}: "',
         '            f"{max_iter} iterations reached")',
@@ -510,17 +532,18 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
     accepted step; raises IterationCapError (a SingularLiftError) if
     ``_RK45_MAX_ITER`` iterations end before ``t1`` without an escape,
     SingularLiftError when the step size of a rejected step underflows, and
-    DegenerateInputError before
-    any step when ``t1``, ``rtol`` or ``atol`` is not finite, when a
+    DegenerateInputError before any step when ``t1``, ``rtol`` or ``atol`` is not finite, when a
     tolerance is negative, when both are zero or when the first step
     ``min(max_step, span / 64)`` of a nonzero span does not move ``t0``
     (it is zero, or at most half an ulp of ``t0``).
 
-    The pair is first-same-as-last: the last stage of an accepted step is
-    ``rhs(t + h, y5)`` bit for bit (``c = 1`` and its tableau row is the
-    order-5 weights, with the same nonzero terms in the same order), so it
-    is the next step's first stage; a rejected step keeps its first stage.
-    One integration therefore calls ``rhs`` 6 times per iteration plus once.
+    The pair is first-same-as-last: the last stage of a step is ``rhs(t +
+    h, y5)`` (``c = 1`` and its tableau row is the order-5 weights, with the
+    same nonzero terms in the same order), so the order-5 state ``y5`` is
+    formed once, passed to that stage and, if the step is accepted, stored
+    as its sample; that stage is then the next step's first stage, while a
+    rejected step keeps its first stage.  One integration therefore calls
+    ``rhs`` 6 times per iteration plus once.
 
     The whole iteration loop is one straight-line function that
     :func:`_dp_loop` compiles once per state length; the cap
@@ -608,8 +631,12 @@ def lift_path(
     re-run at hundredfold tighter tolerances.  A zero of the base component
     along the lift raises :class:`SingularLiftError`; leaving the escape
     polydisc sets ``escaped`` instead of failing, and then ``est_error`` is
-    ``None`` because no estimate is made.  A non-finite fiber value raises
-    :class:`DegenerateInputError`.  The components are evaluated on Python
+    ``None`` because no estimate is made.  The re-run takes other steps and
+    may leave the polydisc where the lift stays inside it; it then stops at
+    its last sample inside, short of the path's end, and an error measured
+    against that point would be no estimate.  So the lift is marked
+    ``escaped`` too, keeping its own samples, with ``est_error`` ``None``.
+    A non-finite fiber value raises :class:`DegenerateInputError`.  The components are evaluated on Python
     ``complex`` fiber values, whose products and sums overflow to ``inf``
     without raising; a base speed or fiber velocity that is not finite
     raises :class:`EvaluationOverflowError`.
@@ -655,11 +682,11 @@ def lift_path(
     max_step = abs(t1 - t0) / max(min_samples, 1)
     samples, escaped = _rk45(rhs, t0, t1, fiber, rtol, atol, max_step, escape_radius)
     final = samples[-1][1]
-    if escaped:
-        est = None
-    else:
-        tight, _ = _rk45(rhs, t0, t1, fiber, rtol / 100.0, atol / 100.0,
-                         max_step / 2.0, escape_radius)
+    est = None
+    if not escaped:
+        tight, escaped = _rk45(rhs, t0, t1, fiber, rtol / 100.0, atol / 100.0,
+                               max_step / 2.0, escape_radius)
+    if not escaped:     # a re-run that escaped ends short of t1: nothing to compare
         est = max((abs(u - v) for u, v in zip(final, tight[-1][1])), default=0.0)
     return LiftResult(
         base_var=base_var,

@@ -327,6 +327,24 @@ class TestEvalComplex:
     @given(_function_twin_and_point())
     @example((make_poly(V2, {(2, 0): 3, (0, 1): 1}),
               make_poly(V2, {(2, 0): gr("1/7", 2), (0, 1): -5}), (0.5 - 2j, 3.0)))
+    # a bare first coefficient is added to 0j when the source is written:
+    # a constant alone, a constant first, and a constant numerator over a pole
+    @example((make_poly(V2, {(0, 0): -3}), make_poly(V2, {(0, 0): gr("1/7", -2)}),
+              (complex(-0.0, -0.0), -0.0)))
+    @example((make_poly(V2, {(0, 0): -3}), make_poly(V2, {(0, 0): gr("1/7", -2)}),
+              (math.inf, complex(-math.inf, -0.0))))
+    @example((make_poly(V2, {(0, 0): gr(0, -1), (1, 0): 2, (0, 2): -1}),
+              make_poly(V2, {(0, 0): 5, (1, 0): gr(-1, 3), (0, 2): "1/3"}),
+              (complex(-0.0, -0.0), complex(0.0, -0.0))))
+    @example((make_poly(V2, {(0, 0): gr(0, -1), (1, 0): 2, (0, 2): -1}),
+              make_poly(V2, {(0, 0): 5, (1, 0): gr(-1, 3), (0, 2): "1/3"}),
+              (complex(math.inf, -0.0), -math.inf)))
+    @example((ChartFunction.make(Poly.constant(V2, gr(-2, 1)), (-1, 2)),
+              ChartFunction.make(Poly.constant(V2, gr("1/3", 0)), (-1, 2)),
+              (complex(-0.0, 2.0), complex(-0.0, -0.0))))
+    @example((ChartFunction.make(Poly.constant(V2, gr(-2, 1)), (-1, 2)),
+              ChartFunction.make(Poly.constant(V2, gr("1/3", 0)), (-1, 2)),
+              (complex(-math.inf, -0.0), math.inf)))
     def test_compiled_evaluator_matches_term_loop_bit_for_bit(self, case):
         fun, twin, point = case
         for f in (fun, twin):

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foliations import dynamics
+from foliations import cli, dynamics
 from foliations.algebra import ChartFunction, Poly, gr
 from foliations.classify import second_jet_check
 from foliations.corpus import linear_saddle, strict_siegel_diagonal
@@ -316,6 +316,56 @@ class TestLifts:
         result = lift_path(linear_saddle(3), "x", full_circle(0.9), [0.5])
         assert len(result.samples) == 201
         assert calls == [6 * 201 + 1, 6 * 504 + 1]
+
+    def test_order5_state_formed_once(self):
+        # the last tableau row is the order-5 weights at c = 1, so the last
+        # stage's arguments are the order-5 state: an accepted step stores
+        # those very objects, not a second evaluation of the same sums
+        assert dynamics._DP_ROWS[-1] == dynamics._DP_W5
+        assert dynamics._DP_C[-2:] == (1.0, 1.0)
+        calls = []
+
+        def rhs(t, y0, y1):
+            calls.append((t, (y0, y1)))
+            return -3j * y0 + y1, (1 + 1j) * y1 - y0 * y0
+
+        samples, escaped = dynamics._rk45(rhs, 0.0, 2.0, [0.5, 0.25j], 1e-9, 1e-12, 0.1)
+        assert not escaped and samples[-1][0] == 2.0
+        # calls 6, 12, 18, ... are the last stages; each accepted step is one
+        last_stages = iter(calls[6::6])
+        for t, y in samples[1:]:
+            for t_stage, args in last_stages:
+                if all(u is v for u, v in zip(y, args)):
+                    assert t_stage == t
+                    break
+            else:
+                pytest.fail(f"no last stage took the state accepted at t = {t!r}")
+
+    def test_rerun_escape_marks_lift_escaped(self):
+        # the lift of this seed stays inside the polydisc (largest fiber
+        # modulus 9.999999998928) while its tighter re-run leaves it
+        # (10.00000000047) and stops at its last sample inside, short of the
+        # loop's end: an error measured against that point would read 0.79
+        field = VectorField.make(Chart.root(V2), [
+            Poly.variable(V2, "x"), Poly.make(V2, {(0, 1): gr("-1/2", "-1/2")})])
+        result = lift_path(field, "x", full_circle(0.1), [0.43213918265919726])
+        assert result.escaped and result.est_error is None
+        assert abs(result.samples[-1][0] - 2.0 * math.pi) < 1e-12
+        assert max(result.fiber_moduli("y")) < 10.0
+        with pytest.raises(SingularLiftError, match="escaped the polydisc"):
+            loop_lift_ratio(field, "x", 0.1, 0.43213918265919726)
+        # a seed 1% smaller keeps both runs inside
+        ratio, err = loop_lift_ratio(field, "x", 0.1, 0.4278)
+        assert err < 1e-7
+
+    def test_rerun_escape_fails_holonomy_command(self, tmp_path, capsys):
+        path = tmp_path / "field.field"
+        path.write_text("vars: x, y\nkind: field\nx, (-1/2-1/2*i)*y\n", encoding="utf-8")
+        code = cli.main(["dynamics", "holonomy", str(path), "--base", "x",
+                         "--fiber-seed", "0.43213918265919726"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: lift escaped the polydisc before closing the loop\n"
 
     @pytest.mark.parametrize("tolerances, message", [
         ({"rtol": -1.0}, "relative tolerance must be nonnegative, got -1.0"),

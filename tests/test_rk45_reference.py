@@ -13,7 +13,8 @@ right-hand side that evaluates each component by ``Poly.eval_complex`` and
 the path formulas written out: every lift of a random 2-D or 3-D
 polynomial field along a segment, an arc, a logarithmic spiral or a
 polyline must equal it bit for bit, or raise the same error (the base
-component vanishing, a floating-point overflow, the iteration cap).
+component vanishing, a floating-point overflow, the iteration cap).  A
+lift whose tighter re-run escapes is escaped, with no error estimate.
 """
 
 from __future__ import annotations
@@ -291,8 +292,10 @@ def reference_lift(x, base_var, path, fiber, rtol, atol, escape_radius, min_samp
                                       escape_radius)
     if escaped:
         return samples, None, True
-    tight, _ = reference_rk45(rhs, t0, t1, fiber, rtol / 100.0, atol / 100.0,
-                              max_step / 2.0, escape_radius)
+    tight, tight_escaped = reference_rk45(rhs, t0, t1, fiber, rtol / 100.0, atol / 100.0,
+                                          max_step / 2.0, escape_radius)
+    if tight_escaped:   # the re-run ends short of t1: no estimate
+        return samples, None, True
     final = samples[-1][1]
     return samples, max((abs(u - v) for u, v in zip(final, tight[-1][1])), default=0.0), False
 
@@ -387,4 +390,16 @@ def test_lift_errors_match_reference(monkeypatch, components, base, path, fiber,
     case = (field, base, path, fiber, 1e-8, 1e-10, escape, 4)
     expected = lift_outcome(reference_lift, *case)
     assert expected[0] is error
+    assert lift_outcome(toolkit_lift, *case) == expected
+
+
+def test_rerun_escape_matches_reference():
+    # the lift stays inside the polydisc of radius 10 and its tighter re-run
+    # leaves it: the lift is escaped, with its own samples and no estimate
+    field = VectorField.make(Chart.root(V2), [
+        Poly.make(V2, {(1, 0): gr(1)}), Poly.make(V2, {(0, 1): gr("-1/2", "-1/2")})])
+    case = (field, "x", CircularArc(0j, 0.1, 0.0, 2.0 * math.pi), [0.43213918265919726],
+            1e-8, 1e-10, 10.0, 64)
+    expected = lift_outcome(reference_lift, *case)
+    assert expected[1:] == (None, True)
     assert lift_outcome(toolkit_lift, *case) == expected
