@@ -201,9 +201,6 @@ class GaussianRational:
         a, b, d = self._abd
         return complex(a / d, b / d)
 
-    def sort_key(self) -> tuple[Fraction, Fraction]:
-        return (self.re, self.im)
-
     def text(self) -> str:
         """Canonical rendering: '3', '-1/2', 'i', '2i', '1+2i', '1/2-3/4i'."""
         a, b, d = self._abd
@@ -668,14 +665,6 @@ class Poly:
         return self._evaluator(*point)
 
     # -- univariate helpers ---------------------------------------------------
-
-    def used_vars(self) -> tuple[str, ...]:
-        used = [False] * len(self.vars)
-        for e in self._abd:
-            for j, k in enumerate(e):
-                if k:
-                    used[j] = True
-        return tuple(v for v, u in zip(self.vars, used) if u)
 
     def univariate_coeffs(self, var: str) -> list[GaussianRational]:
         """Dense coefficient list c[0..d] when the poly involves only ``var``."""

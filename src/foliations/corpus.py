@@ -170,15 +170,6 @@ def sancho_sanz_field(alpha=1, beta=1, lam=0) -> VectorField:
     return VectorField.make(chart3(), [_poly(V3, {(2, 0, 0): 1}), comp_y, comp_z])
 
 
-def complete_nilpotent_field() -> VectorField:
-    """x^2 d/dx + xz d/dy + (y - xz) d/dz (extends to a complete field)."""
-    return VectorField.make(chart3(), [
-        _poly(V3, {(2, 0, 0): 1}),
-        _poly(V3, {(1, 0, 1): 1}),
-        _poly(V3, {(0, 1, 0): 1, (1, 0, 1): -1}),
-    ])
-
-
 def persistent_synthetic_field() -> VectorField:
     """(y + z^3) d/dx + x^2 d/dy + z^2 d/dz: direct normal-form match."""
     return VectorField.make(chart3(), [
@@ -194,10 +185,6 @@ def cusp_hamiltonian(n: int = 1) -> VectorField:
         _poly(V2, {(0, 1): 2}),
         _poly(V2, {(2 * n, 0): 2 * n + 1}),
     ])
-
-
-def cusp_level(n: int = 1) -> Poly:
-    return _poly(V2, {(0, 2): 1, (2 * n + 1, 0): -1})
 
 
 def linear_saddle(k: int) -> VectorField:

@@ -591,28 +591,6 @@ class LiftResult:
         i = self.fiber_vars.index(var)
         return [abs(y[i]) for _, y in self.samples]
 
-    def to_json(self) -> dict:
-        return {
-            "base_var": self.base_var,
-            "fiber_vars": list(self.fiber_vars),
-            "final": [[z.real, z.imag] for z in self.final],
-            "est_error": self.est_error,
-            "escaped": self.escaped,
-            "samples": len(self.samples),
-        }
-
-    def to_csv(self) -> str:
-        header = ["t"]
-        for v in self.fiber_vars:
-            header += [f"re_{v}", f"im_{v}"]
-        lines = [",".join(header)]
-        for t, y in self.samples:
-            cells = [repr(t)]
-            for z in y:
-                cells += [repr(z.real), repr(z.imag)]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
 
 def lift_path(
     x: VectorField,
@@ -718,7 +696,8 @@ def loop_lift_ratio(
     -0.98039 against the derivative -1, with an error of 2.4e-10.  A field without a fiber
     variable raises :class:`StructuralError`; a zero or non-finite radius or
     fiber seed (no loop, or no ratio final/initial) raises
-    :class:`DegenerateInputError`.
+    :class:`DegenerateInputError`; a lift that leaves the polydisc, or whose
+    tighter re-run does, raises :class:`SingularLiftError`.
     """
     if x.chart.dim < 2:
         raise StructuralError("holonomy needs at least one fiber variable")
@@ -730,7 +709,8 @@ def loop_lift_ratio(
     fiber = [fiber_seed] * (x.chart.dim - 1)
     result = lift_path(x, base_var, path, fiber, **kwargs)
     if result.escaped:
-        raise SingularLiftError("lift escaped the polydisc before closing the loop")
+        raise SingularLiftError(
+            "lift or its tighter re-run escaped the polydisc before closing the loop")
     return result.final[0] / fiber[0], result.est_error / abs(fiber_seed)
 
 
@@ -774,9 +754,6 @@ class Trajectory:
 
     samples: tuple[tuple[float, complex], ...]
     stop_reason: str
-
-    def points(self) -> list[complex]:
-        return [z for _, z in self.samples]
 
     def to_csv(self) -> str:
         lines = ["t,re,im"]

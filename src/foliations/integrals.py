@@ -339,15 +339,6 @@ class QuotientResult:
     denominator: Poly
     restricted: tuple[Poly, Poly] | None
 
-    def to_json(self) -> dict:
-        return {
-            "powers": [self.power_num, self.power_den],
-            "numerator": self.numerator.render(),
-            "denominator": self.denominator.render(),
-            "restricted": None if self.restricted is None else
-            [self.restricted[0].render(), self.restricted[1].render()],
-        }
-
 
 def meromorphic_quotient(f: FactoredFunction, g: FactoredFunction,
                          shared_index: tuple[int, int] = (0, 0)) -> QuotientResult:

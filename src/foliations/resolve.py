@@ -389,9 +389,9 @@ def _resolve(x: VectorField, max_steps: int, blow_up, divisor_points,
       point's recentered ``germ``, adds the blow-ups it made to
       ``tree.steps`` / ``tree.weighted_steps``, sets the point's status and
       returns the chart results, each of which becomes a child node;
-    * ``divisor_points(tree, child, first)``: the singular points on the
-      divisor of a new chart (``first`` for the first chart of a blow-up),
-      and whether that list is complete;
+    * ``divisor_points(tree, child)``: the singular points on the divisor
+      of a new chart that no earlier chart of its blow-up shows, and whether
+      that list is complete;
     * ``on_budget(tree)``: what to add when ``max_steps`` runs out.
     """
     tree = ResolutionTree(dim=x.chart.dim)
@@ -423,10 +423,10 @@ def _resolve(x: VectorField, max_steps: int, blow_up, divisor_points,
         tree.components[label] = DivisorComponent(label, new_weight, node.id)
         germ = germ_at(node.rep, point.coords)
         center_coords = tuple(c.text() for c in point.coords)
-        for idx, result in enumerate(blow_up(tree, point, germ, label, center_coords)):
+        for result in blow_up(tree, point, germ, label, center_coords):
             child = TreeNode(len(tree.nodes), node.id, result.representative, result)
             tree.nodes.append(child)
-            points, listed_all = divisor_points(tree, child, idx == 0)
+            points, listed_all = divisor_points(tree, child)
             complete = complete and listed_all
             for p in points:
                 child.singular_points.append(p)
@@ -473,22 +473,20 @@ def _blow_up_2d(tree: ResolutionTree, point: SingularPoint, germ: VectorField,
     return all_charts(germ, POINT, (1, 1), label, center_coords)
 
 
-def _divisor_points_2d(tree: ResolutionTree, child: TreeNode, first: bool):
-    if not first:
-        # the second chart only contributes the point at infinity of the
-        # first chart, i.e. its own origin
+def _divisor_points_2d(tree: ResolutionTree, child: TreeNode):
+    divisor_var = child.transform.divisor_var
+    names = child.rep.chart.var_names
+    if divisor_var != names[0]:
+        # ``all_charts`` gives the charts in variable order, so the first
+        # chart already shows every point of this divisor but its origin,
+        # the first chart's point at infinity
         if child.rep.vanishes_at_origin():
             return [_classify_point(child, (GR_ZERO, GR_ZERO))], True
         return [], True
     # a content-free representative never vanishes on its whole divisor
-    divisor_var = child.transform.divisor_var
     exact, certified, _ = singular_points_on_divisor(child.rep, divisor_var)
-    names = child.rep.chart.var_names
-    other = names[1] if names[0] == divisor_var else names[0]
-    points = [_classify_point(child, tuple(GR_ZERO if name == divisor_var else r
-                                           for name in names))
-              for r in exact]
-    points += [_interval_point(child, divisor_var, other, c) for c in certified]
+    points = [_classify_point(child, (GR_ZERO, r)) for r in exact]
+    points += [_interval_point(child, divisor_var, names[1], c) for c in certified]
     return points, True
 
 
@@ -853,9 +851,9 @@ def _blow_up_3d(tree: ResolutionTree, point: SingularPoint, germ: VectorField,
     return all_charts(germ, center, weights, label, center_coords)
 
 
-def _divisor_points_3d(tree: ResolutionTree, child: TreeNode, first: bool):
-    # ``first`` is not needed: the candidates of a later chart already
-    # leave out the points an earlier chart shows
+def _divisor_points_3d(tree: ResolutionTree, child: TreeNode):
+    # the candidates of a later chart already leave out the points an
+    # earlier chart shows
     candidates, lines, nonrational, complete = _divisor_candidates_3d(
         child.rep, child.transform.divisor_var)
     for line in lines:

@@ -13,7 +13,6 @@ from foliations.blowup import (
 from foliations.corpus import (
     commuting_pair,
     cusp_hamiltonian,
-    cusp_level,
     jouanolou_field,
     meromorphic_transform_example,
     radial,
@@ -139,7 +138,7 @@ def _compose_chart_function(cf: ChartFunction, assignment) -> ChartFunction:
 class TestFirstIntegralPullback:
     def test_cusp_level_pullback(self):
         field = cusp_hamiltonian(1)
-        level = cusp_level(1)
+        level = make_poly(V2, {(0, 2): 1, (3, 0): -1})
         assert directional_derivative(field, level).is_zero()
         for idx in range(2):
             result = weighted_blowup(field, BlowupSpec(POINT, None, idx))

@@ -37,8 +37,11 @@ def _fresh_python(*args) -> subprocess.CompletedProcess:
 
 # ---------------------------------------------------------------------------
 # Minimal JSON-schema validation (subset: type/properties/required/items/
-# enum/anyOf), enough for the shipped schema files.
+# enum/anyOf, and $id as a label), enough for the shipped schema files;
+# test_schemas_use_only_validated_keywords keeps them inside that subset.
 # ---------------------------------------------------------------------------
+
+_KEYWORDS = {"type", "properties", "required", "items", "enum", "anyOf", "$id"}
 
 _TYPES = {
     "object": dict, "array": list, "string": str, "boolean": bool,
@@ -59,7 +62,6 @@ def validate(schema: dict, value, path="$"):
                 errors.append(str(exc))
         else:
             raise AssertionError(f"{path}: no anyOf branch matched ({errors})")
-        return
     if "type" in schema:
         kinds = schema["type"]
         if isinstance(kinds, str):
@@ -85,9 +87,32 @@ def validate(schema: dict, value, path="$"):
             validate(schema["items"], item, f"{path}[{i}]")
 
 
+SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+
+
 def load_schema(name: str) -> dict:
-    root = Path(__file__).resolve().parent.parent / "docs" / "schemas"
-    return json.loads((root / name).read_text(encoding="utf-8"))
+    return json.loads((SCHEMAS / name).read_text(encoding="utf-8"))
+
+
+def _unvalidated_keywords(schema, path="$") -> list[str]:
+    """Keywords of ``schema`` and its subschemas that ``validate`` ignores."""
+    if not isinstance(schema, dict):
+        return [f"{path}: not an object"]
+    out = [f"{path}: {key}" for key in schema if key not in _KEYWORDS]
+    for key, sub in schema.get("properties", {}).items():
+        out += _unvalidated_keywords(sub, f"{path}.properties.{key}")
+    if "items" in schema:
+        out += _unvalidated_keywords(schema["items"], f"{path}.items")
+    for i, sub in enumerate(schema.get("anyOf", [])):
+        out += _unvalidated_keywords(sub, f"{path}.anyOf[{i}]")
+    return out
+
+
+def test_schemas_use_only_validated_keywords():
+    paths = sorted(SCHEMAS.glob("*.json"))
+    assert paths
+    for path in paths:
+        assert _unvalidated_keywords(load_schema(path.name)) == [], path.name
 
 
 class TestSubcommands:
@@ -148,9 +173,7 @@ class TestSubcommands:
         data = json.loads(out)
         assert all(entry["dicritical"] for entry in data)
         assert all(entry["divisor_multiplicity"] == 1 for entry in data)
-        schema = load_schema("blowup_transform.schema.json")
-        for entry in data:
-            validate(schema, entry)
+        validate(load_schema("blowup_transform.schema.json"), data)
 
     def test_blowup_weighted_pole(self):
         code, out = run_cli("blowup", fixture("pole_example.field"),
@@ -159,6 +182,7 @@ class TestSubcommands:
         assert code == 0
         data = json.loads(out)
         assert data["pole_order"] == 1
+        validate(load_schema("blowup_transform.schema.json"), data)
 
     def test_integrals_verify(self):
         code, out = run_cli("integrals", fixture("two_integrals.field"),

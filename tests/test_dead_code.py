@@ -4,7 +4,11 @@ Every name a module imports must be used in that module or listed in its
 ``__all__``, every module-level private name must be referenced from
 another top-level statement of the package, and every private method,
 property or cached property of a class must be referenced from outside its
-own definition.
+own definition.  Every public module-level name, method or property must be
+read from outside its own definition by the package, ``demos/`` or
+``bench/`` (tests do not count), unless ``API`` lists it with the reason it
+is kept.  The checks go by name: a member passes when any read attribute
+shares its name.
 """
 
 from __future__ import annotations
@@ -17,6 +21,25 @@ import foliations
 
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
          for path in sorted(Path(foliations.__file__).parent.glob("*.py"))}
+CALLERS = [ast.parse(path.read_text(encoding="utf-8"))
+           for folder in ("demos", "bench")
+           for path in sorted((Path(__file__).resolve().parents[1] / folder).glob("*.py"))]
+
+# public names that nothing outside the tests reads, and why they stay
+API = {
+    "algebra.GaussianRational.conjugate":
+        "arithmetic of the public scalar type",
+    "algebra.GaussianRational.norm2":
+        "arithmetic of the public scalar type; the roots reference takes its "
+        "Cauchy bound from it",
+    "algebra.Poly.eval_complex":
+        "the float evaluation the compiled code is checked against; bench/run.py "
+        "reads its span 'algebra.Poly.eval_complex' by name",
+    "algebra.ChartFunction.eval_complex":
+        "the float evaluation the compiled code is checked against",
+    "classify.is_nilpotent":
+        "the nilpotency test that test_classify_sympy checks against sympy",
+}
 
 
 def _names(node: ast.AST, references: bool = False) -> set[str]:
@@ -83,3 +106,26 @@ def test_every_private_member_is_referenced():
             and member.name.startswith("_") and not member.name.startswith("__")
             and reads[member.name] == _reads(member)[member.name]]
     assert dead == []
+
+
+def _public_definitions():
+    """``(qualified name, name, definition)`` for every public module-level
+    name and every public method or property of a module-level class."""
+    for module, tree in TREES.items():
+        prefix = module.removesuffix(".py")
+        for stmt in tree.body:
+            for name in _defined(stmt):
+                if not name.startswith("_"):
+                    yield f"{prefix}.{name}", name, stmt
+            if isinstance(stmt, ast.ClassDef):
+                for member in stmt.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield f"{prefix}.{stmt.name}.{member.name}", member.name, member
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    reads = sum((_reads(tree) for tree in [*TREES.values(), *CALLERS]), Counter())
+    found = {qualified for qualified, name, node in _public_definitions()
+             if reads[name] == _reads(node)[name]}
+    assert sorted(found - API.keys()) == []
+    assert sorted(API.keys() - found) == []

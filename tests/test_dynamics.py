@@ -365,7 +365,8 @@ class TestLifts:
                          "--fiber-seed", "0.43213918265919726"])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
-        assert err == "error: lift escaped the polydisc before closing the loop\n"
+        assert err == ("error: lift or its tighter re-run escaped the polydisc before "
+                       "closing the loop\n")
 
     @pytest.mark.parametrize("tolerances, message", [
         ({"rtol": -1.0}, "relative tolerance must be nonnegative, got -1.0"),
@@ -481,20 +482,20 @@ class TestOmegaOne:
 class TestDescent:
     def test_radial_rays(self):
         traj = trace_descent(upoly({1: 1}), upoly({0: 1}), 0.0, 0.4 + 0.3j, 2.0)
-        anchor = traj.points()[0]
-        for z in traj.points():
-            assert abs((z / anchor).imag) < 1e-8
+        pts = [z for _, z in traj.samples]
+        for z in pts:
+            assert abs((z / pts[0]).imag) < 1e-8
 
     def test_log_spiral_pitch(self):
         traj = trace_descent(upoly({1: 1}), upoly({0: 1}), math.pi / 4,
                              0.4 + 0.3j, 1.5)
-        pts = traj.points()
+        pts = [z for _, z in traj.samples]
         increments = [cmath.phase(b / a) for a, b in zip(pts, pts[1:])]
         assert max(increments) - min(increments) < 1e-6
 
     def test_translation_flow(self):
         traj = trace_descent(upoly({0: 1}), upoly({0: 1}), 0.0, 0.1 + 0.2j, 1.0)
-        pts = traj.points()
+        pts = [z for _, z in traj.samples]
         assert abs(pts[-1] - pts[0] - 1.0) < 1e-8
         assert all(abs(z.imag - 0.2) < 1e-9 for z in pts)
 

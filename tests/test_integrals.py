@@ -184,12 +184,3 @@ class TestQuotient:
         f = FactoredFunction.make([(Poly.variable(V2, "x"), 2),
                                    (Poly.variable(V2, "y"), 1)])
         assert f.expand() == make_poly(V2, {(2, 1): 1})
-
-    def test_json(self):
-        q = meromorphic_quotient(
-            FactoredFunction.make([(Poly.variable(V3, "x"), 1),
-                                   (Poly.variable(V3, "y"), 1)]),
-            FactoredFunction.make([(Poly.variable(V3, "x"), 1),
-                                   (Poly.variable(V3, "z"), 1)]))
-        data = q.to_json()
-        assert data["numerator"] == "y" and data["denominator"] == "z"

@@ -71,7 +71,7 @@ def _sympy_exact_roots(coeffs) -> dict:
 def test_exact_roots_match_sympy(product):
     coeffs, roots = product
     exact, intervals = certified_roots(coeffs)
-    assert {r.sort_key(): m for r, m in exact} == _sympy_exact_roots(coeffs)
+    assert {(r.re, r.im): m for r, m in exact} == _sympy_exact_roots(coeffs)
     assert len(exact) == len(set(roots))
     degree = len(coeffs) - 1
     assert sum(m for _, m in exact) + sum(c.multiplicity for c in intervals) == degree

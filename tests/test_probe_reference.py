@@ -55,7 +55,6 @@ from foliations.blowup import (
 )
 from foliations.classify import CLASS_NILPOTENT, _nilpotent_class, char_poly
 from foliations.corpus import (
-    complete_nilpotent_field,
     persistent_synthetic_field,
     sancho_sanz_field,
 )
@@ -214,8 +213,7 @@ def _germ_key(germ):
 
 
 def _uses_only(p, var):
-    used = p.used_vars()
-    return used == () or used == (var,)
+    return all(k == 0 for e in p.terms for v, k in zip(p.vars, e) if v != var)
 
 
 def _invisible_in_earlier_charts(chart, divisor_var, coords):
@@ -572,7 +570,7 @@ FIXTURES = {
     "sancho_sanz": sancho_sanz_field(),
     "sancho_sanz_111": sancho_sanz_field(1, 1, 1),
     "sancho_sanz_i": sancho_sanz_field(GaussianRational(1, 1), 3, "1/2"),
-    "complete_nilpotent": complete_nilpotent_field(),
+    "complete_nilpotent": sancho_sanz_field(0, 1, 0),
     "persistent_synthetic": persistent_synthetic_field(),
     "prechain": PRECHAIN,
 }

@@ -13,7 +13,6 @@ from foliations.algebra import Poly, gr
 from foliations.classify import CLASS_NILPOTENT
 from foliations.cli import main
 from foliations.corpus import (
-    complete_nilpotent_field,
     cusp_hamiltonian,
     linear_saddle,
     persistent_synthetic_field,
@@ -419,7 +418,7 @@ class TestResolve3:
 
     def test_complete_nilpotent_budget(self):
         # the complete-field example also persists under standard blow-ups
-        tree = resolve3(complete_nilpotent_field(), max_steps=6,
+        tree = resolve3(sancho_sanz_field(0, 1, 0), max_steps=6,
                         allow_weighted=False)
         assert tree.status == STATUS_BUDGET
 

@@ -369,7 +369,7 @@ def reference_roots(c):
             part = deflate(part, r)
         if degree(part) > 0:
             rectangles += certify(part, m)
-    exact.sort(key=GaussianRational.sort_key)
+    exact.sort(key=lambda z: (z.re, z.im))
     return [(r, len(list(g))) for r, g in itertools.groupby(exact)], rectangles
 
 
