@@ -76,7 +76,8 @@ class TransformResult:
     defines the transformed foliation on the chart.  ``divisor_multiplicity``
     is the vanishing order of the transform along the divisor (negative when
     the transform is strictly meromorphic), ``pole_order`` its pole order
-    (0 for a holomorphic transform).
+    (0 for a holomorphic transform).  The new chart is
+    ``representative.chart``.
     """
 
     field: VectorField
@@ -84,7 +85,6 @@ class TransformResult:
     divisor_multiplicity: int
     pole_order: int
     dicritical: bool
-    chart: Chart
     divisor_var: str
     record: BlowupRecord
 
@@ -139,16 +139,15 @@ def _validated(x: VectorField, spec: BlowupSpec) -> tuple[list[str], tuple[int, 
     return blown, weights
 
 
-def weighted_blowup(
-    x: VectorField,
-    spec: BlowupSpec,
-    divisor_label: str | None = None,
-    center_coords: tuple[str, ...] | None = None,
-) -> TransformResult:
-    """Transform ``x`` under one chart of a (possibly weighted) blow-up."""
+def weighted_blowup(x: VectorField, spec: BlowupSpec) -> TransformResult:
+    """Transform ``x`` under one chart of a (possibly weighted) blow-up.
+
+    The new divisor is labelled ``E<k>`` for the chart's ``k``-th blow-up and
+    the centre is recorded at the origin; :func:`all_charts` takes both, for
+    the resolution driver.
+    """
     blown, weights = _validated(x, spec)
-    return _chart(x, spec.center, blown, weights, spec.chart_index,
-                  divisor_label, center_coords)
+    return _chart(x, spec.center, blown, weights, spec.chart_index, None, None)
 
 
 def all_charts(
@@ -268,7 +267,6 @@ def _chart(x: VectorField, center: str, blown: list[str], weights: tuple[int, ..
         divisor_multiplicity=multiplicity,
         pole_order=pole_order,
         dicritical=dicritical,
-        chart=new_chart,
         divisor_var=v_name,
         record=record,
     )

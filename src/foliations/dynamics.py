@@ -176,8 +176,9 @@ class Polyline(_Path):
 PathSpec = Segment | CircularArc | LogSpiral | Polyline
 
 
-def full_circle(radius: float, center: complex = 0j) -> CircularArc:
-    return CircularArc(center, radius, 0.0, 2.0 * math.pi)
+def full_circle(radius: float) -> CircularArc:
+    """Full circle about 0, counterclockwise from +radius."""
+    return CircularArc(0j, radius, 0.0, 2.0 * math.pi)
 
 
 def half_circle(radius: float) -> CircularArc:
@@ -580,7 +581,6 @@ def _rk45(rhs, t0: float, t1: float, y0: Sequence[complex],
 class LiftResult:
     """Lift of a base path to the leaf through a fiber point."""
 
-    base_var: str
     fiber_vars: tuple[str, ...]
     samples: tuple[tuple[float, tuple[complex, ...]], ...]
     final: tuple[complex, ...]
@@ -667,7 +667,6 @@ def lift_path(
     if not escaped:     # a re-run that escaped ends short of t1: nothing to compare
         est = max((abs(u - v) for u, v in zip(final, tight[-1][1])), default=0.0)
     return LiftResult(
-        base_var=base_var,
         fiber_vars=fiber_vars,
         samples=tuple(samples),
         final=final,
@@ -681,16 +680,19 @@ def loop_lift_ratio(
     base_var: str,
     radius: float = 0.1,
     fiber_seed: complex = 0.01,
-    **kwargs,
+    rtol: float = DEFAULT_REL_TOL,
+    atol: float = DEFAULT_ABS_TOL,
 ) -> tuple[complex, float]:
     """final/initial fiber ratio after lifting a full circle in the base;
     (ratio, error).
 
     For a linearizable saddle this estimates the derivative of the holonomy
-    return map of the separatrix ``{others = 0}``.  The error is the lift's
-    error estimate (see :func:`lift_path`) over ``|fiber_seed|``: an
-    estimate of the lift's error on the same scale as the ratio, not a bound
-    on the ratio's distance from the derivative.  The ratio is taken at a
+    return map of the separatrix ``{others = 0}``.  The loop is lifted by
+    :func:`lift_path` to the tolerances ``rtol`` and ``atol``, with its
+    default escape radius and sample count.  The error is the lift's error
+    estimate over ``|fiber_seed|``: an estimate of the lift's error on the
+    same scale as the ratio, not a bound on the ratio's distance from the
+    derivative.  The ratio is taken at a
     finite seed, so the holonomy's nonlinearity also moves it, and no lift
     estimate sees that: on ``x + x^2, -2*y`` with base ``y`` the ratio is
     -0.98039 against the derivative -1, with an error of 2.4e-10.  A field without a fiber
@@ -707,7 +709,7 @@ def loop_lift_ratio(
         raise DegenerateInputError(f"fiber seed must be finite and nonzero, got {fiber_seed!r}")
     path = full_circle(radius)
     fiber = [fiber_seed] * (x.chart.dim - 1)
-    result = lift_path(x, base_var, path, fiber, **kwargs)
+    result = lift_path(x, base_var, path, fiber, rtol=rtol, atol=atol)
     if result.escaped:
         raise SingularLiftError(
             "lift or its tighter re-run escaped the polydisc before closing the loop")
@@ -721,15 +723,10 @@ def loop_lift_ratio(
 # radius of the disc about 0 whose exit ends a descent with ``domain_exit``
 _DESCENT_RADIUS = 10.0
 
-def omega1_integral(
-    f: Poly,
-    h: Poly,
-    path: PathSpec,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> tuple[complex, float]:
-    """Quadrature of the holonomy form ``(H/F) dx`` along a base path;
-    overflow raises as in :func:`time_form_integral`."""
+def omega1_integral(f: Poly, h: Poly, path: PathSpec) -> tuple[complex, float]:
+    """Quadrature of the holonomy form ``(H/F) dx`` along a base path, to
+    ``DEFAULT_ABS_TOL`` and ``DEFAULT_REL_TOL``; (value, error).  Overflow
+    raises as in :func:`time_form_integral`."""
     fe = _univariate_eval(f)
     he = _univariate_eval(h)
     at = path.at
@@ -745,7 +742,7 @@ def omega1_integral(
         return value
 
     a, b = path.t_range
-    return adaptive_quadrature(integrand, a, b, abs_tol, rel_tol)
+    return adaptive_quadrature(integrand, a, b, DEFAULT_ABS_TOL, DEFAULT_REL_TOL)
 
 
 @dataclass(frozen=True)
@@ -833,16 +830,15 @@ def trace_descent(
 # Separating directions
 # ---------------------------------------------------------------------------
 
-def separating_direction(eigenvalues: Sequence[complex], distinguished: int = 0) -> complex:
-    """A unit vector v with Re(l_d / v) > 0 and Re(l_j / v) < 0 for j != d.
+def separating_direction(eigenvalues: Sequence[complex]) -> complex:
+    """A unit vector v with Re(l_0 / v) > 0 and Re(l_j / v) < 0 for j > 0.
 
     Used to build the logarithmic spiral along which lifts show saddle
     behavior; the choice maximizes the angular margin and is deterministic.
     Raises :class:`NotApplicableError` when no separating line exists.
     """
     values = [complex(z) for z in eigenvalues]
-    lead = values[distinguished]
-    others = [z for k, z in enumerate(values) if k != distinguished]
+    lead, others = values[0], values[1:]
     if abs(lead) == 0 or any(abs(z) == 0 for z in others):
         raise NotApplicableError("zero eigenvalues admit no separating direction")
 

@@ -315,15 +315,9 @@ def render_field(obj: VectorField | OneForm) -> str:
     """Canonical file text for a polynomial field or form (round-trips)."""
     if isinstance(obj, VectorField):
         kind = KIND_FIELD
-        comps = obj.components
     elif isinstance(obj, OneForm):
         kind = KIND_FORM
-        comps = obj.coefficients
     else:
         raise StructuralError("expected a vector field or 1-form")
-    lines = [
-        "vars: " + ", ".join(obj.chart.var_names),
-        "kind: " + kind,
-        ", ".join(c.render() for c in comps),
-    ]
+    lines = ["vars: " + ", ".join(obj.chart.var_names), "kind: " + kind, obj.render()]
     return "\n".join(lines) + "\n"

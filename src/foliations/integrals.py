@@ -319,14 +319,6 @@ class FactoredFunction:
             out.append((f, m))
         return FactoredFunction(tuple(out))
 
-    def expand(self) -> Poly:
-        if not self.factors:
-            raise StructuralError("empty factorization")
-        out = Poly.constant(self.factors[0][0].vars, GR_ONE)
-        for f, m in self.factors:
-            out = out * f ** m
-        return out
-
 
 @dataclass(frozen=True)
 class QuotientResult:
@@ -340,36 +332,29 @@ class QuotientResult:
     restricted: tuple[Poly, Poly] | None
 
 
-def meromorphic_quotient(f: FactoredFunction, g: FactoredFunction,
-                         shared_index: tuple[int, int] = (0, 0)) -> QuotientResult:
-    """Cancel one shared irreducible factor between two first integrals.
+def meromorphic_quotient(f: FactoredFunction, g: FactoredFunction) -> QuotientResult:
+    """Cancel the shared irreducible factor between two first integrals.
 
-    ``shared_index`` picks the factor position in each factorization; the
-    minimal powers ``n1, m1`` with ``n1 * mult_F == m1 * mult_G`` are used,
-    so the shared factor disappears from ``F**n1 / G**m1`` entirely.  When
-    the shared factor is a single coordinate, the restriction of numerator
-    and denominator to its zero set is included.
+    The shared factor is the first of each factorization; the minimal
+    powers ``n1, m1`` with ``n1 * mult_F == m1 * mult_G`` are used, so the
+    shared factor disappears from ``F**n1 / G**m1`` entirely.  When the
+    shared factor is a single coordinate, the restriction of numerator and
+    denominator to its zero set is included.  An empty factorization, or
+    first factors that differ, raise :class:`NotApplicableError`.
     """
-    fi, gi = shared_index
-    try:
-        f_fac, f_mult = f.factors[fi]
-        g_fac, g_mult = g.factors[gi]
-    except IndexError:
-        raise NotApplicableError("shared factor index out of range") from None
+    if not (f.factors and g.factors):
+        raise NotApplicableError("empty factorization: no first factor to share")
+    (f_fac, f_mult), (g_fac, g_mult) = f.factors[0], g.factors[0]
     if f_fac != g_fac:
-        raise NotApplicableError("designated factors are not equal")
+        raise NotApplicableError("first factors are not equal")
     gcd = math.gcd(f_mult, g_mult)
     n1 = g_mult // gcd
     m1 = f_mult // gcd
     num = Poly.constant(f_fac.vars, GR_ONE)
-    for k, (fac, mult) in enumerate(f.factors):
-        if k == fi:
-            continue
+    for fac, mult in f.factors[1:]:
         num = num * fac ** (mult * n1)
     den = Poly.constant(g_fac.vars, GR_ONE)
-    for k, (fac, mult) in enumerate(g.factors):
-        if k == gi:
-            continue
+    for fac, mult in g.factors[1:]:
         den = den * fac ** (mult * m1)
     restricted = None
     coord = _as_coordinate(f_fac)

@@ -231,5 +231,5 @@ class TestWeightedBlowup:
 
     def test_divisor_labels(self):
         field = cusp_hamiltonian(1)
-        result = weighted_blowup(field, BlowupSpec(POINT, None, 0), divisor_label="E7")
-        assert result.chart.divisor_labels == ("E7", None)
+        result = all_charts(field, POINT, None, "E7")[0]
+        assert result.representative.chart.divisor_labels == ("E7", None)

@@ -124,7 +124,7 @@ def outcome(blowup, x, spec):
     else:
         field, rep = result.field, result.representative
         rest = [result.divisor_multiplicity, result.pole_order, result.dicritical,
-                result.chart, result.divisor_var, result.record]
+                result.representative.chart, result.divisor_var, result.record]
     return [shape(field), shape(rep), *rest]
 
 

@@ -7,8 +7,12 @@ property or cached property of a class must be referenced from outside its
 own definition.  Every public module-level name, method or property must be
 read from outside its own definition by the package, ``demos/`` or
 ``bench/`` (tests do not count), unless ``API`` lists it with the reason it
-is kept.  The checks go by name: a member passes when any read attribute
-shares its name.
+is kept.  Every defaulted parameter of a public function or method, or of a
+public class's ``__init__``, must be passed by some call there outside its
+own definition, unless ``OPTIONS`` lists it with the reason it is kept, and
+no public function takes ``**kwargs``.  The checks go by name: a member
+passes when any read attribute shares its name, and an option when any call
+of a function of that name passes it.
 """
 
 from __future__ import annotations
@@ -39,6 +43,21 @@ API = {
         "the float evaluation the compiled code is checked against",
     "classify.is_nilpotent":
         "the nilpotency test that test_classify_sympy checks against sympy",
+}
+
+# defaulted parameters that no call outside the tests passes, and why they stay
+OPTIONS = {
+    "corpus.sancho_sanz_field.alpha":
+        "a parameter of the Sancho-Sanz family; tests build other members, "
+        "such as (0, 1, 0)",
+    "corpus.sancho_sanz_field.beta":
+        "a parameter of the Sancho-Sanz family; tests build other members, "
+        "such as (0, 1, 0)",
+    "corpus.sancho_sanz_field.lam":
+        "a parameter of the Sancho-Sanz family; tests build other members, "
+        "such as (0, 1, 0)",
+    "dynamics.lift_path.min_samples":
+        "the golden and acceptance tests pin lifts taken at 256 samples",
 }
 
 
@@ -129,3 +148,54 @@ def test_every_public_name_is_read_outside_the_tests():
              if reads[name] == _reads(node)[name]}
     assert sorted(found - API.keys()) == []
     assert sorted(API.keys() - found) == []
+
+
+def _defaulted(fn: ast.FunctionDef) -> list[str]:
+    """The parameters of ``fn`` that have a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    return ([a.arg for a in positional[len(positional) - len(args.defaults):]]
+            + [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+
+def _callables():
+    """``(qualified name, called name, definition)`` for every public
+    function and method, and for the ``__init__`` of every public class,
+    which calls reach by the class name."""
+    for qualified, name, node in _public_definitions():
+        if isinstance(node, ast.FunctionDef):
+            yield qualified, name, node
+        elif isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and member.name == "__init__":
+                    yield f"{qualified}.__init__", name, member
+
+
+def _passed(call: ast.Call, fn: ast.FunctionDef) -> set[str]:
+    """The parameters of ``fn`` that ``call`` passes: all of them when it
+    spreads ``*`` or ``**``."""
+    params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    if params[:1] in (["self"], ["cls"]):
+        params = params[1:]
+    if (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg is None for k in call.keywords)):
+        return set(params) | {a.arg for a in fn.args.kwonlyargs}
+    return set(params[:len(call.args)]) | {k.arg for k in call.keywords}
+
+
+def test_every_option_is_set_outside_the_tests():
+    calls = [(node, node.func.id if isinstance(node.func, ast.Name)
+              else getattr(node.func, "attr", None))
+             for tree in [*TREES.values(), *CALLERS] for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unset, spread = set(), []
+    for qualified, name, fn in _callables():
+        if fn.args.kwarg is not None:
+            spread.append(f"{qualified}: **{fn.args.kwarg.arg}")
+        own = set(map(id, ast.walk(fn)))
+        passed = set().union(*(_passed(call, fn) for call, called in calls
+                               if called == name and id(call) not in own))
+        unset |= {f"{qualified}.{option}" for option in _defaulted(fn)
+                  if option not in passed}
+    assert sorted(unset - OPTIONS.keys()) + spread == []
+    assert sorted(OPTIONS.keys() - unset) == []

@@ -148,7 +148,7 @@ class TestQuotient:
     def test_not_shared_rejected(self):
         f = FactoredFunction.make([(Poly.variable(V3, "y"), 1)])
         g = FactoredFunction.make([(Poly.variable(V3, "z"), 1)])
-        with pytest.raises(NotApplicableError):
+        with pytest.raises(NotApplicableError, match="^first factors are not equal$"):
             meromorphic_quotient(f, g)
 
     def test_restriction_annihilated_numerically(self):
@@ -180,7 +180,12 @@ class TestQuotient:
             derivative = (dnum * dv - nv * dden) / (dv * dv)
             assert abs(derivative) < 1e-9
 
-    def test_expand(self):
-        f = FactoredFunction.make([(Poly.variable(V2, "x"), 2),
-                                   (Poly.variable(V2, "y"), 1)])
-        assert f.expand() == make_poly(V2, {(2, 1): 1})
+    def test_empty_factorization_rejected(self):
+        # make([]) is a valid factorization, but one with no first factor
+        # to share; either side refuses the same way
+        x_only = FactoredFunction.make([(Poly.variable(V3, "x"), 1)])
+        empty = FactoredFunction.make([])
+        for f, g in [(empty, x_only), (x_only, empty), (empty, empty)]:
+            with pytest.raises(NotApplicableError,
+                               match="^empty factorization: no first factor to share$"):
+                meromorphic_quotient(f, g)

@@ -190,7 +190,7 @@ def reference_weighted_blowup(x, spec, divisor_label=None, center_coords=None):
     rep_v = representative.components[k]
     dicritical = (not rep_v.is_zero()) and rep_v.order_in(v_name) == 0
     return TransformResult(field, representative, multiplicity, pole_order,
-                           dicritical, new_chart, v_name, record)
+                           dicritical, v_name, record)
 
 
 def reference_all_charts(x, center=POINT, weights=None, divisor_label=None,
@@ -413,7 +413,7 @@ def probe_facts(detect, germ, budget, memo=None):
 
 def chart_facts(results):
     return [(shape(r.field), shape(r.representative), r.divisor_multiplicity,
-             r.pole_order, r.dicritical, r.chart, r.divisor_var, r.record)
+             r.pole_order, r.dicritical, r.divisor_var, r.record)
             for r in results]
 
 
