@@ -211,7 +211,7 @@ class GaussianRational:
         sign = "+" if b > 0 else "-"
         return f"{self.re}{sign}{_imag_text(str(abs(self.im)))}"
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
+    def __str__(self) -> str:
         return self.text()
 
 
@@ -415,10 +415,7 @@ def _terms_shifted(p: dict, offsets: Iterable[tuple[int, tuple]]) -> dict:
 
 
 def _over(num: dict, exps: Exponents) -> dict:
-    """``num``'s terms divided by the monomial ``x**exps``, in their order;
-    ``num`` itself when every exponent is 0."""
-    if not any(exps):
-        return num
+    """``num``'s terms divided by the monomial ``x**exps``, in their order."""
     return {tuple(map(operator.sub, e, exps)): c for e, c in num.items()}
 
 
@@ -428,16 +425,18 @@ class Poly:
     A polynomial stores ``vars`` and one term dict, ``_abd``, from exponent
     tuples to the canonical ``(a, b, d)`` triples of its nonzero
     coefficients; the zero polynomial has no terms.  ``Poly(vars, terms)``
-    takes :class:`GaussianRational` coefficients and stores their triples in
-    the same key order, and ``terms`` is a read-only view of the term dict
-    with :class:`GaussianRational` values, in that order, built on its first
+    takes :class:`GaussianRational` coefficients, drops the zero ones and
+    stores the triples of the rest in the same key order, with ``vars`` as a
+    tuple.  ``terms`` is a read-only view of the term dict with
+    :class:`GaussianRational` values, in that order, built on its first
     read.  Instances are immutable: assigning or deleting any attribute
     raises ``AttributeError``.
     """
 
-    def __init__(self, vars: tuple[str, ...],
+    def __init__(self, vars: Sequence[str],
                  terms: Mapping[Exponents, GaussianRational]) -> None:
-        self.__dict__.update(vars=vars, _abd={e: c._abd for e, c in terms.items()})
+        self.__dict__.update(vars=tuple(vars), _abd={e: c._abd for e, c in terms.items()
+                                                     if not c.is_zero()})
 
     def __setattr__(self, *args):
         raise AttributeError("Poly is immutable")
@@ -457,16 +456,12 @@ class Poly:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def make(vars: Sequence[str], terms: Mapping[Exponents, GaussianRational]) -> "Poly":
-        return _poly(tuple(vars), {e: c._abd for e, c in terms.items() if not c.is_zero()})
-
-    @staticmethod
     def zero(vars: Sequence[str]) -> "Poly":
         return _poly(tuple(vars), {})
 
     @staticmethod
     def constant(vars: Sequence[str], c) -> "Poly":
-        return Poly.make(vars, {(0,) * len(vars): GaussianRational.of(c)})
+        return Poly(vars, {(0,) * len(vars): GaussianRational.of(c)})
 
     @staticmethod
     def variable(vars: Sequence[str], name: str) -> "Poly":
@@ -697,9 +692,6 @@ class Poly:
                 parts.append((" + " if sign > 0 else " - ") + body)
         return "".join(parts)
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return self.render()
-
 
 def _poly(vars: tuple[str, ...], abd: dict) -> Poly:
     """The :class:`Poly` whose term dict is ``abd``, exponent tuples to
@@ -836,12 +828,6 @@ class ChartFunction:
             tuple(b - m for b, m in zip(other.monomial_exponents, base)))
         return ChartFunction.make(pa + pb, base)
 
-    def __sub__(self, other: "ChartFunction") -> "ChartFunction":
-        return self + (-other)
-
-    def __neg__(self) -> "ChartFunction":
-        return ChartFunction(-self.numerator, self.monomial_exponents)
-
     def __mul__(self, other: "ChartFunction") -> "ChartFunction":
         self._check_same_vars(other)
         exps = tuple(a + b for a, b in
@@ -883,9 +869,6 @@ class ChartFunction:
         if len(self.numerator._abd) > 1:
             num = f"({num})"
         return f"{mono}*{num}" if mono else num
-
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return self.render()
 
 
 # ---------------------------------------------------------------------------

@@ -211,21 +211,19 @@ def _cmd_dynamics(args) -> int:
                                         abs_tol=args.tol_abs, rel_tol=args.tol_rel)
         _emit({"integral": [value.real, value.imag], "error_estimate": err})
         return EXIT_OK
-    if args.operation == "descent":
-        h = parse_expression(args.numerator, comp.vars)
-        try:
-            start = complex(*(float(v) for v in args.start.split(",")))
-        except (TypeError, ValueError):
-            raise ParseError(f"bad start point {args.start!r} "
-                             "(use RE,IM)") from None
-        trajectory = trace_descent(comp, h, args.theta, start, args.t_max,
-                                   rtol=args.tol_rel, atol=args.tol_abs)
-        if args.csv:
-            sys.stdout.write(trajectory.to_csv())
-        else:
-            _emit(trajectory.to_json())
-        return EXIT_OK
-    raise ParseError(f"unknown dynamics operation {args.operation!r}")
+    h = parse_expression(args.numerator, comp.vars)
+    try:
+        start = complex(*(float(v) for v in args.start.split(",")))
+    except (TypeError, ValueError):
+        raise ParseError(f"bad start point {args.start!r} "
+                         "(use RE,IM)") from None
+    trajectory = trace_descent(comp, h, args.theta, start, args.t_max,
+                               rtol=args.tol_rel, atol=args.tol_abs)
+    if args.csv:
+        sys.stdout.write(trajectory.to_csv())
+    else:
+        _emit(trajectory.to_json())
+    return EXIT_OK
 
 
 def _cmd_corpus(args) -> int:
@@ -327,7 +325,3 @@ def main(argv: list[str] | None = None) -> int:
     except FoliationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NEGATIVE
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

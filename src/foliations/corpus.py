@@ -81,7 +81,7 @@ V3 = ("x", "y", "z")
 
 
 def _poly(vars, terms) -> Poly:
-    return Poly.make(vars, {e: gr(c) for e, c in terms.items()})
+    return Poly(vars, {e: gr(c) for e, c in terms.items()})
 
 
 def chart2() -> Chart:
@@ -124,7 +124,7 @@ def commuting_pair(a) -> tuple[VectorField, VectorField]:
         Poly.zero(V3), _poly(V3, {(0, 1, 1): 1}), _poly(V3, {(0, 0, 2): 1})])
     y = VectorField.make(chart3(), [
         _poly(V3, {(2, 0, 0): 1}),
-        Poly.make(V3, {(1, 1, 0): GaussianRational.of(a)}),
+        Poly(V3, {(1, 1, 0): GaussianRational.of(a)}),
         Poly.zero(V3)])
     return x, y
 
@@ -155,8 +155,8 @@ def saddle_node_family(a, b, c) -> VectorField:
     (x, y, z) with y, z the two hyperbolic directions.
     """
     a, b, c = (GaussianRational.of(v) for v in (a, b, c))
-    comp_y = Poly.make(V3, {(0, 1, 0): GR_ONE, (1, 1, 0): a, (1, 0, 1): b})
-    comp_z = Poly.make(V3, {(0, 0, 1): -GR_ONE, (1, 0, 1): -a, (1, 1, 0): c})
+    comp_y = Poly(V3, {(0, 1, 0): GR_ONE, (1, 1, 0): a, (1, 0, 1): b})
+    comp_z = Poly(V3, {(0, 0, 1): -GR_ONE, (1, 0, 1): -a, (1, 1, 0): c})
     return VectorField.make(chart3(), [_poly(V3, {(2, 0, 0): 1}), comp_y, comp_z])
 
 
@@ -165,8 +165,8 @@ def sancho_sanz_field(alpha=1, beta=1, lam=0) -> VectorField:
     alpha = GaussianRational.of(alpha)
     beta = GaussianRational.of(beta)
     lam = GaussianRational.of(lam)
-    comp_y = Poly.make(V3, {(1, 0, 1): GR_ONE, (1, 1, 0): -alpha})
-    comp_z = Poly.make(V3, {(0, 1, 0): GR_ONE, (1, 0, 0): -lam, (1, 0, 1): -beta})
+    comp_y = Poly(V3, {(1, 0, 1): GR_ONE, (1, 1, 0): -alpha})
+    comp_z = Poly(V3, {(0, 1, 0): GR_ONE, (1, 0, 0): -lam, (1, 0, 1): -beta})
     return VectorField.make(chart3(), [_poly(V3, {(2, 0, 0): 1}), comp_y, comp_z])
 
 
@@ -197,8 +197,8 @@ def strict_siegel_diagonal() -> VectorField:
     """Diagonal field with eigenvalues (1, 1+i, -2-i)."""
     return VectorField.make(chart3(), [
         _poly(V3, {(1, 0, 0): 1}),
-        Poly.make(V3, {(0, 1, 0): gr(1, 1)}),
-        Poly.make(V3, {(0, 0, 1): gr(-2, -1)}),
+        Poly(V3, {(0, 1, 0): gr(1, 1)}),
+        Poly(V3, {(0, 0, 1): gr(-2, -1)}),
     ])
 
 
@@ -209,8 +209,8 @@ def airy_model_field() -> VectorField:
     first integral but no holomorphic or meromorphic one.
     """
     return VectorField.make(chart3(), [
-        Poly.make(V3, {(4, 0, 0): gr("-1/2")}),
-        Poly.make(V3, {(0, 0, 1): GR_ONE, (3, 1, 0): gr("-1/2")}),
+        Poly(V3, {(4, 0, 0): gr("-1/2")}),
+        Poly(V3, {(0, 0, 1): GR_ONE, (3, 1, 0): gr("-1/2")}),
         _poly(V3, {(0, 1, 0): 1, (3, 0, 1): -1}),
     ])
 
@@ -579,8 +579,8 @@ def _checks(fixtures: Path | None = None) -> list[CorpusCheck]:
         value, _ = omega1_integral(f, h, arc)
         vars_ = ("x", "z")
         chart = Chart.root(vars_)
-        base = Poly.make(vars_, {(0, 0): GR_ONE, (1, 0): gr("1/4")})
-        height = Poly.make(vars_, {(0, 1): GR_ONE, (1, 1): gr("1/2")})
+        base = Poly(vars_, {(0, 0): GR_ONE, (1, 0): gr("1/4")})
+        height = Poly(vars_, {(0, 1): GR_ONE, (1, 1): gr("1/2")})
         field = VectorField.make(chart, [base, height])
         lift = lift_path(field, "x", arc, [1.0 + 0j])
         expected = cmath.exp(value)

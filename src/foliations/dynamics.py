@@ -77,9 +77,6 @@ class _Path:
     those lines; a lift writes them into its right-hand side instead of
     calling :attr:`at`, so each path formula exists once."""
 
-    def _write(self, source: _Source, point: str, velocity: str) -> None:
-        raise NotImplementedError
-
     @functools.cached_property
     def at(self) -> Callable[[float], tuple[complex, complex]]:
         """(point, velocity) at a parameter t."""
@@ -835,9 +832,12 @@ def separating_direction(eigenvalues: Sequence[complex]) -> complex:
 
     Used to build the logarithmic spiral along which lifts show saddle
     behavior; the choice maximizes the angular margin and is deterministic.
-    Raises :class:`NotApplicableError` when no separating line exists.
+    Raises :class:`NotApplicableError` when no separating line exists, or
+    no eigenvalue is given.
     """
     values = [complex(z) for z in eigenvalues]
+    if not values:
+        raise NotApplicableError("no eigenvalues to separate")
     lead, others = values[0], values[1:]
     if abs(lead) == 0 or any(abs(z) == 0 for z in others):
         raise NotApplicableError("zero eigenvalues admit no separating direction")

@@ -169,9 +169,6 @@ class VectorField:
         return VectorField(self.chart, tuple(
             a + b for a, b in zip(self.components, other.components)))
 
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + other.scale(GaussianRational.of(-1))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorField):
             return NotImplemented

@@ -404,7 +404,7 @@ def _certify(coeffs: list[tuple[int, int, int]], m: int) -> list[CertifiedRoot]:
     clustered = any(_overlap(a, b) for a, b in itertools.combinations(boxes, 2))
     for box in boxes:
         intervals.append(CertifiedRoot(box, m, clustered=clustered))
-    if len(coeffs) - 1 != len(approx):  # pragma: no cover - numpy contract
+    if len(coeffs) - 1 != len(approx):  # np.roots breaking its contract
         raise DegenerateInputError("root count mismatch")
     return intervals
 

@@ -8,7 +8,7 @@ from foliations.algebra import GaussianRational, Poly, gr
 
 
 def make_poly(vars, terms) -> Poly:
-    return Poly.make(vars, {e: gr(c) if not isinstance(c, GaussianRational) else c
+    return Poly(vars, {e: gr(c) if not isinstance(c, GaussianRational) else c
                             for e, c in terms.items()})
 
 
@@ -28,7 +28,7 @@ def random_poly(rng: random.Random, vars, max_degree=6, max_terms=5,
         coeff = random_gaussian(rng)
         if not coeff.is_zero():
             terms[tuple(exps)] = coeff
-    return Poly.make(vars, terms)
+    return Poly(vars, terms)
 
 
 @pytest.fixture

@@ -81,7 +81,7 @@ def criterion(number: int, summary: str):
 
 
 def P(vars, terms):
-    return Poly.make(vars, {e: gr(c) for e, c in terms.items()})
+    return Poly(vars, {e: gr(c) for e, c in terms.items()})
 
 
 def test_criterion_01_exact_first_integrals():
@@ -296,17 +296,17 @@ def test_criterion_12_lift_quadrature_agreement():
     with criterion(12, "lift vs quadrature on 10 fixtures; contraction consistent"):
         rng = random.Random(31337)
         for case in range(10):
-            f = P(V1, {(0,): 1}) + Poly.make(V1, {(1,): gr(rng.randint(-2, 2)) * gr("1/8"),
+            f = P(V1, {(0,): 1}) + Poly(V1, {(1,): gr(rng.randint(-2, 2)) * gr("1/8"),
                                                   (2,): gr(rng.randint(0, 1)) * gr("1/16")})
-            h = P(V1, {(0,): 1}) + Poly.make(V1, {(1,): gr(rng.randint(-1, 2)) * gr("1/8")})
+            h = P(V1, {(0,): 1}) + Poly(V1, {(1,): gr(rng.randint(-1, 2)) * gr("1/8")})
             a = complex(rng.uniform(-0.3, 0.0), rng.uniform(-0.2, 0.2))
             b = a + rng.uniform(0.5, 1.5)
             path = Segment(a, b)
             value, _ = omega1_integral(f, h, path)
             vars_ = ("x", "z")
             chart = Chart.root(vars_)
-            fb = Poly.make(vars_, {(e[0], 0): c for e, c in f.terms.items()})
-            hz = Poly.make(vars_, {(e[0], 1): c for e, c in h.terms.items()})
+            fb = Poly(vars_, {(e[0], 0): c for e, c in f.terms.items()})
+            hz = Poly(vars_, {(e[0], 1): c for e, c in h.terms.items()})
             lifted = lift_path(VectorField.make(chart, [fb, hz]),
                                "x", path, [1.0 + 0j])
             expected = cmath.exp(value)

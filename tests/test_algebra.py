@@ -118,8 +118,8 @@ _nonzero_coefficients = st.builds(GaussianRational, _small_fractions,
 def _poly_and_monomial(draw):
     vars = V3[:draw(st.integers(1, 3))]
     exps = st.lists(st.integers(0, 4), min_size=len(vars), max_size=len(vars)).map(tuple)
-    p = Poly.make(vars, draw(st.dictionaries(exps, _nonzero_coefficients, max_size=6)))
-    q = Poly.make(vars, {draw(exps): draw(_nonzero_coefficients)})
+    p = Poly(vars, draw(st.dictionaries(exps, _nonzero_coefficients, max_size=6)))
+    q = Poly(vars, {draw(exps): draw(_nonzero_coefficients)})
     return p, q
 
 
@@ -313,9 +313,9 @@ def _function_twin_and_point(draw):
     vars = ("x", "y", "z")[:n]
     exps = st.tuples(*[st.integers(0, 4)] * n)
     terms = draw(st.dictionaries(exps, _COEFFICIENT, max_size=6))
-    fun = Poly.make(vars, terms)
+    fun = Poly(vars, terms)
     nonzero = _COEFFICIENT.filter(lambda c: not c.is_zero())
-    twin = Poly.make(vars, {e: draw(nonzero) for e in fun.terms})
+    twin = Poly(vars, {e: draw(nonzero) for e in fun.terms})
     if draw(st.booleans()):
         monomial = draw(st.tuples(*[st.integers(-3, 3)] * n))
         fun, twin = ChartFunction.make(fun, monomial), ChartFunction.make(twin, monomial)
@@ -363,7 +363,7 @@ class TestEvalComplex:
     def test_sum_longer_than_one_compiled_expression(self):
         # 3375 terms: as one expression the sum exceeds the compiler's
         # nesting limit (RecursionError at about 3000 terms)
-        p = Poly.make(V3, {(a, b, c): gr(a - b, c + 1) for a in range(15)
+        p = Poly(V3, {(a, b, c): gr(a - b, c + 1) for a in range(15)
                            for b in range(15) for c in range(15)})
         point = (0.5, -0.25j, 1 + 0.125j)
         assert (_outcome(Poly.eval_complex, p, point)
@@ -419,9 +419,47 @@ class TestChartFunction:
         assert ChartFunction.zero(V2).order_in("x") == math.inf
 
 
+X, Y = Poly.variable(V2, "x"), Poly.variable(V2, "y")
+POLE = ChartFunction.make(Poly.constant(V2, 1), (-1, 0))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GaussianRational.of(0.5), StructuralError, "cannot coerce 0.5"),
+    (lambda: Poly.variable(V2, "z"), StructuralError, "unknown variable 'z'"),
+    (lambda: X ** -1, StructuralError, "negative polynomial power"),
+    (lambda: X.jet_truncate(-1), StructuralError, "jet order must be nonnegative"),
+    (lambda: X.homogeneous_component(-1), StructuralError, "degree must be nonnegative"),
+    (lambda: X.substitute_monomials({"x": (1, (-1, 0))}), StructuralError,
+     "substitution produced negative exponents"),
+    (lambda: X.laurent_substitute({"x": (1, (1,))}), StructuralError,
+     "monomial exponent vector has wrong length"),
+    (lambda: X.laurent_substitute({"z": (1, (1, 0))}), StructuralError,
+     "unknown variable 'z'"),
+    (lambda: (X * Y).univariate_coeffs("x"), StructuralError, "not univariate in x"),
+    (lambda: monomial_content([X, Poly.variable(("u", "v"), "u")]), StructuralError,
+     "different variable lists"),
+    (lambda: ChartFunction.make(X, (0,)), StructuralError, "exponent vector has wrong length"),
+    (lambda: POLE.expand(), PoleEvaluationError, "chart function is meromorphic"),
+    (lambda: POLE + ChartFunction.make(Poly.variable(("u", "v"), "u")), StructuralError,
+     "variable lists differ"),
+])
+def test_guards_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_poly_is_immutable_and_equal_only_to_polys():
+    with pytest.raises(AttributeError, match="immutable"):
+        X.vars = V3
+    with pytest.raises(AttributeError, match="immutable"):
+        del X.vars
+    assert X != 1 and ChartFunction.make(X) != X
+    assert Poly.zero(V2).univariate_coeffs("x") == [GR_ZERO]
+
+
 class TestRendering:
     def test_canonical_examples(self):
-        p = Poly.make(V2, {(2, 1): gr(1, 2)})
+        p = Poly(V2, {(2, 1): gr(1, 2)})
         assert p.render() == "(1+2i)*x^2*y"
         q = make_poly(V2, {(1, 0): -1, (0, 0): "1/2"})
         assert q.render() == "-x + 1/2"

@@ -24,7 +24,7 @@ coefficients = st.builds(GaussianRational, fractions,
 
 def polys(vars):
     exps = st.lists(st.integers(0, 4), min_size=len(vars), max_size=len(vars)).map(tuple)
-    return st.dictionaries(exps, coefficients, max_size=5).map(lambda t: Poly.make(vars, t))
+    return st.dictionaries(exps, coefficients, max_size=5).map(lambda t: Poly(vars, t))
 
 
 @st.composite

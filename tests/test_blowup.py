@@ -18,7 +18,7 @@ from foliations.corpus import (
     radial,
     two_integrals_field,
 )
-from foliations.errors import InvalidCenterError, NotApplicableError
+from foliations.errors import InvalidCenterError, NotApplicableError, StructuralError
 from foliations.fields import Chart, VectorField, directional_derivative
 
 from conftest import make_poly
@@ -51,6 +51,11 @@ class TestPointBlowup:
             Poly.constant(V2, 1), Poly.zero(V2)])
         with pytest.raises(NotApplicableError):
             weighted_blowup(field, BlowupSpec())
+
+    def test_one_variable_rejected(self):
+        line = VectorField.make(Chart.root(("x",)), [make_poly(("x",), {(2,): 1})])
+        with pytest.raises(StructuralError, match="at least two variables"):
+            weighted_blowup(line, BlowupSpec(POINT, None, 0))
 
     def test_multiplicity_rule_homogeneous(self, rng):
         # k = 1, 2, 3; radial multiples get k, others k-1

@@ -64,7 +64,7 @@ def test_laurent_substitute_matches_sympy(case):
 def component(draw, vars, vanishes):
     exps = st.lists(st.integers(0, 3), min_size=len(vars), max_size=len(vars)).map(tuple)
     terms = draw(st.dictionaries(exps.filter(vanishes), coefficients, max_size=4))
-    return Poly.make(vars, terms)
+    return Poly(vars, terms)
 
 
 @st.composite

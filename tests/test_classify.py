@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from foliations.classify import (
     POSITION_POINCARE,
     POSITION_SIEGEL,
     POSITION_SIEGEL_BOUNDARY,
+    POSITION_UNDECIDED,
     UNDECIDED,
     EigenData,
     char_poly,
@@ -34,7 +36,7 @@ from foliations.corpus import (
     sancho_sanz_field,
     two_integrals_field,
 )
-from foliations.errors import FoliationError
+from foliations.errors import FoliationError, NotApplicableError, StructuralError
 from foliations.fields import Chart, LinearPart, VectorField, linear_part
 from foliations.intervals import CertifiedRoot
 
@@ -47,7 +49,7 @@ T = ("t",)
 
 
 def tpoly(coeffs) -> Poly:
-    return Poly.make(T, {(k,): gr(c) for k, c in enumerate(coeffs) if c})
+    return Poly(T, {(k,): gr(c) for k, c in enumerate(coeffs) if c})
 
 
 class TestCharPoly:
@@ -94,7 +96,7 @@ class TestEigenSolve:
 
     def test_gaussian_root(self):
         # (t - i)(t + 2i) = t^2 + i t + 2
-        p = Poly.make(T, {(2,): gr(1), (1,): gr(0, 1), (0,): gr(2)})
+        p = Poly(T, {(2,): gr(1), (1,): gr(0, 1), (0,): gr(2)})
         data = eigen_solve(p)
         values = sorted((v.re, v.im) for v, _ in data.roots)
         assert values == [(0, -2), (0, 1)]
@@ -167,7 +169,7 @@ class TestClassification:
         # r x d/dx + 2y d/dy with r = 1234567/1000003
         r = gr("1234567/1000003")
         field = VectorField.make(Chart.root(V2), [
-            Poly.make(V2, {(1, 0): r}), Poly.make(V2, {(0, 1): gr(2)})])
+            Poly(V2, {(1, 0): r}), Poly(V2, {(0, 1): gr(2)})])
         report = classify_singularity(field)
         assert report.eigen.all_exact()
         assert sorted(report.eigen.exact_values(), key=lambda v: (v.re, v.im)) == [r, gr(2)]
@@ -177,7 +179,7 @@ class TestClassification:
     def test_large_denominator_spectrum_3d_is_exact(self):
         values = [gr("1234567/1000003"), gr("7654321/1000033"), gr("3333331/1000037")]
         field = VectorField.make(Chart.root(V3), [
-            Poly.make(V3, {e: v}) for e, v in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), values)])
+            Poly(V3, {e: v}) for e, v in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), values)])
         report = classify_singularity(field)
         assert report.eigen.all_exact()
         assert sorted(report.eigen.exact_values(), key=lambda v: (v.re, v.im)) == sorted(
@@ -194,7 +196,7 @@ class TestClassification:
             report = classify_singularity(field)
             n = field.chart.dim
             cp = char_poly(linear_part(field))
-            nilpotent_char = cp == Poly.make(T, {(n,): gr(1)})
+            nilpotent_char = cp == Poly(T, {(n,): gr(1)})
             assert report.is_elementary() == (not nilpotent_char)
 
 
@@ -275,10 +277,10 @@ class TestEigenFactorReconstruction:
             data = eigen_solve(p)
             if not data.all_exact():
                 continue
-            product = Poly.make(T, {(0,): gr(1)})
-            t = Poly.make(T, {(1,): gr(1)})
+            product = Poly(T, {(0,): gr(1)})
+            t = Poly(T, {(1,): gr(1)})
             for value, mult in data.roots:
-                factor = t - Poly.make(T, {(0,): value})
+                factor = t - Poly(T, {(0,): value})
                 product = product * factor ** mult
             assert product == p
 
@@ -371,3 +373,31 @@ def test_is_nilpotent_agrees_with_classification(field):
 def test_conjugated_nilpotent_linear_parts(case):
     field, nilpotent = case
     assert is_nilpotent(field) == nilpotent == _classified_nilpotent(field)
+
+
+SQRT2 = eigen_solve(tpoly([-2, 0, 1]))    # roots +-sqrt(2): intervals
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: char_poly(LinearPart(((gr(0),) * 4,) * 4)), StructuralError,
+     "only dimensions up to 3"),
+    (lambda: eigen_solve(tpoly([1, 0, 0, 0, 1])), StructuralError, "degree at most 3"),
+    (lambda: eigen_solve(tpoly([1, 2])), StructuralError, "expects a monic polynomial"),
+    (lambda: SQRT2.exact_values(), NotApplicableError, "not all exact"),
+    (lambda: resonant_relations([v for v, _ in SQRT2.roots]), NotApplicableError,
+     "need exact eigenvalues"),
+    (lambda: siegel_test([gr(1), gr(2), gr(3), gr(4)]), StructuralError,
+     "up to three eigenvalues"),
+])
+def test_guards_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_siegel_position_of_certified_eigenvalues_is_undecided():
+    assert siegel_test([v for v, _ in SQRT2.roots]) == POSITION_UNDECIDED
+
+
+def test_quadratic_isolated_family_has_two_members():
+    with pytest.raises(ValueError, match="variant must be 2 or 3"):
+        quadratic_isolated_field(4)

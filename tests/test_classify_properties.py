@@ -61,7 +61,7 @@ def field_of(linear, quadratic=()) -> VectorField:
         for comp, exps, c in quadratic:
             if comp == i:
                 terms[exps] = c
-        comps.append(Poly.make(names, terms))
+        comps.append(Poly(names, terms))
     return VectorField.make(Chart.root(names), comps)
 
 

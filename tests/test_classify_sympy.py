@@ -74,7 +74,7 @@ def _linear_field(rows) -> VectorField:
     names = ("x", "y", "z")[:n]
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     return VectorField.make(Chart.root(names), [
-        Poly.make(names, dict(zip(units, row))) for row in rows])
+        Poly(names, dict(zip(units, row))) for row in rows])
 
 
 def _gr(*parts) -> GaussianRational:

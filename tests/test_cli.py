@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -358,6 +359,20 @@ class TestCorpusCommand:
         failing = [c for c in data["checks"] if not c["passed"]]
         assert failing and "broken.field" in failing[0]["details"]
 
+    @pytest.mark.parametrize("text, details", [
+        (None, "error: [Errno 2] No such file or directory"),
+        ("vars: x, y, z\nkind: field\nx, y, z\n", "file differs from builder")])
+    def test_two_integrals_fixture_failure_reported(self, tmp_path, text, details):
+        # a missing file fails the check with its OSError, a different field
+        # with the check's own message
+        if text is not None:
+            (tmp_path / "two_integrals.field").write_text(text, encoding="utf-8")
+        code, out = run_cli("corpus", "--filter", "fixture_two_integrals",
+                            "--fixtures", str(tmp_path))
+        assert code == 1
+        (check,) = json.loads(out)["checks"]
+        assert not check["passed"] and check["details"].startswith(details)
+
 
 class TestFlagValidation:
     def test_bad_weights_usage_error(self):
@@ -557,6 +572,16 @@ class TestFlagValidation:
         code, _ = run_cli("dynamics", "descent", str(path), "--start", "oops")
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["circle:abc", "circle:1:2", "square:1"])
+    def test_bad_path_usage_error(self, tmp_path, spec):
+        path = tmp_path / "square.field"
+        path.write_text("vars: x\nkind: field\nx^2\n", encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli("dynamics", "timeform", str(path), "--path", spec)
+        assert (code, out) == (2, "")
+        assert err.getvalue().startswith(f"parse error: bad path spec {spec!r}")
+
 
 class TestParserReuse:
     """``main`` builds its parser once and reuses it for every call."""
@@ -593,6 +618,17 @@ from foliations.cli import main
 code = main(sys.argv[1:])
 print(code, "numpy" in sys.modules)
 """
+
+
+def test_module_entry_point_exits_with_the_status_of_main(monkeypatch):
+    # python -m foliations, run in this process
+    monkeypatch.setattr(sys, "argv", ["foliations", "resolve", fixture("sancho_sanz.field"),
+                                      "--max-steps", "1", "--standard-only"])
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        runpy.run_module("foliations", run_name="__main__")
+    assert exc.value.code == 1
+    assert json.loads(out.getvalue())["status"] == "budget_exhausted"
 
 
 class TestStartup:

@@ -12,7 +12,9 @@ public class's ``__init__``, must be passed by some call there outside its
 own definition, unless ``OPTIONS`` lists it with the reason it is kept, and
 no public function takes ``**kwargs``.  The checks go by name: a member
 passes when any read attribute shares its name, and an option when any call
-of a function of that name passes it.
+of a function of that name passes it.  Dunder methods, which operators and
+builtins reach without naming them, are left to ``tests/line_guard.py``:
+a dunder that no test enters leaves its body's lines unexecuted.
 """
 
 from __future__ import annotations

@@ -91,7 +91,7 @@ _coefficients = st.one_of(
 def _polys(vars, max_terms=6):
     exps = st.lists(st.integers(0, 3), min_size=len(vars), max_size=len(vars)).map(tuple)
     return st.dictionaries(exps, _coefficients, max_size=max_terms).map(
-        lambda terms: Poly.make(vars, terms))
+        lambda terms: Poly(vars, terms))
 
 
 @st.composite

@@ -36,6 +36,7 @@ from foliations.errors import (
     DegenerateInputError,
     EvaluationOverflowError,
     IterationCapError,
+    NotApplicableError,
     PoleEvaluationError,
     SingularLiftError,
     SingularPathError,
@@ -223,7 +224,7 @@ class TestLifts:
         chart = Chart.root(V2)
         field = VectorField.make(chart, [
             Poly.variable(V2, "x"),
-            Poly.make(V2, {(0, 1): gr("-3/2")})])
+            Poly(V2, {(0, 1): gr("-3/2")})])
         ratio, _ = loop_lift_ratio(field, "y", 0.1, 0.01)
         assert abs(ratio ** 3 - 1.0) < 1e-3
 
@@ -238,7 +239,7 @@ class TestLifts:
         chart = Chart.root(V2)
         field = VectorField.make(chart, [
             Poly.variable(V2, "x"),
-            Poly.make(V2, {(0, 1): gr(-40)})])
+            Poly(V2, {(0, 1): gr(-40)})])
         result = lift_path(field, "x",
                            LogSpiral(0.1, -1.0, 0.0, 4.0), [0.5],
                            escape_radius=2.0)
@@ -254,9 +255,9 @@ class TestLifts:
         # 0 and return the starting fiber as the lift
         chart = Chart.root(V3)
         field = VectorField.make(chart, [
-            Poly.make(V3, {(0, 1, 1): gr(1)}),
+            Poly(V3, {(0, 1, 1): gr(1)}),
             Poly.variable(V3, "y"),
-            Poly.make(V3, {(0, 0, 1): gr(-1)})])
+            Poly(V3, {(0, 0, 1): gr(-1)})])
         with pytest.raises(EvaluationOverflowError, match="overflow"):
             lift_path(field, "x", full_circle(0.1), [1e200, 1e200],
                       escape_radius=1e300)
@@ -347,7 +348,7 @@ class TestLifts:
         # (10.00000000047) and stops at its last sample inside, short of the
         # loop's end: an error measured against that point would read 0.79
         field = VectorField.make(Chart.root(V2), [
-            Poly.variable(V2, "x"), Poly.make(V2, {(0, 1): gr("-1/2", "-1/2")})])
+            Poly.variable(V2, "x"), Poly(V2, {(0, 1): gr("-1/2", "-1/2")})])
         result = lift_path(field, "x", full_circle(0.1), [0.43213918265919726])
         assert result.escaped and result.est_error is None
         assert abs(result.samples[-1][0] - 2.0 * math.pi) < 1e-12
@@ -469,8 +470,8 @@ class TestOmegaOne:
             value, _ = omega1_integral(f, h, path)
             vars_ = ("x", "z")
             chart = Chart.root(vars_)
-            fb = Poly.make(vars_, {(e[0], 0): c for e, c in f.terms.items()})
-            hz = Poly.make(vars_, {(e[0], 1): c for e, c in h.terms.items()})
+            fb = Poly(vars_, {(e[0], 0): c for e, c in f.terms.items()})
+            hz = Poly(vars_, {(e[0], 1): c for e, c in h.terms.items()})
             field = VectorField.make(chart, [fb, hz])
             lift = lift_path(field, "x", path, [1.0 + 0j])
             expected = cmath.exp(value)
@@ -661,3 +662,27 @@ def test_at_matches_point_and_velocity_formulas(paths, point, velocity, data):
     z, v = path.at(t)
     assert _bits(z) == _bits(point(path, t))
     assert _bits(v) == _bits(velocity(path, t))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Polyline((0j,)), StructuralError, "at least two points"),
+    (lambda: time_form_integral(linear_saddle(2), full_circle(1.0)), StructuralError,
+     "expected Poly or ChartFunction"),
+    (lambda: time_form_integral(make_poly(V2, {(1, 0): 1}), full_circle(1.0)),
+     StructuralError, "expected a univariate function"),
+    (lambda: semicomplete_order_test(make_poly(V2, {(1, 0): 1})), StructuralError,
+     "expected a univariate polynomial"),
+    (lambda: lift_path(linear_saddle(2), "x", full_circle(0.1), [1, 1]), StructuralError,
+     "one fiber value per non-base variable"),
+    (lambda: omega1_integral(upoly({1: 1}), upoly({0: 1}), Segment(-1.0 + 0j, 1.0 + 0j)),
+     SingularPathError, "denominator vanished"),
+    # x' = 2 - x creeps up on the zero x = 2 of F until |F| drops below the floor
+    (lambda: trace_descent(upoly({0: 2, 1: -1}), upoly({0: 1}), 0.0, 1 + 0j, 40.0),
+     SingularPathError, "ran into a singularity"),
+    (lambda: separating_direction([]), NotApplicableError, "no eigenvalues to separate"),
+    (lambda: separating_direction([1, 0]), NotApplicableError, "zero eigenvalues"),
+    (lambda: separating_direction([1, 2]), NotApplicableError, "no direction separates"),
+])
+def test_guards_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

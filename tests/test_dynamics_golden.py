@@ -62,7 +62,7 @@ def g(re, im=0) -> GaussianRational:
 
 
 def poly(vars, terms) -> Poly:
-    return Poly.make(vars, {e: g(*c) if isinstance(c, tuple) else g(c)
+    return Poly(vars, {e: g(*c) if isinstance(c, tuple) else g(c)
                             for e, c in terms.items()})
 
 

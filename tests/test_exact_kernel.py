@@ -174,7 +174,7 @@ def germs(draw):
     vars = ("x", "y", "z")[:draw(st.integers(2, 3))]
     exps = st.lists(st.integers(0, 3), min_size=len(vars), max_size=len(vars)).map(
         tuple).filter(lambda e: 1 <= sum(e) <= 3)
-    comps = [Poly.make(vars, draw(st.dictionaries(exps, nonzero, max_size=3)))
+    comps = [Poly(vars, draw(st.dictionaries(exps, nonzero, max_size=3)))
              for _ in vars]
     n = draw(st.integers(2, 5 if len(vars) == 2 else 4))
     return VectorField.make(Chart.root(vars), comps), n

@@ -14,7 +14,7 @@ from foliations.corpus import (
     strict_siegel_diagonal,
     two_integrals_field,
 )
-from foliations.errors import ParseError
+from foliations.errors import ParseError, StructuralError
 from foliations.expressions import (
     parse_expression,
     parse_field,
@@ -42,9 +42,9 @@ class TestExpressionGrammar:
 
     def test_gaussian_literals(self):
         p = parse_expression("(1+2i)*x^2*y", V3)
-        assert p == Poly.make(V3, {(2, 1, 0): gr(1, 2)})
+        assert p == Poly(V3, {(2, 1, 0): gr(1, 2)})
         q = parse_expression("3/4i*x", ("x",))
-        assert q == Poly.make(("x",), {(1,): gr(0, "3/4")})
+        assert q == Poly(("x",), {(1,): gr(0, "3/4")})
         assert parse_expression("i*i", ("x",)) == Poly.constant(("x",), -1)
 
     def test_syntax_error_with_position(self):
@@ -237,7 +237,7 @@ _coefficients = st.builds(GaussianRational, _fractions,
 def _fields(draw):
     vars = draw(st.sampled_from([("x",), ("x", "y"), ("x", "y", "z"), ("u", "v_1")]))
     exps = st.lists(st.integers(0, 5), min_size=len(vars), max_size=len(vars)).map(tuple)
-    comps = [Poly.make(vars, draw(st.dictionaries(exps, _coefficients, max_size=5)))
+    comps = [Poly(vars, draw(st.dictionaries(exps, _coefficients, max_size=5)))
              for _ in vars]
     make = draw(st.sampled_from([VectorField.make, OneForm.make]))
     return make(Chart.root(vars), comps)
@@ -247,3 +247,8 @@ def _fields(draw):
 @given(_fields())
 def test_render_parse_round_trip(obj):
     assert parse_field(render_field(obj)) == obj
+
+
+def test_render_field_rejects_other_objects():
+    with pytest.raises(StructuralError, match="expected a vector field or 1-form"):
+        render_field(Poly.variable(("x",), "x"))

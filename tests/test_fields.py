@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from foliations.algebra import Poly, gr
+from foliations.algebra import ChartFunction, Poly, gr
 from foliations.corpus import (
     commuting_pair,
     diagonal_two_integrals_field,
@@ -12,7 +12,12 @@ from foliations.corpus import (
     sancho_sanz_field,
     two_integrals_field,
 )
-from foliations.errors import ChartMismatchError, NotApplicableError, PoleEvaluationError
+from foliations.errors import (
+    ChartMismatchError,
+    NotApplicableError,
+    PoleEvaluationError,
+    StructuralError,
+)
 from foliations.fields import (
     Chart,
     OneForm,
@@ -212,3 +217,39 @@ class TestChart:
     def test_labels_default(self):
         chart = Chart.root(V2)
         assert chart.divisor_labels == (None, None)
+
+
+X, Y = Poly.variable(V2, "x"), Poly.variable(V2, "y")
+PLANE = Chart.root(V2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Chart(V2, (), ("E1",)), StructuralError, "label list length mismatch"),
+    (lambda: PLANE.var_index("z"), StructuralError, "unknown variable 'z'"),
+    (lambda: VectorField.make(PLANE, [1, 2]), StructuralError, "must be Poly or ChartFunction"),
+    (lambda: VectorField.make(PLANE, [Poly.variable(V3, "x")] * 2), StructuralError,
+     "differ from chart"),
+    (lambda: VectorField.make(PLANE, [X]), StructuralError, "one component per chart variable"),
+    (lambda: OneForm.make(PLANE, [ChartFunction.make(Y, (-1, 0)), X]).polys(),
+     PoleEvaluationError, "meromorphic coefficients"),
+    (lambda: VectorField.make(PLANE, [X, Y]) + radial_field(Chart.root(("u", "v"))),
+     ChartMismatchError, "different charts"),
+    (lambda: integrability_check(OneForm.make(Chart.root(("x",)), [Poly.variable(("x",), "x")])),
+     NotApplicableError, "dimension 2 or 3"),
+    (lambda: euler_test(VectorField.make(PLANE, [Poly.zero(V2)] * 2)), NotApplicableError,
+     "zero field has no degree"),
+    (lambda: euler_test(VectorField.make(PLANE, [X, Y * Y])), NotApplicableError,
+     "not homogeneous"),
+])
+def test_guards_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_fields_and_forms_equal_only_their_own_kind():
+    field = VectorField.make(PLANE, [X, Y])
+    assert field != 1 and OneForm.make(PLANE, [X, Y]) != field
+
+
+def test_euler_degree_skips_a_zero_component():
+    assert euler_test(VectorField.make(PLANE, [X * Y, Poly.zero(V2)])) == 2

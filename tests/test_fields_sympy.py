@@ -30,7 +30,7 @@ def exponents(k: int, low: int, high: int):
 
 def polys(vars, low: int, high: int, max_terms: int):
     return st.dictionaries(exponents(len(vars), low, high), coefficients,
-                           max_size=max_terms).map(lambda t: Poly.make(vars, t))
+                           max_size=max_terms).map(lambda t: Poly(vars, t))
 
 
 @st.composite

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from foliations.algebra import GR_ONE, Poly, gr
+from foliations.algebra import GR_ONE, ChartFunction, Poly, gr
 from foliations.blowup import POINT, BlowupSpec, weighted_blowup
 from foliations.corpus import (
     diagonal_two_integrals_field,
@@ -189,3 +189,31 @@ class TestQuotient:
             with pytest.raises(NotApplicableError,
                                match="^empty factorization: no first factor to share$"):
                 meromorphic_quotient(f, g)
+
+
+X3 = Poly.variable(V3, "x")
+SADDLE = diagonal_two_integrals_field()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: independence_check(Poly.variable(V2, "x"), X3), StructuralError,
+     "different variable lists"),
+    (lambda: formal_first_integral(VectorField.make(SADDLE.chart, [
+        ChartFunction.make(X3, (0, -1, 0)), X3, X3]), 3), NotApplicableError,
+     "needs a holomorphic field"),
+    (lambda: formal_first_integral(SADDLE, 1), StructuralError, "jet order must be at least 2"),
+    (lambda: FactoredFunction.make([(X3, 0)]), StructuralError, "exponents must be positive"),
+    (lambda: FactoredFunction.make([(Poly.zero(V3), 1)]), StructuralError, "zero factor"),
+])
+def test_guards_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("shared", [X3 + Poly.variable(V3, "y"), X3.scale(2)])
+def test_quotient_by_a_non_coordinate_factor_is_not_restricted(shared):
+    f = FactoredFunction.make([(shared, 1), (Poly.variable(V3, "y"), 1)])
+    g = FactoredFunction.make([(shared, 1), (Poly.variable(V3, "z"), 1)])
+    q = meromorphic_quotient(f, g)
+    assert (q.numerator, q.denominator, q.restricted) == (
+        Poly.variable(V3, "y"), Poly.variable(V3, "z"), None)

@@ -58,7 +58,7 @@ def _germs(vars, count: int, seed: int, coeffs=COEFFS):
                 for _ in range(rng.randint(1, 3)):
                     exps[rng.randrange(len(vars))] += 1
                 terms[tuple(exps)] = rng.choice(coeffs)
-            comps.append(Poly.make(vars, terms))
+            comps.append(Poly(vars, terms))
         out.append(VectorField.make(Chart.root(vars), comps))
     return out
 

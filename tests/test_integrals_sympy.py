@@ -59,7 +59,7 @@ def _sympy_dims(vars, comps, n):
 @given(germs())
 def test_dims_match_sympy_rank(germ):
     vars, comps, n = germ
-    polys = [Poly.make(vars, {e: gr(re, im) for e, (re, im) in comp.items()})
+    polys = [Poly(vars, {e: gr(re, im) for e, (re, im) in comp.items()})
              for comp in comps]
     space = formal_first_integral(VectorField.make(Chart.root(vars), polys), n)
     assert space.dims_by_degree == _sympy_dims(vars, comps, n)

@@ -6,15 +6,17 @@ import pytest
 
 from foliations import intervals
 from foliations.algebra import GR_ZERO, GaussianRational, gr
-from foliations.errors import DegenerateInputError
+from foliations.errors import DegenerateInputError, EvaluationOverflowError
 from foliations.intervals import (
     _cmul,
     _deflate,
     _endpoints,
     _gcd,
     _mul,
+    _newton_certify,
     _pseudo_divmod,
     _reciprocal,
+    _rectangle,
     _row,
     certified_roots,
 )
@@ -118,6 +120,29 @@ class TestCertifiedRoots:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(DegenerateInputError):
             certified_roots([GR_ZERO])
+
+    def test_newton_excludes_a_box_without_a_root(self):
+        # no root of t^2 - 2 lies within 1e-7 of 1: the Newton box, near
+        # 1.5, misses the box, which holds no root; the box of radius 0.1
+        # about 1.4 holds sqrt(2) and is certified
+        coeffs_iv = [_rectangle(-2, 0, 1), _rectangle(0, 0, 1), _rectangle(1, 0, 1)]
+        dcoeffs_iv = [_rectangle(0, 0, 1), _rectangle(2, 0, 1)]
+        assert _newton_certify(coeffs_iv, dcoeffs_iv, 1 + 0j, 1e-7) is None
+        xl, xh, yl, yh = _newton_certify(coeffs_iv, dcoeffs_iv, 1.4 + 0j, 0.1)
+        assert xl <= math.sqrt(2) <= xh and yl <= 0 <= yh
+
+    def test_quintic_whose_derivative_drops_degree_mod_5(self):
+        # t^5 + t - 2 = (t - 1)(t^4 + t^3 + t^2 + t + 2): mod 5, the first
+        # prime tried, its derivative 5 t^4 + 1 has degree 0
+        exact, intervals = certified_roots(coeffs(-2, 1, 0, 0, 0, 1))
+        assert exact == [(gr(1), 1)]
+        assert len(intervals) == 4 and not any(c.clustered for c in intervals)
+
+    def test_derivative_coefficient_beyond_float_range_rejected(self):
+        # t^3 + 10**308 t^2 + 1: every coefficient is a float, but the
+        # derivative's 2 * 10**308 is not
+        with pytest.raises(EvaluationOverflowError, match="coefficient too large"):
+            certified_roots(coeffs(1, 0, 10**308, 1))
 
     def test_linear_remainder_is_exact(self):
         # (t - 2)(t - r): both roots exact, r with a denominator of 10**6

@@ -83,7 +83,7 @@ def reference_canonical_basis(names, n: int, basis: list[dict]) -> list[Poly]:
     order = [e for d in range(1, n + 1) for e in _monomials(len(names), d)]
     col_of = {e: j for j, e in enumerate(order)}
     reduced = _reduced_echelon([{col_of[e]: v for e, v in f.items()} for f in basis])
-    return [Poly.make(names, {order[j]: _make(a, b, den) for j, (a, b) in row.items()})
+    return [Poly(names, {order[j]: _make(a, b, den) for j, (a, b) in row.items()})
             for _, den, row in reversed(reduced)]
 
 
@@ -163,7 +163,7 @@ def germs(draw):
             if linear == "generic" or (linear == "nilpotent" and j > i):
                 if draw(st.booleans()):
                     terms[unit[j]] = draw(coefficients)
-        comps.append(Poly.make(names, terms))
+        comps.append(Poly(names, terms))
     return VectorField.make(Chart.root(names), comps), draw(st.integers(2, 7))
 
 
@@ -181,8 +181,8 @@ def order_32_germ() -> VectorField:
     # (the image of x^32) with a coordinate equal to the order
     names = ("x", "y", "z")
     return VectorField.make(Chart.root(names), [
-        Poly.make(names, {(1, 0, 0): gr(1), (1, 0, 1): gr(1)}),
-        Poly.make(names, {(0, 1, 0): gr(-1), (2, 0, 1): gr(1)}),
+        Poly(names, {(1, 0, 0): gr(1), (1, 0, 1): gr(1)}),
+        Poly(names, {(0, 1, 0): gr(-1), (2, 0, 1): gr(1)}),
         Poly.zero(names),
     ])
 

@@ -457,7 +457,7 @@ _coefficients = st.sampled_from([
 @st.composite
 def _polys(draw, vars):
     exps = st.tuples(*[st.integers(0, 2)] * len(vars))
-    return Poly.make(vars, dict(draw(st.lists(st.tuples(exps, _coefficients), max_size=6))))
+    return Poly(vars, dict(draw(st.lists(st.tuples(exps, _coefficients), max_size=6))))
 
 
 @st.composite
@@ -470,7 +470,7 @@ def _poly_pairs(draw):
     if p.terms and draw(st.booleans()):
         keys = draw(st.lists(st.sampled_from(list(p.terms)), unique=True))
         factor = draw(st.sampled_from([GaussianRational.of(-1), GaussianRational.of("-1/2")]))
-        q = Poly.make(vars, {**{e: p.terms[e] * factor for e in keys}, **q.terms})
+        q = Poly(vars, {**{e: p.terms[e] * factor for e in keys}, **q.terms})
     return p, q
 
 

@@ -166,7 +166,7 @@ _values = st.one_of(_coefficients, st.sampled_from([GR_ZERO, 0, "0", 2, "-1/2"])
 @st.composite
 def _polys(draw, vars, max_exp=3):
     exps = st.tuples(*[st.integers(0, max_exp)] * len(vars))
-    return Poly.make(vars, dict(draw(st.lists(st.tuples(exps, _coefficients), max_size=7))))
+    return Poly(vars, dict(draw(st.lists(st.tuples(exps, _coefficients), max_size=7))))
 
 
 @st.composite
@@ -202,7 +202,7 @@ def _poly_pairs(draw):
     q = draw(_polys(vars))
     if p.terms and draw(st.booleans()):
         keys = draw(st.lists(st.sampled_from(list(p.terms)), unique=True))
-        q = Poly.make(vars, {**{e: p.terms[e] for e in keys}, **q.terms})
+        q = Poly(vars, {**{e: p.terms[e] for e in keys}, **q.terms})
     return p, q
 
 
@@ -251,7 +251,7 @@ def _substitutions(draw):
         c1 = draw(_coefficients)
         terms[e1] = c1
         terms[e2] = -(c1 * k1) / k2
-    return Poly.make(vars, terms), assignment
+    return Poly(vars, terms), assignment
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def power_minus(k: int, a: complex) -> Poly:
     terms = {(k,): gr(1)}
     if a:
         terms[(0,)] = -gr(a.real, a.imag)
-    return Poly.make(V1, terms)
+    return Poly(V1, terms)
 
 
 def log_change(path, r: complex) -> complex:
@@ -184,7 +184,7 @@ def test_depth_cap_keeps_its_error(monkeypatch):
                          ids=["numerator", "denominator"])
 def test_holonomy_form_overflow_raises(f_power, h_power):
     # off the real axis, x^2 at radius 1e200 is NaN, and no power raises
-    f = Poly.make(V1, {(f_power,): gr(1)})
-    h = Poly.make(V1, {(h_power,): gr(1)})
+    f = Poly(V1, {(f_power,): gr(1)})
+    h = Poly(V1, {(h_power,): gr(1)})
     with pytest.raises(EvaluationOverflowError):
         omega1_integral(f, h, CircularArc(0j, 1e200, 0.5, 1.0))

@@ -19,7 +19,7 @@ from foliations.corpus import (
     radial,
     sancho_sanz_field,
 )
-from foliations.errors import NotApplicableError
+from foliations.errors import DegenerateInputError, NotApplicableError, StructuralError
 from foliations.expressions import parse_field
 from foliations.blowup import POINT
 from foliations.fields import BlowupRecord, Chart, VectorField
@@ -495,3 +495,53 @@ class TestDivisorEnumeration3D:
         else:
             assert any("not fully enumerable" in d or "gaps" in d
                        for d in tree.diagnostics)
+
+
+CUSP = cusp_hamiltonian(1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: singular_points_on_divisor(persistent_synthetic_field(), "x"),
+     NotApplicableError, "two-dimensional"),
+    (lambda: seidenberg_resolve(VectorField.make(Chart.root(V2), [Poly.zero(V2)] * 2)),
+     DegenerateInputError, "cannot resolve the zero field"),
+    (lambda: seidenberg_resolve(CUSP, max_steps=0), StructuralError,
+     "max_steps must be at least 1"),
+    (lambda: detect_persistent_nilpotent(CUSP), NotApplicableError, "three-dimensional"),
+    (lambda: emit_tree(seidenberg_resolve(CUSP), "xml"), StructuralError,
+     "format must be 'json' or 'dot'"),
+])
+def test_guards_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_field_singular_along_the_whole_divisor():
+    x, y = Poly.variable(V2, "x"), Poly.variable(V2, "y")
+    rep = VectorField.make(Chart.root(V2), [x * y, x])
+    assert singular_points_on_divisor(rep, "x") == ([], [], True)
+
+
+@pytest.mark.parametrize("first, second, exact, certified", [
+    ("x + y^2 - 1", "y^2 + y - 2", ["1"], 0),                  # gcd y - 1
+    ("x + (y^2 - 2)*(y - 1)", "(y^2 - 2)*(y + 1)", [], 2)])    # gcd y^2 - 2
+def test_divisor_points_are_the_common_roots_of_both_components(first, second, exact,
+                                                                 certified):
+    # off an invariant divisor both components restrict to nonzero
+    # polynomials, and the points are the roots of their gcd
+    rep = parse_field(f"vars: x, y\nkind: field\n{first}, {second}\n")
+    roots, boxes, whole = singular_points_on_divisor(rep, "x")
+    assert ([r.text() for r in roots], len(boxes), whole) == (exact, certified, False)
+
+
+def test_planar_germ_matches_no_persistent_normal_form():
+    assert match_persistent_normal_form(CUSP) is None
+
+
+def test_index_sum_undefined_where_the_divisor_is_not_invariant():
+    # one blow-up resolves x^3 - xy, -y^2; E1 is not invariant at its one
+    # singular point, which so carries no eigenvalue ratio for it
+    tree = seidenberg_resolve(parse_field("vars: x, y\nkind: field\nx^3 - x*y, -y^2\n"))
+    (_, point), = tree.component_points("E1")
+    assert point.cs_indices == {}
+    assert tree.component_index_sum("E1") is None

@@ -40,7 +40,7 @@ V3 = ("x", "y", "z")
 
 def _field(vars, components) -> VectorField:
     return VectorField.make(Chart.root(vars), [
-        Poly.make(vars, {e: gr(c) for e, c in terms.items()}) for terms in components])
+        Poly(vars, {e: gr(c) for e, c in terms.items()}) for terms in components])
 
 
 def _planar_germs(count: int):
@@ -110,9 +110,9 @@ def cases():
     # stops at a pending nilpotent point: 2-D adds no nilpotent diagnostics
     out.append(("cusp2/2d/2", lambda: seidenberg_resolve(cusp_hamiltonian(2), max_steps=2)))
     # (y^2 - 2x^2)^2 (x d/dx + 2y d/dy): non-rational points on the divisor
-    square = Poly.make(V2, {(0, 2): gr(1), (2, 0): gr(-2)})
+    square = Poly(V2, {(0, 2): gr(1), (2, 0): gr(-2)})
     square = square * square
-    factor = [Poly.make(V2, {(1, 0): gr(1)}), Poly.make(V2, {(0, 1): gr(2)})]
+    factor = [Poly(V2, {(1, 0): gr(1)}), Poly(V2, {(0, 1): gr(2)})]
     nonrational2 = VectorField.make(Chart.root(V2), [square * f for f in factor])
     out.append(("nonrational/2d/40", lambda: seidenberg_resolve(nonrational2)))
     # x^2 - 2xyz, 2xy^2, x^2 - z^2 - 2x^2 z: a non-rational gap in 3-D

@@ -349,7 +349,7 @@ def lifts(draw):
     if not draw(st.integers(0, 15)):
         components[draw(st.integers(0, n - 1))][draw(exponents)] = HUGE_COEFFICIENT
     field = VectorField.make(Chart.root(vars_),
-                             [Poly.make(vars_, terms) for terms in components])
+                             [Poly(vars_, terms) for terms in components])
     fiber = [draw(points) for _ in range(n - 1)]
     if not draw(st.integers(0, 7)):
         fiber[0] = draw(st.sampled_from(HUGE_FIBERS))
@@ -386,7 +386,7 @@ def test_lift_errors_match_reference(monkeypatch, components, base, path, fiber,
     monkeypatch.setattr(dynamics, "_RK45_MAX_ITER", cap)
     vars_ = V2 if len(components) == 2 else V3
     field = VectorField.make(Chart.root(vars_), [
-        Poly.make(vars_, {e: gr(c) for e, c in terms.items()}) for terms in components])
+        Poly(vars_, {e: gr(c) for e, c in terms.items()}) for terms in components])
     case = (field, base, path, fiber, 1e-8, 1e-10, escape, 4)
     expected = lift_outcome(reference_lift, *case)
     assert expected[0] is error
@@ -397,7 +397,7 @@ def test_rerun_escape_matches_reference():
     # the lift stays inside the polydisc of radius 10 and its tighter re-run
     # leaves it: the lift is escaped, with its own samples and no estimate
     field = VectorField.make(Chart.root(V2), [
-        Poly.make(V2, {(1, 0): gr(1)}), Poly.make(V2, {(0, 1): gr("-1/2", "-1/2")})])
+        Poly(V2, {(1, 0): gr(1)}), Poly(V2, {(0, 1): gr("-1/2", "-1/2")})])
     case = (field, "x", CircularArc(0j, 0.1, 0.0, 2.0 * math.pi), [0.43213918265919726],
             1e-8, 1e-10, 10.0, 64)
     expected = lift_outcome(reference_lift, *case)
