@@ -252,7 +252,8 @@ def siegel_test(eigenvalues) -> str:
     """Exact convex-hull position of the origin among the eigenvalues.
 
     Zero eigenvalues make the origin a hull vertex: reported as the explicit
-    boundary case rather than folded into either side.
+    boundary case rather than folded into either side.  Any number of
+    eigenvalues is decided.
     """
     vals = list(eigenvalues)
     if not all(isinstance(v, GaussianRational) for v in vals):
@@ -280,27 +281,20 @@ def _segment_contains_origin(a, b) -> bool:
 
 
 def _hull_contains_origin(pts) -> bool:
-    n = len(pts)
-    if n == 1:
-        return pts[0] == (0, 0)
-    if n == 2:
-        return _segment_contains_origin(pts[0], pts[1])
-    for i, j in itertools.combinations(range(n), 2):
-        if _segment_contains_origin(pts[i], pts[j]):
+    """Whether the origin lies in the convex hull of the nonzero int points
+    ``pts``, boundary included.  In the plane it does iff it lies in the
+    hull of at most three of them (Caratheodory), and no single nonzero
+    point holds it, so every pair and then every triple is tried."""
+    for a, b in itertools.combinations(pts, 2):
+        if _segment_contains_origin(a, b):
             return True
-    if n == 3:
-        a, b, c = pts
-        d1 = _cross(a, b)
-        d2 = _cross(b, c)
-        d3 = _cross(c, a)
-        if d1 == 0 and d2 == 0 and d3 == 0:
-            # all points on one line through the origin; segment checks above
-            # already decided membership
-            return False
-        has_pos = d1 > 0 or d2 > 0 or d3 > 0
-        has_neg = d1 < 0 or d2 < 0 or d3 < 0
-        return not (has_pos and has_neg)
-    raise StructuralError("hull test supports up to three eigenvalues")
+    for a, b, c in itertools.combinations(pts, 3):
+        d = (_cross(a, b), _cross(b, c), _cross(c, a))
+        # all zero: the three lie on one line through the origin, and the
+        # pairs decided that line
+        if any(d) and not (max(d) > 0 and min(d) < 0):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from .dynamics import (
     spiral_path,
     time_form_integral,
 )
-from .errors import FoliationError
+from .errors import FoliationError, StructuralError
 from .expressions import parse_field, render_field
 from .fields import (
     Chart,
@@ -223,7 +223,7 @@ def quadratic_isolated_field(variant: int = 2) -> VectorField:
     treated as golden data; these two members are unambiguous.)
     """
     if variant not in (2, 3):
-        raise ValueError("variant must be 2 or 3")
+        raise StructuralError("variant must be 2 or 3")
     k = variant
     return VectorField.make(chart2(), [
         _poly(V2, {(2, 0): 1, (1, 1): -k}),

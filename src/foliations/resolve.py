@@ -31,9 +31,12 @@ The dimensions differ in three places, which they pass to the skeleton:
   dicts of ``(a, b, d)`` int triples from the germ's ``polys()`` to its
   verdict: its blow-ups (``blowup._terms_blowup``), divisor points,
   recentring, nilpotency tests and normal-form matches build no object,
-  and only the germ it matches becomes a field.  The driver finds 3-D
-  divisor points, and both dimensions their common roots, with the same
-  triple functions.
+  and only the germ it matches becomes a field.  It tests the last chart of
+  each point blow-up only at its origin: every other point of that divisor
+  shows in an earlier chart, and the origin is a candidate exactly when no
+  component has a constant term, which the nilpotency test rules out on its
+  own.  The driver finds 3-D divisor points, and both dimensions their
+  common roots, with the same triple functions.
 * **The divisor points of a new chart, and whether that list is
   complete.**  Dimension 2 enumerates the whole divisor in the first chart
   and only the origin in the second.  Dimension 3 solves the restricted
@@ -42,6 +45,9 @@ The dimensions differ in three places, which they pass to the skeleton:
 * **An exhausted budget.**  Dimension 3 names the nilpotent points left
   pending, and reports ``persistent_nilpotent_pending`` when all of them
   match the normal form.
+
+Each singular point is recentred once: the germ its classification builds
+stays with a pending point, and its blow-up or the budget check reads it.
 
 Self-intersection weights are tracked in dimension 2 only: its components
 start at -1, those of dimension 3 carry ``None``.
@@ -96,6 +102,9 @@ class SingularPoint:
     status: str
     cs_indices: dict[str, GaussianRational] = field(default_factory=dict)
     note: str = ""
+    # the representative recentred at a pending point, kept for its blow-up
+    # or budget check; not serialised
+    germ: VectorField | None = field(default=None, repr=False, compare=False)
 
     def coords_text(self) -> list:
         if self.coords is not None:
@@ -314,6 +323,7 @@ def _classify_point(node: TreeNode, coords) -> SingularPoint:
                             if label is not None and c.is_zero()),
         report=report,
         status=status,
+        germ=germ if status == POINT_PENDING else None,
     )
     if report.klass != "regular":
         point.cs_indices = _eigenvalue_ratios(germ)
@@ -386,9 +396,10 @@ def _resolve(x: VectorField, max_steps: int, blow_up, divisor_points,
     not tracked).  The dimension supplies:
 
     * ``blow_up(tree, point, germ, label, center_coords)``: blows up the
-      point's recentered ``germ``, adds the blow-ups it made to
-      ``tree.steps`` / ``tree.weighted_steps``, sets the point's status and
-      returns the chart results, each of which becomes a child node;
+      point's recentered ``germ``, the one its classification kept, adds
+      the blow-ups it made to ``tree.steps`` / ``tree.weighted_steps``, sets
+      the point's status and returns the chart results, each of which
+      becomes a child node;
     * ``divisor_points(tree, child)``: the singular points on the divisor
       of a new chart that no earlier chart of its blow-up shows, and whether
       that list is complete;
@@ -421,9 +432,8 @@ def _resolve(x: VectorField, max_steps: int, blow_up, divisor_points,
             for comp_label in point.on_components:
                 tree.components[comp_label].weight -= 1
         tree.components[label] = DivisorComponent(label, new_weight, node.id)
-        germ = germ_at(node.rep, point.coords)
         center_coords = tuple(c.text() for c in point.coords)
-        for result in blow_up(tree, point, germ, label, center_coords):
+        for result in blow_up(tree, point, point.germ, label, center_coords):
             child = TreeNode(len(tree.nodes), node.id, result.representative, result)
             tree.nodes.append(child)
             points, listed_all = divisor_points(tree, child)
@@ -688,7 +698,12 @@ def _probe_expansions(names: tuple[str, ...], germ: tuple[dict, ...], memo: dict
         for k in range(3):
             numerators, _owns, content = _terms_blowup(germ, k, (1, 1, 1))
             rep = [_over(num, content) for num in numerators]
-            for coords in _terms_divisor_candidates(names, rep, k, range(k))[0]:
+            # every point of the last chart's divisor but its origin shows in
+            # an earlier chart, and the origin is a candidate exactly when no
+            # component has a constant term, which _nilpotent_terms rules out
+            candidates = (_terms_divisor_candidates(names, rep, k, range(k))[0] if k < 2
+                          else [(_ZERO,) * 3])
+            for coords in candidates:
                 offsets = [(j, c) for j, c in enumerate(coords) if c[0] or c[1]]
                 sub = tuple(_terms_shifted(t, offsets) for t in rep)
                 if _nilpotent_terms(sub):
@@ -879,10 +894,8 @@ def _budget_3d(tree: ResolutionTree, *, allow_weighted: bool) -> None:
         if point.report and point.report.klass == CLASS_NILPOTENT:
             tree.diagnostics.append(
                 f"budget exhausted at a nilpotent point (node {point.node_id})")
-            if allow_weighted:
-                germ = germ_at(tree.nodes[point.node_id].rep, point.coords)
-                if match_persistent_normal_form(germ) is not None:
-                    matched_pending += 1
+            if allow_weighted and match_persistent_normal_form(point.germ) is not None:
+                matched_pending += 1
     if allow_weighted and matched_pending and matched_pending == len(pending):
         # everything left is detected persistent-nilpotent work that
         # the budget prevented the weight-2 escape from finishing

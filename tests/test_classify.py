@@ -246,6 +246,12 @@ class TestSiegel:
     def test_collinear_one_side(self):
         assert siegel_test([gr(1), gr(2), gr(3)]) == POSITION_POINCARE
 
+    def test_four_or_more_eigenvalues(self):
+        # no two on opposite rays: decided by a triple, or by none
+        assert siegel_test([gr(1), gr(2), gr(3), gr(4)]) == POSITION_POINCARE
+        assert siegel_test([gr(1), gr(0, 1), gr(-1, -1), gr(4)]) == POSITION_SIEGEL
+        assert siegel_test([gr(4), gr(1, 1), gr(1, -1), gr(2), gr(-1, 3)]) == POSITION_POINCARE
+
 
 class TestReportSerialization:
     def test_json_shape(self):
@@ -386,8 +392,6 @@ SQRT2 = eigen_solve(tpoly([-2, 0, 1]))    # roots +-sqrt(2): intervals
     (lambda: SQRT2.exact_values(), NotApplicableError, "not all exact"),
     (lambda: resonant_relations([v for v, _ in SQRT2.roots]), NotApplicableError,
      "need exact eigenvalues"),
-    (lambda: siegel_test([gr(1), gr(2), gr(3), gr(4)]), StructuralError,
-     "up to three eigenvalues"),
 ])
 def test_guards_raise_typed_errors(call, error, message):
     with pytest.raises(error, match=message):
@@ -399,5 +403,5 @@ def test_siegel_position_of_certified_eigenvalues_is_undecided():
 
 
 def test_quadratic_isolated_family_has_two_members():
-    with pytest.raises(ValueError, match="variant must be 2 or 3"):
+    with pytest.raises(StructuralError, match="variant must be 2 or 3"):
         quadratic_isolated_field(4)

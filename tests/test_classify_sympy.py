@@ -8,6 +8,9 @@ ones, against "sympy's charpoly is lam**n and the matrix is nonzero".
 ``resonance_rank`` is checked against the rank
 of the real and imaginary parts as a sympy matrix, on vectors of length
 1 to 3 whose small entries make zeros, repeats and relations common.
+``siegel_test`` on 1 to 6 nonzero eigenvalues is checked against whether
+sympy's ``convex_hull`` of them, as plane points, holds the origin on its
+boundary or inside.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foliations.algebra import GaussianRational, Poly
-from foliations.classify import char_poly, is_nilpotent, resonance_rank
+from foliations.classify import (POSITION_POINCARE, POSITION_SIEGEL, char_poly, is_nilpotent,
+                                 resonance_rank, siegel_test)
 from foliations.fields import Chart, LinearPart, VectorField
 
 BOUND = 10 ** 6
@@ -106,3 +110,32 @@ def test_resonance_rank_matches_sympy(vals):
     parts = sympy.Matrix([[sympy.Rational(v.re.numerator, v.re.denominator) for v in vals],
                           [sympy.Rational(v.im.numerator, v.im.denominator) for v in vals]])
     assert resonance_rank(vals) == len(vals) - parts.rank()
+
+
+def _sympy_hull_holds_origin(vals) -> bool:
+    origin = sympy.Point2D(0, 0)
+    hull = sympy.convex_hull(*[
+        sympy.Point2D(sympy.Rational(v.re.numerator, v.re.denominator),
+                      sympy.Rational(v.im.numerator, v.im.denominator)) for v in vals])
+    if isinstance(hull, sympy.Polygon):
+        return (hull.encloses_point(origin)
+                or any(side.contains(origin) for side in hull.sides))
+    if isinstance(hull, sympy.Segment):
+        return hull.contains(origin)
+    return hull == origin
+
+
+plane_points = st.builds(GaussianRational, small, small).filter(lambda v: not v.is_zero())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(small_entries.filter(lambda v: not v.is_zero()), plane_points),
+                min_size=1, max_size=6))
+@example([_gr(1), _gr(2), _gr(3), _gr(4)])
+@example([_gr(1), _gr(2), _gr(0, 1), _gr(-1, -1)])
+@example([_gr(1), _gr(0, 1), _gr(-1, -1), _gr(4)])
+@example([_gr(1), _gr(-1), _gr(2), _gr(3)])
+@example([_gr(1, 1), _gr(-1, 1), _gr(0, -1), _gr(2, -3), _gr(1, 2)])
+def test_siegel_test_matches_sympy_convex_hull(vals):
+    expected = POSITION_SIEGEL if _sympy_hull_holds_origin(vals) else POSITION_POINCARE
+    assert siegel_test(vals) == expected
